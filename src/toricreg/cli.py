@@ -22,19 +22,25 @@ from .multipoly import format_poly, parse_poly
 def _load_assumption(text):
     if text in (None, "default-K"):
         return rg.RegularityAssumption()
-    with open(text, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return data  # resolved against the variety later
+    try:
+        with open(text, "r", encoding="utf-8") as handle:
+            return json.load(handle)  # resolved against the variety later
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParseError(f"cannot read baseline file {text!r}: {exc}") from exc
 
 
 def _resolve_assumption(raw, X):
     if isinstance(raw, rg.RegularityAssumption):
         return raw
     baselines = {}
-    for entry in raw.get("baselines", []):
-        sigma = frozenset(i - 1 for i in entry["sigma"])
-        baselines[sigma] = rg.KUpset(X, [tuple(g) for g in entry["generators"]])
-    return rg.RegularityAssumption(baselines, raw.get("label", "custom"))
+    try:
+        for entry in raw.get("baselines", []):
+            sigma = frozenset(i - 1 for i in entry["sigma"])
+            baselines[sigma] = rg.KUpset(X, [tuple(g) for g in entry["generators"]])
+        label = raw.get("label", "custom")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed baseline assumption: {exc!r}") from exc
+    return rg.RegularityAssumption(baselines, label)
 
 
 def _pairs_json(pairs):

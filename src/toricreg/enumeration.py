@@ -1,19 +1,23 @@
 """Enumeration of all B-saturated monomial ideals with a given Hilbert
 polynomial, by peeling face-ring polynomials off the target.
 
-The search works in coordinates where the positive orthant sits inside
-K, so every residual polynomial has a positive leading coefficient and
-each accepted branch strictly decreases the (leading monomial, leading
-coefficient) pair; that is both the termination proof and a runtime
-invariant here.  Candidate representations are over-generated (every
-admissible anchor pair is tried) and the final exact Hilbert-polynomial
-check keeps precisely the right ideals.
+Three stages; each caller runs only those it needs.  The working frame
+moves to coordinates where the positive orthant sits inside K, so every
+residual has a positive leading coefficient, and orders the faces.  The
+search is one peel-off loop in which each accepted branch strictly
+decreases the (leading monomial, leading coefficient) pair: the
+termination proof, checked at runtime.  Realize turns representations
+into ideals and keeps those passing the exact Hilbert-polynomial check,
+since candidates are over-generated (every admissible anchor is tried).
+The Gotzmann number needs only the search; only run_enumeration also
+chooses witness filtrations.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from . import intlinalg as il
-from .errors import NoRepresentation
+from .errors import NoRepresentation, SearchExhausted
 from .hilbert import face_hilbert_polynomial, quotient_hilbert_polynomial
 from .multipoly import GradedOrder
 from .stanley import (
@@ -62,6 +66,103 @@ def graded_total_order(X, order=None):
 
 
 @dataclass
+class _Frame:
+    X: object      # the variety regraded so that N^r sits inside K
+    P: object      # the target in the same coordinates
+    order: GradedOrder
+    face_order: FaceOrder
+    polys: list    # P_{S_sigma} of each face sigma^, by face index
+    inits: list    # their leading monomials
+
+
+def _working_frame(X, P, order):
+    if order is None:
+        order = GradedOrder(X.r)
+    change = positive_orthant_change(X)
+    if not change.is_identity():
+        new_grading = change.inverse @ il.as_int_matrix(X.grading)
+        X = with_grading(X, [list(row) for row in new_grading])
+        P = P.compose_linear(change.matrix)
+    face_order = graded_total_order(X, order)
+    everything = frozenset(range(X.n))
+    polys = [face_hilbert_polynomial(X, everything - f) for f in face_order.faces]
+    return _Frame(X, P, order, face_order, polys,
+                  [poly.leading_monomial(order) for poly in polys])
+
+
+def _peel_off(frame, relaxed=False):
+    """Yield the complete representations of frame.P as tuples of
+    (face index, shift) pairs.  A new pair chains off an earlier pair j
+    whose face is no later in the face order, along a variable x_l of
+    face j: v + e_l on monomials (a set of pairs), or q + deg x_l on
+    degrees when relaxed (a multiset).  A state is deduplicated by its
+    pair multiset, which determines the residual."""
+    if frame.P.is_zero():
+        return
+    X, order, faces = frame.X, frame.order, frame.face_order.faces
+    if relaxed:
+        steps = [X.variable_degree(ell) for ell in range(X.n)]
+    else:
+        steps = [tuple(int(i == ell) for i in range(X.n)) for ell in range(X.n)]
+    seen = set()
+    stack = [((), frame.P)]
+    while stack:
+        pairs, Q = stack.pop()
+        q_init, q_coeff = Q.leading_term(order)
+        for ti, init in enumerate(frame.inits):
+            if init != q_init:
+                continue
+            if pairs:
+                shifts = sorted({
+                    tuple(a + b for a, b in zip(shift, steps[ell]))
+                    for fj, shift in pairs if fj <= ti for ell in faces[fj]})
+            else:
+                shifts = [(0,) * len(steps[0])]
+            for shift in shifts:
+                new_pair = (ti, shift)
+                if not relaxed and new_pair in pairs:
+                    continue
+                state = pairs + (new_pair,)
+                key = tuple(sorted(state))
+                if key in seen:
+                    continue
+                seen.add(key)
+                residual = Q - frame.polys[ti].shift(shift if relaxed else X.degree(shift))
+                if residual.is_zero():
+                    yield state
+                    continue
+                r_init, r_coeff = residual.leading_term(order)
+                if r_coeff <= 0:
+                    continue
+                if (order.key(r_init), r_coeff) >= (order.key(q_init), q_coeff):
+                    raise SearchExhausted("peel-off measure did not drop")
+                stack.append((state, residual))
+
+
+def _stanley_reps(frame):
+    """The monomial search's representations as tuples of StanleyPairs."""
+    everything = frozenset(range(frame.X.n))
+    sigmas = [everything - face for face in frame.face_order.faces]
+    pairs = {}  # one StanleyPair object per distinct pair, shared across reps
+    return [tuple(pairs.setdefault(pair, StanleyPair(pair[1], sigmas[pair[0]]))
+                  for pair in rep)
+            for rep in _peel_off(frame)]
+
+
+def _realize(frame, reps):
+    """Group the representations by ideal; keep the ideals whose quotient
+    has Hilbert polynomial frame.P, each with its representations."""
+    grouped = {}
+    for rep in reps:
+        ideal = decomposition_to_ideal(rep, frame.X.n, check_disjoint=False)
+        grouped.setdefault(ideal, []).append(rep)
+    return {
+        ideal: cands for ideal, cands in grouped.items()
+        if quotient_hilbert_polynomial(frame.X, ideal) == frame.P
+    }
+
+
+@dataclass
 class EnumerationResult:
     ideals: list            # [(MonomialIdeal, witness Stanley filtration)]
     reps: list              # complete representations, one per pair set
@@ -71,72 +172,9 @@ class EnumerationResult:
 
 def run_enumeration(X, P, order=None):
     """Steps 1-5 of the peel-off search; see enumerate_saturated_ideals."""
-    if order is None:
-        order = GradedOrder(X.r)
-    change = positive_orthant_change(X)
-    if change.is_identity():
-        Xw, Pw = X, P
-    else:
-        new_grading = change.inverse @ il.as_int_matrix(X.grading)
-        Xw = with_grading(X, [list(row) for row in new_grading])
-        Pw = P.compose_linear(change.matrix)
-
-    face_order = graded_total_order(Xw, order)
-    everything = frozenset(range(Xw.n))
-    face_polys = {f: face_hilbert_polynomial(Xw, everything - f) for f in face_order.faces}
-    face_inits = {f: poly.leading_monomial(order) for f, poly in face_polys.items()}
-
-    # The residual and all further branching depend only on the set of
-    # accepted pairs, so states are deduplicated by that set; this
-    # collapses the permutations of one decomposition to a single path.
-    reps = []
-    seen = set()
-    if not Pw.is_zero():
-        stack = [((), Pw)]
-        while stack:
-            pairs, Q = stack.pop()
-            q_init, q_coeff = Q.leading_term(order)
-            for ti, tau_hat in enumerate(face_order.faces):
-                if face_inits[tau_hat] != q_init:
-                    continue
-                if pairs:
-                    anchors = [p for p in pairs
-                               if face_order.index[everything - p.face] <= ti]
-                    if not anchors:
-                        continue
-                    shifts = sorted({
-                        tuple(u + (1 if i == ell else 0) for i, u in enumerate(p.shift))
-                        for p in anchors for ell in range(Xw.n) if ell not in p.face})
-                else:
-                    shifts = [(0,) * Xw.n]
-                sigma = everything - tau_hat
-                for v in shifts:
-                    new_pair = StanleyPair(v, sigma)
-                    if new_pair in pairs:
-                        continue
-                    key = frozenset(pairs) | {new_pair}
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    residual = Q - face_polys[tau_hat].shift(Xw.degree(v))
-                    if residual.is_zero():
-                        reps.append(pairs + (new_pair,))
-                        continue
-                    r_init, r_coeff = residual.leading_term(order)
-                    if r_coeff <= 0:
-                        continue
-                    # the termination measure must strictly drop
-                    assert (order.key(r_init), r_coeff) < (order.key(q_init), q_coeff)
-                    stack.append((pairs + (new_pair,), residual))
-
-    grouped = {}
-    for rep in reps:
-        ideal = decomposition_to_ideal(rep, Xw.n, check_disjoint=False)
-        grouped.setdefault(ideal, []).append(rep)
-    by_ideal = {
-        ideal: cands for ideal, cands in grouped.items()
-        if quotient_hilbert_polynomial(Xw, ideal) == Pw
-    }
+    frame = _working_frame(X, P, order)
+    reps = _stanley_reps(frame)
+    by_ideal = _realize(frame, reps)
 
     # Witnesses: a constructed representation is only guaranteed to be a
     # full Stanley filtration when every one of its pairs is supported on
@@ -145,7 +183,6 @@ def run_enumeration(X, P, order=None):
     # the saturated ideal, so the graded-order recursion supplies a true
     # filtration instead.
     ideals = []
-    realized = 0
     for ideal in sorted(by_ideal):
         candidates = sorted(by_ideal[ideal],
                             key=lambda rep: tuple(p.sort_key() for p in rep))
@@ -153,15 +190,14 @@ def run_enumeration(X, P, order=None):
             (rep for rep in candidates
              if verify_stanley(ideal, rep, mode="filtration")), None)
         if witness is None:
-            witness = stanley_filtration(ideal, nice_strategy(Xw, face_order))
-        realized = max(realized, max(len(rep) for rep in by_ideal[ideal]))
+            witness = stanley_filtration(ideal, nice_strategy(frame.X, frame.face_order))
         ideals.append((ideal, witness))
 
     return EnumerationResult(
         ideals=ideals,
         reps=reps,
-        gotzmann_number=max((len(rep) for rep in reps), default=0),
-        gotzmann_realized=realized,
+        gotzmann_number=max(map(len, reps), default=0),
+        gotzmann_realized=max(map(len, chain.from_iterable(by_ideal.values())), default=0),
     )
 
 
@@ -173,76 +209,36 @@ def enumerate_saturated_ideals(X, P, order=None):
 
 def gotzmann_number(X, P, order=None):
     """Largest pair count over the representations the search constructs."""
-    result = run_enumeration(X, P, order)
-    if not result.reps:
+    m = max(map(len, _peel_off(_working_frame(X, P, order))), default=0)
+    if not m:
         raise NoRepresentation("the search produced no representation of P")
-    return result.gotzmann_number
+    return m
 
 
 def gotzmann_number_realized(X, P, order=None):
     """Same maximum, restricted to representations of surviving ideals."""
-    result = run_enumeration(X, P, order)
-    if not result.ideals:
+    frame = _working_frame(X, P, order)
+    by_ideal = _realize(frame, _stanley_reps(frame))
+    if not by_ideal:
         raise NoRepresentation("no B-saturated ideal has this Hilbert polynomial")
-    return result.gotzmann_realized
+    return max(map(len, chain.from_iterable(by_ideal.values())))
 
 
 def gotzmann_upper_bound(X, P, order=None):
-    """Relaxed peel-off over (face, degree-shift) pairs only.
+    """Largest pair count over the relaxed peel-off search.
 
-    Drops the monomial bookkeeping: shifts live in Z^r and chain by
-    q_i = q_j + a_l for an earlier compatible pair.  Always at least
-    the Gotzmann number; equal to it in the standard graded case.
+    Same frame and loop as the monomial search, but a pair keeps only
+    its face and degree: shifts live in Z^r and chain by
+    q_i = q_j + deg x_l for an earlier compatible pair.  Distinct
+    monomials can share a degree, so the pairs of a state form a
+    multiset rather than a set.  Forgetting the monomials only adds
+    representations, so this is always at least the Gotzmann number,
+    and equal to it in the standard graded case.
     """
-    if order is None:
-        order = GradedOrder(X.r)
-    change = positive_orthant_change(X)
-    if change.is_identity():
-        Xw, Pw = X, P
-    else:
-        new_grading = change.inverse @ il.as_int_matrix(X.grading)
-        Xw = with_grading(X, [list(row) for row in new_grading])
-        Pw = P.compose_linear(change.matrix)
-
-    face_order = graded_total_order(Xw, order)
-    everything = frozenset(range(Xw.n))
-    face_polys = {f: face_hilbert_polynomial(Xw, everything - f) for f in face_order.faces}
-    face_inits = {f: poly.leading_monomial(order) for f, poly in face_polys.items()}
-    degrees = [Xw.variable_degree(i) for i in range(Xw.n)]
-
-    best = 0
-    seen = set()
-    if Pw.is_zero():
+    frame = _working_frame(X, P, order)
+    if frame.P.is_zero():
         raise NoRepresentation("the zero polynomial has no representation")
-    stack = [((), Pw)]
-    while stack:
-        pairs, Q = stack.pop()
-        state_key = (tuple(sorted(pairs)), Q)
-        if state_key in seen:
-            continue
-        seen.add(state_key)
-        q_init = Q.leading_monomial(order)
-        for ti, tau_hat in enumerate(face_order.faces):
-            if face_inits[tau_hat] != q_init:
-                continue
-            if pairs:
-                shifts = set()
-                for fj, qj in pairs:
-                    if fj <= ti:
-                        sigma_j = everything - face_order.faces[fj]
-                        shifts.update(
-                            tuple(a + b for a, b in zip(qj, degrees[ell]))
-                            for ell in range(Xw.n) if ell not in sigma_j)
-                shifts = sorted(shifts)
-            else:
-                shifts = [(0,) * Xw.r]
-            for q in shifts:
-                residual = Q - face_polys[tau_hat].shift(q)
-                state = pairs + ((ti, q),)
-                if residual.is_zero():
-                    best = max(best, len(state))
-                elif residual.leading_coeff(order) > 0:
-                    stack.append((state, residual))
-    if best == 0:
+    best = max(map(len, _peel_off(frame, relaxed=True)), default=0)
+    if not best:
         raise NoRepresentation("the relaxed search produced no representation of P")
     return best

@@ -128,7 +128,8 @@ class IrreducibleComponent:
     def __init__(self, n, exponents):
         self.n = n
         self.exponents = dict(sorted((int(i), int(e)) for i, e in exponents.items()))
-        assert all(e >= 1 for e in self.exponents.values())
+        if not all(e >= 1 for e in self.exponents.values()):
+            raise ValueError(f"irreducible component exponents must be >= 1: {exponents}")
 
     @property
     def support(self):

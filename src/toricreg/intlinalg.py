@@ -93,7 +93,8 @@ def smith_normal_form(A):
         if k < min(m, n) and D[k, k] < 0:
             negate_row(k)
 
-    assert (S @ D @ T == A).all()
+    if not (S @ D @ T == A).all():
+        raise ArithmeticError("Smith form does not reproduce the matrix")
     return S, D, T, Sinv, Tinv
 
 
@@ -157,7 +158,8 @@ def row_hermite_normal_form(A):
 def determinant(A):
     """Exact determinant by fraction-free Bareiss elimination."""
     m, n = A.shape
-    assert m == n
+    if m != n:
+        raise ValueError(f"determinant of a non-square {m} x {n} matrix")
     if m == 0:
         return 1
     M = A.copy().astype(object)
@@ -181,7 +183,8 @@ def determinant(A):
 def inverse_unimodular(A):
     """Integer inverse of a matrix with determinant +-1."""
     m, n = A.shape
-    assert m == n
+    if m != n:
+        raise ValueError(f"inverse of a non-square {m} x {n} matrix")
     aug = [[Fraction(int(A[i, j])) for j in range(n)] for i in range(n)]
     inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     for col in range(n):
@@ -204,7 +207,8 @@ def inverse_unimodular(A):
             if inv[i][j].denominator != 1:
                 raise ValueError("matrix is not unimodular")
             out[i, j] = int(inv[i][j])
-    assert (A @ out == identity(n)).all()
+    if not (A @ out == identity(n)).all():
+        raise ArithmeticError("computed inverse does not invert the matrix")
     return out
 
 
@@ -225,7 +229,8 @@ def unimodular_with_first_column(v):
     U = S.copy()
     if not (U[:, 0] == col[:, 0]).all():
         U[:, 0] = -U[:, 0]
-    assert (U[:, 0] == col[:, 0]).all()
+    if not (U[:, 0] == col[:, 0]).all():
+        raise ArithmeticError("completion does not start with the vector")
     return U
 
 

@@ -279,7 +279,8 @@ def positive_orthant_change(X, max_multiple=512):
         else:
             raise SearchExhausted("could not push a basis vector into K")
     mapping = UnimodularMap(U)
-    assert all(X.nef_member(tuple(int(x) for x in U[:, j])) for j in range(r))
+    if not all(X.nef_member(tuple(int(x) for x in U[:, j])) for j in range(r)):
+        raise SearchExhausted("a pushed basis vector is not in K")
     return mapping
 
 

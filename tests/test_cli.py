@@ -119,6 +119,20 @@ def test_regularity_with_baseline_file(tmp_path, capsys):
     assert out.strip() == "{(5)} + K  [baseline assumption: custom]"
 
 
+def test_bad_baseline_file_is_a_parse_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, _, err = run(capsys, "regularity", "--variety", "P(2)", "--poly", "3*t+1",
+                       "--assume-baseline", str(missing))
+    assert code == 2
+    assert "ParseError" in err
+    no_sigma = tmp_path / "no_sigma.json"
+    no_sigma.write_text(json.dumps({"baselines": [{"generators": [[3]]}]}))
+    code, _, err = run(capsys, "regularity", "--variety", "P(2)", "--poly", "3*t+1",
+                       "--assume-baseline", str(no_sigma))
+    assert code == 2
+    assert "ParseError" in err
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "regularity", "--variety", "PxP(2,1)",
                        "--poly", "3*t2+1")

@@ -107,6 +107,7 @@ def test_product_witnesses_are_true_filtrations():
     # filtration only (its fan-supported components still cut out the
     # ideal); the returned witness must nevertheless be a full filtration
     result = en.run_enumeration(PP, parse_poly("3*t1+1", nvars=2))
+    assert len(result.reps) == 2107
     assert len(result.ideals) == 174
     for ideal, witness in result.ideals:
         assert is_b_saturated(ideal, PP)
@@ -167,7 +168,19 @@ def test_upper_bound_dominates_and_matches_standard():
         relaxed = en.gotzmann_upper_bound(X, P)
         assert relaxed >= exact
         assert relaxed == exact
-    assert en.gotzmann_upper_bound(PP, parse_poly("3*t1+1", nvars=2)) >= 4
+    # off projective space; Xc needs a non-identity orthant change
+    Xc = tv.build_variety(F2.fan)
+    cases = [
+        (PP, parse_poly("3*t1+1", nvars=2), 4),
+        (PP, parse_poly("2*t1+t2+1", nvars=2), 3),
+        (PP, parse_poly("t1+2*t2+1", nvars=2), 3),
+        (tv.hirzebruch(1), parse_poly("t1+t2+1", nvars=2), 2),
+        (Xc, quotient_hilbert_polynomial(Xc, mi.MonomialIdeal(4, [(1, 0, 1, 0)])), 2),
+    ]
+    for X, P, expected in cases:
+        relaxed = en.gotzmann_upper_bound(X, P)
+        assert relaxed == expected
+        assert relaxed >= en.gotzmann_number(X, P)
 
 
 def test_enumeration_through_coordinate_change():
@@ -179,3 +192,19 @@ def test_enumeration_through_coordinate_change():
     assert any(ideal == b_saturate(I, Xc) for ideal, _ in out)
     for ideal, _ in out:
         assert quotient_hilbert_polynomial(Xc, ideal) == P
+
+
+def test_gotzmann_number_runs_only_frame_and_search(monkeypatch):
+    # the bound needs only the representations: realizing ideals and
+    # choosing witnesses must not run
+    from toricreg.regularity import reg_bound_from_polynomial
+
+    P = parse_poly("3*t1+1", nvars=2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a later stage ran")
+
+    for name in ("verify_stanley", "stanley_filtration", "decomposition_to_ideal"):
+        monkeypatch.setattr(en, name, forbidden)
+    assert en.gotzmann_number(PP, P) == 4
+    assert reg_bound_from_polynomial(PP, P).generators == ((3, 3),)

@@ -1,6 +1,10 @@
 """Exact integer linear algebra against brute force and numpy floats."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -124,3 +128,16 @@ def test_primitive():
     assert il.primitive((6, -4)) == (3, -2)
     assert il.primitive((0, 5)) == (0, 1)
     assert il.vec_gcd((0, 0)) == 0
+
+
+def test_shape_check_survives_optimized_mode():
+    # the checks are typed errors, not asserts, so python -O keeps them
+    code = ("from toricreg import intlinalg as il\n"
+            "try:\n"
+            "    il.determinant(il.as_int_matrix([[1, 2, 3], [4, 5, 6]]))\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError', exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(il.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.startswith("ValueError"), out.stdout + out.stderr
