@@ -191,8 +191,13 @@ def _load_ideal(text, n):
         try:
             with open(text, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-            return mi.MonomialIdeal(n, [tuple(g) for g in data["generators"]])
-        except (OSError, KeyError, json.JSONDecodeError) as exc:
+            gens = [tuple(g) for g in data["generators"]]
+            if any(type(e) is not int for g in gens for e in g):
+                raise ValueError("exponents must be JSON integers")
+            return mi.MonomialIdeal(n, gens)
+        # TypeError: not an object or generators not lists; ValueError:
+        # malformed JSON or exponents that are not integers of length n
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"cannot read ideal file {text!r}: {exc}") from exc
     return mi.parse_ideal(text, n)
 

@@ -8,10 +8,10 @@ Stanley decomposition but a Stanley filtration of S/I.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import OverlappingPairs, StrategyInvalid, UnitIdeal
-from .ideals import MonomialIdeal, format_monomial, total_degree
+from .ideals import MonomialIdeal, divides, format_monomial, monomial_lcm, total_degree
 
 
 @dataclass(frozen=True)
@@ -189,51 +189,105 @@ def monomials_up_to(n, bound):
     yield from rec(0, bound, [0] * n)
 
 
-def default_verify_bound(I, pairs):
-    gen_deg = max((total_degree(g) for g in I.gens), default=0)
-    shift_deg = max((total_degree(p.shift) for p in pairs), default=0)
-    return gen_deg + shift_deg + 2
+def verify_stanley(I, pairs, mode="decomposition"):
+    """Check the partition property of Definition 3.1 exactly.
 
+    decomposition: every monomial outside I lies in exactly one pair,
+    and no pair meets I.  filtration: each prefix must additionally be a
+    decomposition of S over the ideal enlarged by the later shifts.
+    Returns a falsy VerifyResult with a counterexample monomial on
+    failure.
 
-def verify_stanley(I, pairs, mode="decomposition", bound=None):
-    """Check the partition property of Definition 3.1, degree by degree.
+    Filtration mode is the colon chain.  With J_k = I and
+    J_{i-1} = J_i + <x^{u_i}>, the pairs (u_1, s_1) ... (u_k, s_k) form a
+    Stanley filtration exactly when (J_i : x^{u_i}) = P_{s_i} =
+    <x_j : j not in s_i> for every i and J_0 is the unit ideal: the
+    monomials of J_{i-1} outside J_i are x^{u_i} times the standard
+    monomials of (J_i : x^{u_i}), and these are the monomials of pair i
+    exactly when the colon is the face prime.  So the prefixes partition
+    the complement of I exactly when every colon is its face prime and
+    J_0 contains 1.
 
-    decomposition: every monomial outside I of total degree <= bound
-    lies in exactly one pair, and no pair meets I.  filtration: each
-    prefix must additionally be a decomposition of S over the ideal
-    enlarged by the later shifts.  Returns a falsy VerifyResult with a
-    counterexample monomial on failure.
-
-    The prefix conditions are checked in one pass: writing D(m) for the
-    pair indices whose shift divides m and C(m) for the pairs containing
-    m, a monomial outside I passes every prefix test exactly when
-    C(m) = {max D(m)} (or {first pair} when D(m) is empty), and a
-    monomial of I passes when C(m) is empty.
+    Decomposition mode evaluates the per-monomial predicate on the grid
+    of exponent vectors whose i-th coordinate is 0, some g_i for a
+    generator g of I, or u_i or u_i + 1 for a pair shift u.  The
+    predicate only compares each m_i with these thresholds, so lowering
+    m_i to the largest grid value at most m_i changes no comparison:
+    some monomial fails exactly when some grid point does.
     """
     pairs = tuple(pairs)
-    if bound is None:
-        bound = default_verify_bound(I, pairs)
-    if mode not in ("decomposition", "filtration"):
+    if mode == "filtration":
+        return _colon_chain(I, pairs)
+    if mode != "decomposition":
         raise ValueError(f"unknown mode {mode!r}")
-
-    for m in monomials_up_to(I.n, bound):
-        containing = [k for k, p in enumerate(pairs) if p.contains(m)]
-        if I.contains(m):
-            if containing:
-                return VerifyResult(False, m, "monomial of the ideal lies in a pair")
-            continue
-        if mode == "decomposition":
-            if len(containing) != 1:
-                return VerifyResult(False, m, f"covered {len(containing)} times")
-            continue
-        dividing = [k for k, p in enumerate(pairs)
-                    if all(a >= b for a, b in zip(m, p.shift))]
-        expected = dividing[-1] if dividing else 0
-        if containing != [expected]:
-            return VerifyResult(
-                False, m,
-                f"prefix {expected + 1}: covered by pairs {containing}")
+    grid = [sorted({0}.union(g[i] for g in I.gens)
+                   .union(p.shift[i] + d for p in pairs for d in (0, 1)))
+            for i in range(I.n)]
+    for m in product(*grid):
+        reason = _monomial_failure(I, pairs, m, mode)
+        if reason:
+            return VerifyResult(False, m, reason)
     return VerifyResult(True)
+
+
+def _colon_chain(I, pairs):
+    """The colon-chain certificate for filtration mode.
+
+    J_i is kept as a (not necessarily minimal) generator list.  The
+    colon is inside P_s exactly when every generator g of J_i exceeds
+    u_i at some variable outside s; otherwise lcm(u_i, g) lies both in
+    pair i and in J_i.  P_s is inside the colon exactly when every
+    x^{u_i + e_j}, j outside s, lies in J_i; otherwise that monomial is
+    left uncovered.
+    """
+    n = I.n
+    gens = list(I.gens)
+    for i in range(len(pairs), 0, -1):
+        u, face = pairs[i - 1].shift, pairs[i - 1].face
+        outside = [j for j in range(n) if j not in face]
+        for g in gens:
+            if all(g[j] <= u[j] for j in outside):
+                m = monomial_lcm(u, g)
+                return VerifyResult(
+                    False, m,
+                    f"prefix {i}: {format_monomial(m)} lies in pair {i} "
+                    f"and in I + <later shifts>")
+        for j in outside:
+            m = tuple(e + (k == j) for k, e in enumerate(u))
+            if not any(divides(g, m) for g in gens):
+                return VerifyResult(
+                    False, m,
+                    f"prefix {i}: {format_monomial(m)} lies outside "
+                    f"I + <later shifts> but not in pair {i}")
+        gens.append(u)
+    if all(any(g) for g in gens):
+        return VerifyResult(
+            False, (0,) * n,
+            "prefix 0: I + <all shifts> is not the unit ideal, so 1 is uncovered")
+    return VerifyResult(True)
+
+
+def _monomial_failure(I, pairs, m, mode):
+    """Why the monomial m breaks the partition property, or "" if not.
+
+    The prefix conditions of filtration mode are checked in one pass:
+    writing D(m) for the pair indices whose shift divides m and C(m)
+    for the pairs containing m, a monomial outside I passes every
+    prefix test exactly when C(m) = {max D(m)} (or {first pair} when
+    D(m) is empty), and a monomial of I passes when C(m) is empty.
+    Filtration mode of verify_stanley uses the colon chain instead; the
+    tests compare it against this predicate.
+    """
+    containing = [k for k, p in enumerate(pairs) if p.contains(m)]
+    if I.contains(m):
+        return "monomial of the ideal lies in a pair" if containing else ""
+    if mode == "decomposition":
+        return f"covered {len(containing)} times" if len(containing) != 1 else ""
+    dividing = [k for k, p in enumerate(pairs) if divides(p.shift, m)]
+    expected = dividing[-1] if dividing else 0
+    if containing != [expected]:
+        return f"prefix {expected + 1}: covered by pairs {containing}"
+    return ""
 
 
 # -- back to ideals ------------------------------------------------------

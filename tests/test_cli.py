@@ -133,6 +133,18 @@ def test_bad_baseline_file_is_a_parse_error(tmp_path, capsys):
     assert "ParseError" in err
 
 
+def test_bad_ideal_file_is_a_parse_error(tmp_path, capsys):
+    for name, data in (("list.json", [1]),
+                       ("letters.json", {"generators": [["a"]]}),
+                       ("fraction.json", {"generators": [[1.5, 0, 0]]}),
+                       ("short.json", {"generators": [[1, 0]]})):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "hilbert", "--variety", "P(2)", "--ideal", str(path))
+        assert code == 2, name
+        assert "ParseError" in err
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "regularity", "--variety", "PxP(2,1)",
                        "--poly", "3*t2+1")

@@ -11,7 +11,7 @@ from toricreg.errors import FiltrationInvalid, MissingBaseline, NoSaturatedIdeal
 from toricreg.ideals import hilbert_function
 from toricreg.hilbert import quotient_hilbert_polynomial
 from toricreg.multipoly import parse_poly
-from toricreg.stanley import StanleyPair, stanley_filtration
+from toricreg.stanley import StanleyPair, stanley_filtration, verify_stanley
 
 P2 = tv.projective_space(2)
 P3 = tv.projective_space(3)
@@ -65,6 +65,14 @@ def test_lex_ideal_bound():
 def test_invalid_filtration_rejected():
     with pytest.raises(FiltrationInvalid):
         rg.reg_bound_from_filtration(P3, DPP_IDEAL, DPP_FILT[:2])
+    # a B-saturated ideal on PxP(2,1) whose two pairs decompose S/I in
+    # either order, but filter it only with the shift 1 first
+    I = mi.MonomialIdeal(5, [(2, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 0, 0, 1, 0)])
+    reordered = stanley_filtration(I)[::-1]
+    assert verify_stanley(I, reordered, mode="decomposition")
+    with pytest.raises(FiltrationInvalid,
+                       match="prefix 2: x1 lies outside I \\+ <later shifts>"):
+        rg.reg_bound_from_filtration(PP, I, reordered)
 
 
 def test_unsaturated_ideal_needs_baselines():

@@ -1,9 +1,11 @@
 """The comma-colon recursion, filtration ordering and verification."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as gen
 
 from toricreg import ideals as mi
 from toricreg import stanley as st
@@ -249,3 +251,63 @@ def test_verify_returns_counterexample():
     result = st.verify_stanley(I, [pair((0, 0), {0})], mode="decomposition")
     assert not result
     assert result.counterexample is not None
+    # one case for each way the colon chain can fail
+    for pairs, m, reason in (
+            ([pair((0, 0), {0, 1})], (1, 1), "prefix 1: x1*x2 lies in pair 1"),
+            ([pair((0, 0), {0})], (0, 1), "prefix 1: x2 lies outside"),
+            ([pair((1, 0), {0})], (0, 0), "prefix 0: ")):
+        result = st.verify_stanley(I, pairs, mode="filtration")
+        assert not result
+        assert result.counterexample == m
+        assert result.reason.startswith(reason)
+
+
+ORACLE_VARIETIES = [(X, graded_total_order(X))
+                    for X in (P2, P3, tv.product_projective(2, 1), tv.hirzebruch(1))]
+
+
+@gen.composite
+def ideals_with_pair_lists(draw):
+    """A random ideal on a named variety with one of its Stanley
+    filtrations (default or nice order), as is, permuted, or with one
+    pair's shift or face perturbed."""
+    X, order = draw(gen.sampled_from(ORACLE_VARIETIES))
+    gens = draw(gen.lists(gen.tuples(*[gen.integers(0, 2)] * X.n), min_size=1, max_size=3))
+    I = mi.MonomialIdeal(X.n, gens)
+    assume(not I.is_unit())
+    nice = draw(gen.booleans())
+    pairs = list(st.stanley_filtration(
+        I, st.nice_strategy(X, order) if nice else None))
+    change = draw(gen.sampled_from(("none", "permute", "shift", "face")))
+    if change == "permute":
+        pairs = draw(gen.permutations(pairs))
+    elif change != "none":
+        k = draw(gen.integers(0, len(pairs) - 1))
+        j = draw(gen.integers(0, X.n - 1))
+        u, face = pairs[k].shift, pairs[k].face
+        if change == "shift":
+            step = draw(gen.sampled_from((-1, 1))) if u[j] else 1
+            pairs[k] = st.StanleyPair(
+                tuple(e + step * (i == j) for i, e in enumerate(u)), face)
+        else:
+            pairs[k] = st.StanleyPair(u, face ^ {j})
+    return I, tuple(pairs)
+
+
+def box_failure(I, pairs, mode):
+    """The per-monomial predicate on the whole box of exponents up to
+    the largest threshold of each coordinate; None when all pass."""
+    caps = [max([g[i] for g in I.gens] + [p.shift[i] + 1 for p in pairs])
+            for i in range(I.n)]
+    return next((m for m in product(*(range(c + 1) for c in caps))
+                 if st._monomial_failure(I, pairs, m, mode)), None)
+
+
+@given(ideals_with_pair_lists())
+def test_verify_agrees_with_box_oracle(case):
+    I, pairs = case
+    for mode in ("filtration", "decomposition"):
+        result = st.verify_stanley(I, pairs, mode=mode)
+        assert bool(result) == (box_failure(I, pairs, mode) is None), (mode, result)
+        if not result:
+            assert st._monomial_failure(I, pairs, result.counterexample, mode), result
