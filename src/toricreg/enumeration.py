@@ -9,8 +9,11 @@ decreases the (leading monomial, leading coefficient) pair: the
 termination proof, checked at runtime.  Realize turns representations
 into ideals and keeps those passing the exact Hilbert-polynomial check,
 since candidates are over-generated (every admissible anchor is tried).
-The Gotzmann number needs only the search; only run_enumeration also
-chooses witness filtrations.
+The search yields representations depth first, so realize builds each
+ideal incrementally along one path of prefix intersections, and both
+the search and the exact check take every shifted face polynomial from
+one cache on the variety.  The Gotzmann number needs only the search;
+only run_enumeration also chooses witness filtrations.
 """
 
 from dataclasses import dataclass
@@ -18,12 +21,16 @@ from itertools import chain
 
 from . import intlinalg as il
 from .errors import NoRepresentation, SearchExhausted
-from .hilbert import face_hilbert_polynomial, quotient_hilbert_polynomial
+from .hilbert import (
+    face_hilbert_polynomial,
+    quotient_hilbert_polynomial,
+    shifted_face_polynomial,
+)
 from .multipoly import GradedOrder
 from .stanley import (
     StanleyPair,
-    decomposition_to_ideal,
     nice_strategy,
+    pair_component,
     stanley_filtration,
     verify_stanley,
 )
@@ -71,8 +78,8 @@ class _Frame:
     P: object      # the target in the same coordinates
     order: GradedOrder
     face_order: FaceOrder
-    polys: list    # P_{S_sigma} of each face sigma^, by face index
-    inits: list    # their leading monomials
+    sigmas: list   # the complement sigma of each face sigma^, by face index
+    inits: list    # the leading monomials of their P_{S_sigma}
 
 
 def _working_frame(X, P, order):
@@ -85,9 +92,9 @@ def _working_frame(X, P, order):
         P = P.compose_linear(change.matrix)
     face_order = graded_total_order(X, order)
     everything = frozenset(range(X.n))
-    polys = [face_hilbert_polynomial(X, everything - f) for f in face_order.faces]
-    return _Frame(X, P, order, face_order, polys,
-                  [poly.leading_monomial(order) for poly in polys])
+    sigmas = [everything - f for f in face_order.faces]
+    return _Frame(X, P, order, face_order, sigmas,
+                  [face_hilbert_polynomial(X, s).leading_monomial(order) for s in sigmas])
 
 
 def _peel_off(frame, relaxed=False):
@@ -127,7 +134,8 @@ def _peel_off(frame, relaxed=False):
                 if key in seen:
                     continue
                 seen.add(key)
-                residual = Q - frame.polys[ti].shift(shift if relaxed else X.degree(shift))
+                residual = Q - shifted_face_polynomial(
+                    X, frame.sigmas[ti], shift if relaxed else X.degree(shift))
                 if residual.is_zero():
                     yield state
                     continue
@@ -141,21 +149,33 @@ def _peel_off(frame, relaxed=False):
 
 def _stanley_reps(frame):
     """The monomial search's representations as tuples of StanleyPairs."""
-    everything = frozenset(range(frame.X.n))
-    sigmas = [everything - face for face in frame.face_order.faces]
     pairs = {}  # one StanleyPair object per distinct pair, shared across reps
-    return [tuple(pairs.setdefault(pair, StanleyPair(pair[1], sigmas[pair[0]]))
+    return [tuple(pairs.setdefault(pair, StanleyPair(pair[1], frame.sigmas[pair[0]]))
                   for pair in rep)
             for rep in _peel_off(frame)]
 
 
 def _realize(frame, reps):
     """Group the representations by ideal; keep the ideals whose quotient
-    has Hilbert polynomial frame.P, each with its representations."""
+    has Hilbert polynomial frame.P, each with its representations.
+
+    A rep's ideal is the intersection of its pairs' irreducible
+    components.  The reps come in depth-first order, so consecutive reps
+    share long prefixes: path holds (pair, intersection up to that pair)
+    for the previous rep, and each rep intersects only past the longest
+    prefix it shares with it."""
+    n = frame.X.n
     grouped = {}
+    path = []
     for rep in reps:
-        ideal = decomposition_to_ideal(rep, frame.X.n, check_disjoint=False)
-        grouped.setdefault(ideal, []).append(rep)
+        k = 0
+        while k < len(path) and k < len(rep) and path[k][0] == rep[k]:
+            k += 1
+        del path[k:]
+        for pair in rep[k:]:
+            component = pair_component(pair, n)
+            path.append((pair, path[-1][1].intersect(component) if path else component))
+        grouped.setdefault(path[-1][1], []).append(rep)
     return {
         ideal: cands for ideal, cands in grouped.items()
         if quotient_hilbert_polynomial(frame.X, ideal) == frame.P

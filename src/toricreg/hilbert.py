@@ -116,6 +116,16 @@ def face_hilbert_polynomial(X, sigma):
     return poly
 
 
+def shifted_face_polynomial(X, sigma, degree):
+    """P_{S_sigma}(t - degree), computed once per (sigma, degree) on X."""
+    key = (frozenset(sigma), tuple(degree))
+    poly = X._shifted_face_poly_cache.get(key)
+    if poly is None:
+        poly = face_hilbert_polynomial(X, key[0]).shift(key[1])
+        X._shifted_face_poly_cache[key] = poly
+    return poly
+
+
 def _interpolate_face(X, sigma, t0, directions, degree):
     monomials = _monomials_of_degree_at_most(X.r, degree)
 
@@ -184,6 +194,5 @@ def hilbert_polynomial_of_pairs(X, pairs):
         sigma_hat = frozenset(range(X.n)) - pair.face
         if sigma_hat not in X.delta:
             continue
-        shift = X.degree(pair.shift)
-        total = total + face_hilbert_polynomial(X, pair.face).shift(shift)
+        total = total + shifted_face_polynomial(X, pair.face, X.degree(pair.shift))
     return total

@@ -5,6 +5,8 @@ generating set at all times, so equality is tuple comparison and the
 colon/add recursion elsewhere can rely on strict growth.
 """
 
+from operator import index
+
 from .errors import FiberTooLarge, UnitIdeal
 
 
@@ -25,13 +27,22 @@ def total_degree(m):
 
 
 def minimalize(gens):
-    """Drop generators divisible by another generator; sorted, deduped."""
-    gens = sorted(set(tuple(int(e) for e in g) for g in gens))
+    """Drop generators divisible by another generator; sorted, deduped.
+
+    A proper divisor is lex-smaller than its multiples, so one pass in
+    lex order keeps exactly the generators no kept one divides.
+    Exponents must be integers (int, bool or numpy integers): anything
+    else, such as 1.5, raises ValueError rather than being truncated.
+    """
+    try:
+        gens = sorted(set(tuple(map(index, g)) for g in gens))
+    except TypeError as exc:
+        raise ValueError(f"exponents must be integers: {exc}") from None
     out = []
     for g in gens:
-        if not any(divides(h, g) for h in out if h != g):
-            out = [h for h in out if not divides(g, h)] + [g]
-    return tuple(sorted(out))
+        if not any(divides(h, g) for h in out):
+            out.append(g)
+    return tuple(out)
 
 
 class MonomialIdeal:

@@ -320,19 +320,18 @@ def pair_component(pair, n):
     return MonomialIdeal(n, gens)
 
 
-def decomposition_to_ideal(pairs, n, check_disjoint=True):
+def decomposition_to_ideal(pairs, n):
     """Intersect the irreducible ideals attached to the pairs.
 
     For an actual Stanley decomposition this recovers the ideal it
-    decomposes.  check_disjoint rejects overlapping pair sets.
+    decomposes.  Overlapping pair sets raise OverlappingPairs.
     """
     pairs = tuple(pairs)
     if not pairs:
         raise ValueError("need at least one pair")
-    if check_disjoint:
-        for p, q in combinations(pairs, 2):
-            if pairs_overlap(p, q):
-                raise OverlappingPairs(f"pairs {p} and {q} share a monomial")
+    for p, q in combinations(pairs, 2):
+        if pairs_overlap(p, q):
+            raise OverlappingPairs(f"pairs {p} and {q} share a monomial")
     out = pair_component(pairs[0], n)
     for pair in pairs[1:]:
         out = out.intersect(pair_component(pair, n))

@@ -85,7 +85,8 @@ class ToricVariety:
         self.nef_ineqs = nef_ineqs
         self.nef_rays = nef_rays
         self.positive_w = positive_w        # w . a_i > 0 for every i
-        self._face_poly_cache = {}
+        self._face_poly_cache = {}          # sigma -> P_{S_sigma}
+        self._shifted_face_poly_cache = {}  # (sigma, degree) -> P_{S_sigma}(t - degree)
 
     # -- grading ------------------------------------------------------
 

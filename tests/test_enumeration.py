@@ -1,5 +1,7 @@
 """The peel-off enumeration of saturated ideals and Gotzmann numbers."""
 
+from collections import Counter
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -14,8 +16,8 @@ from toricreg.hilbert import (
     ring_hilbert_polynomial,
 )
 from toricreg.ideals import b_saturate, is_b_saturated
-from toricreg.multipoly import GradedOrder, parse_poly
-from toricreg.stanley import verify_stanley
+from toricreg.multipoly import GradedOrder, MultiPoly, parse_poly
+from toricreg.stanley import pair_component, verify_stanley
 
 P1 = tv.projective_space(1)
 P2 = tv.projective_space(2)
@@ -204,7 +206,66 @@ def test_gotzmann_number_runs_only_frame_and_search(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a later stage ran")
 
-    for name in ("verify_stanley", "stanley_filtration", "decomposition_to_ideal"):
+    for name in ("verify_stanley", "stanley_filtration", "pair_component"):
         monkeypatch.setattr(en, name, forbidden)
     assert en.gotzmann_number(PP, P) == 4
     assert reg_bound_from_polynomial(PP, P).generators == ((3, 3),)
+
+
+@pytest.mark.parametrize("X, text", [
+    (P2, "3*t+1"),
+    (tv.projective_space(3), "2*t+1"),
+    (PP, "3*t1+1"),
+    (tv.product_projective(1, 1), "t1+t2+1"),
+    (tv.hirzebruch(1), "t1+t2+1"),
+], ids=["P2", "P3", "PxP(2,1)", "PxP(1,1)", "Hirzebruch(1)"])
+def test_incremental_realize_matches_per_rep_intersection(X, text):
+    # oracle: intersect every rep's components from scratch (reps may
+    # overlap, so no disjointness check), group by ideal, then apply the
+    # exact Hilbert-polynomial check
+    frame = en._working_frame(X, parse_poly(text, nvars=X.r), None)
+    reps = en._stanley_reps(frame)
+    grouped = {}
+    for rep in reps:
+        ideal = reduce(mi.MonomialIdeal.intersect,
+                       (pair_component(pair, frame.X.n) for pair in rep))
+        grouped.setdefault(ideal, []).append(rep)
+    expected = {ideal: cands for ideal, cands in grouped.items()
+                if quotient_hilbert_polynomial(frame.X, ideal) == frame.P}
+    got = en._realize(frame, reps)
+    assert expected
+    assert list(got) == list(expected)
+    assert got == expected
+
+
+def test_realize_intersects_only_past_shared_prefixes(monkeypatch):
+    calls = []
+    original = mi.MonomialIdeal.intersect
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(mi.MonomialIdeal, "intersect", counting)
+    result = en.run_enumeration(tv.projective_space(2), parse_poly("4*t+1"))
+    assert (len(result.reps), len(result.ideals)) == (12487, 330)
+    # one intersection per rep and pair past the first would be 74050
+    assert len(calls) == 14321
+
+
+def test_each_face_polynomial_is_shifted_once_per_degree(monkeypatch):
+    # face polynomials are cached one object per face, so (object, degree)
+    # names a (face, degree) key; the objects stay alive in the cache
+    shifted = Counter()
+    original = MultiPoly.shift
+
+    def counting(self, v):
+        shifted[id(self), tuple(v)] += 1
+        return original(self, v)
+
+    monkeypatch.setattr(MultiPoly, "shift", counting)
+    X = tv.projective_space(2)
+    en.run_enumeration(X, parse_poly("4*t+1"))
+    assert shifted
+    assert max(shifted.values()) == 1
+    assert len(shifted) == len(X._shifted_face_poly_cache)

@@ -186,3 +186,26 @@ def test_parse_and_format():
     assert I.gens == ((0, 1, 1), (2, 1, 0))
     assert mi.format_ideal(I) == "<x2*x3, x1^2*x2>"
     assert mi.parse_ideal("0", 3).is_zero()
+
+
+def test_minimalize_single_pass_matches_pairwise_definition():
+    rng = random.Random(20)
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 7))]
+        distinct = set(gens)
+        expected = tuple(sorted(g for g in distinct
+                                if not any(h != g and mi.divides(h, g) for h in distinct)))
+        assert mi.minimalize(gens) == expected
+
+
+def test_exponents_must_be_integers():
+    import numpy as np
+
+    with pytest.raises(ValueError):
+        mi.MonomialIdeal(3, [(1.5, 0, 0)])
+    with pytest.raises(ValueError):
+        mi.MonomialIdeal(3, [(1, 0, 0), (0, 2.0, 0)])
+    I = mi.MonomialIdeal(3, [(True, 2, 0), (np.int64(2), 1, 0)])
+    assert I.gens == ((1, 2, 0), (2, 1, 0))
+    assert all(type(e) is int for g in I.gens for e in g)
