@@ -61,11 +61,10 @@ def ideals_generated_in_degrees(X, degrees, P, node_budget=1_000_000):
             results.append(MonomialIdeal(X.n, chosen))
             return
         fiber = fibers[level]
-        forced = [m for m in fiber if any(divides(g, m) for g in chosen)]
-        need = targets[level] - len(forced)
+        free = [m for m in fiber if not any(divides(g, m) for g in chosen)]
+        need = targets[level] - (len(fiber) - len(free))
         if need < 0:
             return
-        free = [m for m in fiber if not any(divides(g, m) for g in chosen)]
         for subset in combinations(free, need):
             rec(level + 1, chosen + list(subset))
 

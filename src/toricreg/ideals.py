@@ -156,6 +156,8 @@ class IrreducibleComponent:
         return MonomialIdeal(self.n, gens)
 
     def __eq__(self, other):
+        if not isinstance(other, IrreducibleComponent):
+            return NotImplemented
         return self.n == other.n and self.exponents == other.exponents
 
     def __hash__(self):
@@ -189,27 +191,26 @@ def irreducible_decomposition(I):
         rest = tuple(0 if j == i else target[j] for j in range(J.n))
         return split(J.plus(pure)) | split(J.plus(rest))
 
-    return _irredundant(I, split(I))
+    return _irredundant(split(I))
 
 
-def _irredundant(I, components):
+def _irredundant(components):
+    """The components containing no other one, in sorted order.
+
+    An irreducible monomial ideal Q is meet-prime among monomial ideals:
+    if m is in J but not Q and m' in K but not Q, then lcm(m, m') is in
+    J meet K but not Q.  So Q contains the intersection of the others
+    exactly when it contains one of them.
+    """
     comps = sorted(components, key=lambda c: sorted(c.exponents.items()))
-    keep = list(comps)
-    changed = True
-    while changed:
-        changed = False
-        for c in list(keep):
-            others = [k for k in keep if k is not c]
-            if not others:
-                continue
-            inter = others[0].as_ideal()
-            for o in others[1:]:
-                inter = inter.intersect(o.as_ideal())
-            if all(c.as_ideal().contains(g) for g in inter.gens):
-                keep = others
-                changed = True
-                break
-    return tuple(keep)
+    return tuple(c for c in comps
+                 if not any(k is not c and _component_inside(k, c) for k in comps))
+
+
+def _component_inside(k, c):
+    """<x_i^a_i : i in T> is inside <x_i^e_i : i in S> iff T <= S and a_i >= e_i."""
+    e = c.exponents
+    return all(i in e and a >= e[i] for i, a in k.exponents.items())
 
 
 def b_saturate(I, X):
@@ -251,40 +252,94 @@ def b_saturate_classical(I, X):
 
 
 def fiber_monomials(X, t, support=None, cap=10_000_000):
-    """All u in N^n with A.u == t (restricted to the given variable set).
+    """All u in N^n with A.u == t, using only the variables in support
+    (every variable when support is None), as a sorted list.
+
+    Each fiber is enumerated once per variety: the sorted result is kept
+    in X._fiber_cache, keyed by t and the support as a frozenset (None
+    when support is None), and every call returns a fresh list of it.
 
     The fiber is finite because some functional w has w . a_i > 0 for
-    every i; the per-variable bound u_i <= (w.t)/(w.a_i) prunes the
-    search.  Raises FiberTooLarge past the cap.
+    every i, which bounds u_i <= (w.t)/(w.a_i).  When the support
+    contains the complement sigma^ of a maximal cone, only the variables
+    outside sigma^ are enumerated under that bound, and the r
+    coordinates on sigma^ are solved from the residual: they are
+    M_sigma^^-1 (t - sum of a_i u_i over the other variables), where
+    M_sigma^ holds the degrees of the variables of sigma^.  The solve is
+    exact because build_variety checks that M_sigma^ is unimodular, so
+    the solution is integral; a point is kept exactly when every solved
+    coordinate is >= 0.  This covers the whole fiber and every face ring
+    S_sigma whose complement is a face.  Any other support enumerates
+    all of its variables and keeps the points whose residual is zero.
+
+    Raises ValueError when t does not have r entries or the support
+    names a variable outside range(n), and FiberTooLarge when the fiber
+    has more than cap monomials (also when it comes from the cache).
     """
     t = tuple(int(x) for x in t)
-    indices = sorted(support) if support is not None else list(range(X.n))
+    if len(t) != X.r:
+        raise ValueError(f"degree {t} has {len(t)} entries, the grading has {X.r}")
+    if support is not None:
+        support = frozenset(support)
+        if not all(0 <= i < X.n for i in support):
+            raise ValueError(f"support {sorted(support)} is not inside range({X.n})")
+    key = (t, support)
+    fiber = X._fiber_cache.get(key)
+    if fiber is None:
+        indices = sorted(support) if support is not None else range(X.n)
+        fiber = X._fiber_cache[key] = _enumerate_fiber(X, t, indices, cap)
+    if len(fiber) > cap:
+        raise FiberTooLarge(f"degree fiber exceeds {cap} monomials")
+    return list(fiber)
+
+
+def _enumerate_fiber(X, t, indices, cap):
+    """The fiber of fiber_monomials as a sorted tuple, enumerated afresh."""
     w = X.positive_w
     wt = sum(a * b for a, b in zip(w, t))
     if wt < 0:
-        return []
-    degs = {i: X.variable_degree(i) for i in indices}
-    wdeg = {i: sum(a * b for a, b in zip(w, degs[i])) for i in indices}
+        return ()
+    allowed = set(indices)
+    hat, minv = next(((h, m) for h, m in X._facet_data if allowed.issuperset(h)),
+                     ((), None))
+    free = [i for i in indices if i not in hat]
+    degs = [X.variable_degree(i) for i in free]
+    wdeg = [sum(a * b for a, b in zip(w, d)) for d in degs]
+    if minv is None:
+        # s is the residual t - A.u, zero at a fiber point
+        start, steps = t, degs
+    else:
+        # s is the solved sigma^ block M_sigma^^-1 (t - A.u)
+        def solve(v):
+            return tuple(sum(a * b for a, b in zip(row, v)) for row in minv)
+        start, steps = solve(t), [solve(d) for d in degs]
+    depth = len(free)
     out = []
+    acc = [0] * X.n
 
-    def rec(pos, residual, wres, acc):
-        if pos == len(indices):
-            if all(x == 0 for x in residual):
-                out.append(tuple(acc))
-                if len(out) > cap:
-                    raise FiberTooLarge(f"degree fiber exceeds {cap} monomials")
+    def rec(pos, s, wres):
+        if pos == depth:
+            if minv is None:
+                if any(s):
+                    return
+            elif any(x < 0 for x in s):
+                return
+            for i, x in zip(hat, s):
+                acc[i] = x
+            out.append(tuple(acc))
+            if len(out) > cap:
+                raise FiberTooLarge(f"degree fiber exceeds {cap} monomials")
             return
-        i = indices[pos]
-        d = degs[i]
-        for k in range(wres // wdeg[i] + 1):
+        i, step, wi = free[pos], steps[pos], wdeg[pos]
+        for k in range(wres // wi + 1):
             acc[i] = k
-            rec(pos + 1,
-                tuple(residual[j] - k * d[j] for j in range(X.r)),
-                wres - k * wdeg[i], acc)
+            rec(pos + 1, s, wres - k * wi)
+            s = tuple(x - y for x, y in zip(s, step))
         acc[i] = 0
 
-    rec(0, t, wt, [0] * X.n)
-    return sorted(out)
+    rec(0, start, wt)
+    out.sort()
+    return tuple(out)
 
 
 def hilbert_function(X, I, t, cap=10_000_000):

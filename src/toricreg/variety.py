@@ -81,12 +81,13 @@ class ToricVariety:
         self.r = fan.n - fan.d
         self.grading = grading              # tuple of r rows, each length n
         self.delta = delta                  # frozenset of frozensets
-        self._facet_data = facet_data       # [(sigma_hat tuple, Minv)] per facet
+        self._facet_data = facet_data       # [(sigma_hat, Minv rows)] per facet, ints
         self.nef_ineqs = nef_ineqs
         self.nef_rays = nef_rays
         self.positive_w = positive_w        # w . a_i > 0 for every i
         self._face_poly_cache = {}          # sigma -> P_{S_sigma}
         self._shifted_face_poly_cache = {}  # (sigma, degree) -> P_{S_sigma}(t - degree)
+        self._fiber_cache = {}              # (t, support or None) -> sorted fiber
 
     # -- grading ------------------------------------------------------
 
@@ -116,11 +117,9 @@ class ToricVariety:
 
     def nef_member(self, v):
         """Whether v lies in K = intersection of the facet semigroups NA_sigma^."""
-        v = np.array([int(x) for x in v], dtype=object)
-        for _, minv in self._facet_data:
-            if any(x < 0 for x in minv @ v):
-                return False
-        return True
+        v = tuple(int(x) for x in v)
+        return all(sum(a * b for a, b in zip(row, v)) >= 0
+                   for _, minv in self._facet_data for row in minv)
 
     def nef_coordinates_unimodular(self):
         """Matrix of nef-cone rays as columns when they form a lattice basis,
@@ -193,9 +192,9 @@ def build_variety(fan, grading=None, assume_complete=False):
         det = il.determinant(M)
         if det not in (1, -1):
             raise NotSmooth(f"grading columns for {_show_face(set(sigma_hat))} are not unimodular")
-        minv = il.inverse_unimodular(M)
+        minv = tuple(tuple(int(x) for x in row) for row in il.inverse_unimodular(M))
         facet_data.append((sigma_hat, minv))
-        ineq_rows.extend(tuple(int(x) for x in row) for row in minv)
+        ineq_rows.extend(minv)
     W = np.array(ineq_rows, dtype=object)
 
     if not cones.is_pointed(W, r):

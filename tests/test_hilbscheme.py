@@ -89,3 +89,21 @@ def test_saturation_bridging():
         sat = mi.b_saturate(I, P2)
         got = MultiPoly.zero(1) if sat.is_unit() else quotient_hilbert_polynomial(P2, sat)
         assert got == P
+
+
+def test_degset_enumerates_each_fiber_key_once(monkeypatch, capsys):
+    # the degree-set loop asks for 738 fibers here; 36 distinct cache keys
+    from toricreg import cli
+
+    calls = 0
+    enumerate_fiber = mi._enumerate_fiber
+
+    def counting(X, t, indices, cap):
+        nonlocal calls
+        calls += 1
+        return enumerate_fiber(X, t, indices, cap)
+
+    monkeypatch.setattr(mi, "_enumerate_fiber", counting)
+    assert cli.main(["degset", "--variety", "P(2)", "--poly", "4", "--seed", "11"]) == 0
+    assert "supportive check: pass" in capsys.readouterr().out
+    assert calls == 36

@@ -13,7 +13,10 @@ from toricreg.stanley import monomials_up_to
 P1 = tv.projective_space(1)
 P2 = tv.projective_space(2)
 P3 = tv.projective_space(3)
+F1 = tv.hirzebruch(1)
 F2 = tv.hirzebruch(2)
+P1xP1 = tv.product_projective(1, 1)
+P2xP1 = tv.product_projective(2, 1)
 
 # doubled plane union a point: <x4^2> intersect <x1,x2,x3>
 DPP_IDEAL = mi.MonomialIdeal(4, [(1, 0, 0, 2), (0, 1, 0, 2), (0, 0, 1, 2)])
@@ -89,7 +92,7 @@ def test_b_saturate_fixtures():
 
 def test_b_saturate_agrees_with_classical():
     rng = random.Random(12)
-    for X in (P2, P3, F2):
+    for X in (P2, P3, F2, P1xP1, F1):
         for _ in range(80):
             gens = [tuple(rng.randint(0, 2) for _ in range(X.n))
                     for _ in range(rng.randint(1, 4))]
@@ -127,8 +130,121 @@ def test_hilbert_function_fixtures():
 
 
 def test_fiber_cap():
+    X = tv.projective_space(3)
     with pytest.raises(FiberTooLarge):
-        mi.fiber_monomials(P3, (12,), cap=10)
+        mi.fiber_monomials(X, (12,), cap=10)
+    assert len(mi.fiber_monomials(X, (12,))) == 455
+    with pytest.raises(FiberTooLarge):
+        mi.fiber_monomials(X, (12,), cap=10)  # the cached fiber is still capped
+    assert len(mi.fiber_monomials(X, (12,), cap=455)) == 455
+
+
+def _box_fibers(X, degrees):
+    """Brute force: bucket by degree every u in the box u_i <= floor(w.t / w.a_i),
+    taken for the largest w.t over the given degrees."""
+    w = X.positive_w
+    top = max(sum(a * b for a, b in zip(w, t)) for t in degrees)
+    bounds = [top // sum(a * b for a, b in zip(w, X.variable_degree(i))) for i in range(X.n)]
+    buckets = {}
+    for u in product(*(range(b + 1) for b in bounds)):
+        buckets.setdefault(X.degree(u), []).append(u)
+    return buckets
+
+
+def test_fiber_matches_box_oracle():
+    """Cached facet-block solve against brute force, on every face-ring
+    support and on a support containing no facet complement."""
+    # F1 with its rays reordered: the solved block is no longer enumerated
+    # in lex order, so the result must be sorted afterwards
+    F1_reordered = tv.build_variety(tv.Fan([[1, 0], [-1, 1], [0, -1], [0, 1]],
+                                           [(0, 3), (1, 3), (1, 2), (0, 2)]))
+    cases = [(P2, []), (P3, []), (P2xP1, []), (P1xP1, [frozenset({0, 1})]),
+             (F1, []), (F2, []), (F1_reordered, [])]
+    for X, extra in cases:
+        X = tv.with_grading(X, X.grading)  # a fresh variety: empty caches
+        degrees = list(product(range(-2, 7), repeat=X.r))
+        buckets = _box_fibers(X, degrees)
+        # the extra supports contain no facet complement: the residual-test leaf
+        assert not any(set(hat) <= s for hat, _ in X._facet_data for s in extra)
+        supports = [None] + [frozenset(range(X.n)) - face for face in X.faces()] + extra
+        for t in degrees:
+            fiber = sorted(buckets.get(t, []))
+            for support in supports:
+                expected = [u for u in fiber
+                            if support is None or all(u[i] == 0 for i in range(X.n)
+                                                      if i not in support)]
+                assert mi.fiber_monomials(X, t, support=support) == expected
+                # second call answers from the cache
+                assert mi.fiber_monomials(X, t, support=support) == expected
+
+
+def test_fiber_rejects_bad_degree_and_support():
+    zero = mi.MonomialIdeal.zero(3)
+    with pytest.raises(ValueError):
+        mi.hilbert_function(P2, zero, (1, 2))
+    with pytest.raises(ValueError):
+        mi.fiber_monomials(P1xP1, (1,))
+    with pytest.raises(ValueError):
+        mi.fiber_monomials(P2, (1,), support={0, 3})
+    with pytest.raises(ValueError):
+        mi.fiber_monomials(P2, (1,), support={-1})
+
+
+def test_cached_fiber_cannot_be_changed_by_callers():
+    X = tv.projective_space(2)
+    fiber = mi.fiber_monomials(X, (2,))
+    expected = list(fiber)
+    fiber.append((9, 9, 9))
+    fiber.sort(reverse=True)
+    assert mi.fiber_monomials(X, (2,)) == expected
+    assert mi.fiber_monomials(X, (2,)) is not mi.fiber_monomials(X, (2,))
+
+
+def _irredundant_by_intersection(components):
+    """The former definition: repeatedly drop a component that contains
+    the intersection of all the others."""
+    keep = sorted(components, key=lambda c: sorted(c.exponents.items()))
+    changed = True
+    while changed:
+        changed = False
+        for c in list(keep):
+            others = [k for k in keep if k is not c]
+            if not others:
+                continue
+            inter = others[0].as_ideal()
+            for o in others[1:]:
+                inter = inter.intersect(o.as_ideal())
+            if all(c.as_ideal().contains(g) for g in inter.gens):
+                keep = others
+                changed = True
+                break
+    return tuple(keep)
+
+
+def test_irredundant_pairwise_matches_intersection_definition():
+    rng = random.Random(21)
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        comps = set()
+        for _ in range(rng.randint(1, 6)):
+            support = rng.sample(range(n), rng.randint(1, n))
+            comps.add(mi.IrreducibleComponent(n, {i: rng.randint(1, 3) for i in support}))
+        assert mi._irredundant(comps) == _irredundant_by_intersection(comps)
+
+
+def test_irreducible_component_equality_with_other_types():
+    c = mi.IrreducibleComponent(3, {0: 2})
+    assert c == mi.IrreducibleComponent(3, {0: 2})
+    assert c != mi.IrreducibleComponent(3, {0: 1})
+    assert not c == None  # noqa: E711
+    assert c != "x1^2"
+    assert c not in [None, 0]
+
+    class Anything:
+        def __eq__(self, other):
+            return True
+
+    assert c == Anything()  # the other operand decides
 
 
 def test_colon_add_exact_sequence_on_hilbert_functions():

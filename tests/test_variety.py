@@ -16,6 +16,9 @@ P2 = tv.projective_space(2)
 P3 = tv.projective_space(3)
 F2 = tv.hirzebruch(2)
 PP = tv.product_projective(2, 1)
+# F1 with its rays reordered: the first facet semigroup is larger than K
+F1_REORDERED = tv.build_variety(tv.Fan([[1, 0], [-1, 1], [0, -1], [0, 1]],
+                                       [(0, 3), (1, 3), (1, 2), (0, 2)]))
 
 
 def test_projective_space_grading():
@@ -87,7 +90,7 @@ def test_nef_member_fixtures():
 
 def test_nef_member_brute_force_box():
     # membership in each facet semigroup by bounded enumeration of lambdas
-    for X in (P2, F2, PP):
+    for X in (P2, F2, PP, F1_REORDERED):
         A = il.as_int_matrix(X.grading)
         for v in product(range(-5, 6), repeat=X.r):
             expected = True
