@@ -6,7 +6,6 @@ from .enumeration import (
     FaceOrder,
     enumerate_saturated_ideals,
     gotzmann_number,
-    gotzmann_number_realized,
     gotzmann_upper_bound,
     graded_total_order,
     run_enumeration,
@@ -26,10 +25,8 @@ from .hilbscheme import degree_set, ideals_generated_in_degrees, supportive_chec
 from .hilbert import hilbert_polynomial_of_pairs
 from .ideals import (
     MonomialIdeal,
-    add_monomial,
     b_saturate,
     b_saturate_classical,
-    colon_by_monomial,
     fiber_monomials,
     format_ideal,
     format_monomial,

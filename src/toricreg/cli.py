@@ -7,6 +7,7 @@ fixed inputs and seeds; --json emits machine-readable form.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -271,9 +272,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -10,9 +10,10 @@ termination proof, checked at runtime.  Realize turns representations
 into ideals and keeps those passing the exact Hilbert-polynomial check,
 since candidates are over-generated (every admissible anchor is tried).
 The search yields representations depth first, so realize builds each
-ideal incrementally along one path of prefix intersections, and both
-the search and the exact check take every shifted face polynomial from
-one cache on the variety.  The Gotzmann number needs only the search;
+ideal incrementally along one path of prefix intersections.  The search
+takes every shifted face polynomial from one cache on the variety, and
+the exact check sums shifts of P_S over the coarse K-polynomial of each
+candidate (hilbert.py).  The Gotzmann number needs only the search;
 only run_enumeration also chooses witness filtrations.
 """
 
@@ -233,15 +234,6 @@ def gotzmann_number(X, P, order=None):
     if not m:
         raise NoRepresentation("the search produced no representation of P")
     return m
-
-
-def gotzmann_number_realized(X, P, order=None):
-    """Same maximum, restricted to representations of surviving ideals."""
-    frame = _working_frame(X, P, order)
-    by_ideal = _realize(frame, _stanley_reps(frame))
-    if not by_ideal:
-        raise NoRepresentation("no B-saturated ideal has this Hilbert polynomial")
-    return max(map(len, chain.from_iterable(by_ideal.values())))
 
 
 def gotzmann_upper_bound(X, P, order=None):

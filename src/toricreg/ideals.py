@@ -5,13 +5,13 @@ generating set at all times, so equality is tuple comparison and the
 colon/add recursion elsewhere can rely on strict growth.
 """
 
-from operator import index
+from operator import index, le
 
 from .errors import FiberTooLarge, UnitIdeal
 
 
 def divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_mul(a, b):
@@ -35,11 +35,16 @@ def minimalize(gens):
     else, such as 1.5, raises ValueError rather than being truncated.
     """
     try:
-        gens = sorted(set(tuple(map(index, g)) for g in gens))
+        gens = set(tuple(map(index, g)) for g in gens)
     except TypeError as exc:
         raise ValueError(f"exponents must be integers: {exc}") from None
+    return minimal_generators(gens)
+
+
+def minimal_generators(gens):
+    """The lex-sorted minimal elements of a set of integer exponent tuples."""
     out = []
-    for g in gens:
+    for g in sorted(gens):
         if not any(divides(h, g) for h in out):
             out.append(g)
     return tuple(out)
@@ -121,14 +126,6 @@ class MonomialIdeal:
 
     def __repr__(self):
         return f"MonomialIdeal({format_ideal(self)})"
-
-
-def colon_by_monomial(I, m):
-    return I.colon(m)
-
-
-def add_monomial(I, m):
-    return I.plus(m)
 
 
 class IrreducibleComponent:
@@ -257,7 +254,8 @@ def fiber_monomials(X, t, support=None, cap=10_000_000):
 
     Each fiber is enumerated once per variety: the sorted result is kept
     in X._fiber_cache, keyed by t and the support as a frozenset (None
-    when support is None), and every call returns a fresh list of it.
+    when the support is None or every variable), and every call returns
+    a fresh list of it.
 
     The fiber is finite because some functional w has w . a_i > 0 for
     every i, which bounds u_i <= (w.t)/(w.a_i).  When the support
@@ -276,6 +274,11 @@ def fiber_monomials(X, t, support=None, cap=10_000_000):
     names a variable outside range(n), and FiberTooLarge when the fiber
     has more than cap monomials (also when it comes from the cache).
     """
+    return list(_fiber(X, t, support, cap))
+
+
+def _fiber(X, t, support, cap):
+    """The cached sorted tuple behind fiber_monomials."""
     t = tuple(int(x) for x in t)
     if len(t) != X.r:
         raise ValueError(f"degree {t} has {len(t)} entries, the grading has {X.r}")
@@ -283,6 +286,8 @@ def fiber_monomials(X, t, support=None, cap=10_000_000):
         support = frozenset(support)
         if not all(0 <= i < X.n for i in support):
             raise ValueError(f"support {sorted(support)} is not inside range({X.n})")
+        if len(support) == X.n:
+            support = None
     key = (t, support)
     fiber = X._fiber_cache.get(key)
     if fiber is None:
@@ -290,7 +295,7 @@ def fiber_monomials(X, t, support=None, cap=10_000_000):
         fiber = X._fiber_cache[key] = _enumerate_fiber(X, t, indices, cap)
     if len(fiber) > cap:
         raise FiberTooLarge(f"degree fiber exceeds {cap} monomials")
-    return list(fiber)
+    return fiber
 
 
 def _enumerate_fiber(X, t, indices, cap):
@@ -343,9 +348,17 @@ def _enumerate_fiber(X, t, indices, cap):
 
 
 def hilbert_function(X, I, t, cap=10_000_000):
-    """dim_k (S/I)_t: count fiber monomials outside I."""
-    fiber = fiber_monomials(X, t, cap=cap)
-    return sum(1 for u in fiber if not I.contains(u))
+    """dim_k (S/I)_t = sum_d c_d |fiber(t - d)| over the coarse
+    K-polynomial sum_d c_d y^d of S/I (see hilbert.py), from cached fibers.
+
+    Every d is the degree of a monomial, so fiber(t - d) embeds in
+    fiber(t) and cap bounds them all.
+    """
+    from .hilbert import coarse_k_polynomial
+    t = tuple(int(x) for x in t)
+    _fiber(X, t, None, cap)  # checks the entries of t and the cap on fiber(t)
+    return sum(c * len(_fiber(X, tuple(a - b for a, b in zip(t, d)), None, cap))
+               for d, c in coarse_k_polynomial(X, I))
 
 
 def degree_of(X, m):

@@ -88,6 +88,8 @@ class ToricVariety:
         self._face_poly_cache = {}          # sigma -> P_{S_sigma}
         self._shifted_face_poly_cache = {}  # (sigma, degree) -> P_{S_sigma}(t - degree)
         self._fiber_cache = {}              # (t, support or None) -> sorted fiber
+        self._k_poly_cache = {}             # minimal generators -> coarse K(S/I)
+        self._ring_expansion = None         # P_S and its integer shift expansion
 
     # -- grading ------------------------------------------------------
 

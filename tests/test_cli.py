@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from toricreg.cli import main
 
 
@@ -166,3 +168,27 @@ def test_stanley_json_round_trip(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["pairs"][0] == {"shift": [0, 0, 0, 0], "face": [1, 2, 3]}
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    from toricreg import cli
+
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "hilbert", "--variety", "P(1)", "--ring")[:2] == (0, "t + 1\n")
+        assert run(capsys, "lex", "--poly", "2*t+2", "--vars", "3", "--json")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--variety", "P(2)"])
+        assert exc.value.code == 2
+        assert run(capsys, "hilbert", "--variety", "P(1)", "--ring")[:2] == (0, "t + 1\n")
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]

@@ -1,14 +1,17 @@
 """Face and quotient Hilbert polynomials against fiber counting."""
 
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as gen
 
 from toricreg import hilbert as hb
 from toricreg import ideals as mi
 from toricreg import variety as tv
-from toricreg.errors import UnitIdeal
+from toricreg.errors import FiberTooLarge, SearchExhausted, UnitIdeal
 from toricreg.multipoly import GradedOrder, leading_coeff_positive, parse_poly
 from toricreg.stanley import StanleyPair, stanley_filtration
 
@@ -245,3 +248,117 @@ def test_quotient_polynomial_against_direct_fit():
             via_stanley = hb.quotient_hilbert_polynomial(X, I)
             via_fit = _fit_from_function(X, I, X.d)
             assert via_stanley == via_fit, (X, I)
+
+
+# P^2 blown up at two points, read from the JSON schema with its
+# canonical grading: r = 3
+TWO_POINT_BLOWUP = tv.variety_from_dict({
+    "rays": [[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]],
+    "max_cones": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]})
+KERNEL_VARIETIES = [P2, P3, PP, tv.product_projective(1, 1), tv.hirzebruch(1), F2,
+                    TWO_POINT_BLOWUP]
+
+
+def _stanley_path(X, I):
+    return hb.hilbert_polynomial_of_pairs(X, stanley_filtration(I))
+
+
+@given(gen.data())
+def test_kernel_matches_stanley_path(data):
+    X = data.draw(gen.sampled_from(KERNEL_VARIETIES))
+    gens = data.draw(gen.lists(gen.tuples(*[gen.integers(0, 3)] * X.n), max_size=4))
+    I = mi.MonomialIdeal(X.n, gens)
+    assume(not I.is_unit())
+    assert hb.quotient_hilbert_polynomial(X, I) == _stanley_path(X, I)
+
+
+def test_kernel_on_zero_and_unsaturated_ideals():
+    for X in KERNEL_VARIETIES:
+        zero = mi.MonomialIdeal.zero(X.n)
+        assert hb.quotient_hilbert_polynomial(X, zero) == hb.ring_hilbert_polynomial(X)
+        assert _stanley_path(X, zero) == hb.ring_hilbert_polynomial(X)
+        # S/B is B-torsion; x1 * B has saturation <x1>
+        B = mi.MonomialIdeal(X.n, X.irrelevant_generators())
+        assert hb.quotient_hilbert_polynomial(X, B).is_zero()
+        x1B = mi.MonomialIdeal(X.n, [(g[0] + 1,) + g[1:] for g in B.gens])
+        assert not mi.is_b_saturated(x1B, X)
+        P = hb.quotient_hilbert_polynomial(X, x1B)
+        assert P == _stanley_path(X, x1B)
+        assert P == hb.quotient_hilbert_polynomial(X, mi.b_saturate(x1B, X))
+
+
+def test_k_polynomial_recursion_checks_its_measure():
+    I = mi.MonomialIdeal(3, [(1, 1, 0), (0, 1, 1)])
+    assert hb.coarse_k_polynomial(P2, I) == (((0,), 1), ((2,), -2), ((3,), 1))
+    # a child whose measure (2 non-pure-power generators, total degree 4)
+    # does not fall below its parent's is an error
+    with pytest.raises(SearchExhausted):
+        hb._k_polynomial(tv.projective_space(2), I.gens, (2, 4))
+
+
+def _dominating_points(X, vectors):
+    t0 = tv.find_point_dominating(X, vectors)
+    return [tuple(t0[j] + sum(c * ray[j] for c, ray in zip(combo, X.nef_rays))
+                  for j in range(X.r))
+            for combo in product(range(2), repeat=len(X.nef_rays))]
+
+
+def test_every_face_polynomial_matches_fiber_counts():
+    # |fiber_sigma(t)| = sum over T in sigma^ of (-1)^|T| H_S(t - deg x_T),
+    # and H_S = P_S on K, so the face polynomial equals the fiber count
+    # wherever t - deg x_T lies in K for every T; off the fan both vanish
+    varieties = KERNEL_VARIETIES + [P1, tv.hirzebruch(3)]
+    for X in varieties:
+        for size in range(X.n + 1):
+            for sigma in combinations(range(X.n), size):
+                hat = [i for i in range(X.n) if i not in sigma]
+                sums = {(0,) * X.r}
+                for i in hat:
+                    a = X.variable_degree(i)
+                    sums |= {tuple(s + x for s, x in zip(old, a)) for old in sums}
+                poly = hb.face_hilbert_polynomial(X, sigma)
+                if frozenset(hat) not in X.delta:
+                    assert poly.is_zero(), (X, sigma)
+                for t in _dominating_points(X, sorted(sums)):
+                    count = len(mi.fiber_monomials(X, t, support=sigma))
+                    assert poly.evaluate(t) == count, (X, sigma, t)
+
+
+@given(gen.data())
+def test_hilbert_function_matches_fiber_scan(data):
+    X = data.draw(gen.sampled_from(KERNEL_VARIETIES))
+    gens = data.draw(gen.lists(gen.tuples(*[gen.integers(0, 3)] * X.n), max_size=4))
+    I = mi.MonomialIdeal(X.n, gens)
+    t = data.draw(gen.tuples(*[gen.integers(-2, 5)] * X.r))
+    scan = sum(1 for u in mi.fiber_monomials(X, t) if not I.contains(u))
+    assert mi.hilbert_function(X, I, t) == scan
+
+
+def test_hilbert_function_keeps_the_cap():
+    X = tv.projective_space(3)
+    for I in (mi.MonomialIdeal.zero(4), DPP_IDEAL, mi.MonomialIdeal.unit(4)):
+        with pytest.raises(FiberTooLarge):
+            mi.hilbert_function(X, I, (12,), cap=10)
+    assert mi.hilbert_function(X, DPP_IDEAL, (12,), cap=455) == 12 * 12 + 2 * 12 + 2
+
+
+def test_each_variety_interpolates_only_its_ring_polynomial(monkeypatch):
+    from toricreg import enumeration as en
+    interpolated = Counter()
+    original = hb._interpolate_ring
+
+    def counting(X):
+        interpolated[id(X)] += 1
+        return original(X)
+
+    monkeypatch.setattr(hb, "_interpolate_ring", counting)
+    # canonical-grading F2 enumerates on a regraded copy with its own P_S
+    for X in (tv.projective_space(2), tv.product_projective(2, 1), tv.build_variety(F2.fan)):
+        for size in range(X.n + 1):
+            for sigma in combinations(range(X.n), size):
+                hb.face_hilbert_polynomial(X, sigma)
+        mi.hilbert_function(X, mi.MonomialIdeal(X.n, [(2,) + (0,) * (X.n - 1)]), (3,) * X.r)
+        curve = mi.MonomialIdeal(X.n, [(1, 0, 1) + (0,) * (X.n - 3)])
+        en.run_enumeration(X, hb.quotient_hilbert_polynomial(X, curve))
+        assert interpolated[id(X)] == 1
+    assert sorted(interpolated.values()) == [1, 1, 1, 1]

@@ -29,22 +29,22 @@ def brute_colon(I, m, n, bound):
 
 def test_colon_examples():
     I = mi.MonomialIdeal(2, [(2, 1), (1, 2)])
-    C = mi.colon_by_monomial(I, (1, 0))
+    C = I.colon((1, 0))
     assert C.gens == ((0, 2), (1, 1))
     # oracle agreement up to degree 5
     expect = brute_colon(I, (1, 0), 2, 5)
     got = {v for v in monomials_up_to(2, 5) if C.contains(v)}
     assert got == expect
-    assert mi.colon_by_monomial(I, (0, 0)) == I
+    assert I.colon((0, 0)) == I
     J = mi.MonomialIdeal(4, [(1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1)])
-    assert mi.colon_by_monomial(J, (1, 0, 0, 0)) == mi.MonomialIdeal(
+    assert J.colon((1, 0, 0, 0)) == mi.MonomialIdeal(
         4, [(0, 1, 0, 0), (0, 0, 0, 1)])
 
 
 def test_add_monomial():
     I = mi.MonomialIdeal(2, [(2, 1)])
-    assert mi.add_monomial(I, (1, 0)).gens == ((1, 0),)
-    assert mi.add_monomial(I, (3, 3)) == I
+    assert I.plus((1, 0)).gens == ((1, 0),)
+    assert I.plus((3, 3)) == I
 
 
 def test_minimality_is_maintained():
@@ -188,6 +188,22 @@ def test_fiber_rejects_bad_degree_and_support():
         mi.fiber_monomials(P2, (1,), support={0, 3})
     with pytest.raises(ValueError):
         mi.fiber_monomials(P2, (1,), support={-1})
+
+
+def test_full_support_shares_the_key_of_no_support(monkeypatch):
+    enumerated = []
+    original = mi._enumerate_fiber
+
+    def counting(X, t, indices, cap):
+        enumerated.append(t)
+        return original(X, t, indices, cap)
+
+    monkeypatch.setattr(mi, "_enumerate_fiber", counting)
+    X = tv.projective_space(2)
+    full = mi.fiber_monomials(X, (3,), support=range(3))
+    assert mi.fiber_monomials(X, (3,)) == full
+    assert mi.fiber_monomials(X, (3,), support={2, 0, 1}) == full
+    assert enumerated == [(3,)]
 
 
 def test_cached_fiber_cannot_be_changed_by_callers():
