@@ -38,9 +38,8 @@ print("  (1,1) nef?", F2.nef_member((1, 1)), " (-2,1) nef?", F2.nef_member((-2, 
 F2_raw = build_variety(F2.fan)
 print("\nF_2 with canonical grading:", F2_raw.grading)
 U = positive_orthant_change(F2_raw)
-print("  orthant change:", U.matrix.tolist())
-print("  columns are nef:",
-      all(F2_raw.nef_member(tuple(int(x) for x in U.matrix[:, j])) for j in range(2)))
+print("  orthant change:", [list(row) for row in U.matrix])
+print("  columns are nef:", all(F2_raw.nef_member(col) for col in zip(*U.matrix)))
 
 # find_c produces the degree used by the uniform regularity bound: a
 # point c with c - deg(x_i) in K for every variable.

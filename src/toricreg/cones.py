@@ -4,42 +4,32 @@ Only pointed cones at desk scale appear here: the nef cone of a smooth
 projective toric variety and duals of degree cones.  Rays are found by
 intersecting (r-1)-subsets of the defining hyperplanes, which is exact
 and entirely adequate for the handful of inequalities we ever see.
+Matrices are tuples of int rows, as in intlinalg.
 """
 
 from itertools import combinations
-
-import numpy as np
 
 from . import intlinalg as il
 
 
 def dedupe_rows(W):
-    seen = []
-    keys = set()
-    for row in W:
-        key = tuple(int(x) for x in row)
-        if key not in keys and any(key):
-            keys.add(key)
-            seen.append(key)
-    return np.array(seen, dtype=object) if seen else np.zeros((0, W.shape[1]), dtype=object)
+    """The distinct nonzero rows of W, in order of first appearance."""
+    return tuple(dict.fromkeys(row for row in W if any(row)))
 
 
 def cone_rays(W, dim):
     """Primitive extreme rays of {x in R^dim : Wx >= 0}, sorted."""
-    W = dedupe_rows(W)
-    rays = set()
     if dim == 0:
         return ()
-    subsets = combinations(range(W.shape[0]), dim - 1) if dim > 1 else [()]
-    for subset in subsets:
-        sub = W[list(subset)] if subset else np.zeros((0, dim), dtype=object)
-        ker = il.kernel_basis(sub)
-        if ker.shape[1] != 1:
+    W = dedupe_rows(W)
+    rays = set()
+    for subset in combinations(W, dim - 1):
+        ker = il.kernel_basis(subset, dim)
+        if len(ker) != 1:
             continue
-        v = il.primitive(tuple(int(x) for x in ker[:, 0]))
+        v = il.primitive(ker[0])
         for cand in (v, tuple(-x for x in v)):
-            prod = W @ np.array(cand, dtype=object)
-            if all(x >= 0 for x in prod):
+            if all(x >= 0 for x in il.matvec(W, cand)):
                 rays.add(cand)
     return tuple(sorted(rays))
 
@@ -48,15 +38,13 @@ def is_pointed(W, dim):
     return il.rank(W) == dim
 
 
-def interior_point(W, dim):
-    """A lattice point with Wx strictly positive, or None if the cone
-    is not full-dimensional."""
-    rays = cone_rays(W, dim)
+def interior_point(W, rays):
+    """The sum of the extreme rays of {x : Wx >= 0} when W is strictly
+    positive on it, else None: the cone is not full-dimensional."""
     if not rays:
         return None
     total = tuple(sum(col) for col in zip(*rays))
-    prod = dedupe_rows(W) @ np.array(total, dtype=object)
-    if any(x <= 0 for x in prod):
+    if any(x <= 0 for x in il.matvec(dedupe_rows(W), total)):
         return None
     return total
 
@@ -67,5 +55,5 @@ def strictly_positive_functional(vectors, dim):
     Such a w exists precisely when pos{vectors} is pointed; w is an
     interior point of the dual cone.
     """
-    W = np.array([[int(x) for x in v] for v in vectors], dtype=object)
-    return interior_point(W, dim)
+    W = il.as_int_matrix(vectors)
+    return interior_point(W, cone_rays(W, dim))

@@ -88,8 +88,7 @@ def _working_frame(X, P, order):
         order = GradedOrder(X.r)
     change = positive_orthant_change(X)
     if not change.is_identity():
-        new_grading = change.inverse @ il.as_int_matrix(X.grading)
-        X = with_grading(X, [list(row) for row in new_grading])
+        X = with_grading(X, il.matmul(change.inverse, X.grading))
         P = P.compose_linear(change.matrix)
     face_order = graded_total_order(X, order)
     everything = frozenset(range(X.n))

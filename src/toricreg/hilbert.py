@@ -49,7 +49,7 @@ def _independent_nef_directions(X):
     chosen = []
     for ray in X.nef_rays:
         cand = chosen + [ray]
-        if il.rank(il.as_int_matrix(cand)) == len(cand):
+        if il.rank(cand) == len(cand):
             chosen.append(ray)
         if len(chosen) == X.r:
             return chosen

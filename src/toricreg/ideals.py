@@ -31,8 +31,9 @@ def minimalize(gens):
 
     A proper divisor is lex-smaller than its multiples, so one pass in
     lex order keeps exactly the generators no kept one divides.
-    Exponents must be integers (int, bool or numpy integers): anything
-    else, such as 1.5, raises ValueError rather than being truncated.
+    Exponents must be integers (int, bool or any type that defines
+    __index__): anything else, such as 1.5, raises ValueError rather
+    than being truncated.
     """
     try:
         gens = set(tuple(map(index, g)) for g in gens)

@@ -1,68 +1,100 @@
-"""Exact integer linear algebra on numpy object arrays.
+"""Exact integer linear algebra on tuples of ints.
 
-All matrices here carry Python ints (dtype=object), so nothing ever
-overflows or rounds.  The Smith form routine does not enforce the
-divisibility chain on the diagonal; for kernels, ranks and unimodular
-completions only the zero/nonzero pattern of the diagonal matters.
+A matrix is a tuple of rows, each a tuple of Python ints, so nothing
+ever overflows or rounds.  A matrix with no rows carries no column
+count; the functions that need one take it as an argument.  The Smith
+form routine does not enforce the divisibility chain on the diagonal;
+for kernels, ranks, inverses and unimodular completions only which
+diagonal entries are zero or +-1 matters.
 """
 
-from fractions import Fraction
-
-import numpy as np
+from math import gcd
+from operator import index
 
 
 def as_int_matrix(rows):
-    """Copy a nested sequence into a 2d object-dtype array of Python ints."""
-    mat = np.array([[int(x) for x in row] for row in rows], dtype=object)
-    if mat.ndim != 2:
+    """Copy a nested sequence of rows of equal length into a matrix of ints.
+
+    Entries must be integers (anything with __index__); 1.5 or "1"
+    raise TypeError rather than being converted.
+    """
+    mat = tuple(tuple(index(x) for x in row) for row in rows)
+    if any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("expected a matrix")
     return mat
 
 
 def identity(k):
-    M = np.zeros((k, k), dtype=object)
-    for i in range(k):
-        M[i, i] = 1
-    return M
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+
+
+def transpose(A):
+    return tuple(zip(*A))
+
+
+def columns(A, cols):
+    """The submatrix of A on the given column indices, in that order."""
+    return tuple(tuple(row[j] for j in cols) for row in A)
+
+
+def matvec(A, v):
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
+
+
+def matmul(A, B):
+    Bt = transpose(B)
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
+
+
+def _shape(A):
+    return len(A), len(A[0]) if A else 0
 
 
 def smith_normal_form(A):
     """Diagonalize A by unimodular row and column operations.
 
-    Returns (S, D, T, Sinv, Tinv) with A == S @ D @ T, D diagonal (no
-    divisibility guarantee), S and T unimodular with the given inverses.
+    Returns (S, D, T, Sinv, Tinv) with A == S D T, D diagonal with
+    nonnegative entries (no divisibility guarantee), S and T unimodular
+    with the given inverses.
     """
-    D = A.copy().astype(object)
-    m, n = D.shape
-    S, Sinv = identity(m), identity(m)
-    T, Tinv = identity(n), identity(n)
+    A = tuple(map(tuple, A))
+    m, n = _shape(A)
+    D = [list(row) for row in A]
+    S, Sinv = [list(row) for row in identity(m)], [list(row) for row in identity(m)]
+    T, Tinv = [list(row) for row in identity(n)], [list(row) for row in identity(n)]
 
     def add_row(i, j, q):
-        # D[i] += q*D[j], maintaining A == S @ D @ T
-        D[i] += q * D[j]
-        S[:, j] -= q * S[:, i]
-        Sinv[i] += q * Sinv[j]
+        # D[i] += q*D[j], maintaining A == S D T
+        D[i] = [a + q * b for a, b in zip(D[i], D[j])]
+        for row in S:
+            row[j] -= q * row[i]
+        Sinv[i] = [a + q * b for a, b in zip(Sinv[i], Sinv[j])]
 
     def add_col(i, j, q):
-        # D[:, i] += q*D[:, j]
-        D[:, i] += q * D[:, j]
-        T[j] -= q * T[i]
-        Tinv[:, i] += q * Tinv[:, j]
+        # column i of D += q * column j
+        for row in D:
+            row[i] += q * row[j]
+        T[j] = [a - q * b for a, b in zip(T[j], T[i])]
+        for row in Tinv:
+            row[i] += q * row[j]
 
     def swap_rows(i, j):
-        D[[i, j]] = D[[j, i]]
-        S[:, [i, j]] = S[:, [j, i]]
-        Sinv[[i, j]] = Sinv[[j, i]]
+        D[i], D[j] = D[j], D[i]
+        for row in S:
+            row[i], row[j] = row[j], row[i]
+        Sinv[i], Sinv[j] = Sinv[j], Sinv[i]
 
     def swap_cols(i, j):
-        D[:, [i, j]] = D[:, [j, i]]
-        T[[i, j]] = T[[j, i]]
-        Tinv[:, [i, j]] = Tinv[:, [j, i]]
+        for rows in (D, Tinv):
+            for row in rows:
+                row[i], row[j] = row[j], row[i]
+        T[i], T[j] = T[j], T[i]
 
     def negate_row(i):
-        D[i] = -D[i]
-        S[:, i] = -S[:, i]
-        Sinv[i] = -Sinv[i]
+        D[i] = [-x for x in D[i]]
+        for row in S:
+            row[i] = -row[i]
+        Sinv[i] = [-x for x in Sinv[i]]
 
     for k in range(min(m, n)):
         while True:
@@ -70,7 +102,7 @@ def smith_normal_form(A):
             best = None
             for i in range(k, m):
                 for j in range(k, n):
-                    if D[i, j] != 0 and (best is None or abs(D[i, j]) < abs(D[best[0], best[1]])):
+                    if D[i][j] != 0 and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
                         best = (i, j)
             if best is None:
                 break
@@ -80,42 +112,43 @@ def smith_normal_form(A):
                 swap_cols(k, best[1])
             dirty = False
             for i in range(k + 1, m):
-                if D[i, k] != 0:
-                    add_row(i, k, -(D[i, k] // D[k, k]))
-                    dirty = dirty or D[i, k] != 0
+                if D[i][k] != 0:
+                    add_row(i, k, -(D[i][k] // D[k][k]))
+                    dirty = dirty or D[i][k] != 0
             for j in range(k + 1, n):
-                if D[k, j] != 0:
-                    add_col(j, k, -(D[k, j] // D[k, k]))
-                    dirty = dirty or D[k, j] != 0
-            if not dirty and all(D[i, k] == 0 for i in range(k + 1, m)) \
-                    and all(D[k, j] == 0 for j in range(k + 1, n)):
+                if D[k][j] != 0:
+                    add_col(j, k, -(D[k][j] // D[k][k]))
+                    dirty = dirty or D[k][j] != 0
+            if not dirty and all(D[i][k] == 0 for i in range(k + 1, m)) \
+                    and all(D[k][j] == 0 for j in range(k + 1, n)):
                 break
-        if k < min(m, n) and D[k, k] < 0:
+        if D[k][k] < 0:
             negate_row(k)
 
-    if not (S @ D @ T == A).all():
+    S, D, T, Sinv, Tinv = (tuple(map(tuple, M)) for M in (S, D, T, Sinv, Tinv))
+    if matmul(matmul(S, D), T) != A:
         raise ArithmeticError("Smith form does not reproduce the matrix")
     return S, D, T, Sinv, Tinv
 
 
 def rank(A):
-    if A.size == 0:
+    if not A:
         return 0
     _, D, _, _, _ = smith_normal_form(A)
-    return sum(1 for k in range(min(D.shape)) if D[k, k] != 0)
+    return sum(1 for k in range(min(_shape(D))) if D[k][k] != 0)
 
 
-def kernel_basis(A):
-    """Columns span the lattice {x in Z^n : A @ x == 0}.
+def kernel_basis(A, n):
+    """A basis of the lattice {x in Z^n : A x == 0}, one vector per row.
 
-    The kernel of an integer matrix is saturated, so these columns are a
+    The kernel of an integer matrix is saturated, so these vectors are a
     lattice basis of it, not just of a finite-index sublattice.
     """
+    if not A:
+        return identity(n)
     _, D, _, _, Tinv = smith_normal_form(A)
-    n = A.shape[1]
-    diag = [D[k, k] for k in range(min(D.shape))] + [0] * (n - min(D.shape))
-    cols = [j for j in range(n) if diag[j] == 0]
-    return Tinv[:, cols]
+    return tuple(tuple(row[j] for row in Tinv)
+                 for j in range(n) if j >= len(D) or D[j][j] == 0)
 
 
 def row_hermite_normal_form(A):
@@ -125,117 +158,105 @@ def row_hermite_normal_form(A):
     [0, pivot), pivot columns increase left to right.  Two integer
     matrices have equal row lattices iff their forms coincide.
     """
-    H = A.copy().astype(object)
-    m, n = H.shape
+    H = [list(row) for row in A]
+    m, n = _shape(H)
+
+    def sub_row(i, q, r):
+        H[i] = [a - q * b for a, b in zip(H[i], H[r])]
+
     r = 0
     for col in range(n):
         if r == m:
             break
         while True:
-            nz = [i for i in range(r, m) if H[i, col] != 0]
+            nz = [i for i in range(r, m) if H[i][col] != 0]
             if not nz:
                 break
-            i0 = min(nz, key=lambda i: abs(H[i, col]))
-            if i0 != r:
-                H[[r, i0]] = H[[i0, r]]
+            i0 = min(nz, key=lambda i: abs(H[i][col]))
+            H[r], H[i0] = H[i0], H[r]
             done = True
             for i in range(r + 1, m):
-                if H[i, col] != 0:
-                    H[i] -= (H[i, col] // H[r, col]) * H[r]
-                    done = done and H[i, col] == 0
+                if H[i][col] != 0:
+                    sub_row(i, H[i][col] // H[r][col], r)
+                    done = done and H[i][col] == 0
             if done:
                 break
-        if H[r, col] == 0:
+        if H[r][col] == 0:
             continue
-        if H[r, col] < 0:
-            H[r] = -H[r]
+        if H[r][col] < 0:
+            H[r] = [-x for x in H[r]]
         for i in range(r):
-            H[i] -= (H[i, col] // H[r, col]) * H[r]
+            sub_row(i, H[i][col] // H[r][col], r)
         r += 1
-    return H[:r]
+    return tuple(map(tuple, H[:r]))
+
+
+def _check_square(A, what):
+    m, n = _shape(A)
+    if any(len(row) != m for row in A):
+        raise ValueError(f"{what} of a non-square {m} x {n} matrix")
+    return m
 
 
 def determinant(A):
     """Exact determinant by fraction-free Bareiss elimination."""
-    m, n = A.shape
-    if m != n:
-        raise ValueError(f"determinant of a non-square {m} x {n} matrix")
+    m = _check_square(A, "determinant")
     if m == 0:
         return 1
-    M = A.copy().astype(object)
+    M = [list(row) for row in A]
     sign = 1
     prev = 1
     for k in range(m - 1):
-        if M[k, k] == 0:
-            swap = next((i for i in range(k + 1, m) if M[i, k] != 0), None)
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, m) if M[i][k] != 0), None)
             if swap is None:
                 return 0
-            M[[k, swap]] = M[[swap, k]]
+            M[k], M[swap] = M[swap], M[k]
             sign = -sign
         for i in range(k + 1, m):
             for j in range(k + 1, m):
-                M[i, j] = (M[i, j] * M[k, k] - M[i, k] * M[k, j]) // prev
-            M[i, k] = 0
-        prev = M[k, k]
-    return sign * M[m - 1, m - 1]
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[m - 1][m - 1]
 
 
 def inverse_unimodular(A):
-    """Integer inverse of a matrix with determinant +-1."""
-    m, n = A.shape
-    if m != n:
-        raise ValueError(f"inverse of a non-square {m} x {n} matrix")
-    aug = [[Fraction(int(A[i, j])) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-                inv[i] = [a - f * b for a, b in zip(inv[i], inv[col])]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            if inv[i][j].denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out[i, j] = int(inv[i][j])
-    if not (A @ out == identity(n)).all():
+    """Integer inverse of a matrix with determinant +-1.
+
+    The Smith form of a unimodular A is D = I, so A = S T and the
+    inverse is Tinv Sinv.
+    """
+    m = _check_square(A, "inverse")
+    _, D, _, Sinv, Tinv = smith_normal_form(A)
+    diag = [D[k][k] for k in range(m)]
+    if 0 in diag:
+        raise ValueError("matrix is singular")
+    if any(x != 1 for x in diag):
+        raise ValueError("matrix is not unimodular")
+    inv = matmul(Tinv, Sinv)
+    if matmul(A, inv) != identity(m):
         raise ArithmeticError("computed inverse does not invert the matrix")
-    return out
-
-
-def solve_unimodular(Minv, v):
-    """Apply a precomputed integer inverse to a vector, as a tuple."""
-    return tuple(int(x) for x in (Minv @ np.array(v, dtype=object)))
+    return inv
 
 
 def unimodular_with_first_column(v):
     """Extend a primitive integer vector to a determinant +-1 matrix.
 
-    Returns U with U[:, 0] == v.
+    Returns U with column 0 equal to v.
     """
-    col = np.array([[int(x)] for x in v], dtype=object)
-    S, D, _, _, _ = smith_normal_form(col)
-    if D[0, 0] != 1:
+    v = tuple(int(x) for x in v)
+    S, D, _, _, _ = smith_normal_form(tuple((x,) for x in v))
+    if D[0][0] != 1:
         raise ValueError("vector is not primitive")
-    U = S.copy()
-    if not (U[:, 0] == col[:, 0]).all():
-        U[:, 0] = -U[:, 0]
-    if not (U[:, 0] == col[:, 0]).all():
+    if tuple(row[0] for row in S) != v:
+        S = tuple((-row[0],) + row[1:] for row in S)
+    if tuple(row[0] for row in S) != v:
         raise ArithmeticError("completion does not start with the vector")
-    return U
+    return S
 
 
 def vec_gcd(v):
-    from math import gcd
     g = 0
     for x in v:
         g = gcd(g, int(x))

@@ -10,8 +10,6 @@ spaces and their products.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import intlinalg as il
 from .errors import (
     FiltrationInvalid,
@@ -100,11 +98,10 @@ def upset_intersect(a, b):
     Vinv = il.inverse_unimodular(V)
     joins = []
     for g in a.generators:
+        cg = il.matvec(Vinv, g)
         for h in b.generators:
-            cg = Vinv @ np.array(g, dtype=object)
-            ch = Vinv @ np.array(h, dtype=object)
-            join = V @ np.array([max(x, y) for x, y in zip(cg, ch)], dtype=object)
-            joins.append(tuple(int(x) for x in join))
+            ch = il.matvec(Vinv, h)
+            joins.append(il.matvec(V, tuple(map(max, cg, ch))))
     return KUpset(X, joins)
 
 

@@ -175,20 +175,6 @@ class VerifyResult:
         return self.ok
 
 
-def monomials_up_to(n, bound):
-    """All exponent tuples in N^n of total degree <= bound."""
-    def rec(pos, remaining, acc):
-        if pos == n:
-            yield tuple(acc)
-            return
-        for k in range(remaining + 1):
-            acc[pos] = k
-            yield from rec(pos + 1, remaining - k, acc)
-        acc[pos] = 0
-
-    yield from rec(0, bound, [0] * n)
-
-
 def verify_stanley(I, pairs, mode="decomposition"):
     """Check the partition property of Definition 3.1 exactly.
 

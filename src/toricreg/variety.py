@@ -11,8 +11,7 @@ used elsewhere in the package all live here.
 import json
 import re
 from itertools import combinations
-
-import numpy as np
+from operator import index
 
 from . import cones, intlinalg as il
 from .errors import (
@@ -31,14 +30,20 @@ class Fan:
     """Rays plus maximal cones of a simplicial fan (0-based indices)."""
 
     def __init__(self, rays, max_cones):
-        self.rays = tuple(tuple(int(x) for x in ray) for ray in rays)
+        self.rays = tuple(tuple(index(x) for x in ray) for ray in rays)
         self.max_cones = tuple(sorted(
-            {frozenset(int(i) for i in cone) for cone in max_cones},
+            {frozenset(index(i) for i in cone) for cone in max_cones},
             key=sorted))
         if not self.rays:
             raise ValueError("fan needs at least one ray")
         self.n = len(self.rays)
         self.d = len(self.rays[0])
+        if any(len(ray) != self.d for ray in self.rays):
+            raise ValueError("rays have unequal lengths")
+        for cone in self.max_cones:
+            if any(not 0 <= i < self.n for i in cone):
+                raise ValueError(
+                    f"cone {_show_face(cone)} names a ray outside 1..{self.n}")
 
     def __repr__(self):
         return f"Fan(n={self.n}, d={self.d}, facets={len(self.max_cones)})"
@@ -48,23 +53,14 @@ class UnimodularMap:
     """An invertible change of coordinates on Z^r, with its integer inverse."""
 
     def __init__(self, matrix):
-        self.matrix = np.array([[int(x) for x in row] for row in matrix], dtype=object)
-        det = il.determinant(self.matrix)
-        if det not in (1, -1):
-            raise ValueError(f"determinant {det} is not +-1")
+        self.matrix = il.as_int_matrix(matrix)
         self.inverse = il.inverse_unimodular(self.matrix)
 
-    def apply(self, v):
-        return tuple(int(x) for x in self.matrix @ np.array(v, dtype=object))
-
-    def apply_inverse(self, v):
-        return tuple(int(x) for x in self.inverse @ np.array(v, dtype=object))
-
     def is_identity(self):
-        return (self.matrix == il.identity(self.matrix.shape[0])).all()
+        return self.matrix == il.identity(len(self.matrix))
 
     def __repr__(self):
-        return f"UnimodularMap({self.matrix.tolist()})"
+        return f"UnimodularMap({[list(row) for row in self.matrix]})"
 
 
 class ToricVariety:
@@ -74,7 +70,7 @@ class ToricVariety:
     build_variety() rather than calling this directly.
     """
 
-    def __init__(self, fan, grading, delta, facet_data, nef_ineqs, nef_rays, positive_w):
+    def __init__(self, fan, grading, delta, facet_data, nef_rays, positive_w):
         self.fan = fan
         self.n = fan.n
         self.d = fan.d
@@ -82,7 +78,6 @@ class ToricVariety:
         self.grading = grading              # tuple of r rows, each length n
         self.delta = delta                  # frozenset of frozensets
         self._facet_data = facet_data       # [(sigma_hat, Minv rows)] per facet, ints
-        self.nef_ineqs = nef_ineqs
         self.nef_rays = nef_rays
         self.positive_w = positive_w        # w . a_i > 0 for every i
         self._face_poly_cache = {}          # sigma -> P_{S_sigma}
@@ -128,7 +123,7 @@ class ToricVariety:
         else None.  When not None, K = V . N^r exactly."""
         if len(self.nef_rays) != self.r:
             return None
-        V = np.array(self.nef_rays, dtype=object).T
+        V = il.transpose(self.nef_rays)
         if il.determinant(V) in (1, -1):
             return V
         return None
@@ -151,33 +146,32 @@ def build_variety(fan, grading=None, assume_complete=False):
     for ray in fan.rays:
         if il.vec_gcd(ray) != 1:
             raise NonPrimitiveRay(f"ray {ray} is not primitive")
-    ray_matrix = il.as_int_matrix(fan.rays)          # n x d
-    if il.rank(ray_matrix) != d:
+    if il.rank(fan.rays) != d:
         raise RaysNotSpanning("rays do not span R^d")
 
     for cone in fan.max_cones:
         if len(cone) != d:
             raise NotSmooth(f"maximal cone {_show_face(cone)} does not have dimension {d}")
-        det = il.determinant(ray_matrix[sorted(cone)])
+        det = il.determinant(tuple(fan.rays[i] for i in sorted(cone)))
         if det not in (1, -1):
             raise NotSmooth(f"cone {_show_face(cone)} has determinant {det}")
 
     if not assume_complete:
-        _check_complete(fan, ray_matrix)
+        _check_complete(fan)
 
-    canonical = il.row_hermite_normal_form(il.kernel_basis(ray_matrix.T).T)
+    canonical = il.row_hermite_normal_form(il.kernel_basis(il.transpose(fan.rays), n))
     r = n - d
-    if canonical.shape[0] != r:
+    if len(canonical) != r:
         raise RaysNotSpanning("ray matrix kernel has unexpected rank")
     if grading is None:
         A = canonical
     else:
         A = il.as_int_matrix(grading)
-        if A.shape != (r, n):
+        if len(A) != r or len(A[0]) != n:
             raise ValueError(f"grading must be {r} x {n}")
-        if (A @ ray_matrix).any():
+        if any(map(any, il.matmul(A, fan.rays))):
             raise ValueError("grading does not annihilate the rays")
-        if not (il.row_hermite_normal_form(A) == canonical).all():
+        if il.row_hermite_normal_form(A) != canonical:
             raise ValueError("grading rows do not span the full ray kernel")
 
     delta = set()
@@ -190,32 +184,29 @@ def build_variety(fan, grading=None, assume_complete=False):
     ineq_rows = []
     for cone in fan.max_cones:
         sigma_hat = tuple(i for i in range(n) if i not in cone)
-        M = A[:, sigma_hat]
+        M = il.columns(A, sigma_hat)
         det = il.determinant(M)
         if det not in (1, -1):
             raise NotSmooth(f"grading columns for {_show_face(set(sigma_hat))} are not unimodular")
-        minv = tuple(tuple(int(x) for x in row) for row in il.inverse_unimodular(M))
+        minv = il.inverse_unimodular(M)
         facet_data.append((sigma_hat, minv))
         ineq_rows.extend(minv)
-    W = np.array(ineq_rows, dtype=object)
+    W = tuple(ineq_rows)
 
     if not cones.is_pointed(W, r):
         raise NotPointed("the nef cone contains a line")
     nef_rays = cones.cone_rays(W, r)
-    interior = cones.interior_point(W, r)
-    if interior is None:
+    if cones.interior_point(W, nef_rays) is None:
         raise NotFullDimensional("the nef cone is not full-dimensional")
 
-    w = cones.strictly_positive_functional(
-        [tuple(A[j, i] for j in range(r)) for i in range(n)], r)
+    w = cones.strictly_positive_functional(il.transpose(A), r)
     if w is None:
         raise NotPointed("the degree cone pos{a_i} is not pointed")
 
-    grading_rows = tuple(tuple(int(x) for x in row) for row in A)
-    return ToricVariety(fan, grading_rows, delta, facet_data, W, nef_rays, w)
+    return ToricVariety(fan, A, delta, facet_data, nef_rays, w)
 
 
-def _check_complete(fan, ray_matrix):
+def _check_complete(fan):
     """Facet pairing: every ridge lies in exactly two maximal cones whose
     opposite rays sit strictly on opposite sides of the ridge span."""
     d = fan.d
@@ -227,15 +218,14 @@ def _check_complete(fan, ray_matrix):
         if len(facets) != 2:
             raise NotComplete(
                 f"ridge {_show_face(set(ridge))} lies in {len(facets)} maximal cones")
-        sub = ray_matrix[list(ridge)] if ridge else np.zeros((0, d), dtype=object)
-        ker = il.kernel_basis(sub)
-        if ker.shape[1] != 1:
+        ker = il.kernel_basis(tuple(fan.rays[i] for i in ridge), d)
+        if len(ker) != 1:
             raise NotComplete(f"ridge {_show_face(set(ridge))} is degenerate")
-        nu = ker[:, 0]
+        nu = ker[0]
         sides = []
         for cone in facets:
             (extra,) = set(cone) - set(ridge)
-            sides.append(sum(int(a) * int(b) for a, b in zip(nu, ray_matrix[extra])))
+            sides.append(sum(a * b for a, b in zip(nu, fan.rays[extra])))
         if sides[0] * sides[1] >= 0:
             raise NotComplete(
                 f"cones across ridge {_show_face(set(ridge))} do not point both ways")
@@ -271,19 +261,19 @@ def positive_orthant_change(X, max_multiple=512):
     if not X.nef_rays:
         raise NotFullDimensional("the nef cone has no rays")
     v1 = il.primitive(tuple(sum(col) for col in zip(*X.nef_rays)))
-    U = il.unimodular_with_first_column(v1)
-    for j in range(1, r):
-        col = tuple(int(x) for x in U[:, j])
+    first, *rest = il.transpose(il.unimodular_with_first_column(v1))
+    pushed = [first]
+    for col in rest:
         for steps in range(max_multiple + 1):
-            if X.nef_member(tuple(c + steps * w for c, w in zip(col, v1))):
-                U[:, j] = [c + steps * w for c, w in zip(col, v1)]
+            cand = tuple(c + steps * w for c, w in zip(col, v1))
+            if X.nef_member(cand):
+                pushed.append(cand)
                 break
         else:
             raise SearchExhausted("could not push a basis vector into K")
-    mapping = UnimodularMap(U)
-    if not all(X.nef_member(tuple(int(x) for x in U[:, j])) for j in range(r)):
+    if not all(X.nef_member(col) for col in pushed):
         raise SearchExhausted("a pushed basis vector is not in K")
-    return mapping
+    return UnimodularMap(il.transpose(pushed))
 
 
 def nef_functional(X):
@@ -418,15 +408,20 @@ def variety_from_name(name):
 
 
 def variety_from_dict(data, assume_complete=False):
-    """Build from the JSON file schema: 1-based ray indices in max_cones."""
+    """Build from the JSON file schema: 1-based ray indices in max_cones.
+
+    A file that does not describe a fan and grading of the right shape,
+    with integer entries, raises ParseError.
+    """
     try:
-        rays = data["rays"]
-        max_cones = [[int(i) - 1 for i in cone] for cone in data["max_cones"]]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"variety file is missing {exc}") from exc
-    grading = data.get("grading")
-    return build_variety(Fan(rays, max_cones), grading=grading,
-                         assume_complete=assume_complete)
+        fan = Fan(data["rays"], [[index(i) - 1 for i in cone] for cone in data["max_cones"]])
+        return build_variety(fan, grading=data.get("grading"),
+                             assume_complete=assume_complete)
+    # KeyError: a missing field; TypeError: a field of the wrong type or
+    # an entry that is not an integer; ValueError: ragged rows, cone
+    # indices outside 1..n or a grading of the wrong shape
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed variety file: {exc!r}") from exc
 
 
 def load_variety(source, assume_complete=False):

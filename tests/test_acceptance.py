@@ -47,8 +47,8 @@ def test_criterion_1_gale_and_grading_fixtures():
         raw = tv.build_variety(F2.fan)
         H_raw = il.row_hermite_normal_form(il.as_int_matrix(raw.grading))
         H_paper = il.row_hermite_normal_form(il.as_int_matrix(F2.grading))
-        assert (H_raw == H_paper).all()  # same grading up to unimodular rows
-        for row in (il.as_int_matrix(F2.grading) @ il.as_int_matrix(F2.fan.rays)):
+        assert H_raw == H_paper  # same grading up to unimodular rows
+        for row in il.matmul(il.as_int_matrix(F2.grading), il.as_int_matrix(F2.fan.rays)):
             assert not any(row)
         for v in product(range(-3, 4), repeat=2):
             assert F2.nef_member(v) == (v[0] >= 0 and v[1] >= 0)  # K = N^2

@@ -1,9 +1,14 @@
 """Command-line behavior: outputs, exit codes, JSON round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toricreg
 from toricreg.cli import main
 
 
@@ -145,6 +150,54 @@ def test_bad_ideal_file_is_a_parse_error(tmp_path, capsys):
         code, _, err = run(capsys, "hilbert", "--variety", "P(2)", "--ideal", str(path))
         assert code == 2, name
         assert "ParseError" in err
+
+
+MALFORMED_VARIETIES = {
+    "ragged-rays": {"rays": [[1, 0], [0, 1, 0], [-1, -1]],
+                    "max_cones": [[1, 2], [2, 3], [1, 3]]},
+    "grading-shape": {"rays": [[1, 0], [0, 1], [-1, -1]],
+                      "max_cones": [[1, 2], [2, 3], [1, 3]], "grading": [[1, 1]]},
+    "non-integer-entry": {"rays": [[1, 0], [0, "a"], [-1, -1]],
+                          "max_cones": [[1, 2], [2, 3], [1, 3]]},
+    "fractional-entry": {"rays": [[1.7, 0], [0, 1], [-1, -1]],
+                         "max_cones": [[1, 2], [2, 3], [1, 3]]},
+    "fractional-index": {"rays": [[1, 0], [0, 1], [-1, -1]],
+                         "max_cones": [[1, 2], [2, 3], [1.9, 3]]},
+    "index-above-n": {"rays": [[1, 0], [0, 1], [-1, -1]],
+                           "max_cones": [[1, 2], [2, 4], [1, 3]]},
+    "index-zero": {"rays": [[1, 0], [0, 1], [-1, -1]],
+                     "max_cones": [[1, 2], [2, 3], [0, 3]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_VARIETIES))
+@pytest.mark.parametrize("extra", [(), ("--assume-complete",)],
+                         ids=["checked", "assume-complete"])
+def test_malformed_variety_file_is_a_parse_error(tmp_path, capsys, name, extra):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(MALFORMED_VARIETIES[name]))
+    code, out, err = run(capsys, "variety", "--variety", str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert "ParseError" in err
+
+
+def test_runs_without_numpy(capsys):
+    # the package declares no dependencies: with numpy made unimportable
+    # a fresh process answers exactly as this one does
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None\n"
+              "from toricreg.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(toricreg.__file__).parents[1]))
+    for argv in (["enumerate", "--variety", "PxP(2,1)", "--poly", "t1+1"],
+                 ["regularity", "--variety", "PxP(2,1)", "--ideal", "x1*x4, x2^2"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        child = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                               capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == out
 
 
 def test_domain_error_exit_code(capsys):
