@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from operator import index
 
 from . import enumeration, gotzmann as gz, hilbert as hb, hilbscheme as hs
 from . import ideals as mi
@@ -36,9 +37,17 @@ def _resolve_assumption(raw, X):
     baselines = {}
     try:
         for entry in raw.get("baselines", []):
-            sigma = frozenset(i - 1 for i in entry["sigma"])
-            baselines[sigma] = rg.KUpset(X, [tuple(g) for g in entry["generators"]])
+            sigma = frozenset(index(i) - 1 for i in entry["sigma"])
+            if not all(0 <= i < X.n for i in sigma):
+                raise ValueError(f"sigma {entry['sigma']} names a variable outside 1..{X.n}")
+            gens = [tuple(map(index, g)) for g in entry["generators"]]
+            for g in gens:
+                if len(g) != X.r:
+                    raise ValueError(
+                        f"generator {list(g)} has {len(g)} entries, the grading has {X.r}")
+            baselines[sigma] = rg.KUpset(X, gens)
         label = raw.get("label", "custom")
+    # TypeError also covers an entry that is not an integer, such as 1.5
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed baseline assumption: {exc!r}") from exc
     return rg.RegularityAssumption(baselines, label)

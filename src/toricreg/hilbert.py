@@ -22,9 +22,10 @@ agree with polynomials deep in K, and as polynomials
 exactly.  A face ring S_sigma = S / <x_i : i in sigma^> has the Koszul
 numerator prod_{i in sigma^} (1 - y^{deg x_i}), so it comes out of the
 same sum; when sigma^ is not a face the ring is B-torsion and the sum
-is zero.  P_S is the only polynomial interpolated per variety, from
-fiber counts on a grid at the origin of K, which Demazure vanishing
-makes exact.
+is zero.  P_S is the only polynomial interpolated per variety: from
+the integer forward differences of the fiber counts of S at the points
+U.{0..d}^r, for the unimodular U of positive_orthant_change with
+U.N^r inside K, where Demazure vanishing makes those counts exact.
 
 The K-polynomial comes from the exact sequence
 0 -> S/(I : m)(-deg m) -> S/I -> S/(I + m) -> 0 for m = x_i^e, that is
@@ -34,110 +35,63 @@ the same polynomials and stays as an independent check.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import comb, lcm, prod
 from operator import add
 
 from .errors import InterpolationInconsistent, SearchExhausted, UnitIdeal
 from .ideals import MonomialIdeal, fiber_monomials, minimal_generators
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, binomial_in_t
+from .variety import positive_orthant_change
 
 from . import intlinalg as il
 
 
-def _independent_nef_directions(X):
-    """r linearly independent rays of K (K is full-dimensional)."""
-    chosen = []
-    for ray in X.nef_rays:
-        cand = chosen + [ray]
-        if il.rank(cand) == len(cand):
-            chosen.append(ray)
-        if len(chosen) == X.r:
-            return chosen
-    raise InterpolationInconsistent("could not find independent nef directions")
-
-
-def _monomials_of_degree_at_most(nvars, bound):
-    out = []
-
-    def rec(pos, remaining, acc):
-        if pos == nvars:
-            out.append(tuple(acc))
-            return
-        for k in range(remaining + 1):
-            acc[pos] = k
-            rec(pos + 1, remaining - k, acc)
-        acc[pos] = 0
-
-    rec(0, bound, [0] * nvars)
-    return out
-
-
-def _solve_exact(rows, rhs):
-    """Solve an overdetermined consistent rational system; None if inconsistent."""
-    m, n = len(rows), len(rows[0])
-    A = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if A[i][col] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        scale = A[r][col]
-        A[r] = [x / scale for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if A[i][n] != 0:
-            return None
-    solution = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        solution[col] = A[i][n]
-    return solution
-
-
 def _interpolate_ring(X):
-    """P_S from fiber counts at the points sum_k lam_k v_k, lam in
-    {0..d}^r, for r independent nef rays v_k; checked at r + 1 more
-    points.  All of them lie in K, where H_S = P_S."""
-    degree = X.d
-    monomials = _monomials_of_degree_at_most(X.r, degree)
-    directions = _independent_nef_directions(X)
+    """P_S from fiber counts at the points U lam, lam in {0..d}^r.
 
-    def sample_point(lam):
-        return tuple(sum(lam[k] * directions[k][j] for k in range(X.r))
-                     for j in range(X.r))
+    U = positive_orthant_change(X) is unimodular with U N^r inside K,
+    where H_S = P_S, so f(lam) = |fiber(U lam)| is Q(lam) = P_S(U lam),
+    a polynomial of total degree d.  Its integer forward differences
+    a_j = Delta^j f(0) vanish for |j| > d (checked), Newton's formula
+    gives Q = sum_j a_j prod_k binom(lam_k, j_k), and P_S(t) = Q(U^-1 t).
+    Checked at r + 1 more points of U N^r.
+    """
+    d, r = X.d, X.r
+    change = positive_orthant_change(X)
 
-    def count(point):
-        return len(fiber_monomials(X, point))
+    def count(lam):
+        return len(fiber_monomials(X, il.matvec(change.matrix, lam)))
 
-    grid = [()]
-    for _ in range(X.r):
-        grid = [g + (k,) for g in grid for k in range(degree + 1)]
-    rows, rhs = [], []
-    for lam in grid:
-        p = sample_point(lam)
-        rows.append([prod(x ** e for x, e in zip(p, mono)) for mono in monomials])
-        rhs.append(count(p))
-    solution = _solve_exact(rows, rhs)
-    if solution is None:
-        raise InterpolationInconsistent("fiber counts of S are not polynomial on K")
-    poly = MultiPoly(X.r, dict(zip(monomials, solution)))
-
-    checks = [tuple(degree + 1 for _ in range(X.r))]
-    for k in range(X.r):
-        checks.append(tuple(degree + 2 if j == k else 0 for j in range(X.r)))
-    for lam in checks:
-        p = sample_point(lam)
-        if poly.evaluate(p) != count(p):
+    grid = list(product(range(d + 1), repeat=r))
+    diffs = {lam: count(lam) for lam in grid}
+    for k in range(r):
+        for step in range(d):
+            # in reverse lex order lam - e_k still holds the previous step
+            for lam in reversed(grid):
+                if lam[k] > step:
+                    diffs[lam] -= diffs[lam[:k] + (lam[k] - 1,) + lam[k + 1:]]
+    binomials = [[binomial_in_t(r, k, 0, q) for q in range(d + 1)] for k in range(r)]
+    poly = MultiPoly.zero(r)
+    for j, a in diffs.items():
+        if not a:
+            continue
+        if sum(j) > d:
             raise InterpolationInconsistent(
-                f"P_S disagrees with the fiber count at {p}")
+                f"fiber counts of S are not polynomial on K: difference {j} is {a}")
+        term = MultiPoly.constant(r, a)
+        for k, jk in enumerate(j):
+            if jk:
+                term = term * binomials[k][jk]
+        poly = poly + term
+    poly = poly.compose_linear(change.inverse)
+
+    checks = [(d + 1,) * r] + [tuple(d + 2 if j == k else 0 for j in range(r))
+                               for k in range(r)]
+    for lam in checks:
+        t = il.matvec(change.matrix, lam)
+        if poly.evaluate(t) != count(lam):
+            raise InterpolationInconsistent(f"P_S disagrees with the fiber count at {t}")
     return poly
 
 
@@ -153,7 +107,7 @@ def _ring_expansion(X):
     if X._ring_expansion is None:
         poly = _interpolate_ring(X)
         denom = lcm(*(c.denominator for c in poly.terms.values()))
-        gammas = _monomials_of_degree_at_most(X.r, X.d)
+        gammas = [g for g in product(range(X.d + 1), repeat=X.r) if sum(g) <= X.d]
         terms = []
         for alpha, coeff in poly.terms.items():
             whole = int(coeff * denom)

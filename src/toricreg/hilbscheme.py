@@ -16,7 +16,7 @@ from math import comb
 
 from .errors import BudgetExceeded, InfeasibleHilbertValue, SearchExhausted
 from .hilbert import quotient_hilbert_polynomial
-from .ideals import MonomialIdeal, fiber_monomials, hilbert_function, divides
+from .ideals import MonomialIdeal, b_saturate, divides, fiber_monomials, hilbert_function
 from .multipoly import MultiPoly
 from .regularity import RegularityAssumption, reg_bound_from_polynomial
 from .variety import find_c
@@ -177,7 +177,6 @@ def supportive_check(X, result, P, box_level=6):
     combinations up to box_level), and its saturation must have Hilbert
     polynomial P.
     """
-    from .ideals import b_saturate
     rays = X.nef_rays
     for I in result.ideals:
         for level in range(box_level + 1):

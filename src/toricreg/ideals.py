@@ -103,11 +103,6 @@ class MonomialIdeal:
         return MonomialIdeal(
             self.n, [monomial_lcm(g, h) for g in self.gens for h in other.gens])
 
-    def saturate_variable(self, i):
-        """(I : x_i^infinity): zero out the i-th exponent everywhere."""
-        return MonomialIdeal(
-            self.n, [tuple(0 if j == i else e for j, e in enumerate(g)) for g in self.gens])
-
     def saturate_monomial(self, m):
         """(I : (x^m)^infinity): zero out all exponents in supp(m)."""
         supp = {i for i, e in enumerate(m) if e}
@@ -249,86 +244,67 @@ def b_saturate_classical(I, X):
 # -- degree fibers and Hilbert functions --------------------------------
 
 
-def fiber_monomials(X, t, support=None, cap=10_000_000):
-    """All u in N^n with A.u == t, using only the variables in support
-    (every variable when support is None), as a sorted list.
+def fiber_monomials(X, t, cap=10_000_000):
+    """All u in N^n with A.u == t, the monomials of S in degree t, as a
+    sorted list.
 
     Each fiber is enumerated once per variety: the sorted result is kept
-    in X._fiber_cache, keyed by t and the support as a frozenset (None
-    when the support is None or every variable), and every call returns
-    a fresh list of it.
+    in X._fiber_cache, keyed by t, and every call returns a fresh list
+    of it.
 
     The fiber is finite because some functional w has w . a_i > 0 for
-    every i, which bounds u_i <= (w.t)/(w.a_i).  When the support
-    contains the complement sigma^ of a maximal cone, only the variables
-    outside sigma^ are enumerated under that bound, and the r
-    coordinates on sigma^ are solved from the residual: they are
-    M_sigma^^-1 (t - sum of a_i u_i over the other variables), where
-    M_sigma^ holds the degrees of the variables of sigma^.  The solve is
-    exact because build_variety checks that M_sigma^ is unimodular, so
-    the solution is integral; a point is kept exactly when every solved
-    coordinate is >= 0.  This covers the whole fiber and every face ring
-    S_sigma whose complement is a face.  Any other support enumerates
-    all of its variables and keeps the points whose residual is zero.
+    every i, which bounds u_i <= (w.t)/(w.a_i).  Only the variables
+    outside the complement sigma^ of the first maximal cone are
+    enumerated under that bound; the r coordinates on sigma^ are solved
+    from the residual: they are M_sigma^^-1 (t - sum of a_i u_i over the
+    other variables), where M_sigma^ holds the degrees of the variables
+    of sigma^.  The solve is exact because build_variety checks that
+    M_sigma^ is unimodular, so the solution is integral; a point is kept
+    exactly when every solved coordinate is >= 0.
 
-    Raises ValueError when t does not have r entries or the support
-    names a variable outside range(n), and FiberTooLarge when the fiber
-    has more than cap monomials (also when it comes from the cache).
+    Raises ValueError when t does not have r entries, and FiberTooLarge
+    when the fiber has more than cap monomials (also when it comes from
+    the cache).
     """
-    return list(_fiber(X, t, support, cap))
+    return list(_fiber(X, t, cap))
 
 
-def _fiber(X, t, support, cap):
+def _fiber(X, t, cap):
     """The cached sorted tuple behind fiber_monomials."""
     t = tuple(int(x) for x in t)
     if len(t) != X.r:
         raise ValueError(f"degree {t} has {len(t)} entries, the grading has {X.r}")
-    if support is not None:
-        support = frozenset(support)
-        if not all(0 <= i < X.n for i in support):
-            raise ValueError(f"support {sorted(support)} is not inside range({X.n})")
-        if len(support) == X.n:
-            support = None
-    key = (t, support)
-    fiber = X._fiber_cache.get(key)
+    fiber = X._fiber_cache.get(t)
     if fiber is None:
-        indices = sorted(support) if support is not None else range(X.n)
-        fiber = X._fiber_cache[key] = _enumerate_fiber(X, t, indices, cap)
+        fiber = X._fiber_cache[t] = _enumerate_fiber(X, t, cap)
     if len(fiber) > cap:
         raise FiberTooLarge(f"degree fiber exceeds {cap} monomials")
     return fiber
 
 
-def _enumerate_fiber(X, t, indices, cap):
+def _enumerate_fiber(X, t, cap):
     """The fiber of fiber_monomials as a sorted tuple, enumerated afresh."""
     w = X.positive_w
     wt = sum(a * b for a, b in zip(w, t))
     if wt < 0:
         return ()
-    allowed = set(indices)
-    hat, minv = next(((h, m) for h, m in X._facet_data if allowed.issuperset(h)),
-                     ((), None))
-    free = [i for i in indices if i not in hat]
+    hat, minv = X._facet_data[0]
+    free = [i for i in range(X.n) if i not in hat]
     degs = [X.variable_degree(i) for i in free]
     wdeg = [sum(a * b for a, b in zip(w, d)) for d in degs]
-    if minv is None:
-        # s is the residual t - A.u, zero at a fiber point
-        start, steps = t, degs
-    else:
-        # s is the solved sigma^ block M_sigma^^-1 (t - A.u)
-        def solve(v):
-            return tuple(sum(a * b for a, b in zip(row, v)) for row in minv)
-        start, steps = solve(t), [solve(d) for d in degs]
+
+    def solve(v):
+        return tuple(sum(a * b for a, b in zip(row, v)) for row in minv)
+
+    # s is the solved sigma^ block M_sigma^^-1 (t - A.u)
+    steps = [solve(d) for d in degs]
     depth = len(free)
     out = []
     acc = [0] * X.n
 
     def rec(pos, s, wres):
         if pos == depth:
-            if minv is None:
-                if any(s):
-                    return
-            elif any(x < 0 for x in s):
+            if any(x < 0 for x in s):
                 return
             for i, x in zip(hat, s):
                 acc[i] = x
@@ -343,7 +319,7 @@ def _enumerate_fiber(X, t, indices, cap):
             s = tuple(x - y for x, y in zip(s, step))
         acc[i] = 0
 
-    rec(0, start, wt)
+    rec(0, solve(t), wt)
     out.sort()
     return tuple(out)
 
@@ -357,13 +333,9 @@ def hilbert_function(X, I, t, cap=10_000_000):
     """
     from .hilbert import coarse_k_polynomial
     t = tuple(int(x) for x in t)
-    _fiber(X, t, None, cap)  # checks the entries of t and the cap on fiber(t)
-    return sum(c * len(_fiber(X, tuple(a - b for a, b in zip(t, d)), None, cap))
+    _fiber(X, t, cap)  # checks the entries of t and the cap on fiber(t)
+    return sum(c * len(_fiber(X, tuple(a - b for a, b in zip(t, d)), cap))
                for d, c in coarse_k_polynomial(X, I))
-
-
-def degree_of(X, m):
-    return X.degree(m)
 
 
 # -- text rendering ------------------------------------------------------

@@ -7,6 +7,8 @@ never appear.
 
 import re
 from fractions import Fraction
+from itertools import product
+from math import factorial
 
 from .errors import ParseError, ZeroPolynomial
 
@@ -171,25 +173,18 @@ class MultiPoly:
     def leading_coeff(self, order=None):
         return self.leading_term(order)[1]
 
-    def integer_valued(self, probes=None):
+    def integer_valued(self):
         """Whether P takes integer values on integer points (checked exactly).
 
         A polynomial of total degree D is integer-valued iff it is integer
-        on the simplex grid {0..D}^r, which is what we test.
+        on the box grid {0..D}^r, which is what we test.
         """
         d = max(self.total_degree(), 0)
-        pts = probes or _grid(self.nvars, d)
-        return all(self.evaluate(p).denominator == 1 for p in pts)
+        return all(self.evaluate(p).denominator == 1
+                   for p in product(range(d + 1), repeat=self.nvars))
 
     def __repr__(self):
         return f"MultiPoly({format_poly(self)!r})"
-
-
-def _grid(nvars, bound):
-    pts = [()]
-    for _ in range(nvars):
-        pts = [p + (k,) for p in pts for k in range(bound + 1)]
-    return pts
 
 
 def leading_coeff_positive(P, order=None):
@@ -202,14 +197,7 @@ def binomial_in_t(nvars, index, top_shift, q):
     out = MultiPoly.constant(nvars, 1)
     for k in range(q):
         out = out * (t + (top_shift - k))
-    return out * Fraction(1, _factorial(q))
-
-
-def _factorial(q):
-    out = 1
-    for k in range(2, q + 1):
-        out *= k
-    return out
+    return out * Fraction(1, factorial(q))
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>t\d*)|(?P<op>\*\*|[-+*^()]))")

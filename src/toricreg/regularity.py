@@ -29,7 +29,6 @@ class KUpset:
     def __init__(self, X, generators):
         self.X = X
         self.generators = _minimal_generators(X, generators)
-        self.coordinate_mode = X.nef_coordinates_unimodular() is not None
 
     def contains(self, p):
         p = tuple(int(x) for x in p)
@@ -92,10 +91,9 @@ def upset_intersect(a, b):
     if isinstance(a, LazyIntersection) or isinstance(b, LazyIntersection):
         return LazyIntersection((a, b)) if not isinstance(a, LazyIntersection) else a.intersect(b)
     X = a.X
-    V = X.nef_coordinates_unimodular()
-    if V is None:
+    if X._nef_basis is None:
         return LazyIntersection((a, b))
-    Vinv = il.inverse_unimodular(V)
+    V, Vinv = X._nef_basis
     joins = []
     for g in a.generators:
         cg = il.matvec(Vinv, g)

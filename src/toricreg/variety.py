@@ -70,7 +70,7 @@ class ToricVariety:
     build_variety() rather than calling this directly.
     """
 
-    def __init__(self, fan, grading, delta, facet_data, nef_rays, positive_w):
+    def __init__(self, fan, grading, delta, facet_data, nef_rays, nef_basis, positive_w):
         self.fan = fan
         self.n = fan.n
         self.d = fan.d
@@ -79,10 +79,11 @@ class ToricVariety:
         self.delta = delta                  # frozenset of frozensets
         self._facet_data = facet_data       # [(sigma_hat, Minv rows)] per facet, ints
         self.nef_rays = nef_rays
+        self._nef_basis = nef_basis         # (V, V^-1), nef rays the columns of V, or None
         self.positive_w = positive_w        # w . a_i > 0 for every i
         self._face_poly_cache = {}          # sigma -> P_{S_sigma}
         self._shifted_face_poly_cache = {}  # (sigma, degree) -> P_{S_sigma}(t - degree)
-        self._fiber_cache = {}              # (t, support or None) -> sorted fiber
+        self._fiber_cache = {}              # degree t -> sorted fiber of S
         self._k_poly_cache = {}             # minimal generators -> coarse K(S/I)
         self._ring_expansion = None         # P_S and its integer shift expansion
 
@@ -121,12 +122,7 @@ class ToricVariety:
     def nef_coordinates_unimodular(self):
         """Matrix of nef-cone rays as columns when they form a lattice basis,
         else None.  When not None, K = V . N^r exactly."""
-        if len(self.nef_rays) != self.r:
-            return None
-        V = il.transpose(self.nef_rays)
-        if il.determinant(V) in (1, -1):
-            return V
-        return None
+        return None if self._nef_basis is None else self._nef_basis[0]
 
     def __repr__(self):
         return f"ToricVariety(n={self.n}, d={self.d}, r={self.r})"
@@ -184,11 +180,11 @@ def build_variety(fan, grading=None, assume_complete=False):
     ineq_rows = []
     for cone in fan.max_cones:
         sigma_hat = tuple(i for i in range(n) if i not in cone)
-        M = il.columns(A, sigma_hat)
-        det = il.determinant(M)
-        if det not in (1, -1):
-            raise NotSmooth(f"grading columns for {_show_face(set(sigma_hat))} are not unimodular")
-        minv = il.inverse_unimodular(M)
+        try:
+            minv = il.inverse_unimodular(il.columns(A, sigma_hat))
+        except ValueError:
+            raise NotSmooth(
+                f"grading columns for {_show_face(set(sigma_hat))} are not unimodular") from None
         facet_data.append((sigma_hat, minv))
         ineq_rows.extend(minv)
     W = tuple(ineq_rows)
@@ -198,12 +194,19 @@ def build_variety(fan, grading=None, assume_complete=False):
     nef_rays = cones.cone_rays(W, r)
     if cones.interior_point(W, nef_rays) is None:
         raise NotFullDimensional("the nef cone is not full-dimensional")
+    nef_basis = None
+    if len(nef_rays) == r:
+        V = il.transpose(nef_rays)
+        try:
+            nef_basis = (V, il.inverse_unimodular(V))
+        except ValueError:  # the rays span a proper sublattice of Z^r
+            pass
 
     w = cones.strictly_positive_functional(il.transpose(A), r)
     if w is None:
         raise NotPointed("the degree cone pos{a_i} is not pointed")
 
-    return ToricVariety(fan, A, delta, facet_data, nef_rays, w)
+    return ToricVariety(fan, A, delta, facet_data, nef_rays, nef_basis, w)
 
 
 def _check_complete(fan):

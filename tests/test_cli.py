@@ -138,6 +138,19 @@ def test_bad_baseline_file_is_a_parse_error(tmp_path, capsys):
                        "--assume-baseline", str(no_sigma))
     assert code == 2
     assert "ParseError" in err
+    # entries that are not integers, indices outside 1..n and generators
+    # of the wrong length are rejected, not truncated or ignored
+    for name, entry in (("float_generator", {"sigma": [2, 3], "generators": [[2.7]]}),
+                        ("float_sigma", {"sigma": [2, 1.5], "generators": [[2]]}),
+                        ("sigma_too_large", {"sigma": [9], "generators": [[2]]}),
+                        ("sigma_zero", {"sigma": [0], "generators": [[2]]}),
+                        ("long_generator", {"sigma": [2, 3], "generators": [[2, 5]]})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"baselines": [entry]}))
+        code, out, err = run(capsys, "regularity", "--variety", "P(2)",
+                             "--ideal", "x1^2, x1*x2", "--assume-baseline", str(path))
+        assert (code, out) == (2, ""), name
+        assert "ParseError" in err
 
 
 def test_bad_ideal_file_is_a_parse_error(tmp_path, capsys):

@@ -11,7 +11,12 @@ from hypothesis import strategies as gen
 from toricreg import hilbert as hb
 from toricreg import ideals as mi
 from toricreg import variety as tv
-from toricreg.errors import FiberTooLarge, SearchExhausted, UnitIdeal
+from toricreg.errors import (
+    FiberTooLarge,
+    InterpolationInconsistent,
+    SearchExhausted,
+    UnitIdeal,
+)
 from toricreg.multipoly import GradedOrder, leading_coeff_positive, parse_poly
 from toricreg.stanley import StanleyPair, stanley_filtration
 
@@ -91,9 +96,12 @@ def test_decomposition_independence():
 
 
 def test_interpolation_agrees_with_fibers_deep():
-    # 20 sampled deep points per variety
+    # 20 sampled deep points per variety; on the last three the grid
+    # U.{0..d}^r is not the positive orthant
     from toricreg.variety import find_point_dominating
-    for X in (P3, F2, PP):
+    changed = [tv.build_variety(F2.fan), TWO_POINT_BLOWUP, HEXAGON]
+    assert not any(tv.positive_orthant_change(X).is_identity() for X in changed)
+    for X in [P3, F2, PP] + changed:
         P = hb.ring_hilbert_polynomial(X)
         t0 = find_point_dominating(X, [X.variable_degree(i) for i in range(X.n)])
         samples = []
@@ -105,6 +113,26 @@ def test_interpolation_agrees_with_fibers_deep():
                 break
         for t in samples:
             assert P.evaluate(t) == mi.hilbert_function(X, mi.MonomialIdeal.zero(X.n), t)
+
+
+@pytest.mark.parametrize("X, lam, message", [
+    # a corner of the grid {0..2}^2: differences of order 3 and 4 > d
+    (tv.product_projective(1, 1), (2, 2), "not polynomial"),
+    # P(2) has no difference of order above d; the check at lam = d + 1 fails
+    (tv.projective_space(2), (3,), "disagrees"),
+], ids=["difference", "check-point"])
+def test_interpolation_rejects_a_wrong_fiber_count(monkeypatch, X, lam, message):
+    U = tv.positive_orthant_change(X).matrix
+    point = tuple(sum(a * b for a, b in zip(row, lam)) for row in U)
+    fiber_monomials = hb.fiber_monomials
+
+    def one_too_many(X, t):
+        fiber = fiber_monomials(X, t)
+        return fiber + [None] if tuple(t) == point else fiber
+
+    monkeypatch.setattr(hb, "fiber_monomials", one_too_many)
+    with pytest.raises(InterpolationInconsistent, match=message):
+        hb.ring_hilbert_polynomial(X)
 
 
 def test_quotient_agrees_with_hilbert_function_deep():
@@ -257,6 +285,9 @@ TWO_POINT_BLOWUP = tv.variety_from_dict({
     "max_cones": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]})
 KERNEL_VARIETIES = [P2, P3, PP, tv.product_projective(1, 1), tv.hirzebruch(1), F2,
                     TWO_POINT_BLOWUP]
+# rank four, with five nef rays
+HEXAGON = tv.build_variety(tv.Fan([[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
+                                  [(i, (i + 1) % 6) for i in range(6)]))
 
 
 def _stanley_path(X, I):
@@ -320,7 +351,9 @@ def test_every_face_polynomial_matches_fiber_counts():
                 if frozenset(hat) not in X.delta:
                     assert poly.is_zero(), (X, sigma)
                 for t in _dominating_points(X, sorted(sums)):
-                    count = len(mi.fiber_monomials(X, t, support=sigma))
+                    # the fiber of S_sigma: monomials of S in degree t on sigma only
+                    count = sum(1 for u in mi.fiber_monomials(X, t)
+                                if not any(u[i] for i in hat))
                     assert poly.evaluate(t) == count, (X, sigma, t)
 
 

@@ -92,16 +92,15 @@ def test_saturation_bridging():
 
 
 def test_degset_enumerates_each_fiber_key_once(monkeypatch, capsys):
-    # a fiber asked for with support None and with every variable is one
-    # key: the enumerated (degree, variables) pairs never repeat
+    # every fiber is cached by its degree: no degree is enumerated twice
     from toricreg import cli
 
     keys = []
     enumerate_fiber = mi._enumerate_fiber
 
-    def counting(X, t, indices, cap):
-        keys.append((t, tuple(indices)))
-        return enumerate_fiber(X, t, indices, cap)
+    def counting(X, t, cap):
+        keys.append(t)
+        return enumerate_fiber(X, t, cap)
 
     monkeypatch.setattr(mi, "_enumerate_fiber", counting)
     assert cli.main(["degset", "--variety", "P(2)", "--poly", "4", "--seed", "11"]) == 0

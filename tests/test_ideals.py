@@ -165,58 +165,28 @@ def _box_fibers(X, degrees):
 
 
 def test_fiber_matches_box_oracle():
-    """Cached facet-block solve against brute force, on every face-ring
-    support and on a support containing no facet complement."""
+    """Cached facet-block solve against brute force."""
     # F1 with its rays reordered: the solved block is no longer enumerated
     # in lex order, so the result must be sorted afterwards
     F1_reordered = tv.build_variety(tv.Fan([[1, 0], [-1, 1], [0, -1], [0, 1]],
                                            [(0, 3), (1, 3), (1, 2), (0, 2)]))
-    cases = [(P2, []), (P3, []), (P2xP1, []), (P1xP1, [frozenset({0, 1})]),
-             (F1, []), (F2, []), (F1_reordered, [])]
-    for X, extra in cases:
+    for X in (P2, P3, P2xP1, P1xP1, F1, F2, F1_reordered):
         X = tv.with_grading(X, X.grading)  # a fresh variety: empty caches
         degrees = list(product(range(-2, 7), repeat=X.r))
         buckets = _box_fibers(X, degrees)
-        # the extra supports contain no facet complement: the residual-test leaf
-        assert not any(set(hat) <= s for hat, _ in X._facet_data for s in extra)
-        supports = [None] + [frozenset(range(X.n)) - face for face in X.faces()] + extra
         for t in degrees:
-            fiber = sorted(buckets.get(t, []))
-            for support in supports:
-                expected = [u for u in fiber
-                            if support is None or all(u[i] == 0 for i in range(X.n)
-                                                      if i not in support)]
-                assert mi.fiber_monomials(X, t, support=support) == expected
-                # second call answers from the cache
-                assert mi.fiber_monomials(X, t, support=support) == expected
+            expected = sorted(buckets.get(t, []))
+            assert mi.fiber_monomials(X, t) == expected
+            # second call answers from the cache
+            assert mi.fiber_monomials(X, t) == expected
 
 
-def test_fiber_rejects_bad_degree_and_support():
+def test_fiber_rejects_bad_degree():
     zero = mi.MonomialIdeal.zero(3)
     with pytest.raises(ValueError):
         mi.hilbert_function(P2, zero, (1, 2))
     with pytest.raises(ValueError):
         mi.fiber_monomials(P1xP1, (1,))
-    with pytest.raises(ValueError):
-        mi.fiber_monomials(P2, (1,), support={0, 3})
-    with pytest.raises(ValueError):
-        mi.fiber_monomials(P2, (1,), support={-1})
-
-
-def test_full_support_shares_the_key_of_no_support(monkeypatch):
-    enumerated = []
-    original = mi._enumerate_fiber
-
-    def counting(X, t, indices, cap):
-        enumerated.append(t)
-        return original(X, t, indices, cap)
-
-    monkeypatch.setattr(mi, "_enumerate_fiber", counting)
-    X = tv.projective_space(2)
-    full = mi.fiber_monomials(X, (3,), support=range(3))
-    assert mi.fiber_monomials(X, (3,)) == full
-    assert mi.fiber_monomials(X, (3,), support={2, 0, 1}) == full
-    assert enumerated == [(3,)]
 
 
 def test_cached_fiber_cannot_be_changed_by_callers():

@@ -154,6 +154,25 @@ def test_monotonicity_of_intersections():
             assert base.contains((p,))
 
 
+def test_nef_coordinates_are_computed_once_per_variety(monkeypatch):
+    # V and its inverse are stored by build_variety; bounding the
+    # regularity of an ideal computes no determinant and no inverse
+    from collections import Counter
+    from toricreg import intlinalg as il
+    X = tv.product_projective(2, 1)
+    calls = Counter()
+    for name in ("determinant", "inverse_unimodular"):
+        def counting(*args, _name=name, _original=getattr(il, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(il, name, counting)
+    I = mi.parse_ideal("x1^2*x4, x1*x2*x4^2, x2^3", X.n)
+    bound = rg.reg_bound_from_filtration(X, I, stanley_filtration(I))
+    assert bound.generators == ((3, 1),)
+    assert X.nef_coordinates_unimodular() == ((0, 1), (1, 0))
+    assert not calls
+
+
 def test_lazy_intersection_for_nonsimplicial_nef_cone():
     # hexagon fan: five nef rays in rank four, so no coordinate mode
     from toricreg.errors import Unsupported
@@ -163,7 +182,6 @@ def test_lazy_intersection_for_nonsimplicial_nef_cone():
     assert hexagon.nef_coordinates_unimodular() is None
     A = rg.KUpset(hexagon, [(1, 1, 1, 1)])
     B = rg.KUpset(hexagon, [(0, 1, 1, 0)])
-    assert not A.coordinate_mode
     lazy = rg.upset_intersect(A, B)
     assert isinstance(lazy, rg.LazyIntersection)
     for p in [(0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 1), (1, 2, 2, 1)]:
