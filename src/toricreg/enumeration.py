@@ -27,6 +27,7 @@ from .hilbert import (
     quotient_hilbert_polynomial,
     shifted_face_polynomial,
 )
+from .ideals import MonomialIdeal
 from .multipoly import GradedOrder
 from .stanley import (
     StanleyPair,
@@ -161,10 +162,10 @@ def _realize(frame, reps):
 
     A rep's ideal is the intersection of its pairs' irreducible
     components.  The reps come in depth-first order, so consecutive reps
-    share long prefixes: path holds (pair, intersection up to that pair)
-    for the previous rep, and each rep intersects only past the longest
-    prefix it shares with it."""
-    n = frame.X.n
+    share long prefixes: path holds (pair, intersection up to that pair,
+    from the unit ideal) for the previous rep, and each rep intersects
+    only past the longest prefix it shares with it."""
+    unit = MonomialIdeal.unit(frame.X.n)
     grouped = {}
     path = []
     for rep in reps:
@@ -173,8 +174,8 @@ def _realize(frame, reps):
             k += 1
         del path[k:]
         for pair in rep[k:]:
-            component = pair_component(pair, n)
-            path.append((pair, path[-1][1].intersect(component) if path else component))
+            ideal = path[-1][1] if path else unit
+            path.append((pair, ideal.intersect_irreducible(pair_component(pair))))
         grouped.setdefault(path[-1][1], []).append(rep)
     return {
         ideal: cands for ideal, cands in grouped.items()

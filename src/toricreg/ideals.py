@@ -2,7 +2,10 @@
 
 Monomials are exponent tuples in N^n.  Ideals keep their minimal
 generating set at all times, so equality is tuple comparison and the
-colon/add recursion elsewhere can rely on strict growth.
+colon/add recursion elsewhere can rely on strict growth.  An
+irreducible monomial ideal <x_i^{a_i} : a_i > 0> is its exponent tuple
+a in N^n (Miller-Sturmfels, ch. 5); the all-zero tuple is the zero
+ideal.
 """
 
 from operator import index, le
@@ -103,6 +106,14 @@ class MonomialIdeal:
         return MonomialIdeal(
             self.n, [monomial_lcm(g, h) for g in self.gens for h in other.gens])
 
+    def intersect_irreducible(self, a):
+        """I meet <x_i^{a_i} : a_i > 0>, the irreducible ideal with exponent
+        tuple a: each generator g gives g with g_i raised to a_i, for
+        each i with a_i > 0.  The all-zero tuple is the zero ideal."""
+        return MonomialIdeal(
+            self.n, [g[:i] + (max(g[i], e),) + g[i + 1:]
+                     for g in self.gens for i, e in enumerate(a) if e])
+
     def saturate_monomial(self, m):
         """(I : (x^m)^infinity): zero out all exponents in supp(m)."""
         supp = {i for i, e in enumerate(m) if e}
@@ -124,48 +135,14 @@ class MonomialIdeal:
         return f"MonomialIdeal({format_ideal(self)})"
 
 
-class IrreducibleComponent:
-    """<x_i^{e_i} : i in support>, stored as the partial map i -> e_i >= 1."""
-
-    __slots__ = ("n", "exponents")
-
-    def __init__(self, n, exponents):
-        self.n = n
-        self.exponents = dict(sorted((int(i), int(e)) for i, e in exponents.items()))
-        if not all(e >= 1 for e in self.exponents.values()):
-            raise ValueError(f"irreducible component exponents must be >= 1: {exponents}")
-
-    @property
-    def support(self):
-        """The set sigma^ of the associated prime P_sigma."""
-        return frozenset(self.exponents)
-
-    def as_ideal(self):
-        gens = []
-        for i, e in self.exponents.items():
-            g = [0] * self.n
-            g[i] = e
-            gens.append(tuple(g))
-        return MonomialIdeal(self.n, gens)
-
-    def __eq__(self, other):
-        if not isinstance(other, IrreducibleComponent):
-            return NotImplemented
-        return self.n == other.n and self.exponents == other.exponents
-
-    def __hash__(self):
-        return hash((self.n, tuple(self.exponents.items())))
-
-    def __repr__(self):
-        return f"IrreducibleComponent({self.exponents})"
-
-
 def irreducible_decomposition(I):
     """Irredundant irreducible components of a proper monomial ideal.
 
-    Splits any generator with two or more variables in its support
-    (standard Alexander-duality style recursion), then discards
-    components containing the intersection of the others.
+    A component <x_i^{a_i} : a_i > 0> is its exponent tuple a in N^n;
+    the result is the sorted tuple of these tuples.  Splits any
+    generator with two or more variables in its support (standard
+    Alexander-duality style recursion), then discards components
+    containing the intersection of the others.
     """
     if I.is_unit():
         raise UnitIdeal("the unit ideal has no decomposition")
@@ -174,11 +151,7 @@ def irreducible_decomposition(I):
         target = next((g for g in J.gens if sum(1 for e in g if e) >= 2), None)
         if target is None:
             # every generator is a pure power x_i^{e_i}
-            exps = {}
-            for g in J.gens:
-                i = next(j for j, e in enumerate(g) if e)
-                exps[i] = g[i]
-            return {IrreducibleComponent(J.n, exps)}
+            return {tuple(sum(g[i] for g in J.gens) for i in range(J.n))}
         i = next(j for j, e in enumerate(target) if e)
         pure = tuple(target[j] if j == i else 0 for j in range(J.n))
         rest = tuple(0 if j == i else target[j] for j in range(J.n))
@@ -193,17 +166,13 @@ def _irredundant(components):
     An irreducible monomial ideal Q is meet-prime among monomial ideals:
     if m is in J but not Q and m' in K but not Q, then lcm(m, m') is in
     J meet K but not Q.  So Q contains the intersection of the others
-    exactly when it contains one of them.
+    exactly when it contains one of them, and the component b lies
+    inside the component a exactly when b_i >= a_i > 0 wherever b_i > 0.
     """
-    comps = sorted(components, key=lambda c: sorted(c.exponents.items()))
-    return tuple(c for c in comps
-                 if not any(k is not c and _component_inside(k, c) for k in comps))
-
-
-def _component_inside(k, c):
-    """<x_i^a_i : i in T> is inside <x_i^e_i : i in S> iff T <= S and a_i >= e_i."""
-    e = c.exponents
-    return all(i in e and a >= e[i] for i, a in k.exponents.items())
+    comps = sorted(components)
+    return tuple(a for a in comps
+                 if not any(b != a and all(y >= x > 0 for x, y in zip(a, b) if y)
+                            for b in comps))
 
 
 def b_saturate(I, X):
@@ -214,14 +183,10 @@ def b_saturate(I, X):
     """
     if I.is_unit():
         raise UnitIdeal("cannot saturate the unit ideal")
-    if I.is_zero():
-        return I
-    kept = [c for c in irreducible_decomposition(I) if c.support in X.delta]
-    if not kept:
-        return MonomialIdeal.unit(I.n)
-    out = kept[0].as_ideal()
-    for c in kept[1:]:
-        out = out.intersect(c.as_ideal())
+    out = MonomialIdeal.unit(I.n)
+    for a in irreducible_decomposition(I):
+        if frozenset(i for i, e in enumerate(a) if e) in X.delta:
+            out = out.intersect_irreducible(a)
     return out
 
 

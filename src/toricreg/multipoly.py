@@ -208,6 +208,7 @@ def parse_poly(text, nvars=None):
 
     For one variable the name 't' is accepted; 't3' means the third
     variable.  nvars is inferred from the largest index when omitted.
+    A bare 't' with several variables and the index 0 raise ParseError.
     """
     tokens = []
     pos = 0
@@ -223,14 +224,17 @@ def parse_poly(text, nvars=None):
     if not tokens:
         raise ParseError("empty polynomial")
 
-    max_index = 1
-    for kind, val in tokens:
-        if kind == "var" and val != "t":
-            max_index = max(max_index, int(val[1:]))
+    names = {val for kind, val in tokens if kind == "var"}
+    indices = {int(val[1:]) for val in names - {"t"}}
+    if 0 in indices:
+        raise ParseError("variables are numbered from t1")
+    max_index = max(indices, default=1)
     if nvars is None:
         nvars = max_index
     if max_index > nvars:
         raise ParseError(f"variable t{max_index} exceeds {nvars} variables")
+    if "t" in names and nvars != 1:
+        raise ParseError(f"'t' is ambiguous with {nvars} variables; write t1..t{nvars}")
 
     # Split into signed additive chunks, then parse each chunk as a product.
     chunks = []

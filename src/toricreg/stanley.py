@@ -295,15 +295,10 @@ def pairs_overlap(p, q):
     return True
 
 
-def pair_component(pair, n):
-    """The irreducible ideal <x_i^{u_i + 1} : i not in face>."""
-    gens = []
-    for i in range(n):
-        if i not in pair.face:
-            g = [0] * n
-            g[i] = pair.shift[i] + 1
-            gens.append(tuple(g))
-    return MonomialIdeal(n, gens)
+def pair_component(pair):
+    """The irreducible ideal <x_i^{u_i + 1} : i not in face>, as its
+    exponent tuple (u_i + 1 off the face, 0 on it)."""
+    return tuple(0 if i in pair.face else u + 1 for i, u in enumerate(pair.shift))
 
 
 def decomposition_to_ideal(pairs, n):
@@ -318,7 +313,7 @@ def decomposition_to_ideal(pairs, n):
     for p, q in combinations(pairs, 2):
         if pairs_overlap(p, q):
             raise OverlappingPairs(f"pairs {p} and {q} share a monomial")
-    out = pair_component(pairs[0], n)
-    for pair in pairs[1:]:
-        out = out.intersect(pair_component(pair, n))
+    out = MonomialIdeal.unit(n)
+    for pair in pairs:
+        out = out.intersect_irreducible(pair_component(pair))
     return out

@@ -25,6 +25,9 @@ from .errors import (
     ParseError,
 )
 
+# steps along an interior direction of K tried before SearchExhausted
+MAX_MULTIPLE = 512
+
 
 class Fan:
     """Rays plus maximal cones of a simplicial fan (0-based indices)."""
@@ -211,24 +214,19 @@ def build_variety(fan, grading=None, assume_complete=False):
 
 def _check_complete(fan):
     """Facet pairing: every ridge lies in exactly two maximal cones whose
-    opposite rays sit strictly on opposite sides of the ridge span."""
-    d = fan.d
+    opposite rays sit strictly on opposite sides of the ridge span.  The
+    side of the opposite ray b is the sign of det(R, b) for the ridge R:
+    nu.b for a normal nu of R differs from it by one nonzero factor."""
     ridge_map = {}
     for cone in fan.max_cones:
-        for ridge in combinations(sorted(cone), d - 1):
+        for ridge in combinations(sorted(cone), fan.d - 1):
             ridge_map.setdefault(ridge, []).append(cone)
     for ridge, facets in ridge_map.items():
         if len(facets) != 2:
             raise NotComplete(
                 f"ridge {_show_face(set(ridge))} lies in {len(facets)} maximal cones")
-        ker = il.kernel_basis(tuple(fan.rays[i] for i in ridge), d)
-        if len(ker) != 1:
-            raise NotComplete(f"ridge {_show_face(set(ridge))} is degenerate")
-        nu = ker[0]
-        sides = []
-        for cone in facets:
-            (extra,) = set(cone) - set(ridge)
-            sides.append(sum(a * b for a, b in zip(nu, fan.rays[extra])))
+        sides = [il.determinant([fan.rays[i] for i in ridge + tuple(cone - set(ridge))])
+                 for cone in facets]
         if sides[0] * sides[1] >= 0:
             raise NotComplete(
                 f"cones across ridge {_show_face(set(ridge))} do not point both ways")
@@ -250,7 +248,7 @@ def nef_member(X, v):
     return X.nef_member(v)
 
 
-def positive_orthant_change(X, max_multiple=512):
+def positive_orthant_change(X):
     """A unimodular U with every column in K, so U(N^r) sits inside K.
 
     Identity when the positive orthant is already contained in K.
@@ -267,7 +265,7 @@ def positive_orthant_change(X, max_multiple=512):
     first, *rest = il.transpose(il.unimodular_with_first_column(v1))
     pushed = [first]
     for col in rest:
-        for steps in range(max_multiple + 1):
+        for steps in range(MAX_MULTIPLE + 1):
             cand = tuple(c + steps * w for c, w in zip(col, v1))
             if X.nef_member(cand):
                 pushed.append(cand)
@@ -287,7 +285,7 @@ def nef_functional(X):
     return w
 
 
-def find_point_dominating(X, vectors, max_multiple=512):
+def find_point_dominating(X, vectors):
     """Smallest point p with p - s in K for every s in vectors.
 
     Smallest means: minimal value of a fixed functional positive on K,
@@ -305,7 +303,7 @@ def find_point_dominating(X, vectors, max_multiple=512):
         return all(X.nef_member(tuple(a - b for a, b in zip(p, s))) for s in vectors)
 
     scale = None
-    for steps in range(max_multiple + 1):
+    for steps in range(MAX_MULTIPLE + 1):
         cand = tuple(steps * x for x in u)
         if dominates(cand):
             scale = steps
@@ -340,10 +338,10 @@ def find_point_dominating(X, vectors, max_multiple=512):
     return best[1]
 
 
-def find_c(X, max_multiple=512):
+def find_c(X):
     """A canonical c with c - deg(x_i) in K for every variable."""
     degrees = [X.variable_degree(i) for i in range(X.n)]
-    return find_point_dominating(X, degrees, max_multiple=max_multiple)
+    return find_point_dominating(X, degrees)
 
 
 def with_grading(X, grading):

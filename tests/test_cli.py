@@ -228,6 +228,16 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
 
 
+def test_misnamed_poly_variable_is_a_parse_error(capsys):
+    for poly in ("t0+1", "3*t+1"):
+        code, out, err = run(capsys, "regularity", "--variety", "PxP(2,1)", "--poly", poly)
+        assert (code, out) == (2, ""), poly
+        assert "ParseError" in err
+    code, _, err = run(capsys, "regularity", "--variety", "P(2)", "--poly", "t0+1")
+    assert code == 2
+    assert "ParseError" in err
+
+
 def test_stanley_json_round_trip(capsys):
     code, out, _ = run(capsys, "stanley", "--variety", "P(3)",
                        "--ideal", "x1*x4^2, x2*x4^2, x3*x4^2", "--json")

@@ -25,6 +25,13 @@ PP = tv.product_projective(2, 1)
 F2 = tv.hirzebruch(2)
 
 
+def component_ideal(a):
+    """The irreducible ideal with exponent tuple a, from its generators."""
+    n = len(a)
+    return mi.MonomialIdeal(
+        n, [tuple(e if j == i else 0 for j in range(n)) for i, e in enumerate(a) if e])
+
+
 def test_face_order_p2():
     order = en.graded_total_order(P2)
     assert order.faces == (frozenset(), frozenset({0}), frozenset({1}), frozenset({2}),
@@ -228,7 +235,7 @@ def test_incremental_realize_matches_per_rep_intersection(X, text):
     grouped = {}
     for rep in reps:
         ideal = reduce(mi.MonomialIdeal.intersect,
-                       (pair_component(pair, frame.X.n) for pair in rep))
+                       (component_ideal(pair_component(pair)) for pair in rep))
         grouped.setdefault(ideal, []).append(rep)
     expected = {ideal: cands for ideal, cands in grouped.items()
                 if quotient_hilbert_polynomial(frame.X, ideal) == frame.P}
@@ -240,17 +247,19 @@ def test_incremental_realize_matches_per_rep_intersection(X, text):
 
 def test_realize_intersects_only_past_shared_prefixes(monkeypatch):
     calls = []
-    original = mi.MonomialIdeal.intersect
+    original = mi.MonomialIdeal.intersect_irreducible
 
-    def counting(self, other):
+    def counting(self, a):
         calls.append(1)
-        return original(self, other)
+        return original(self, a)
 
-    monkeypatch.setattr(mi.MonomialIdeal, "intersect", counting)
+    monkeypatch.setattr(mi.MonomialIdeal, "intersect_irreducible", counting)
     result = en.run_enumeration(tv.projective_space(2), parse_poly("4*t+1"))
     assert (len(result.reps), len(result.ideals)) == (12487, 330)
-    # one intersection per rep and pair past the first would be 74050
-    assert len(calls) == 14321
+    # one intersection per rep and pair would be 74050 + 12487; each path
+    # starts from the unit ideal, so the 3 distinct first pairs add 3 to
+    # the 14321 intersections past a shared prefix
+    assert len(calls) == 14324
 
 
 def test_each_face_polynomial_is_shifted_once_per_degree(monkeypatch):

@@ -33,9 +33,14 @@ def test_parse_and_format_round_trip():
 
 
 def test_parse_errors():
-    for bad in ["", "x1+1", "t1^^2", "t1^(1/2)"]:
+    for bad in ["", "x1+1", "t1^^2", "t1^(1/2)", "t0+1", "t00", "t + t2"]:
         with pytest.raises(ParseError):
             parse_poly(bad)
+    # t0 would alias the last variable, a bare t the first
+    for bad in ["t0+1", "3*t+1", "t1*t + 1"]:
+        with pytest.raises(ParseError):
+            parse_poly(bad, nvars=2)
+    assert parse_poly("3*t+1", nvars=1) == parse_poly("3*t1+1", nvars=1)
 
 
 def test_random_round_trip():

@@ -62,6 +62,10 @@ def test_fan_rejections():
     with pytest.raises(NotComplete):
         tv.build_variety(tv.Fan([[1, 0], [0, 1], [-1, -1]],
                                 [(0, 1), (1, 2)]))
+    # smooth, every ridge in two cones, but the rays (0,1) and (1,1)
+    # opposite the ridge {1} lie on the same side of it
+    with pytest.raises(NotComplete, match="do not point both ways"):
+        tv.build_variety(tv.Fan([[1, 0], [0, 1], [1, 1]], [(0, 1), (1, 2), (0, 2)]))
     with pytest.raises(RaysNotSpanning):
         tv.build_variety(tv.Fan([[1, 0], [-1, 0], [1, 0]], [(0,), (1,)]))
     with pytest.raises(ValueError, match="unequal lengths"):
@@ -74,6 +78,21 @@ def test_fan_rejections():
     X = tv.build_variety(tv.Fan([[1, 0], [0, 1], [-1, -1]],
                                 [(0, 1), (1, 2), (0, 2)]))
     assert X.r == 1
+
+
+def test_build_smith_form_count(monkeypatch):
+    # the completeness check takes determinants, not ridge normals from
+    # Smith forms; PxP(2,1) has 9 ridges
+    calls = []
+    original = il.smith_normal_form
+
+    def counting(A):
+        calls.append(1)
+        return original(A)
+
+    monkeypatch.setattr(il, "smith_normal_form", counting)
+    tv.product_projective(2, 1)
+    assert len(calls) == 14
 
 
 def test_is_face():
