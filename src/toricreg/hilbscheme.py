@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
+from operator import index
 
 from .errors import BudgetExceeded, InfeasibleHilbertValue, SearchExhausted
 from .hilbert import quotient_hilbert_polynomial
@@ -36,7 +37,7 @@ def ideals_generated_in_degrees(X, degrees, P, node_budget=1_000_000):
     every subset of the right size of the remaining fiber is tried.
     Exponential, so a node budget guards the recursion.
     """
-    degrees = sorted({tuple(int(x) for x in t) for t in degrees},
+    degrees = sorted({tuple(map(index, t)) for t in degrees},
                      key=lambda t: _degree_sort_key(X, t))
     fibers = []
     targets = []
@@ -93,15 +94,21 @@ def _quotient_poly(X, I):
 
 def _find_disagreement(X, I, P, anchor, cap=2000):
     """First point of anchor + K where the Hilbert function differs from P."""
+    for t in _cone_points(X, anchor, cap):
+        if hilbert_function(X, I, t) != P.evaluate(t):
+            return t
+    raise SearchExhausted("found no disagreement point in the bound region")
+
+
+def _cone_points(X, anchor, max_level):
+    """The points anchor + sum_k c_k ray_k over the nef rays, level by
+    level in sum_k c_k = 0..max_level (repeats when rays are dependent)."""
     rays = X.nef_rays
-    for level in range(cap + 1):
+    for level in range(max_level + 1):
         for combo in _compositions(level, len(rays)):
-            t = tuple(
+            yield tuple(
                 anchor[j] + sum(c * ray[j] for c, ray in zip(combo, rays))
                 for j in range(X.r))
-            if hilbert_function(X, I, t) != P.evaluate(t):
-                return t
-    raise SearchExhausted("found no disagreement point in the bound region")
 
 
 def _compositions(total, parts):
@@ -130,6 +137,7 @@ def degree_set(X, P, seed=0, assume=None, max_rounds=12, node_budget=1_000_000):
     anchor = bound.generators[0]
     rng = random.Random(seed)
     rays = X.nef_rays
+    c = find_c(X)
     D = {anchor}
     trace = []
     ideals = []
@@ -147,7 +155,6 @@ def degree_set(X, P, seed=0, assume=None, max_rounds=12, node_budget=1_000_000):
             new_points.add(_find_disagreement(X, I, P, anchor))
         max_total = max(
             (sum(u) for t in D for u in fiber_monomials(X, t)), default=0)
-        c = find_c(X)
         c_new = tuple(max_total * x for x in c)
         new_points.add(c_new)
         want = comb(X.n, X.d)
@@ -177,15 +184,10 @@ def supportive_check(X, result, P, box_level=6):
     combinations up to box_level), and its saturation must have Hilbert
     polynomial P.
     """
-    rays = X.nef_rays
     for I in result.ideals:
-        for level in range(box_level + 1):
-            for combo in _compositions(level, len(rays)):
-                t = tuple(
-                    result.anchor[j] + sum(c * ray[j] for c, ray in zip(combo, rays))
-                    for j in range(X.r))
-                if hilbert_function(X, I, t) != P.evaluate(t):
-                    return False
+        if any(hilbert_function(X, I, t) != P.evaluate(t)
+               for t in _cone_points(X, result.anchor, box_level)):
+            return False
         saturated = b_saturate(I, X) if not I.is_unit() else I
         if _quotient_poly(X, saturated) != P:
             return False

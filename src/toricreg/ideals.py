@@ -236,7 +236,7 @@ def fiber_monomials(X, t, cap=10_000_000):
 
 def _fiber(X, t, cap):
     """The cached sorted tuple behind fiber_monomials."""
-    t = tuple(int(x) for x in t)
+    t = tuple(map(index, t))
     if len(t) != X.r:
         raise ValueError(f"degree {t} has {len(t)} entries, the grading has {X.r}")
     fiber = X._fiber_cache.get(t)
@@ -297,7 +297,7 @@ def hilbert_function(X, I, t, cap=10_000_000):
     fiber(t) and cap bounds them all.
     """
     from .hilbert import coarse_k_polynomial
-    t = tuple(int(x) for x in t)
+    t = tuple(map(index, t))
     _fiber(X, t, cap)  # checks the entries of t and the cap on fiber(t)
     return sum(c * len(_fiber(X, tuple(a - b for a, b in zip(t, d)), cap))
                for d, c in coarse_k_polynomial(X, I))

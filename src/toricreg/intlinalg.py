@@ -245,7 +245,7 @@ def unimodular_with_first_column(v):
 
     Returns U with column 0 equal to v.
     """
-    v = tuple(int(x) for x in v)
+    v = tuple(map(index, v))
     S, D, _, _, _ = smith_normal_form(tuple((x,) for x in v))
     if D[0][0] != 1:
         raise ValueError("vector is not primitive")

@@ -9,6 +9,7 @@ import re
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from operator import index
 
 from .errors import ParseError, ZeroPolynomial
 
@@ -47,7 +48,7 @@ class MultiPoly:
         for expo, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
             if coeff != 0:
-                expo = tuple(int(e) for e in expo)
+                expo = tuple(map(index, expo))
                 if len(expo) != nvars or any(e < 0 for e in expo):
                     raise ValueError(f"bad exponent {expo} for {nvars} variables")
                 clean[expo] = coeff
@@ -274,11 +275,13 @@ def _parse_product(tokens, nvars):
             i += 1
             continue
         if kind == "num":
-            coeff = Fraction(val) if "/" not in val else Fraction(*map(int, val.split("/")))
+            try:
+                coeff = Fraction(val)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {val!r}") from None
             factor = MultiPoly.constant(nvars, coeff)
         elif kind == "var":
-            index = 0 if val == "t" else int(val[1:]) - 1
-            factor = MultiPoly.variable(nvars, index)
+            factor = MultiPoly.variable(nvars, 0 if val == "t" else int(val[1:]) - 1)
         else:
             raise ParseError(f"unexpected token {val!r} in term")
         i += 1

@@ -9,8 +9,8 @@ spaces and their products.
 """
 
 from dataclasses import dataclass, field
+from operator import index
 
-from . import intlinalg as il
 from .errors import (
     FiltrationInvalid,
     MissingBaseline,
@@ -20,7 +20,7 @@ from .errors import (
 )
 from .ideals import is_b_saturated
 from .stanley import verify_stanley
-from .variety import find_c
+from .variety import find_c, find_point_dominating
 
 
 class KUpset:
@@ -31,7 +31,7 @@ class KUpset:
         self.generators = _minimal_generators(X, generators)
 
     def contains(self, p):
-        p = tuple(int(x) for x in p)
+        p = tuple(map(index, p))
         return any(
             self.X.nef_member(tuple(a - b for a, b in zip(p, g)))
             for g in self.generators)
@@ -72,7 +72,7 @@ class LazyIntersection:
 
 def _minimal_generators(X, generators):
     # K is pointed, so distinct generators never dominate each other mutually
-    gens = sorted(set(tuple(int(x) for x in g) for g in generators))
+    gens = sorted(set(tuple(map(index, g)) for g in generators))
     return tuple(
         g for g in gens
         if not any(
@@ -83,24 +83,19 @@ def _minimal_generators(X, generators):
 def upset_intersect(a, b):
     """Intersection of two K-upsets.
 
-    With K unimodular simplicial, (g + K) cap (h + K) = join(g, h) + K
-    where the join is the coordinatewise max in K-ray coordinates;
-    intersections of unions distribute over the joins.  Otherwise a
-    lazy membership-only object is returned.
+    With a nef basis (K unimodular simplicial), (g + K) cap (h + K) =
+    join(g, h) + K, where join(g, h) = find_point_dominating(X, (g, h))
+    is the least point dominating g and h; intersections of unions
+    distribute over the joins.  Otherwise a lazy membership-only object
+    is returned.
     """
     if isinstance(a, LazyIntersection) or isinstance(b, LazyIntersection):
         return LazyIntersection((a, b)) if not isinstance(a, LazyIntersection) else a.intersect(b)
     X = a.X
     if X._nef_basis is None:
         return LazyIntersection((a, b))
-    V, Vinv = X._nef_basis
-    joins = []
-    for g in a.generators:
-        cg = il.matvec(Vinv, g)
-        for h in b.generators:
-            ch = il.matvec(Vinv, h)
-            joins.append(il.matvec(V, tuple(map(max, cg, ch))))
-    return KUpset(X, joins)
+    return KUpset(X, [find_point_dominating(X, (g, h))
+                      for g in a.generators for h in b.generators])
 
 
 @dataclass

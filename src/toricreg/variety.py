@@ -118,7 +118,7 @@ class ToricVariety:
 
     def nef_member(self, v):
         """Whether v lies in K = intersection of the facet semigroups NA_sigma^."""
-        v = tuple(int(x) for x in v)
+        v = tuple(map(index, v))
         return all(sum(a * b for a, b in zip(row, v)) >= 0
                    for _, minv in self._facet_data for row in minv)
 
@@ -277,69 +277,37 @@ def positive_orthant_change(X):
     return UnimodularMap(il.transpose(pushed))
 
 
-def nef_functional(X):
-    """An integer functional strictly positive on K minus the origin."""
-    w = cones.strictly_positive_functional(X.nef_rays, X.r)
-    if w is None:
-        raise NotPointed("the nef cone is not pointed")
-    return w
-
-
 def find_point_dominating(X, vectors):
-    """Smallest point p with p - s in K for every s in vectors.
+    """A point p with p - s in K for every s in vectors.
 
-    Smallest means: minimal value of a fixed functional positive on K,
-    ties broken by lexicographic order, so the answer is canonical.
+    With a nef basis V (K = V.N^r) the dominating points are exactly
+    join + K, where the join is V times the coordinatewise max of the
+    vectors in V-coordinates; the join, the least dominating point, is
+    returned.  Without one, the answer is the least multiple of the
+    primitive interior direction (the sum of the nef rays) that
+    dominates, which need not be least; SearchExhausted after
+    MAX_MULTIPLE steps.
     """
-    vectors = [tuple(int(x) for x in v) for v in vectors]
+    vectors = [tuple(map(index, v)) for v in vectors]
     if not vectors:
         return (0,) * X.r
+    if X._nef_basis is not None:
+        V, Vinv = X._nef_basis
+        coords = [il.matvec(Vinv, v) for v in vectors]
+        return il.matvec(V, tuple(max(col) for col in zip(*coords)))
     if not X.nef_rays:
         raise NotFullDimensional("the nef cone has no rays")
     u = il.primitive(tuple(sum(col) for col in zip(*X.nef_rays)))
-    phi = nef_functional(X)
-
-    def dominates(p):
-        return all(X.nef_member(tuple(a - b for a, b in zip(p, s))) for s in vectors)
-
-    scale = None
     for steps in range(MAX_MULTIPLE + 1):
         cand = tuple(steps * x for x in u)
-        if dominates(cand):
-            scale = steps
-            break
-    if scale is None:
-        raise SearchExhausted("no multiple of the interior direction dominates")
-    c0 = tuple(scale * x for x in u)
-
-    def dot(a, b):
-        return sum(int(x) * int(y) for x, y in zip(a, b))
-
-    base = vectors[0]
-    budget = dot(phi, tuple(a - b for a, b in zip(c0, base)))
-    min_phi_ray = min(dot(phi, ray) for ray in X.nef_rays)
-    max_ray_inf = max(max(abs(x) for x in ray) for ray in X.nef_rays)
-    box = 0 if budget <= 0 else (max_ray_inf * budget + min_phi_ray - 1) // min_phi_ray
-    if (2 * box + 1) ** X.r > 5_000_000:
-        raise SearchExhausted("minimizer box is too large to enumerate")
-
-    best = (dot(phi, c0), c0)
-    grid = [()]
-    for _ in range(X.r):
-        grid = [g + (k,) for g in grid for k in range(-box, box + 1)]
-    for k in grid:
-        if not X.nef_member(k):
-            continue
-        cand = tuple(a + b for a, b in zip(base, k))
-        if dominates(cand):
-            key = (dot(phi, cand), cand)
-            if key < best:
-                best = key
-    return best[1]
+        if all(X.nef_member(tuple(a - b for a, b in zip(cand, s))) for s in vectors):
+            return cand
+    raise SearchExhausted("no multiple of the interior direction dominates")
 
 
 def find_c(X):
-    """A canonical c with c - deg(x_i) in K for every variable."""
+    """A canonical c with c - deg(x_i) in K for every variable: the least
+    such c when X has a nef basis (see find_point_dominating)."""
     degrees = [X.variable_degree(i) for i in range(X.n)]
     return find_point_dominating(X, degrees)
 

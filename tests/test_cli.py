@@ -226,6 +226,9 @@ def test_parse_error_exit_code(capsys):
     assert "ParseError" in err
     code, _, err = run(capsys, "variety", "--variety", "Nope(3)")
     assert code == 2
+    code, out, err = run(capsys, "regularity", "--variety", "P(2)", "--poly", "t+1/0")
+    assert (code, out) == (2, "")
+    assert "ParseError" in err
 
 
 def test_misnamed_poly_variable_is_a_parse_error(capsys):

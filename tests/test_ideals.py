@@ -6,8 +6,12 @@ from itertools import product
 import pytest
 
 from toricreg import ideals as mi
+from toricreg import intlinalg as il
 from toricreg import variety as tv
 from toricreg.errors import FiberTooLarge, UnitIdeal
+from toricreg.hilbscheme import ideals_generated_in_degrees
+from toricreg.multipoly import MultiPoly
+from toricreg.regularity import KUpset
 
 P1 = tv.projective_space(1)
 P2 = tv.projective_space(2)
@@ -338,3 +342,25 @@ def test_exponents_must_be_integers():
     I = mi.MonomialIdeal(3, [(True, 2, 0), (_Index(2), 1, 0)])
     assert I.gens == ((1, 2, 0), (2, 1, 0))
     assert all(type(e) is int for g in I.gens for e in g)
+
+
+X1 = mi.MonomialIdeal(3, [(1, 0, 0)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mi.hilbert_function(P2, X1, (2.7,)),
+    lambda: mi.fiber_monomials(P2, (1.5,)),
+    lambda: P2.nef_member((-0.5,)),
+    lambda: tv.find_point_dominating(P2, [(0,), (0.5,)]),
+    lambda: MultiPoly(1, {(1.5,): 1}),
+    lambda: KUpset(P2, [(0.7,)]),
+    lambda: KUpset(P2, [(0,)]).contains((0.5,)),
+    lambda: il.unimodular_with_first_column((1.0, 2)),
+    lambda: ideals_generated_in_degrees(P2, [(1.5,)], MultiPoly.constant(1, 1)),
+], ids=["hilbert_function", "fiber_monomials", "nef_member", "find_point_dominating",
+        "MultiPoly", "KUpset", "KUpset.contains", "unimodular_with_first_column",
+        "ideals_generated_in_degrees"])
+def test_non_integer_vectors_are_rejected(call):
+    # truncating 2.7 to 2 would answer for a different degree
+    with pytest.raises(TypeError):
+        call()

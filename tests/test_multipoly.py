@@ -33,7 +33,7 @@ def test_parse_and_format_round_trip():
 
 
 def test_parse_errors():
-    for bad in ["", "x1+1", "t1^^2", "t1^(1/2)", "t0+1", "t00", "t + t2"]:
+    for bad in ["", "x1+1", "t1^^2", "t1^(1/2)", "t0+1", "t00", "t + t2", "t+1/0"]:
         with pytest.raises(ParseError):
             parse_poly(bad)
     # t0 would alias the last variable, a bare t the first

@@ -148,6 +148,64 @@ def test_find_c():
         assert F2.nef_member(tuple(x - y for x, y in zip(c, a)))
 
 
+# every variety here has nef rays forming a lattice basis; the two-point
+# blowup of P^2 has r = 3
+NEF_BASIS_VARIETIES = [
+    P1, P2, P3, PP, tv.product_projective(1, 1), tv.hirzebruch(1), F2,
+    tv.build_variety(F2.fan),
+    tv.variety_from_dict({"rays": [[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]],
+                          "max_cones": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]}),
+]
+HEXAGON = tv.variety_from_dict({
+    "rays": [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
+    "max_cones": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]]})
+
+
+def _least_dominating_point(X, vectors, radius):
+    """Brute force: the dominating point of least w-value in a box,
+    checked to lie below every dominating point of the box; w is
+    positive on the degree cone, hence on K minus the origin."""
+    def dominates(p, s):
+        return X.nef_member(tuple(a - b for a, b in zip(p, s)))
+
+    box = product(range(-radius, radius + 1), repeat=X.r)
+    above = [p for p in box if all(dominates(p, s) for s in vectors)]
+    least = min(above, key=lambda p: sum(a * b for a, b in zip(X.positive_w, p)))
+    assert all(dominates(p, least) for p in above)
+    assert max(map(abs, least)) < radius
+    return least
+
+
+def test_find_point_dominating_is_the_least_point():
+    rng = random.Random(5)
+    for X in NEF_BASIS_VARIETIES:
+        assert X.nef_coordinates_unimodular() is not None
+        radius = 12 if X.r < 3 else 7
+        for _ in range(12 if X.r < 3 else 4):
+            vectors = [tuple(rng.randint(-2, 2) for _ in range(X.r))
+                       for _ in range(rng.randint(1, 3))]
+            assert tv.find_point_dominating(X, vectors) == \
+                _least_dominating_point(X, vectors, radius), (X, vectors)
+
+
+def test_find_point_dominating_far_apart_vectors():
+    assert tv.find_point_dominating(PP, [(0, 0), (600, -600)]) == (600, 0)
+    assert tv.find_point_dominating(F2, [(0, 0), (3000, 0)]) == (3000, 0)
+    assert tv.find_point_dominating(P2, []) == (0,)
+
+
+def test_find_point_dominating_without_nef_basis():
+    # five nef rays in rank four: the answer is a multiple of their sum
+    assert HEXAGON.nef_coordinates_unimodular() is None
+    assert tv.find_c(HEXAGON) == (1, 2, 2, 1)
+    rng = random.Random(6)
+    for _ in range(10):
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(3)]
+        p = tv.find_point_dominating(HEXAGON, vectors)
+        for s in vectors:
+            assert HEXAGON.nef_member(tuple(a - b for a, b in zip(p, s)))
+
+
 def test_positive_orthant_change_identity_cases():
     for X in (P1, P2, P3, F2, PP):
         assert tv.positive_orthant_change(X).is_identity()
