@@ -148,10 +148,17 @@ def cmd_enumerate(args):
     return 0
 
 
+def _lex_ideal(poly, nvars):
+    """The saturated lex ideal in nvars variables, from --vars."""
+    if nvars < 1:
+        raise ParseError(f"--vars must be at least 1, got {nvars}")
+    return gz.lex_ideal(poly, nvars)
+
+
 def cmd_gotzmann(args):
     poly = parse_poly(args.poly, nvars=1)
+    ideal, pairs = _lex_ideal(poly, args.vars)
     rep = gz.gotzmann_representation(poly)
-    ideal, pairs = gz.lex_ideal(poly, args.vars)
     if args.json:
         print(json.dumps({"m": rep.length, "q": list(rep.q),
                           "generators": [list(g) for g in ideal.gens],
@@ -166,7 +173,7 @@ def cmd_gotzmann(args):
 
 def cmd_lex(args):
     poly = parse_poly(args.poly, nvars=1)
-    ideal, pairs = gz.lex_ideal(poly, args.vars)
+    ideal, pairs = _lex_ideal(poly, args.vars)
     if args.json:
         print(json.dumps({"generators": [list(g) for g in ideal.gens],
                           "filtration": _pairs_json(pairs)}))

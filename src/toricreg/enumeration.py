@@ -10,22 +10,41 @@ termination proof, checked at runtime.  Realize turns representations
 into ideals and keeps those passing the exact Hilbert-polynomial check,
 since candidates are over-generated (every admissible anchor is tried).
 The search yields representations depth first, so realize builds each
-ideal incrementally along one path of prefix intersections.  The search
-takes every shifted face polynomial from one cache on the variety, and
-the exact check sums shifts of P_S over the coarse K-polynomial of each
-candidate (hilbert.py).  The Gotzmann number needs only the search;
-only run_enumeration also chooses witness filtrations.
+ideal incrementally along one path of prefix intersections.  The Gotzmann
+number needs only the search; only run_enumeration also chooses witness
+filtrations.
+
+The search and the check run on integers.  A residual
+Q = P - sum P_{S_sigma}(t - delta) has total degree at most
+max(d, deg P), so it is a coefficient vector on the fixed basis of
+exponents of that degree, listed from the order-largest down.  Every
+vector is scaled by one L > 0, the lcm of the denominator D of P_S
+(hilbert._ring_expansion) and the denominators of P.  L * P is then
+integral by choice of L, and so is each L * P_{S_sigma}(t - delta) =
+(L / D) * D * sum_e c_e P_S(t - e - delta), a sum over the Koszul
+numerator c of S_sigma whose D-multiple the moment kernel
+(hilbert.shift_numerators) yields in integers.  Multiplying by L > 0 is
+linear and keeps signs, so the residual is zero exactly when its vector
+is, the leading term is the first nonzero entry, and the measure
+(leading monomial, leading coefficient) compares as before: no float or
+modular step enters, and the search makes the same choices as one over
+rational polynomials.  The exact check likewise compares the integer
+D * P_{S/I} with D * P (see _realize).
 """
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
+from math import lcm
+from operator import add, sub
 
 from . import intlinalg as il
-from .errors import NoRepresentation, SearchExhausted
+from .errors import NoRepresentation, SearchExhausted, ZeroPolynomial
 from .hilbert import (
+    _ring_expansion,
+    coarse_k_polynomial,
     face_hilbert_polynomial,
-    quotient_hilbert_polynomial,
-    shifted_face_polynomial,
+    face_k_polynomial,
+    shift_numerators,
 )
 from .ideals import MonomialIdeal
 from .multipoly import GradedOrder
@@ -81,7 +100,10 @@ class _Frame:
     order: GradedOrder
     face_order: FaceOrder
     sigmas: list   # the complement sigma of each face sigma^, by face index
-    inits: list    # the leading monomials of their P_{S_sigma}
+    kpolys: list   # the K-polynomials of their S_sigma
+    basis: tuple   # every exponent of total degree <= max(d, deg P), order-largest first
+    scale: int     # L: lcm of the P_S denominator D and the denominators of P
+    inits: list    # the basis index of the leading monomial of each P_{S_sigma}
 
 
 def _working_frame(X, P, order):
@@ -94,8 +116,31 @@ def _working_frame(X, P, order):
     face_order = graded_total_order(X, order)
     everything = frozenset(range(X.n))
     sigmas = [everything - f for f in face_order.faces]
+    top = max(X.d, P.total_degree())
+    basis = tuple(sorted((e for e in product(range(top + 1), repeat=X.r) if sum(e) <= top),
+                         key=order.key, reverse=True))
+    scale = lcm(_ring_expansion(X)[1], *(c.denominator for c in P.terms.values()))
+    position = {e: k for k, e in enumerate(basis)}
+    inits = [position[face_hilbert_polynomial(X, s).leading_monomial(order)] for s in sigmas]
     return _Frame(X, P, order, face_order, sigmas,
-                  [face_hilbert_polynomial(X, s).leading_monomial(order) for s in sigmas])
+                  [face_k_polynomial(X, s) for s in sigmas], basis, scale, inits)
+
+
+def _face_vector(frame, ti, degree):
+    """L * P_{S_sigma}(t - degree) on frame.basis, sigma = frame.sigmas[ti],
+    from the moment kernel over y^degree K(S_sigma; y)."""
+    kpoly = [(tuple(map(add, d, degree)), c) for d, c in frame.kpolys[ti]]
+    numerators = shift_numerators(frame.X, kpoly)
+    factor = frame.scale // _ring_expansion(frame.X)[1]
+    return tuple(factor * numerators.get(e, 0) for e in frame.basis)
+
+
+def _leading(vector):
+    """(index, coefficient) of the first nonzero entry: the leading term."""
+    for k, c in enumerate(vector):
+        if c:
+            return k, c
+    raise ZeroPolynomial("the zero polynomial has no leading term")
 
 
 def _peel_off(frame, relaxed=False):
@@ -104,19 +149,24 @@ def _peel_off(frame, relaxed=False):
     whose face is no later in the face order, along a variable x_l of
     face j: v + e_l on monomials (a set of pairs), or q + deg x_l on
     degrees when relaxed (a multiset).  A state is deduplicated by its
-    pair multiset, which determines the residual."""
+    pair multiset, which determines the residual.
+
+    Residuals are integer vectors L * Q on frame.basis, so the leading
+    term is the first nonzero entry, and a larger index is a smaller
+    monomial.  Each (face, degree) vector is built once per search."""
     if frame.P.is_zero():
         return
-    X, order, faces = frame.X, frame.order, frame.face_order.faces
+    X, faces = frame.X, frame.face_order.faces
     if relaxed:
         steps = [X.variable_degree(ell) for ell in range(X.n)]
     else:
         steps = [tuple(int(i == ell) for i in range(X.n)) for ell in range(X.n)]
+    vectors = {}
     seen = set()
-    stack = [((), frame.P)]
+    target = tuple(int(frame.P.terms.get(e, 0) * frame.scale) for e in frame.basis)
+    stack = [((), target, *_leading(target))]
     while stack:
-        pairs, Q = stack.pop()
-        q_init, q_coeff = Q.leading_term(order)
+        pairs, Q, q_init, q_coeff = stack.pop()
         for ti, init in enumerate(frame.inits):
             if init != q_init:
                 continue
@@ -135,17 +185,20 @@ def _peel_off(frame, relaxed=False):
                 if key in seen:
                     continue
                 seen.add(key)
-                residual = Q - shifted_face_polynomial(
-                    X, frame.sigmas[ti], shift if relaxed else X.degree(shift))
-                if residual.is_zero():
+                degree = shift if relaxed else X.degree(shift)
+                face = vectors.get((ti, degree))
+                if face is None:
+                    face = vectors[ti, degree] = _face_vector(frame, ti, degree)
+                residual = tuple(map(sub, Q, face))
+                if not any(residual):
                     yield state
                     continue
-                r_init, r_coeff = residual.leading_term(order)
+                r_init, r_coeff = _leading(residual)
                 if r_coeff <= 0:
                     continue
-                if (order.key(r_init), r_coeff) >= (order.key(q_init), q_coeff):
+                if r_init < q_init or (r_init == q_init and r_coeff >= q_coeff):
                     raise SearchExhausted("peel-off measure did not drop")
-                stack.append((state, residual))
+                stack.append((state, residual, r_init, r_coeff))
 
 
 def _stanley_reps(frame):
@@ -160,11 +213,22 @@ def _realize(frame, reps):
     """Group the representations by ideal; keep the ideals whose quotient
     has Hilbert polynomial frame.P, each with its representations.
 
+    The exact check compares integers.  D * P_{S/I} is the sum of the
+    integer numerators of the moment kernel over the coarse K-polynomial
+    of S/I (hilbert.shift_numerators), so it is integral for every I,
+    and it equals D * frame.P, computed once, exactly when
+    P_{S/I} = frame.P (D > 0).  So when D * frame.P is not integral no
+    ideal can match, and the result is empty.
+
     A rep's ideal is the intersection of its pairs' irreducible
     components.  The reps come in depth-first order, so consecutive reps
     share long prefixes: path holds (pair, intersection up to that pair,
     from the unit ideal) for the previous rep, and each rep intersects
     only past the longest prefix it shares with it."""
+    denom = _ring_expansion(frame.X)[1]
+    target = {e: c * denom for e, c in frame.P.terms.items()}
+    if any(c.denominator != 1 for c in target.values()):
+        return {}
     unit = MonomialIdeal.unit(frame.X.n)
     grouped = {}
     path = []
@@ -179,7 +243,7 @@ def _realize(frame, reps):
         grouped.setdefault(path[-1][1], []).append(rep)
     return {
         ideal: cands for ideal, cands in grouped.items()
-        if quotient_hilbert_polynomial(frame.X, ideal) == frame.P
+        if shift_numerators(frame.X, coarse_k_polynomial(frame.X, ideal)) == target
     }
 
 

@@ -27,6 +27,15 @@ the integer forward differences of the fiber counts of S at the points
 U.{0..d}^r, for the unimodular U of positive_orthant_change with
 U.N^r inside K, where Demazure vanishing makes those counts exact.
 
+The sum is computed in integers: with D the lcm of the denominators
+of P_S, D * P_S(t - d) expands by the binomial theorem into integer
+multiples of t^beta prod_j (-d_j)^gamma_j, so D * sum_d c_d P_S(t - d)
+has the integer coefficients shift_numerators returns.  In particular
+D * P_{S/I} is integral for every I; so is L * P_{S/I} for any L that
+D divides, and multiplying by L > 0 keeps every equality and sign, so
+the integer vectors decide P_{S/I} = P and leading terms exactly
+(enumeration.py).
+
 The K-polynomial comes from the exact sequence
 0 -> S/(I : m)(-deg m) -> S/I -> S/(I + m) -> 0 for m = x_i^e, that is
 K(S/I) = K(S/(I + m)) + y^{deg m} K(S/(I : m)), memoized on the variety.
@@ -119,10 +128,11 @@ def _ring_expansion(X):
     return X._ring_expansion
 
 
-def _shift_sum(X, kpoly):
-    """sum_d c_d P_S(t - d) for kpoly = ((d, c_d), ...), from the
-    moments sum_d c_d prod_j (-d_j)^gamma_j."""
-    _, denom, gammas, terms = _ring_expansion(X)
+def shift_numerators(X, kpoly):
+    """D * sum_d c_d P_S(t - d) for kpoly = ((d, c_d), ...) as
+    {beta: nonzero integer coefficient of t^beta}, D the denominator of
+    P_S; from the moments sum_d c_d prod_j (-d_j)^gamma_j."""
+    _, _, gammas, terms = _ring_expansion(X)
     moments = [0] * len(gammas)
     for d, c in kpoly:
         neg = [-x for x in d]
@@ -131,7 +141,14 @@ def _shift_sum(X, kpoly):
     numerators = {}
     for beta, k, a in terms:
         numerators[beta] = numerators.get(beta, 0) + a * moments[k]
-    return MultiPoly(X.r, {beta: Fraction(v, denom) for beta, v in numerators.items()})
+    return {beta: v for beta, v in numerators.items() if v}
+
+
+def _shift_sum(X, kpoly):
+    """sum_d c_d P_S(t - d) as a MultiPoly."""
+    denom = _ring_expansion(X)[1]
+    return MultiPoly(X.r, {beta: Fraction(v, denom)
+                           for beta, v in shift_numerators(X, kpoly).items()})
 
 
 # -- the coarse K-polynomial ------------------------------------------------
@@ -201,6 +218,17 @@ def quotient_hilbert_polynomial(X, I):
     return _shift_sum(X, coarse_k_polynomial(X, I))
 
 
+def _face_prime(X, sigma):
+    """<x_i : i not in sigma>, so that S_sigma = S / _face_prime(X, sigma)."""
+    return MonomialIdeal(
+        X.n, [tuple(int(j == i) for j in range(X.n)) for i in range(X.n) if i not in sigma])
+
+
+def face_k_polynomial(X, sigma):
+    """K(S_sigma; y) = prod_{i not in sigma} (1 - y^{deg x_i})."""
+    return coarse_k_polynomial(X, _face_prime(X, sigma))
+
+
 def face_hilbert_polynomial(X, sigma):
     """P_{S_sigma}(t) for the face ring on the variables in sigma.
 
@@ -210,28 +238,20 @@ def face_hilbert_polynomial(X, sigma):
     sigma = frozenset(sigma)
     poly = X._face_poly_cache.get(sigma)
     if poly is None:
-        prime = [tuple(int(j == i) for j in range(X.n)) for i in range(X.n) if i not in sigma]
-        poly = quotient_hilbert_polynomial(X, MonomialIdeal(X.n, prime))
+        poly = quotient_hilbert_polynomial(X, _face_prime(X, sigma))
         X._face_poly_cache[sigma] = poly
     return poly
 
 
-def shifted_face_polynomial(X, sigma, degree):
-    """P_{S_sigma}(t - degree), computed once per (sigma, degree) on X."""
-    key = (frozenset(sigma), tuple(degree))
-    poly = X._shifted_face_poly_cache.get(key)
-    if poly is None:
-        poly = face_hilbert_polynomial(X, key[0]).shift(key[1])
-        X._shifted_face_poly_cache[key] = poly
-    return poly
-
-
 def hilbert_polynomial_of_pairs(X, pairs):
-    """Sum P_{S_sigma}(t - A u) over the pairs supported on the fan."""
-    total = MultiPoly.zero(X.r)
+    """Sum P_{S_sigma}(t - A u) over the pairs supported on the fan, as
+    one shift sum over the K-polynomials y^{A u} K(S_sigma; y)."""
+    kpoly = []
     for pair in pairs:
         sigma_hat = frozenset(range(X.n)) - pair.face
         if sigma_hat not in X.delta:
             continue
-        total = total + shifted_face_polynomial(X, pair.face, X.degree(pair.shift))
-    return total
+        shift = X.degree(pair.shift)
+        kpoly.extend((tuple(map(add, d, shift)), c)
+                     for d, c in face_k_polynomial(X, pair.face))
+    return _shift_sum(X, kpoly)

@@ -107,12 +107,29 @@ class MonomialIdeal:
             self.n, [monomial_lcm(g, h) for g in self.gens for h in other.gens])
 
     def intersect_irreducible(self, a):
-        """I meet <x_i^{a_i} : a_i > 0>, the irreducible ideal with exponent
-        tuple a: each generator g gives g with g_i raised to a_i, for
-        each i with a_i > 0.  The all-zero tuple is the zero ideal."""
-        return MonomialIdeal(
-            self.n, [g[:i] + (max(g[i], e),) + g[i + 1:]
-                     for g in self.gens for i, e in enumerate(a) if e])
+        """I meet C = <x_i^{a_i} : a_i > 0>, the irreducible ideal with
+        exponent tuple a; the all-zero tuple is the zero ideal.
+
+        A generator g already in C (g_i >= a_i for some i with a_i > 0)
+        stays; any other gives g with g_i raised to a_i, for each such i.
+        No raised monomial h divides a kept generator k: g | h | k with
+        g != k would make g redundant in I.  So the kept generators stay
+        minimal, and only the raised ones are minimalized, among
+        themselves and against the kept ones.
+        """
+        support = [(i, e) for i, e in enumerate(a) if e]
+        kept, raised = [], set()
+        for g in self.gens:
+            if any(g[i] >= e for i, e in support):
+                kept.append(g)
+            else:
+                raised.update(g[:i] + (e,) + g[i + 1:] for i, e in support)
+        fresh = [h for h in minimal_generators(raised)
+                 if not any(divides(k, h) for k in kept)]
+        out = object.__new__(MonomialIdeal)  # minimal and sorted: no re-validation
+        out.n = self.n
+        out.gens = tuple(sorted(kept + fresh))
+        return out
 
     def saturate_monomial(self, m):
         """(I : (x^m)^infinity): zero out all exponents in supp(m)."""

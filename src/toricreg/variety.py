@@ -57,7 +57,8 @@ class UnimodularMap:
 
     def __init__(self, matrix):
         self.matrix = il.as_int_matrix(matrix)
-        self.inverse = il.inverse_unimodular(self.matrix)
+        # the identity is its own inverse: no Smith form
+        self.inverse = self.matrix if self.is_identity() else il.inverse_unimodular(self.matrix)
 
     def is_identity(self):
         return self.matrix == il.identity(len(self.matrix))
@@ -83,9 +84,9 @@ class ToricVariety:
         self._facet_data = facet_data       # [(sigma_hat, Minv rows)] per facet, ints
         self.nef_rays = nef_rays
         self._nef_basis = nef_basis         # (V, V^-1), nef rays the columns of V, or None
+        self._orthant_change = None         # positive_orthant_change(X), built on first use
         self.positive_w = positive_w        # w . a_i > 0 for every i
         self._face_poly_cache = {}          # sigma -> P_{S_sigma}
-        self._shifted_face_poly_cache = {}  # (sigma, degree) -> P_{S_sigma}(t - degree)
         self._fiber_cache = {}              # degree t -> sorted fiber of S
         self._k_poly_cache = {}             # minimal generators -> coarse K(S/I)
         self._ring_expansion = None         # P_S and its integer shift expansion
@@ -253,8 +254,15 @@ def positive_orthant_change(X):
 
     Identity when the positive orthant is already contained in K.
     Built by extending a primitive interior vector of K to a lattice
-    basis and pushing the other basis vectors into K along it.
+    basis and pushing the other basis vectors into K along it; once per
+    variety, then read from X.
     """
+    if X._orthant_change is None:
+        X._orthant_change = _orthant_change(X)
+    return X._orthant_change
+
+
+def _orthant_change(X):
     r = X.r
     basis = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
     if all(X.nef_member(e) for e in basis):

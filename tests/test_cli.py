@@ -241,6 +241,14 @@ def test_misnamed_poly_variable_is_a_parse_error(capsys):
     assert "ParseError" in err
 
 
+@pytest.mark.parametrize("verb", ["gotzmann", "lex"])
+@pytest.mark.parametrize("nvars", ["0", "-1"])
+def test_vars_below_one_is_a_parse_error(capsys, verb, nvars):
+    code, out, err = run(capsys, verb, "--poly", "3*t+1", "--vars", nvars)
+    assert (code, out) == (2, "")
+    assert "ParseError" in err
+
+
 def test_stanley_json_round_trip(capsys):
     code, out, _ = run(capsys, "stanley", "--variety", "P(3)",
                        "--ideal", "x1*x4^2, x2*x4^2, x3*x4^2", "--json")

@@ -9,7 +9,7 @@ import pytest
 from toricreg import enumeration as en
 from toricreg import ideals as mi
 from toricreg import variety as tv
-from toricreg.errors import NoRepresentation
+from toricreg.errors import NoRepresentation, NoSaturatedIdeal, SearchExhausted
 from toricreg.hilbert import (
     face_hilbert_polynomial,
     quotient_hilbert_polynomial,
@@ -17,6 +17,7 @@ from toricreg.hilbert import (
 )
 from toricreg.ideals import b_saturate, is_b_saturated
 from toricreg.multipoly import GradedOrder, MultiPoly, parse_poly
+from toricreg.regularity import reg_bound_from_polynomial
 from toricreg.stanley import pair_component, verify_stanley
 
 P1 = tv.projective_space(1)
@@ -262,19 +263,136 @@ def test_realize_intersects_only_past_shared_prefixes(monkeypatch):
     assert len(calls) == 14324
 
 
-def test_each_face_polynomial_is_shifted_once_per_degree(monkeypatch):
-    # face polynomials are cached one object per face, so (object, degree)
-    # names a (face, degree) key; the objects stay alive in the cache
-    shifted = Counter()
-    original = MultiPoly.shift
+def _multipoly_peel_off(frame, relaxed=False):
+    """The peel-off search on MultiPoly residuals, kept as the oracle of
+    the integer-vector search: the same loop, with each leading term
+    found by the monomial order and each shifted face polynomial from
+    MultiPoly.shift."""
+    if frame.P.is_zero():
+        return
+    X, order, faces = frame.X, frame.order, frame.face_order.faces
+    inits = [face_hilbert_polynomial(X, s).leading_monomial(order) for s in frame.sigmas]
+    shifted = {}
 
-    def counting(self, v):
-        shifted[id(self), tuple(v)] += 1
-        return original(self, v)
+    def face_poly(ti, degree):
+        if (ti, degree) not in shifted:
+            shifted[ti, degree] = face_hilbert_polynomial(X, frame.sigmas[ti]).shift(degree)
+        return shifted[ti, degree]
 
-    monkeypatch.setattr(MultiPoly, "shift", counting)
-    X = tv.projective_space(2)
-    en.run_enumeration(X, parse_poly("4*t+1"))
-    assert shifted
-    assert max(shifted.values()) == 1
-    assert len(shifted) == len(X._shifted_face_poly_cache)
+    if relaxed:
+        steps = [X.variable_degree(ell) for ell in range(X.n)]
+    else:
+        steps = [tuple(int(i == ell) for i in range(X.n)) for ell in range(X.n)]
+    seen = set()
+    stack = [((), frame.P)]
+    while stack:
+        pairs, Q = stack.pop()
+        q_init, q_coeff = Q.leading_term(order)
+        for ti, init in enumerate(inits):
+            if init != q_init:
+                continue
+            if pairs:
+                shifts = sorted({
+                    tuple(a + b for a, b in zip(shift, steps[ell]))
+                    for fj, shift in pairs if fj <= ti for ell in faces[fj]})
+            else:
+                shifts = [(0,) * len(steps[0])]
+            for shift in shifts:
+                new_pair = (ti, shift)
+                if not relaxed and new_pair in pairs:
+                    continue
+                state = pairs + (new_pair,)
+                key = tuple(sorted(state))
+                if key in seen:
+                    continue
+                seen.add(key)
+                residual = Q - face_poly(ti, shift if relaxed else X.degree(shift))
+                if residual.is_zero():
+                    yield state
+                    continue
+                r_init, r_coeff = residual.leading_term(order)
+                if r_coeff <= 0:
+                    continue
+                if (order.key(r_init), r_coeff) >= (order.key(q_init), q_coeff):
+                    raise SearchExhausted("peel-off measure did not drop")
+                stack.append((state, residual))
+
+
+Xc = tv.build_variety(F2.fan)  # canonical grading: a non-identity orthant change
+
+
+@pytest.mark.parametrize("X, P", [
+    (P2, parse_poly("4*t+1")),
+    (P2, parse_poly("2*t+2")),
+    (tv.projective_space(3), parse_poly("3*t+1")),
+    (PP, parse_poly("3*t1+1", nvars=2)),
+    (PP, parse_poly("2*t1+t2+1", nvars=2)),
+    (tv.product_projective(1, 1), parse_poly("t1+t2+1", nvars=2)),
+    (tv.hirzebruch(1), parse_poly("t1+t2+1", nvars=2)),
+    (Xc, quotient_hilbert_polynomial(Xc, mi.MonomialIdeal(4, [(1, 0, 1, 0)]))),
+    (Xc, parse_poly("4", nvars=2)),
+], ids=["P2-4t+1", "P2-2t+2", "P3", "PxP(2,1)-3t1+1", "PxP(2,1)-2t1+t2+1", "PxP(1,1)",
+        "Hirzebruch(1)", "Xc-curve", "Xc-4-points"])
+@pytest.mark.parametrize("relaxed", [False, True], ids=["monomial", "relaxed"])
+def test_integer_search_matches_multipoly_oracle(X, P, relaxed):
+    frame = en._working_frame(X, P, None)
+    got = list(en._peel_off(frame, relaxed=relaxed))
+    assert got
+    assert got == list(_multipoly_peel_off(frame, relaxed=relaxed))
+
+
+@pytest.mark.parametrize("text", ["1/2*t+1", "t^3+1", "0"])
+def test_unrealizable_targets_on_p2(text):
+    # 1/2*t+1 scales to an integral 2*P (D = 2 on P(2)) yet no rep matches;
+    # t^3+1 lies outside every face's leading monomial; 0 has no rep
+    P = parse_poly(text)
+    frame = en._working_frame(P2, P, None)
+    assert list(_multipoly_peel_off(frame)) == []
+    result = en.run_enumeration(P2, P)
+    assert (result.ideals, result.reps, result.gotzmann_number) == ([], [], 0)
+    with pytest.raises(NoSaturatedIdeal):
+        reg_bound_from_polynomial(P2, P)
+
+
+def test_each_face_vector_is_built_once_per_search(monkeypatch):
+    built = Counter()
+    original = en._face_vector
+
+    def counting(frame, ti, degree):
+        built[id(frame), ti, degree] += 1
+        return original(frame, ti, degree)
+
+    def forbidden(self, v):
+        raise AssertionError("MultiPoly.shift ran")
+
+    monkeypatch.setattr(en, "_face_vector", counting)
+    monkeypatch.setattr(MultiPoly, "shift", forbidden)
+    en.run_enumeration(P2, parse_poly("4*t+1"))
+    assert built
+    assert max(built.values()) == 1
+    built.clear()
+    assert en.gotzmann_number(PP, parse_poly("3*t1+1", nvars=2)) == 4
+    assert built
+    assert max(built.values()) == 1
+
+
+@pytest.mark.parametrize("X, text, count", [
+    (P2, "4*t+1", 901),
+    (tv.projective_space(3), "3*t+1", 2873),
+    (PP, "3*t1+1", 1123),
+], ids=["P2", "P3", "PxP(2,1)"])
+def test_exact_check_candidate_count(monkeypatch, X, text, count):
+    # one exact check per distinct candidate ideal; a count that moves
+    # means realize groups the representations differently
+    checked = []
+    original = en.coarse_k_polynomial
+
+    def counting(X, ideal):
+        checked.append(ideal)
+        return original(X, ideal)
+
+    frame = en._working_frame(X, parse_poly(text, nvars=X.r), None)
+    reps = en._stanley_reps(frame)
+    monkeypatch.setattr(en, "coarse_k_polynomial", counting)
+    en._realize(frame, reps)
+    assert len(checked) == len(set(checked)) == count

@@ -4,6 +4,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as gen
 
 from toricreg import ideals as mi
 from toricreg import intlinalg as il
@@ -254,6 +256,31 @@ def test_irredundant_pairwise_matches_intersection_definition():
             supp = rng.sample(range(n), rng.randint(1, n))
             comps.add(tuple(rng.randint(1, 3) if i in supp else 0 for i in range(n)))
         assert mi._irredundant(comps) == _irredundant_by_intersection(comps)
+
+
+@gen.composite
+def ideal_and_component(draw):
+    """A random ideal (zero and unit included) in 1..4 variables and an
+    irreducible exponent tuple (the zero tuple included)."""
+    n = draw(gen.integers(1, 4))
+    exps = gen.tuples(*[gen.integers(0, 3)] * n)
+    kind = draw(gen.sampled_from(("zero", "unit", "random")))
+    if kind == "zero":
+        I = mi.MonomialIdeal.zero(n)
+    elif kind == "unit":
+        I = mi.MonomialIdeal.unit(n)
+    else:
+        I = mi.MonomialIdeal(n, draw(gen.lists(exps, min_size=1, max_size=6)))
+    return I, draw(exps)
+
+
+@given(ideal_and_component())
+def test_intersect_irreducible_matches_intersect(case):
+    I, a = case
+    J = I.intersect_irreducible(a)
+    assert J == I.intersect(component_ideal(a))  # the zero tuple: the zero ideal
+    # canonical: minimal and sorted, as the validating constructor builds it
+    assert mi.MonomialIdeal(I.n, J.gens).gens == J.gens
 
 
 def test_colon_add_exact_sequence_on_hilbert_functions():

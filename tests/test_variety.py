@@ -95,6 +95,24 @@ def test_build_smith_form_count(monkeypatch):
     assert len(calls) == 14
 
 
+def test_enumerate_smith_form_count(monkeypatch, capsys):
+    # the build's 14; the identity orthant change takes no Smith form and
+    # is stored on the variety, so P_S and the frame share it
+    from toricreg.cli import main
+
+    calls = []
+    original = il.smith_normal_form
+
+    def counting(A):
+        calls.append(1)
+        return original(A)
+
+    monkeypatch.setattr(il, "smith_normal_form", counting)
+    assert main(["enumerate", "--variety", "PxP(2,1)", "--poly", "3*t1+1"]) == 0
+    assert capsys.readouterr().out.endswith("count=174 gotzmann=4\n")
+    assert len(calls) == 14
+
+
 def test_is_face():
     assert tv.is_face(P3, {0, 1})
     assert tv.is_face(P3, set())
