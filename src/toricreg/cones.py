@@ -3,7 +3,9 @@
 Only pointed cones at desk scale appear here: the nef cone of a smooth
 projective toric variety and duals of degree cones.  Rays are found by
 intersecting (r-1)-subsets of the defining hyperplanes, which is exact
-and entirely adequate for the handful of inequalities we ever see.
+and entirely adequate for the handful of inequalities we ever see.  The
+line cut out by r-1 independent rows is spanned by their signed maximal
+minors (the generalized cross product), one determinant per entry.
 Matrices are tuples of int rows, as in intlinalg.
 """
 
@@ -23,11 +25,13 @@ def cone_rays(W, dim):
         return ()
     W = dedupe_rows(W)
     rays = set()
+    cols = tuple(range(dim))
     for subset in combinations(W, dim - 1):
-        ker = il.kernel_basis(subset, dim)
-        if len(ker) != 1:
+        cross = tuple((-1) ** j * il.determinant(il.columns(subset, cols[:j] + cols[j + 1:]))
+                      for j in range(dim))
+        if not any(cross):  # the rows are dependent: no line
             continue
-        v = il.primitive(ker[0])
+        v = il.primitive(cross)
         for cand in (v, tuple(-x for x in v)):
             if all(x >= 0 for x in il.matvec(W, cand)):
                 rays.add(cand)

@@ -204,9 +204,14 @@ def _peel_off(frame, relaxed=False):
 def _stanley_reps(frame):
     """The monomial search's representations as tuples of StanleyPairs."""
     pairs = {}  # one StanleyPair object per distinct pair, shared across reps
-    return [tuple(pairs.setdefault(pair, StanleyPair(pair[1], frame.sigmas[pair[0]]))
-                  for pair in rep)
-            for rep in _peel_off(frame)]
+
+    def shared(pair):
+        obj = pairs.get(pair)
+        if obj is None:
+            obj = pairs[pair] = StanleyPair(pair[1], frame.sigmas[pair[0]])
+        return obj
+
+    return [tuple(map(shared, rep)) for rep in _peel_off(frame)]
 
 
 def _realize(frame, reps):

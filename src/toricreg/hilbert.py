@@ -25,7 +25,10 @@ same sum; when sigma^ is not a face the ring is B-torsion and the sum
 is zero.  P_S is the only polynomial interpolated per variety: from
 the integer forward differences of the fiber counts of S at the points
 U.{0..d}^r, for the unimodular U of positive_orthant_change with
-U.N^r inside K, where Demazure vanishing makes those counts exact.
+U.N^r inside K, where Demazure vanishing makes those counts exact.  The
+counts are coefficients of H(S; y) itself, multiplied out to a finite
+truncation (ring_fiber_counts), so no monomial is listed; the Newton
+form of P_S is built in integers scaled by d! and divided once.
 
 The sum is computed in integers: with D the lcm of the denominators
 of P_S, D * P_S(t - d) expands by the binomial theorem into integer
@@ -45,15 +48,65 @@ the same polynomials and stays as an independent check.
 
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm, prod
-from operator import add
+from math import comb, factorial, lcm, prod
+from operator import add, le, mul
 
 from .errors import InterpolationInconsistent, SearchExhausted, UnitIdeal
-from .ideals import MonomialIdeal, fiber_monomials, minimal_generators
-from .multipoly import MultiPoly, binomial_in_t
+from .ideals import MonomialIdeal, minimal_generators
+from .multipoly import MultiPoly
 from .variety import positive_orthant_change
 
 from . import intlinalg as il
+
+
+def ring_fiber_counts(X, degrees):
+    """{t: number of monomials of S in degree t} for the given degrees.
+
+    The counts are coefficients of the Hilbert series
+    H(S; y) = prod_i 1 / (1 - y^{deg x_i}); no monomial is listed.  Split
+    the variables at sigma^, the complement of the first maximal cone,
+    as fiber_monomials does: its degrees are the columns of a unimodular
+    M, so in the coordinates v = M^-1 t the factor over sigma^ has
+    coefficient 1 at every v >= 0 and 0 elsewhere, and
+    |fiber(t)| = sum of the coefficients of the factor F over the other
+    d variables at the v <= M^-1 t.  F is multiplied out one factor at a
+    time, truncated at w.t <= top, the largest w.t over the degrees, for
+    the w = X.positive_w with w . a_i > 0.  Every partial sum of the
+    exponents of a monomial of degree t has w-value in [0, w.t], so the
+    truncation loses no term the counts need, in K or not.
+    """
+    w = X.positive_w
+    hat, minv = X._facet_data[0]
+    degrees = [tuple(t) for t in degrees]
+    top = max((sum(map(mul, w, t)) for t in degrees), default=-1)
+    zero = (0,) * X.r
+    series = {zero: 1}
+    levels = [[] for _ in range(top + 1)]  # the v in series by w-value
+    if top >= 0:
+        levels[0].append(zero)
+    for i in range(X.n):
+        if i in hat:
+            continue
+        a = X.variable_degree(i)
+        step = sum(map(mul, w, a))
+        a = il.matvec(minv, a)
+        # series times 1 / (1 - y^a), in increasing w-value, so that
+        # series[v] is final before it is pushed on to v + a
+        for level in range(top + 1 - step):
+            for v in levels[level]:
+                s = tuple(map(add, v, a))
+                if s not in series:
+                    series[s] = 0
+                    levels[level + step].append(s)
+                series[s] += series[v]
+    # t - s = M (q - v) with q - v >= 0 has w-value >= 0, so only the
+    # levels up to w.t can hold a v <= q
+    counts = {}
+    for t in degrees:
+        q = il.matvec(minv, t)
+        below = levels[:max(sum(map(mul, w, t)) + 1, 0)]
+        counts[t] = sum(series[v] for level in below for v in level if all(map(le, v, q)))
+    return counts
 
 
 def _interpolate_ring(X):
@@ -61,47 +114,70 @@ def _interpolate_ring(X):
 
     U = positive_orthant_change(X) is unimodular with U N^r inside K,
     where H_S = P_S, so f(lam) = |fiber(U lam)| is Q(lam) = P_S(U lam),
-    a polynomial of total degree d.  Its integer forward differences
-    a_j = Delta^j f(0) vanish for |j| > d (checked), Newton's formula
-    gives Q = sum_j a_j prod_k binom(lam_k, j_k), and P_S(t) = Q(U^-1 t).
-    Checked at r + 1 more points of U N^r.
+    a polynomial of total degree d.  Every count comes from one
+    truncated Hilbert series (ring_fiber_counts).  The integer forward
+    differences a_j = Delta^j f(0) vanish for |j| > d (checked), and
+    Newton's formula gives Q = sum_j a_j prod_k binom(lam_k, j_k).  So
+    d! P_S(t) = sum_j a_j (d! / prod_k j_k!) prod_k (l_k)_{j_k}, with
+    l_k = (U^-1 t)_k and (l)_q = l (l - 1) ... (l - q + 1), is a
+    polynomial with integer coefficients (d! / prod_k j_k! is an integer
+    for |j| <= d), computed in integers.  Checked at r + 1 more points
+    of U N^r.
     """
     d, r = X.d, X.r
     change = positive_orthant_change(X)
-
-    def count(lam):
-        return len(fiber_monomials(X, il.matvec(change.matrix, lam)))
-
     grid = list(product(range(d + 1), repeat=r))
-    diffs = {lam: count(lam) for lam in grid}
+    checks = [(d + 1,) * r] + [tuple(d + 2 if j == k else 0 for j in range(r))
+                               for k in range(r)]
+    points = {lam: il.matvec(change.matrix, lam) for lam in grid + checks}
+    counts = ring_fiber_counts(X, points.values())
+
+    diffs = {lam: counts[points[lam]] for lam in grid}
     for k in range(r):
         for step in range(d):
             # in reverse lex order lam - e_k still holds the previous step
             for lam in reversed(grid):
                 if lam[k] > step:
                     diffs[lam] -= diffs[lam[:k] + (lam[k] - 1,) + lam[k + 1:]]
-    binomials = [[binomial_in_t(r, k, 0, q) for q in range(d + 1)] for k in range(r)]
-    poly = MultiPoly.zero(r)
+
+    zero = (0,) * r
+    falling = []  # falling[k][q] = (l_k)_q as {exponent: integer}
+    for row in change.inverse:
+        form = {tuple(int(i == j) for i in range(r)): c for j, c in enumerate(row) if c}
+        powers = [{zero: 1}]
+        for q in range(d):
+            powers.append(_int_product(powers[-1], {**form, zero: -q} if q else form))
+        falling.append(powers)
+    scaled = {}  # d! P_S
     for j, a in diffs.items():
         if not a:
             continue
         if sum(j) > d:
             raise InterpolationInconsistent(
                 f"fiber counts of S are not polynomial on K: difference {j} is {a}")
-        term = MultiPoly.constant(r, a)
+        term = {zero: a * factorial(d) // prod(map(factorial, j))}
         for k, jk in enumerate(j):
             if jk:
-                term = term * binomials[k][jk]
-        poly = poly + term
-    poly = poly.compose_linear(change.inverse)
+                term = _int_product(term, falling[k][jk])
+        for e, c in term.items():
+            scaled[e] = scaled.get(e, 0) + c
+    poly = MultiPoly(r, {e: Fraction(c, factorial(d)) for e, c in scaled.items()})
 
-    checks = [(d + 1,) * r] + [tuple(d + 2 if j == k else 0 for j in range(r))
-                               for k in range(r)]
     for lam in checks:
-        t = il.matvec(change.matrix, lam)
-        if poly.evaluate(t) != count(lam):
+        t = points[lam]
+        if poly.evaluate(t) != counts[t]:
             raise InterpolationInconsistent(f"P_S disagrees with the fiber count at {t}")
     return poly
+
+
+def _int_product(f, g):
+    """The product of two polynomials given as {exponent: integer}."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
 
 
 def ring_hilbert_polynomial(X):

@@ -2,10 +2,16 @@
 
 A matrix is a tuple of rows, each a tuple of Python ints, so nothing
 ever overflows or rounds.  A matrix with no rows carries no column
-count; the functions that need one take it as an argument.  The Smith
-form routine does not enforce the divisibility chain on the diagonal;
-for kernels, ranks, inverses and unimodular completions only which
-diagonal entries are zero or +-1 matters.
+count; the functions that need one take it as an argument.
+
+Rank, determinant and unimodular inverse come from fraction-free
+(Bareiss) elimination, which needs no change of basis.  The Smith form
+is kept for what needs the unimodular factors themselves: a lattice
+basis of an integer kernel (kernel_basis, behind the canonical grading
+of a fan) and the completion of a primitive vector to a unimodular
+matrix (unimodular_with_first_column).  It does not enforce the
+divisibility chain on the diagonal; for those two only which diagonal
+entries are zero or +-1 matters.
 """
 
 from math import gcd
@@ -131,11 +137,50 @@ def smith_normal_form(A):
     return S, D, T, Sinv, Tinv
 
 
+def _bareiss(rows, ncols, reduce_above=False):
+    """Fraction-free elimination (Bareiss 1968) on the first ncols columns.
+
+    Each step takes the first row at or below the next pivot row with a
+    nonzero entry in the column, skips the column when there is none,
+    and replaces every other row below the pivot (every row other than
+    the pivot row with reduce_above, Gauss-Jordan style) by
+    (p * row - row[c] * pivot row) / previous pivot; Sylvester's identity
+    makes each division exact.  Returns (rows, pivot columns, sign of the
+    row permutation).  For a square A of full rank the last pivot is
+    sign * det A, and with reduce_above every diagonal entry equals it.
+    """
+    M = list(rows)
+    m = len(M)
+    pivots = []
+    sign = 1
+    prev = 1
+    for c in range(ncols):
+        k = len(pivots)
+        if k == m:
+            break
+        for swap in range(k, m):
+            if M[swap][c]:
+                break
+        else:
+            continue
+        if swap != k:
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        pivot_row = M[k]
+        p = pivot_row[c]
+        for i in range(0 if reduce_above else k + 1, m):
+            if i != k:
+                f = M[i][c]
+                M[i] = [(p * a - f * b) // prev for a, b in zip(M[i], pivot_row)]
+        prev = p
+        pivots.append(c)
+    return M, pivots, sign
+
+
 def rank(A):
     if not A:
         return 0
-    _, D, _, _, _ = smith_normal_form(A)
-    return sum(1 for k in range(min(_shape(D))) if D[k][k] != 0)
+    return len(_bareiss(A, len(A[0]))[1])
 
 
 def kernel_basis(A, n):
@@ -203,38 +248,25 @@ def determinant(A):
     m = _check_square(A, "determinant")
     if m == 0:
         return 1
-    M = [list(row) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(m - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, m) if M[i][k] != 0), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[m - 1][m - 1]
+    M, pivots, sign = _bareiss(A, m)
+    return sign * M[m - 1][m - 1] if len(pivots) == m else 0
 
 
 def inverse_unimodular(A):
     """Integer inverse of a matrix with determinant +-1.
 
-    The Smith form of a unimodular A is D = I, so A = S T and the
-    inverse is Tinv Sinv.
+    Gauss-Jordan Bareiss elimination on [A | I] ends at [p I | p A^-1]
+    with p = +-det A, so for p = +-1 the right block times p is A^-1.
     """
     m = _check_square(A, "inverse")
-    _, D, _, Sinv, Tinv = smith_normal_form(A)
-    diag = [D[k][k] for k in range(m)]
-    if 0 in diag:
+    augmented = [tuple(row) + e for row, e in zip(A, identity(m))]
+    M, pivots, _ = _bareiss(augmented, m, reduce_above=True)
+    if len(pivots) < m:
         raise ValueError("matrix is singular")
-    if any(x != 1 for x in diag):
+    p = M[m - 1][m - 1] if m else 1
+    if p not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    inv = matmul(Tinv, Sinv)
+    inv = tuple(tuple(p * x for x in row[m:]) for row in M)
     if matmul(A, inv) != identity(m):
         raise ArithmeticError("computed inverse does not invert the matrix")
     return inv

@@ -149,15 +149,16 @@ def build_variety(fan, grading=None, assume_complete=False):
     if il.rank(fan.rays) != d:
         raise RaysNotSpanning("rays do not span R^d")
 
+    dets = {}
     for cone in fan.max_cones:
         if len(cone) != d:
             raise NotSmooth(f"maximal cone {_show_face(cone)} does not have dimension {d}")
-        det = il.determinant(tuple(fan.rays[i] for i in sorted(cone)))
+        det = dets[cone] = il.determinant(tuple(fan.rays[i] for i in sorted(cone)))
         if det not in (1, -1):
             raise NotSmooth(f"cone {_show_face(cone)} has determinant {det}")
 
     if not assume_complete:
-        _check_complete(fan)
+        _check_complete(fan, dets)
 
     canonical = il.row_hermite_normal_form(il.kernel_basis(il.transpose(fan.rays), n))
     r = n - d
@@ -213,22 +214,26 @@ def build_variety(fan, grading=None, assume_complete=False):
     return ToricVariety(fan, A, delta, facet_data, nef_rays, nef_basis, w)
 
 
-def _check_complete(fan):
+def _check_complete(fan, dets):
     """Facet pairing: every ridge lies in exactly two maximal cones whose
     opposite rays sit strictly on opposite sides of the ridge span.  The
-    side of the opposite ray b is the sign of det(R, b) for the ridge R:
-    nu.b for a normal nu of R differs from it by one nonzero factor."""
-    ridge_map = {}
+    side of the opposite ray b is the sign of det(R, b) for the ridge R
+    in sorted order: nu.b for a normal nu of R differs from it by one
+    nonzero factor.  Moving b from its place in the sorted cone to the
+    end passes the k rays after it, so det(R, b) = (-1)^k det(cone), with
+    dets the determinants of the sorted cones."""
+    sides = {}
     for cone in fan.max_cones:
-        for ridge in combinations(sorted(cone), fan.d - 1):
-            ridge_map.setdefault(ridge, []).append(cone)
-    for ridge, facets in ridge_map.items():
-        if len(facets) != 2:
+        ordered = sorted(cone)
+        for pos in reversed(range(len(ordered))):  # ridges in lexicographic order
+            ridge = tuple(ordered[:pos] + ordered[pos + 1:])
+            k = len(ordered) - 1 - pos
+            sides.setdefault(ridge, []).append((-1) ** k * dets[cone])
+    for ridge, signs in sides.items():
+        if len(signs) != 2:
             raise NotComplete(
-                f"ridge {_show_face(set(ridge))} lies in {len(facets)} maximal cones")
-        sides = [il.determinant([fan.rays[i] for i in ridge + tuple(cone - set(ridge))])
-                 for cone in facets]
-        if sides[0] * sides[1] >= 0:
+                f"ridge {_show_face(set(ridge))} lies in {len(signs)} maximal cones")
+        if signs[0] * signs[1] >= 0:
             raise NotComplete(
                 f"cones across ridge {_show_face(set(ridge))} do not point both ways")
 
@@ -367,21 +372,26 @@ def hirzebruch(ell):
 
 
 _NAME = re.compile(r"^(P|PxP|Hirzebruch)\(([-\d,\s]+)\)$")
+# constructor, number of arguments and least argument of each named family
+_NAMED = {
+    "P": (projective_space, 1, 1),
+    "PxP": (product_projective, 2, 1),
+    "Hirzebruch": (hirzebruch, 1, 0),
+}
 
 
 def variety_from_name(name):
     m = _NAME.match(name.strip())
     if not m:
         raise ParseError(f"unknown variety name {name!r}")
-    args = [int(x) for x in m.group(2).split(",")]
-    kind = m.group(1)
-    if kind == "P" and len(args) == 1:
-        return projective_space(args[0])
-    if kind == "PxP" and len(args) == 2:
-        return product_projective(args[0], args[1])
-    if kind == "Hirzebruch" and len(args) == 1:
-        return hirzebruch(args[0])
-    raise ParseError(f"bad arguments in variety name {name!r}")
+    build, arity, least = _NAMED[m.group(1)]
+    try:
+        args = [int(x) for x in m.group(2).split(",")]
+    except ValueError:  # an empty or signless argument, or one with a space
+        raise ParseError(f"bad arguments in variety name {name!r}") from None
+    if len(args) != arity or min(args) < least:
+        raise ParseError(f"bad arguments in variety name {name!r}")
+    return build(*args)
 
 
 def variety_from_dict(data, assume_complete=False):

@@ -231,6 +231,16 @@ def test_parse_error_exit_code(capsys):
     assert "ParseError" in err
 
 
+@pytest.mark.parametrize("name", ["P(0)", "PxP(0,1)", "Hirzebruch(-1)",
+                                  "P(-)", "PxP(1,)", "P(1 2)"])
+def test_malformed_variety_name_is_a_parse_error(capsys, name):
+    # arguments out of range and arguments that are not integers both
+    # exit 2 with a ParseError rather than escaping main as ValueError
+    code, out, err = run(capsys, "variety", "--variety", name)
+    assert (code, out) == (2, "")
+    assert "ParseError" in err
+
+
 def test_misnamed_poly_variable_is_a_parse_error(capsys):
     for poly in ("t0+1", "3*t+1"):
         code, out, err = run(capsys, "regularity", "--variety", "PxP(2,1)", "--poly", poly)

@@ -396,3 +396,21 @@ def test_exact_check_candidate_count(monkeypatch, X, text, count):
     monkeypatch.setattr(en, "coarse_k_polynomial", counting)
     en._realize(frame, reps)
     assert len(checked) == len(set(checked)) == count
+
+
+def test_one_stanley_pair_per_distinct_pair(monkeypatch):
+    # the search's representations share one StanleyPair object per
+    # distinct (face, shift): no object is built and thrown away
+    built = []
+    original = en.StanleyPair
+
+    def counting(shift, face):
+        built.append((shift, face))
+        return original(shift, face)
+
+    frame = en._working_frame(P2, parse_poly("4*t+1"), None)
+    monkeypatch.setattr(en, "StanleyPair", counting)
+    reps = en._stanley_reps(frame)
+    distinct = {pair for rep in reps for pair in rep}
+    assert len(built) == len(set(built)) == len(distinct)
+    assert len({id(pair) for rep in reps for pair in rep}) == len(distinct)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as gen
 
+from toricreg import cones
 from toricreg import hilbert as hb
+from toricreg import intlinalg as il
 from toricreg import ideals as mi
 from toricreg import variety as tv
 from toricreg.errors import (
@@ -124,13 +126,14 @@ def test_interpolation_agrees_with_fibers_deep():
 def test_interpolation_rejects_a_wrong_fiber_count(monkeypatch, X, lam, message):
     U = tv.positive_orthant_change(X).matrix
     point = tuple(sum(a * b for a, b in zip(row, lam)) for row in U)
-    fiber_monomials = hb.fiber_monomials
+    ring_fiber_counts = hb.ring_fiber_counts
 
-    def one_too_many(X, t):
-        fiber = fiber_monomials(X, t)
-        return fiber + [None] if tuple(t) == point else fiber
+    def one_too_many(X, degrees):
+        counts = ring_fiber_counts(X, degrees)
+        counts[point] += 1
+        return counts
 
-    monkeypatch.setattr(hb, "fiber_monomials", one_too_many)
+    monkeypatch.setattr(hb, "ring_fiber_counts", one_too_many)
     with pytest.raises(InterpolationInconsistent, match=message):
         hb.ring_hilbert_polynomial(X)
 
@@ -288,6 +291,60 @@ KERNEL_VARIETIES = [P2, P3, PP, tv.product_projective(1, 1), tv.hirzebruch(1), F
 # rank four, with five nef rays
 HEXAGON = tv.build_variety(tv.Fan([[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
                                   [(i, (i + 1) % 6) for i in range(6)]))
+
+
+# P(1..3), PxP(2,1), PxP(1,1), Hirzebruch(1), Hirzebruch(2) with its
+# canonical grading, the two-point blowup (r = 3) and the hexagon (r = 4)
+COUNTING_VARIETIES = [P1, P2, P3, PP, tv.product_projective(1, 1), tv.hirzebruch(1),
+                      tv.build_variety(F2.fan), TWO_POINT_BLOWUP, HEXAGON]
+
+
+def test_series_counts_match_fiber_enumeration():
+    # the truncated Hilbert series against the listed fibers, on a box
+    # around the origin that holds degrees inside K, outside K and
+    # outside the degree cone (negative w-value)
+    for X in COUNTING_VARIETIES:
+        radius = {1: 6, 2: 4, 3: 3, 4: 2}[X.r]
+        box = list(product(range(-2, radius + 1), repeat=X.r))
+        counts = hb.ring_fiber_counts(X, box)
+        assert set(counts) == set(box)
+        for t in box:
+            assert counts[t] == len(mi.fiber_monomials(X, t)), (X, t)
+            assert hb.ring_fiber_counts(X, [t]) == {t: counts[t]}
+        assert any(counts.values()) and not all(counts.values())
+
+
+def _cone_rays_by_kernel(W, dim):
+    """cone_rays through the Smith-form kernel of each (dim-1)-subset of
+    the rows, in place of their signed maximal minors."""
+    W = cones.dedupe_rows(W)
+    rays = set()
+    for subset in combinations(W, dim - 1):
+        ker = il.kernel_basis(subset, dim)
+        if len(ker) == 1:
+            v = il.primitive(ker[0])
+            rays.update(c for c in (v, tuple(-x for x in v))
+                        if all(x >= 0 for x in il.matvec(W, c)))
+    return tuple(sorted(rays))
+
+
+def test_cone_rays_match_kernel_oracle():
+    # the nef cone {x : M_sigma^^-1 x >= 0 for every facet} and the dual
+    # {w : w . a_i >= 0} of the degree cone, on every variety above
+    for X in COUNTING_VARIETIES + [F2]:
+        W = tuple(row for _, minv in X._facet_data for row in minv)
+        assert cones.cone_rays(W, X.r) == _cone_rays_by_kernel(W, X.r) == X.nef_rays
+        A = il.transpose(X.grading)
+        assert cones.cone_rays(A, X.r) == _cone_rays_by_kernel(A, X.r)
+    # a subset of dependent rows spans no line
+    W = ((1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert cones.cone_rays(W, 3) == _cone_rays_by_kernel(W, 3)
+
+
+def test_interpolation_fills_no_fiber_cache():
+    X = tv.product_projective(2, 1)
+    hb.ring_hilbert_polynomial(X)
+    assert X._fiber_cache == {}
 
 
 def _stanley_path(X, I):

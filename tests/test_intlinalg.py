@@ -8,6 +8,8 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as gen
 
 from toricreg import intlinalg as il
 
@@ -157,6 +159,72 @@ def test_inverse_unimodular_from_smith_form():
                 il.inverse_unimodular(A)
     with pytest.raises(ValueError, match="non-square"):
         il.inverse_unimodular(il.as_int_matrix([[1, 0, 0], [0, 1, 0]]))
+
+
+def _smith_rank(A):
+    D = il.smith_normal_form(A)[1]
+    return sum(1 for k in range(min(len(D), len(D[0]))) if D[k][k] != 0)
+
+
+def _smith_inverse(A):
+    """The Smith-form inverse: A = S D T with D = I exactly when A is
+    unimodular, and then A^-1 = Tinv Sinv."""
+    _, D, _, Sinv, Tinv = il.smith_normal_form(A)
+    diag = [D[k][k] for k in range(len(A))]
+    if 0 in diag:
+        raise ValueError("matrix is singular")
+    if any(x != 1 for x in diag):
+        raise ValueError("matrix is not unimodular")
+    return il.matmul(Tinv, Sinv)
+
+
+def _outcome(f, A):
+    try:
+        return f(A)
+    except ValueError as exc:
+        return str(exc)
+
+
+@gen.composite
+def _matrices(draw):
+    m, n = draw(gen.integers(1, 4)), draw(gen.integers(1, 4))
+    return tuple(tuple(draw(gen.integers(-6, 6)) for _ in range(n)) for _ in range(m))
+
+
+@gen.composite
+def _scaled_unimodular(draw):
+    """U diag(k, 1, ..., 1) V for products U, V of elementary operations:
+    determinant +-k, so singular for k = 0 and unimodular for k = +-1."""
+    n = draw(gen.integers(1, 4))
+
+    def elementary_product():
+        M = [list(row) for row in il.identity(n)]
+        for _ in range(draw(gen.integers(0, 6))):
+            i, j = draw(gen.integers(0, n - 1)), draw(gen.integers(0, n - 1))
+            if i == j:
+                M[i] = [-x for x in M[i]]
+            else:
+                q = draw(gen.integers(-3, 3))
+                M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+        return il.as_int_matrix(M)
+
+    k = draw(gen.integers(-3, 3))
+    D = tuple(tuple(k if i == j == 0 else int(i == j) for j in range(n)) for i in range(n))
+    return il.matmul(il.matmul(elementary_product(), D), elementary_product())
+
+
+@given(_matrices())
+def test_rank_matches_smith_oracle(A):
+    assert il.rank(A) == _smith_rank(A)
+    assert il.rank(il.transpose(A)) == il.rank(A)
+
+
+@given(gen.one_of(_scaled_unimodular(), _matrices().filter(lambda A: len(A) == len(A[0]))))
+def test_inverse_unimodular_matches_smith_oracle(A):
+    # same inverse, or the same "singular" / "not unimodular" error
+    outcome = _outcome(il.inverse_unimodular, A)
+    assert outcome == _outcome(_smith_inverse, A)
+    assert isinstance(outcome, tuple) == (il.determinant(A) in (1, -1))
 
 
 def test_as_int_matrix_rejects_ragged_rows_and_non_integers():
