@@ -10,9 +10,11 @@ termination proof, checked at runtime.  Realize turns representations
 into ideals and keeps those passing the exact Hilbert-polynomial check,
 since candidates are over-generated (every admissible anchor is tried).
 The search yields representations depth first, so realize builds each
-ideal incrementally along one path of prefix intersections.  The Gotzmann
-number needs only the search; only run_enumeration also chooses witness
-filtrations.
+ideal incrementally along one path of prefix intersections.  It skips
+the representations under a prefix by a proved test, not a heuristic:
+the prefix's ideal already overshoots P, and a rep's ideal lies inside
+it (see _realize).  The Gotzmann number needs only the search; only
+run_enumeration also chooses witness filtrations.
 
 The search and the check run on integers.  A residual
 Q = P - sum P_{S_sigma}(t - delta) has total degree at most
@@ -162,6 +164,7 @@ def _peel_off(frame, relaxed=False):
     else:
         steps = [tuple(int(i == ell) for i in range(X.n)) for ell in range(X.n)]
     vectors = {}
+    degrees = {}
     seen = set()
     target = tuple(int(frame.P.terms.get(e, 0) * frame.scale) for e in frame.basis)
     stack = [((), target, *_leading(target))]
@@ -185,7 +188,12 @@ def _peel_off(frame, relaxed=False):
                 if key in seen:
                     continue
                 seen.add(key)
-                degree = shift if relaxed else X.degree(shift)
+                if relaxed:
+                    degree = shift
+                else:
+                    degree = degrees.get(shift)
+                    if degree is None:
+                        degree = degrees[shift] = X.degree(shift)
                 face = vectors.get((ti, degree))
                 if face is None:
                     face = vectors[ti, degree] = _face_vector(frame, ti, degree)
@@ -217,6 +225,7 @@ def _stanley_reps(frame):
 def _realize(frame, reps):
     """Group the representations by ideal; keep the ideals whose quotient
     has Hilbert polynomial frame.P, each with its representations.
+    Returns (those ideals, prefix tests run, representations skipped).
 
     The exact check compares integers.  D * P_{S/I} is the sum of the
     integer numerators of the moment kernel over the coarse K-polynomial
@@ -229,27 +238,85 @@ def _realize(frame, reps):
     components.  The reps come in depth-first order, so consecutive reps
     share long prefixes: path holds (pair, intersection up to that pair,
     from the unit ideal) for the previous rep, and each rep intersects
-    only past the longest prefix it shares with it."""
-    denom = _ring_expansion(frame.X)[1]
+    only past the longest prefix it shares with it.  The search shares
+    one StanleyPair per distinct pair, so prefixes match by identity.
+
+    Reps under a prefix whose ideal already overshoots P are skipped.
+    Let I be a rep's ideal and J the ideal of one of its prefixes.  Then
+    I is inside J, so H_{S/J} <= H_{S/I} at every degree, and
+    P_{S/I} - P_{S/J} >= 0 deep in K.  In the working frame N^r lies in
+    K.  Take positive integer weights w that rank the finitely many
+    monomials of total degree <= max(d, deg P) as frame.order does;
+    along the curve t(s) = (s^{w_1}, ..., s^{w_r}) in N^r the leading
+    term of any polynomial on those monomials dominates.  So if
+    D * P - D * P_{S/J} has a negative leading coefficient ("excess"),
+    then P - P_{S/I} <= P - P_{S/J} is negative far along that curve,
+    and no rep under the prefix has an ideal with polynomial P.  The
+    integer numerators decide that sign exactly.  Conversely, if some
+    leaf ideal I under the prefix passes, or fails with a deficit (a
+    positive leading coefficient), then
+    P - P_{S/J} = (P - P_{S/I}) + (P_{S/I} - P_{S/J}) is eventually
+    positive or zero, so the prefix cannot fail, and neither can any
+    shorter prefix.  Hence the trigger: a prefix is tested only when a
+    later rep reaches it, and only while every leaf checked below it
+    failed with excess.  The deepest shared prefix is tested; a pass
+    clears every shorter one too.  Prefixes known to pass form an
+    initial segment of path (cleared entries), and a failed one is the
+    last entry of path (dead), since every later rep under it is
+    skipped.  Prefix tests and leaf checks share one verdict per
+    distinct ideal, so each K-polynomial is computed once; every leaf
+    that is not skipped still gets the exact check."""
+    X = frame.X
+    denom = _ring_expansion(X)[1]
     target = {e: c * denom for e, c in frame.P.terms.items()}
     if any(c.denominator != 1 for c in target.values()):
-        return {}
-    unit = MonomialIdeal.unit(frame.X.n)
+        return {}, 0, 0
+    target = [int(target.get(e, 0)) for e in frame.basis]
+    verdicts = {}  # ideal -> sign of the leading coefficient of D * (P - P_{S/I})
+
+    def verdict(ideal):
+        sign = verdicts.get(ideal)
+        if sign is None:
+            numerators = shift_numerators(X, coarse_k_polynomial(X, ideal))
+            sign = next((1 if t > c else -1 for t, c in
+                         zip(target, (numerators.get(e, 0) for e in frame.basis))
+                         if t != c), 0)
+            verdicts[ideal] = sign
+        return sign
+
+    unit = MonomialIdeal.unit(X.n)
     grouped = {}
     path = []
+    cleared = 0    # path[:cleared] are prefixes that cannot fail
+    dead = False   # path[-1] is a prefix that failed its test
+    tests = skipped = 0
     for rep in reps:
         k = 0
-        while k < len(path) and k < len(rep) and path[k][0] == rep[k]:
+        while k < len(path) and k < len(rep) and path[k][0] is rep[k]:
             k += 1
+        if dead and k == len(path):
+            skipped += 1
+            continue
         del path[k:]
+        dead = False
+        cleared = min(cleared, k)
+        if cleared < k:
+            tests += 1
+            if verdict(path[-1][1]) < 0:
+                dead = True
+                skipped += 1
+                continue
+            cleared = k
         for pair in rep[k:]:
             ideal = path[-1][1] if path else unit
             path.append((pair, ideal.intersect_irreducible(pair_component(pair))))
-        grouped.setdefault(path[-1][1], []).append(rep)
-    return {
-        ideal: cands for ideal, cands in grouped.items()
-        if shift_numerators(frame.X, coarse_k_polynomial(frame.X, ideal)) == target
-    }
+        ideal = path[-1][1]
+        sign = verdict(ideal)
+        if sign >= 0:
+            cleared = len(path)
+        if sign == 0:
+            grouped.setdefault(ideal, []).append(rep)
+    return grouped, tests, skipped
 
 
 @dataclass
@@ -258,13 +325,15 @@ class EnumerationResult:
     reps: list              # complete representations, one per pair set
     gotzmann_number: int    # max pairs over reps (0 when none)
     gotzmann_realized: int  # max pairs over reps whose ideal survived
+    prefix_tests: int       # realize: prefixes tested for excess over P
+    skipped_reps: int       # realize: reps under a prefix that failed, never intersected
 
 
 def run_enumeration(X, P, order=None):
     """Steps 1-5 of the peel-off search; see enumerate_saturated_ideals."""
     frame = _working_frame(X, P, order)
     reps = _stanley_reps(frame)
-    by_ideal = _realize(frame, reps)
+    by_ideal, prefix_tests, skipped_reps = _realize(frame, reps)
 
     # Witnesses: a constructed representation is only guaranteed to be a
     # full Stanley filtration when every one of its pairs is supported on
@@ -288,6 +357,8 @@ def run_enumeration(X, P, order=None):
         reps=reps,
         gotzmann_number=max(map(len, reps), default=0),
         gotzmann_realized=max(map(len, chain.from_iterable(by_ideal.values())), default=0),
+        prefix_tests=prefix_tests,
+        skipped_reps=skipped_reps,
     )
 
 

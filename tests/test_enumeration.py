@@ -24,6 +24,7 @@ P1 = tv.projective_space(1)
 P2 = tv.projective_space(2)
 PP = tv.product_projective(2, 1)
 F2 = tv.hirzebruch(2)
+Xc = tv.build_variety(F2.fan)  # canonical grading: a non-identity orthant change
 
 
 def component_ideal(a):
@@ -240,10 +241,64 @@ def test_incremental_realize_matches_per_rep_intersection(X, text):
         grouped.setdefault(ideal, []).append(rep)
     expected = {ideal: cands for ideal, cands in grouped.items()
                 if quotient_hilbert_polynomial(frame.X, ideal) == frame.P}
-    got = en._realize(frame, reps)
+    got, _, _ = en._realize(frame, reps)
     assert expected
     assert list(got) == list(expected)
     assert got == expected
+
+
+def _unpruned_realize(frame, reps):
+    """Realize without prefix tests, kept as the oracle of the pruned
+    stage: every rep is intersected along the shared-prefix path, and
+    every distinct ideal gets the exact check."""
+    denom = en._ring_expansion(frame.X)[1]
+    target = {e: c * denom for e, c in frame.P.terms.items()}
+    if any(c.denominator != 1 for c in target.values()):
+        return {}
+    unit = mi.MonomialIdeal.unit(frame.X.n)
+    grouped = {}
+    path = []
+    for rep in reps:
+        k = 0
+        while k < len(path) and k < len(rep) and path[k][0] == rep[k]:
+            k += 1
+        del path[k:]
+        for pair in rep[k:]:
+            ideal = path[-1][1] if path else unit
+            path.append((pair, ideal.intersect_irreducible(pair_component(pair))))
+        grouped.setdefault(path[-1][1], []).append(rep)
+    return {
+        ideal: cands for ideal, cands in grouped.items()
+        if en.shift_numerators(frame.X, en.coarse_k_polynomial(frame.X, ideal)) == target
+    }
+
+
+@pytest.mark.parametrize("X, P", [
+    (P2, parse_poly("3*t+1")),
+    (P2, parse_poly("4*t+1")),
+    (tv.projective_space(3), parse_poly("3*t+1")),
+    (PP, parse_poly("3*t1+1", nvars=2)),
+    (tv.product_projective(1, 1), parse_poly("t1+t2+1", nvars=2)),
+    (tv.hirzebruch(1), parse_poly("t1+t2+1", nvars=2)),
+    (Xc, quotient_hilbert_polynomial(Xc, mi.MonomialIdeal(4, [(1, 0, 1, 0)]))),
+    (P2, parse_poly("1/2*t+1")),
+    (P2, parse_poly("t^3+1")),
+], ids=["P2-3t+1", "P2-4t+1", "P3", "PxP(2,1)", "PxP(1,1)", "Hirzebruch(1)", "Xc-curve",
+        "P2-1/2t+1", "P2-t^3+1"])
+def test_pruned_realize_matches_unpruned_oracle(X, P):
+    # skipping reps under a failed prefix keeps every surviving ideal
+    # with all its reps, in the same order
+    frame = en._working_frame(X, P, None)
+    reps = en._stanley_reps(frame)
+    expected = _unpruned_realize(frame, reps)
+    got, _, skipped = en._realize(frame, reps)
+    assert list(got) == list(expected)
+    assert got == expected
+    assert skipped <= len(reps) - sum(map(len, got.values()))
+    result = en.run_enumeration(X, P)
+    assert result.skipped_reps == skipped
+    assert result.gotzmann_realized == max(
+        map(len, (rep for cands in expected.values() for rep in cands)), default=0)
 
 
 def test_realize_intersects_only_past_shared_prefixes(monkeypatch):
@@ -318,9 +373,6 @@ def _multipoly_peel_off(frame, relaxed=False):
                 stack.append((state, residual))
 
 
-Xc = tv.build_variety(F2.fan)  # canonical grading: a non-identity orthant change
-
-
 @pytest.mark.parametrize("X, P", [
     (P2, parse_poly("4*t+1")),
     (P2, parse_poly("2*t+2")),
@@ -376,14 +428,33 @@ def test_each_face_vector_is_built_once_per_search(monkeypatch):
     assert max(built.values()) == 1
 
 
-@pytest.mark.parametrize("X, text, count", [
-    (P2, "4*t+1", 901),
-    (tv.projective_space(3), "3*t+1", 2873),
-    (PP, "3*t1+1", 1123),
+def test_each_shift_degree_is_computed_once_per_search(monkeypatch):
+    degrees = Counter()
+    original = type(P2).degree
+
+    def counting(self, u):
+        degrees[id(self), tuple(u)] += 1
+        return original(self, u)
+
+    frame = en._working_frame(P2, parse_poly("4*t+1"), None)
+    monkeypatch.setattr(type(P2), "degree", counting)
+    assert len(list(en._peel_off(frame))) == 12487
+    # 84 distinct shifts over the 14324 states the search builds
+    assert len(degrees) == 84
+    assert max(degrees.values()) == 1
+
+
+@pytest.mark.parametrize("X, text, tests, leaves, count", [
+    (P2, "4*t+1", 3, 12487, 901),
+    (tv.projective_space(3), "3*t+1", 202, 5537 - 3749, 1156),
+    (PP, "3*t1+1", 44, 2107 - 1278, 508),
 ], ids=["P2", "P3", "PxP(2,1)"])
-def test_exact_check_candidate_count(monkeypatch, X, text, count):
-    # one exact check per distinct candidate ideal; a count that moves
-    # means realize groups the representations differently
+def test_exact_check_candidate_count(monkeypatch, X, text, tests, leaves, count):
+    # prefix tests and leaf checks share one verdict per distinct ideal,
+    # so no K-polynomial is computed twice; a count that moves means
+    # realize groups or skips the representations differently.  On P(2)
+    # the rejected ideals fall short of P, so no prefix fails and no rep
+    # is skipped; on P(3) and PxP(2,1) most overshoot it
     checked = []
     original = en.coarse_k_polynomial
 
@@ -394,7 +465,8 @@ def test_exact_check_candidate_count(monkeypatch, X, text, count):
     frame = en._working_frame(X, parse_poly(text, nvars=X.r), None)
     reps = en._stanley_reps(frame)
     monkeypatch.setattr(en, "coarse_k_polynomial", counting)
-    en._realize(frame, reps)
+    _, prefix_tests, skipped = en._realize(frame, reps)
+    assert (prefix_tests, len(reps) - skipped) == (tests, leaves)
     assert len(checked) == len(set(checked)) == count
 
 
