@@ -41,9 +41,10 @@ the integer vectors decide P_{S/I} = P and leading terms exactly
 
 The K-polynomial comes from the exact sequence
 0 -> S/(I : m)(-deg m) -> S/I -> S/(I + m) -> 0 for m = x_i^e, that is
-K(S/I) = K(S/(I + m)) + y^{deg m} K(S/(I : m)), memoized on the variety.
-The Stanley decomposition route (hilbert_polynomial_of_pairs) computes
-the same polynomials and stays as an independent check.
+K(S/I) = K(S/(I + m)) + y^{deg m} K(S/(I : m)).  The recursion runs in
+any grading: the coarse one, memoized on the variety, and the fine one
+deg u = u, which certifies Stanley decompositions (verify_stanley).
+hilbert_polynomial_of_pairs sums face-ring K-polynomials over pairs.
 """
 
 from fractions import Fraction
@@ -227,18 +228,19 @@ def _shift_sum(X, kpoly):
                            for beta, v in shift_numerators(X, kpoly).items()})
 
 
-# -- the coarse K-polynomial ------------------------------------------------
+# -- the K-polynomial recursion ---------------------------------------------
 
 
 def coarse_k_polynomial(X, I):
     """K(S/I; y) pushed to Z^r by the grading, as a tuple of
     (degree, nonzero integer coefficient) pairs; empty for the unit
     ideal.  Every ideal met by the recursion is memoized on X."""
-    return _k_polynomial(X, I.gens, None)
+    return _k_polynomial(X.degree, (0,) * X.r, X._k_poly_cache, I.gens, None)
 
 
-def _k_polynomial(X, gens, bound):
-    """The recursion on a minimal, sorted generator tuple.
+def _k_polynomial(degree, zero, cache, gens, bound):
+    """The recursion on a minimal, sorted generator tuple in the grading
+    u -> degree(u), zero = degree(1), memoized in cache (one per grading).
 
     Leaves: the unit ideal (K = 0) and pairwise coprime generators, a
     regular sequence with K = prod_g (1 - y^{deg g}).  Otherwise split
@@ -249,11 +251,11 @@ def _k_polynomial(X, gens, bound):
     are not pure powers, total degree) falls in both children; bound is
     the parent's measure and the fall is checked.
     """
-    cached = X._k_poly_cache.get(gens)
+    cached = cache.get(gens)
     if cached is not None:
         return cached
     if gens and not any(gens[0]):  # the unit ideal; the zero vector sorts first
-        X._k_poly_cache[gens] = ()
+        cache[gens] = ()
         return ()
     support = [len(g) - g.count(0) for g in gens]
     measure = (sum(s >= 2 for s in support), sum(map(sum, gens)))
@@ -261,9 +263,9 @@ def _k_polynomial(X, gens, bound):
         raise SearchExhausted("the K-polynomial recursion made no progress")
     counts = [len(col) - col.count(0) for col in zip(*gens)]
     if max(counts, default=0) <= 1:
-        out = {(0,) * X.r: 1}
+        out = {zero: 1}
         for g in gens:
-            deg = X.degree(g)
+            deg = degree(g)
             for d, c in list(out.items()):
                 key = tuple(map(add, d, deg))
                 out[key] = out.get(key, 0) - c
@@ -271,17 +273,31 @@ def _k_polynomial(X, gens, bound):
         i = counts.index(max(counts))
         exps = sorted(g[i] for g, s in zip(gens, support) if g[i] and s >= 2)
         e = exps[len(exps) // 2]
-        power = tuple(e if j == i else 0 for j in range(X.n))
+        power = tuple(e if j == i else 0 for j in range(len(gens[0])))
         plus = tuple(sorted([g for g in gens if g[i] < e] + [power]))
         colon = minimal_generators({g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens})
-        out = dict(_k_polynomial(X, plus, measure))
-        deg = tuple(e * a for a in X.variable_degree(i))
-        for d, c in _k_polynomial(X, colon, measure):
+        out = dict(_k_polynomial(degree, zero, cache, plus, measure))
+        deg = degree(power)
+        for d, c in _k_polynomial(degree, zero, cache, colon, measure):
             key = tuple(map(add, d, deg))
             out[key] = out.get(key, 0) + c
     result = tuple(sorted((d, c) for d, c in out.items() if c))
-    X._k_poly_cache[gens] = result
+    cache[gens] = result
     return result
+
+
+def pairs_k_polynomial(degree, zero, cache, pairs):
+    """{degree: coefficient} of the sum over the pairs (u, sigma) of
+    y^{deg u} K(S_sigma; y), graded as by _k_polynomial; K(S_sigma) is the
+    recursion's coprime leaf on the face prime."""
+    out = {}
+    for pair in pairs:
+        prime = _face_prime(len(pair.shift), pair.face)
+        shift = degree(pair.shift)
+        for d, c in _k_polynomial(degree, zero, cache, prime, None):
+            key = tuple(map(add, d, shift))
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 # -- Hilbert polynomials ------------------------------------------------------
@@ -294,15 +310,14 @@ def quotient_hilbert_polynomial(X, I):
     return _shift_sum(X, coarse_k_polynomial(X, I))
 
 
-def _face_prime(X, sigma):
-    """<x_i : i not in sigma>, so that S_sigma = S / _face_prime(X, sigma)."""
-    return MonomialIdeal(
-        X.n, [tuple(int(j == i) for j in range(X.n)) for i in range(X.n) if i not in sigma])
+def _face_prime(n, sigma):
+    """The sorted generators of <x_i : i not in sigma>, the ideal of S_sigma."""
+    return tuple(tuple(int(j == i) for j in range(n)) for i in reversed(range(n)) if i not in sigma)
 
 
 def face_k_polynomial(X, sigma):
     """K(S_sigma; y) = prod_{i not in sigma} (1 - y^{deg x_i})."""
-    return coarse_k_polynomial(X, _face_prime(X, sigma))
+    return coarse_k_polynomial(X, MonomialIdeal(X.n, _face_prime(X.n, sigma)))
 
 
 def face_hilbert_polynomial(X, sigma):
@@ -314,7 +329,7 @@ def face_hilbert_polynomial(X, sigma):
     sigma = frozenset(sigma)
     poly = X._face_poly_cache.get(sigma)
     if poly is None:
-        poly = quotient_hilbert_polynomial(X, _face_prime(X, sigma))
+        poly = quotient_hilbert_polynomial(X, MonomialIdeal(X.n, _face_prime(X.n, sigma)))
         X._face_poly_cache[sigma] = poly
     return poly
 
@@ -322,12 +337,6 @@ def face_hilbert_polynomial(X, sigma):
 def hilbert_polynomial_of_pairs(X, pairs):
     """Sum P_{S_sigma}(t - A u) over the pairs supported on the fan, as
     one shift sum over the K-polynomials y^{A u} K(S_sigma; y)."""
-    kpoly = []
-    for pair in pairs:
-        sigma_hat = frozenset(range(X.n)) - pair.face
-        if sigma_hat not in X.delta:
-            continue
-        shift = X.degree(pair.shift)
-        kpoly.extend((tuple(map(add, d, shift)), c)
-                     for d, c in face_k_polynomial(X, pair.face))
-    return _shift_sum(X, kpoly)
+    supported = [p for p in pairs if frozenset(range(X.n)) - p.face in X.delta]
+    kpoly = pairs_k_polynomial(X.degree, (0,) * X.r, X._k_poly_cache, supported)
+    return _shift_sum(X, kpoly.items())

@@ -4,13 +4,16 @@ The recursion on a monomial ideal I splits along a variable x_l that
 properly divides a minimal generator: the left child is I + <x_l>, the
 right child is (I : x_l).  Leaves are prime ideals; reading the leaves
 off in depth-first order (left children first) yields not just a
-Stanley decomposition but a Stanley filtration of S/I.
+Stanley decomposition but a Stanley filtration of S/I.  verify_stanley
+certifies a filtration by a colon chain and a decomposition by an
+identity of fine K-polynomials; both checks are exact.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import OverlappingPairs, StrategyInvalid, UnitIdeal
+from .hilbert import _k_polynomial, pairs_k_polynomial
 from .ideals import MonomialIdeal, divides, format_monomial, monomial_lcm, total_degree
 
 
@@ -182,7 +185,8 @@ def verify_stanley(I, pairs, mode="decomposition"):
     and no pair meets I.  filtration: each prefix must additionally be a
     decomposition of S over the ideal enlarged by the later shifts.
     Returns a falsy VerifyResult with a counterexample monomial on
-    failure.
+    failure.  Malformed pairs (a shift that is not n nonnegative
+    integers, a face index outside 0..n-1) raise ValueError.
 
     Filtration mode is the colon chain.  With J_k = I and
     J_{i-1} = J_i + <x^{u_i}>, the pairs (u_1, s_1) ... (u_k, s_k) form a
@@ -194,26 +198,35 @@ def verify_stanley(I, pairs, mode="decomposition"):
     the complement of I exactly when every colon is its face prime and
     J_0 contains 1.
 
-    Decomposition mode evaluates the per-monomial predicate on the grid
-    of exponent vectors whose i-th coordinate is 0, some g_i for a
-    generator g of I, or u_i or u_i + 1 for a pair shift u.  The
-    predicate only compares each m_i with these thresholds, so lowering
-    m_i to the largest grid value at most m_i changes no comparison:
-    some monomial fails exactly when some grid point does.
+    Decomposition mode is an identity of fine K-polynomials
+    (Miller-Sturmfels, ch. 8), each from the recursion of hilbert.py in
+    the grading deg u = u: N = sum_pairs x^u K(S/P_s) - K(S/I).  Divided
+    by prod_j (1 - x_j), N has coefficient #{pairs containing m} -
+    [m not in I] at each monomial m, so N = 0 exactly when the pairs
+    form a decomposition, none meeting I.  Otherwise the lex-least
+    monomial m of N is the lex-least failing one: its proper divisors
+    sort lex-before it, so the series coefficient at m is N_m != 0, and
+    a failing monomial has a divisor in N, which sorts at or after m.
     """
     pairs = tuple(pairs)
+    span = frozenset(range(I.n))
+    for p in pairs:
+        if len(p.shift) != I.n or min(p.shift, default=0) < 0 or not p.face <= span:
+            raise ValueError(f"bad Stanley pair {p!r} for {I.n} variables")
     if mode == "filtration":
         return _colon_chain(I, pairs)
     if mode != "decomposition":
         raise ValueError(f"unknown mode {mode!r}")
-    grid = [sorted({0}.union(g[i] for g in I.gens)
-                   .union(p.shift[i] + d for p in pairs for d in (0, 1)))
-            for i in range(I.n)]
-    for m in product(*grid):
-        reason = _monomial_failure(I, pairs, m, mode)
-        if reason:
-            return VerifyResult(False, m, reason)
-    return VerifyResult(True)
+    zero, cache = (0,) * I.n, {}  # the fine grading: deg u = u
+    numerator = pairs_k_polynomial(tuple, zero, cache, pairs)
+    for m, c in _k_polynomial(tuple, zero, cache, I.gens, None):
+        numerator[m] = numerator.get(m, 0) - c
+    m = min((m for m, c in numerator.items() if c), default=None)
+    if m is None:
+        return VerifyResult(True)
+    if I.contains(m):
+        return VerifyResult(False, m, "monomial of the ideal lies in a pair")
+    return VerifyResult(False, m, f"covered {sum(p.contains(m) for p in pairs)} times")
 
 
 def _colon_chain(I, pairs):
@@ -251,29 +264,6 @@ def _colon_chain(I, pairs):
             False, (0,) * n,
             "prefix 0: I + <all shifts> is not the unit ideal, so 1 is uncovered")
     return VerifyResult(True)
-
-
-def _monomial_failure(I, pairs, m, mode):
-    """Why the monomial m breaks the partition property, or "" if not.
-
-    The prefix conditions of filtration mode are checked in one pass:
-    writing D(m) for the pair indices whose shift divides m and C(m)
-    for the pairs containing m, a monomial outside I passes every
-    prefix test exactly when C(m) = {max D(m)} (or {first pair} when
-    D(m) is empty), and a monomial of I passes when C(m) is empty.
-    Filtration mode of verify_stanley uses the colon chain instead; the
-    tests compare it against this predicate.
-    """
-    containing = [k for k, p in enumerate(pairs) if p.contains(m)]
-    if I.contains(m):
-        return "monomial of the ideal lies in a pair" if containing else ""
-    if mode == "decomposition":
-        return f"covered {len(containing)} times" if len(containing) != 1 else ""
-    dividing = [k for k, p in enumerate(pairs) if divides(p.shift, m)]
-    expected = dividing[-1] if dividing else 0
-    if containing != [expected]:
-        return f"prefix {expected + 1}: covered by pairs {containing}"
-    return ""
 
 
 # -- back to ideals ------------------------------------------------------

@@ -381,7 +381,7 @@ def test_k_polynomial_recursion_checks_its_measure():
     # a child whose measure (2 non-pure-power generators, total degree 4)
     # does not fall below its parent's is an error
     with pytest.raises(SearchExhausted):
-        hb._k_polynomial(tv.projective_space(2), I.gens, (2, 4))
+        hb._k_polynomial(P2.degree, (0,), {}, I.gens, (2, 4))
 
 
 def _dominating_points(X, vectors):

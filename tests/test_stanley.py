@@ -1,12 +1,14 @@
 """The comma-colon recursion, filtration ordering and verification."""
 
 import random
+import time
 from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as gen
 
+from toricreg import hilbert as hb
 from toricreg import ideals as mi
 from toricreg import stanley as st
 from toricreg import variety as tv
@@ -263,15 +265,28 @@ def test_verify_returns_counterexample():
         assert result.reason.startswith(reason)
 
 
+def test_verify_rejects_malformed_pairs():
+    I = mi.MonomialIdeal(3, [(1, 1, 0)])
+    for bad in (pair((0, 1), {2}), pair((0, 1, 0, 0), {2}),
+                pair((0, 0, -1), {1}), pair((0, 0, 0), {1, 3})):
+        for mode in ("decomposition", "filtration"):
+            with pytest.raises(ValueError):
+                st.verify_stanley(I, [pair((0, 0, 0), {0, 2}), bad], mode=mode)
+
+
 ORACLE_VARIETIES = [(X, graded_total_order(X))
                     for X in (P2, P3, tv.product_projective(2, 1), tv.hirzebruch(1))]
+# the quadric as a variety file gives it: 1-based maximal cones
+QUADRIC = tv.variety_from_dict({"rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                                "max_cones": [[1, 2], [2, 3], [3, 4], [1, 4]]})
 
 
 @gen.composite
 def ideals_with_pair_lists(draw):
     """A random ideal on a named variety with one of its Stanley
-    filtrations (default or nice order), as is, permuted, or with one
-    pair's shift or face perturbed."""
+    filtrations (default or nice order), as is, permuted, with one
+    pair's shift or face perturbed, or with one pair dropped or
+    repeated."""
     X, order = draw(gen.sampled_from(ORACLE_VARIETIES))
     gens = draw(gen.lists(gen.tuples(*[gen.integers(0, 2)] * X.n), min_size=1, max_size=3))
     I = mi.MonomialIdeal(X.n, gens)
@@ -279,7 +294,7 @@ def ideals_with_pair_lists(draw):
     nice = draw(gen.booleans())
     pairs = list(st.stanley_filtration(
         I, st.nice_strategy(X, order) if nice else None))
-    change = draw(gen.sampled_from(("none", "permute", "shift", "face")))
+    change = draw(gen.sampled_from(("none", "permute", "shift", "face", "drop", "repeat")))
     if change == "permute":
         pairs = draw(gen.permutations(pairs))
     elif change != "none":
@@ -290,9 +305,51 @@ def ideals_with_pair_lists(draw):
             step = draw(gen.sampled_from((-1, 1))) if u[j] else 1
             pairs[k] = st.StanleyPair(
                 tuple(e + step * (i == j) for i, e in enumerate(u)), face)
-        else:
+        elif change == "face":
             pairs[k] = st.StanleyPair(u, face ^ {j})
+        elif change == "drop":
+            del pairs[k]
+        else:
+            pairs.insert(draw(gen.integers(0, len(pairs))), pairs[k])
     return I, tuple(pairs)
+
+
+def monomial_failure(I, pairs, m, mode):
+    """Why the monomial m breaks the partition property, or "" if not.
+
+    The prefix conditions of filtration mode are checked in one pass:
+    writing D(m) for the pair indices whose shift divides m and C(m)
+    for the pairs containing m, a monomial outside I passes every
+    prefix test exactly when C(m) = {max D(m)} (or {first pair} when
+    D(m) is empty), and a monomial of I passes when C(m) is empty.
+    """
+    containing = [k for k, p in enumerate(pairs) if p.contains(m)]
+    if I.contains(m):
+        return "monomial of the ideal lies in a pair" if containing else ""
+    if mode == "decomposition":
+        return f"covered {len(containing)} times" if len(containing) != 1 else ""
+    dividing = [k for k, p in enumerate(pairs) if mi.divides(p.shift, m)]
+    expected = dividing[-1] if dividing else 0
+    if containing != [expected]:
+        return f"prefix {expected + 1}: covered by pairs {containing}"
+    return ""
+
+
+def grid_decomposition_check(I, pairs):
+    """The decomposition predicate on the grid of exponent vectors whose
+    i-th coordinate is 0, some g_i for a generator g of I, or u_i or
+    u_i + 1 for a pair shift u, in lex order.  The predicate only
+    compares each m_i with these thresholds, so lowering m_i to the
+    largest grid value at most m_i changes no comparison: the first
+    failing grid point is the lex-least failing monomial."""
+    grid = [sorted({0}.union(g[i] for g in I.gens)
+                   .union(p.shift[i] + d for p in pairs for d in (0, 1)))
+            for i in range(I.n)]
+    for m in product(*grid):
+        reason = monomial_failure(I, pairs, m, "decomposition")
+        if reason:
+            return st.VerifyResult(False, m, reason)
+    return st.VerifyResult(True)
 
 
 def box_failure(I, pairs, mode):
@@ -301,7 +358,7 @@ def box_failure(I, pairs, mode):
     caps = [max([g[i] for g in I.gens] + [p.shift[i] + 1 for p in pairs])
             for i in range(I.n)]
     return next((m for m in product(*(range(c + 1) for c in caps))
-                 if st._monomial_failure(I, pairs, m, mode)), None)
+                 if monomial_failure(I, pairs, m, mode)), None)
 
 
 @given(ideals_with_pair_lists())
@@ -311,4 +368,35 @@ def test_verify_agrees_with_box_oracle(case):
         result = st.verify_stanley(I, pairs, mode=mode)
         assert bool(result) == (box_failure(I, pairs, mode) is None), (mode, result)
         if not result:
-            assert st._monomial_failure(I, pairs, result.counterexample, mode), result
+            assert monomial_failure(I, pairs, result.counterexample, mode), result
+    assert st.verify_stanley(I, pairs) == grid_decomposition_check(I, pairs)
+
+
+@pytest.mark.parametrize("n, seed, least", [(5, 0, 300), (6, 1, 600)])
+def test_decomposition_certificate_scales(n, seed, least):
+    # too many pairs for grid_decomposition_check: the oracle checks the
+    # counterexample alone
+    rng = random.Random(seed)
+    I = mi.MonomialIdeal(n, [tuple(rng.randrange(7) for _ in range(n)) for _ in range(8)])
+    pairs = list(st.stanley_filtration(I))
+    assert len(pairs) >= least
+    start = time.perf_counter()
+    assert st.verify_stanley(I, pairs)
+    assert time.perf_counter() - start < 1
+    k = len(pairs) // 2
+    pairs[k] = st.StanleyPair(pairs[k].shift, pairs[k].face ^ {0})
+    result = st.verify_stanley(I, pairs)
+    assert not result
+    assert monomial_failure(I, pairs, result.counterexample, "decomposition") == result.reason
+
+
+@given(gen.data())
+def test_fine_k_polynomial_pushes_forward_to_the_coarse_one(data):
+    X = data.draw(gen.sampled_from([X for X, _ in ORACLE_VARIETIES] + [QUADRIC]))
+    gens = data.draw(gen.lists(gen.tuples(*[gen.integers(0, 3)] * X.n), max_size=4))
+    I = mi.MonomialIdeal(X.n, gens)
+    pushed = {}
+    for m, c in hb._k_polynomial(tuple, (0,) * X.n, {}, I.gens, None):
+        pushed[X.degree(m)] = pushed.get(X.degree(m), 0) + c
+    assert tuple(sorted((d, c) for d, c in pushed.items() if c)) == \
+        hb.coarse_k_polynomial(X, I)
