@@ -52,10 +52,10 @@ from .ideals import MonomialIdeal
 from .multipoly import GradedOrder
 from .stanley import (
     StanleyPair,
+    _colon_chain,
     nice_strategy,
     pair_component,
     stanley_filtration,
-    verify_stanley,
 )
 from .variety import positive_orthant_change, with_grading
 
@@ -340,14 +340,15 @@ def run_enumeration(X, P, order=None):
     # the fan (always true on projective space).  In general it is a
     # partial filtration whose fan-supported components already cut out
     # the saturated ideal, so the graded-order recursion supplies a true
-    # filtration instead.
+    # filtration instead.  The search built every pair, so the colon
+    # chain runs without verify_stanley's input validation.
     ideals = []
     for ideal in sorted(by_ideal):
         candidates = sorted(by_ideal[ideal],
                             key=lambda rep: tuple(p.sort_key() for p in rep))
         witness = next(
             (rep for rep in candidates
-             if verify_stanley(ideal, rep, mode="filtration")), None)
+             if _colon_chain(ideal, rep)), None)
         if witness is None:
             witness = stanley_filtration(ideal, nice_strategy(frame.X, frame.face_order))
         ideals.append((ideal, witness))

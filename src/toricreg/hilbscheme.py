@@ -6,21 +6,27 @@ The degree-set loop starts from the uniform regularity bound point and
 keeps adding degrees until every monomial ideal generated in D with the
 right Hilbert function on D has the right Hilbert polynomial.  The
 "sufficiently general" bulk points are drawn from a seeded generator so
-runs are reproducible.
+runs are reproducible.  The ideals generated in D are listed by a
+search over the degrees of D in weight order that strikes out the
+multiples of earlier generators with per-fiber bitmasks, built once per
+call from the fibers of D alone.
 """
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from operator import index
 
 from .errors import BudgetExceeded, InfeasibleHilbertValue, SearchExhausted
 from .hilbert import quotient_hilbert_polynomial
-from .ideals import MonomialIdeal, b_saturate, divides, fiber_monomials, hilbert_function
+from .ideals import MonomialIdeal, b_saturate, fiber_monomials, hilbert_function
 from .multipoly import MultiPoly
 from .regularity import RegularityAssumption, reg_bound_from_polynomial
 from .variety import find_c
+
+
+_CLEAR_BITS = bytes.maketrans(b"01", b"\1\0")  # clear bit -> keep the monomial
 
 
 def _degree_sort_key(X, t):
@@ -36,6 +42,27 @@ def ideals_generated_in_degrees(X, degrees, P, node_budget=1_000_000):
     degree the generators forced by earlier choices are struck out and
     every subset of the right size of the remaining fiber is tried.
     Exponential, so a node budget guards the recursion.
+
+    Divisibility is read off bitmasks over each fiber, built once per
+    call: bit j of at_least[level][i][e] is set when the j-th monomial m
+    of the fiber at that level has m_i >= e.  A generator g divides m
+    exactly when m_i >= g_i on the support of g, so the multiples of g
+    in the fiber are the AND of at_least[level][i][g_i] over that
+    support (the full mask when g = 1).  At a node, covered is the OR of
+    these masks over the chosen generators, and the free monomials are
+    its clear bits, read in fiber order.  The masks of each (g, level)
+    are memoized for the call only; no fiber outside the given degrees
+    is enumerated.
+
+    The chosen generators are always an antichain, so each result ideal
+    is built from their sorted tuple without minimalizing, as
+    MonomialIdeal.intersect_irreducible does.  If g properly divides h,
+    then h = g x^v with v != 0, and w . deg g < w . deg h for
+    w = X.positive_w, since w . a_i > 0 for every variable.  Levels are
+    sorted by that weight, so g lies at an earlier level than h.  But a
+    monomial of a later level is chosen only when it is free, outside
+    the multiples of every earlier generator.  So no chosen generator
+    divides another, and none is chosen twice.
     """
     degrees = sorted({tuple(map(index, t)) for t in degrees},
                      key=lambda t: _degree_sort_key(X, t))
@@ -49,6 +76,17 @@ def ideals_generated_in_degrees(X, degrees, P, node_budget=1_000_000):
                 f"P{t} = {value} impossible for a fiber of size {len(fiber)}")
         fibers.append(fiber)
         targets.append(len(fiber) - int(value))
+    at_least = [_at_least_masks(fiber, X.n) for fiber in fibers]
+    masks = {}
+
+    def multiples(g, level):
+        """Bitmask of the multiples of g in the fiber at level, memoized."""
+        mask = (1 << len(fibers[level])) - 1
+        for column, e in zip(at_least[level], g):
+            if e:
+                mask &= column[e] if e < len(column) else 0
+        masks[g, level] = mask
+        return mask
 
     results = []
     nodes = 0
@@ -59,18 +97,39 @@ def ideals_generated_in_degrees(X, degrees, P, node_budget=1_000_000):
         if nodes > node_budget:
             raise BudgetExceeded(f"more than {node_budget} search nodes")
         if level == len(degrees):
-            results.append(MonomialIdeal(X.n, chosen))
+            results.append(MonomialIdeal.from_minimal(X.n, sorted(chosen)))
             return
-        fiber = fibers[level]
-        free = [m for m in fiber if not any(divides(g, m) for g in chosen)]
-        need = targets[level] - (len(fiber) - len(free))
+        covered = 0
+        for g in chosen:
+            mask = masks.get((g, level))
+            covered |= multiples(g, level) if mask is None else mask
+        need = targets[level] - covered.bit_count()
         if need < 0:
             return
+        free = fibers[level]
+        if covered:  # bit j of covered is character j of the reversed binary string
+            bits = f"{covered:0{len(free)}b}"[::-1].encode()
+            free = compress(free, bits.translate(_CLEAR_BITS))
         for subset in combinations(free, need):
             rec(level + 1, chosen + list(subset))
 
     rec(0, [])
     return results
+
+
+def _at_least_masks(fiber, n):
+    """Per variable i, the list whose entry e is the bitmask of the
+    positions j with fiber[j][i] >= e, for e up to the largest such
+    exponent (the mask is 0 beyond it)."""
+    out = []
+    for i in range(n):
+        column = [0] * (max((m[i] for m in fiber), default=0) + 1)
+        for j, m in enumerate(fiber):
+            column[m[i]] |= 1 << j
+        for e in range(len(column) - 2, -1, -1):
+            column[e] |= column[e + 1]
+        out.append(column)
+    return out
 
 
 @dataclass

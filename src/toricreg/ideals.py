@@ -67,6 +67,15 @@ class MonomialIdeal:
                 raise ValueError(f"bad exponent vector {g}")
 
     @classmethod
+    def from_minimal(cls, n, gens):
+        """The ideal of generators already known to be minimal, given as
+        sorted tuples of n nonnegative ints: no re-validation."""
+        out = object.__new__(cls)
+        out.n = n
+        out.gens = tuple(gens)
+        return out
+
+    @classmethod
     def zero(cls, n):
         return cls(n, ())
 
@@ -126,10 +135,7 @@ class MonomialIdeal:
                 raised.update(g[:i] + (e,) + g[i + 1:] for i, e in support)
         fresh = [h for h in minimal_generators(raised)
                  if not any(divides(k, h) for k in kept)]
-        out = object.__new__(MonomialIdeal)  # minimal and sorted: no re-validation
-        out.n = self.n
-        out.gens = tuple(sorted(kept + fresh))
-        return out
+        return MonomialIdeal.from_minimal(self.n, sorted(kept + fresh))
 
     def saturate_monomial(self, m):
         """(I : (x^m)^infinity): zero out all exponents in supp(m)."""

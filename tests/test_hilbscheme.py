@@ -1,6 +1,11 @@
 """Degree sets for the Hilbert scheme embedding and the Step-2 search."""
 
+from itertools import combinations
+from operator import index
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as gen
 
 from toricreg import hilbscheme as hs
 from toricreg import ideals as mi
@@ -11,6 +16,57 @@ from toricreg.multipoly import MultiPoly, parse_poly
 
 P1 = tv.projective_space(1)
 P2 = tv.projective_space(2)
+P3 = tv.projective_space(3)
+# the plane blown up at two points, from a variety file (1-based cones); r = 3
+DP7 = tv.variety_from_dict({"rays": [[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]],
+                            "max_cones": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]})
+
+
+def divides_oracle(X, degrees, P, node_budget=1_000_000):
+    """The search of ideals_generated_in_degrees with a divides() test
+    per fiber monomial and chosen generator, and minimalized results."""
+    degrees = sorted({tuple(map(index, t)) for t in degrees},
+                     key=lambda t: hs._degree_sort_key(X, t))
+    fibers = []
+    targets = []
+    for t in degrees:
+        fiber = mi.fiber_monomials(X, t)
+        value = P.evaluate(t)
+        if value.denominator != 1 or value < 0 or value > len(fiber):
+            raise InfeasibleHilbertValue(
+                f"P{t} = {value} impossible for a fiber of size {len(fiber)}")
+        fibers.append(fiber)
+        targets.append(len(fiber) - int(value))
+
+    results = []
+    nodes = 0
+
+    def rec(level, chosen):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceeded(f"more than {node_budget} search nodes")
+        if level == len(degrees):
+            results.append(mi.MonomialIdeal(X.n, chosen))
+            return
+        fiber = fibers[level]
+        free = [m for m in fiber if not any(mi.divides(g, m) for g in chosen)]
+        need = targets[level] - (len(fiber) - len(free))
+        if need < 0:
+            return
+        for subset in combinations(free, need):
+            rec(level + 1, chosen + list(subset))
+
+    rec(0, [])
+    return results
+
+
+def search_outcome(search, X, degrees, P, node_budget):
+    """The result list of a search, or the type and message it raised."""
+    try:
+        return search(X, degrees, P, node_budget=node_budget)
+    except (BudgetExceeded, InfeasibleHilbertValue) as exc:
+        return type(exc), str(exc)
 
 
 def test_ideals_generated_in_degree_four():
@@ -107,3 +163,88 @@ def test_degset_enumerates_each_fiber_key_once(monkeypatch, capsys):
     assert "supportive check: pass" in capsys.readouterr().out
     assert keys
     assert len(keys) == len(set(keys))
+
+
+ORACLE_SEARCHES = [
+    (P1, [(1,), (2,), (4,)], "2"),
+    (P2, [(4,)], "3*t+1"),
+    (P2, [(2,), (3,), (4,)], "4"),
+    (P2, [(3,), (4,), (10,), (11,), (12,)], "4"),  # degset P(2) 4, seed 11
+    (P3, [(2,), (3,)], "3"),
+    (P3, [(1,), (2,), (5,)], "t+1"),
+    (tv.product_projective(1, 1), [(1, 1), (1, 2), (2, 1), (2, 2)], "2"),
+    (tv.product_projective(1, 1), [(0, 1), (1, 1), (3, 1)], "t1+1"),
+    (tv.hirzebruch(1), [(1, 1), (2, 1), (1, 2), (3, 3)], "2"),
+    (tv.hirzebruch(2), [(1, 1), (3, 1), (1, 2), (2, 2)], "2"),
+    (DP7, [(2, 3, 2), (2, 4, 3), (3, 4, 2), (3, 4, 3)], "2"),
+    # an empty fiber at (-1, 2), where P is 0; (2, 1) and (1, 2) have
+    # equal weight under w = X.positive_w = (1, 1)
+    (tv.product_projective(1, 1), [(-1, 2), (1, 1), (2, 1), (1, 2)], "t1+1"),
+    # (2, 1) and (0, 2) have equal weight under w = (1, 2)
+    (tv.hirzebruch(1), [(0, 2), (2, 1), (1, 1)], "2"),
+]
+
+
+@pytest.mark.parametrize("X, degrees, ptext", ORACLE_SEARCHES)
+def test_bitset_search_matches_divides_oracle(X, degrees, ptext):
+    P = parse_poly(ptext, nvars=X.r)
+    got = hs.ideals_generated_in_degrees(X, degrees, P)
+    assert got  # every case has a candidate
+    assert [I.gens for I in got] == [I.gens for I in divides_oracle(X, degrees, P)]
+
+
+SEARCH_VARIETIES = [P1, P2, P3, tv.product_projective(1, 1), tv.hirzebruch(1),
+                    tv.hirzebruch(2), DP7]
+
+
+@gen.composite
+def degree_searches(draw):
+    """A variety, one to three degrees near its nef cone (some with
+    empty fibers) and a constant or linear polynomial with small
+    coefficients."""
+    X = draw(gen.sampled_from(SEARCH_VARIETIES))
+    point = gen.tuples(*[gen.integers(-1, 3)] * X.r)
+    degrees = draw(gen.lists(point, min_size=1, max_size=3))
+    P = MultiPoly.constant(X.r, draw(gen.integers(0, 3)))
+    if draw(gen.booleans()):
+        k = draw(gen.integers(0, X.r - 1))
+        P = P + MultiPoly.variable(X.r, k) * draw(gen.integers(-1, 2))
+    return X, degrees, P
+
+
+@given(degree_searches())
+def test_bitset_search_matches_divides_oracle_on_drawn_searches(case):
+    X, degrees, P = case
+    got = search_outcome(hs.ideals_generated_in_degrees, X, degrees, P, 3000)
+    want = search_outcome(divides_oracle, X, degrees, P, 3000)
+    if isinstance(want, list):
+        assert isinstance(got, list)
+        assert [I.gens for I in got] == [I.gens for I in want]
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("X, degrees, ptext, budget, count", [
+    (P2, [(2,), (3,), (4,)], "4", 148, 81),
+    (P3, [(2,), (3,)], "3", 185, 64),
+])
+def test_node_count_is_pinned(X, degrees, ptext, budget, count):
+    P = parse_poly(ptext, nvars=1)
+    assert len(hs.ideals_generated_in_degrees(X, degrees, P, node_budget=budget)) == count
+    with pytest.raises(BudgetExceeded):
+        hs.ideals_generated_in_degrees(X, degrees, P, node_budget=budget - 1)
+
+
+@pytest.mark.parametrize("X, degrees, ptext", ORACLE_SEARCHES)
+def test_search_enumerates_only_the_given_fibers(monkeypatch, X, degrees, ptext):
+    X = tv.variety_from_dict(tv.variety_to_dict(X))  # an empty fiber cache
+    keys = []
+    enumerate_fiber = mi._enumerate_fiber
+
+    def recording(X, t, cap):
+        keys.append(t)
+        return enumerate_fiber(X, t, cap)
+
+    monkeypatch.setattr(mi, "_enumerate_fiber", recording)
+    hs.ideals_generated_in_degrees(X, degrees, parse_poly(ptext, nvars=X.r))
+    assert sorted(keys) == sorted(set(map(tuple, degrees)))
