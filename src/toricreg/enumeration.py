@@ -32,9 +32,22 @@ is, the leading term is the first nonzero entry, and the measure
 modular step enters, and the search makes the same choices as one over
 rational polynomials.  The exact check likewise compares the integer
 D * P_{S/I} with D * P (see _realize).
+
+Both stages redo small computations on a few distinct inputs, so each
+is done once per distinct input and looked up after.  Every memo is
+exact, not an approximation: it stores the value of a pure function of
+its key.  The search numbers each distinct pair once and builds its
+successor shifts, face vector and (for run_enumeration) StanleyPair
+then.  Realize takes each pair's irreducible component once and each
+intersection once per distinct (minimal generators, component), the
+only inputs intersect_irreducible reads.  Every integer polynomial is
+sum_d c_d N(d), N(d) = D * P_S(t - d) on the basis, by linearity of the
+moment kernel, with N(d) built once per distinct degree.  Every memo
+lives and dies with one frame, that is one call: nothing is cached
+across requests.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, product
 from math import lcm
 from operator import add, sub
@@ -106,6 +119,8 @@ class _Frame:
     basis: tuple   # every exponent of total degree <= max(d, deg P), order-largest first
     scale: int     # L: lcm of the P_S denominator D and the denominators of P
     inits: list    # the basis index of the leading monomial of each P_{S_sigma}
+    shifted: dict = field(default_factory=dict)  # degree d -> N(d) = D * P_S(t - d) on basis
+    meets: dict = field(default_factory=dict)    # (generators, component) -> their intersection
 
 
 def _working_frame(X, P, order):
@@ -128,13 +143,29 @@ def _working_frame(X, P, order):
                   [face_k_polynomial(X, s) for s in sigmas], basis, scale, inits)
 
 
+def _kernel_vector(frame, kpoly):
+    """D * sum_d c_d P_S(t - d) on frame.basis for kpoly = ((d, c_d), ...),
+    as sum_d c_d N(d).  The moment kernel is linear in kpoly, so this is
+    shift_numerators(X, kpoly) read on the basis; N(d) is built once per
+    distinct degree d, from shift_numerators(X, ((d, 1),)), in
+    frame.shifted."""
+    out = [0] * len(frame.basis)
+    for d, c in kpoly:
+        vector = frame.shifted.get(d)
+        if vector is None:
+            numerators = shift_numerators(frame.X, ((d, 1),))
+            vector = frame.shifted[d] = tuple(numerators.get(e, 0) for e in frame.basis)
+        out = [a + c * b for a, b in zip(out, vector)]
+    return out
+
+
 def _face_vector(frame, ti, degree):
     """L * P_{S_sigma}(t - degree) on frame.basis, sigma = frame.sigmas[ti],
-    from the moment kernel over y^degree K(S_sigma; y)."""
+    from the moment kernel over y^degree K(S_sigma; y): (L / D) times
+    sum_d c_d N(d + degree) over K(S_sigma) = sum_d c_d y^d."""
     kpoly = [(tuple(map(add, d, degree)), c) for d, c in frame.kpolys[ti]]
-    numerators = shift_numerators(frame.X, kpoly)
     factor = frame.scale // _ring_expansion(frame.X)[1]
-    return tuple(factor * numerators.get(e, 0) for e in frame.basis)
+    return tuple(factor * v for v in _kernel_vector(frame, kpoly))
 
 
 def _leading(vector):
@@ -145,7 +176,7 @@ def _leading(vector):
     raise ZeroPolynomial("the zero polynomial has no leading term")
 
 
-def _peel_off(frame, relaxed=False):
+def _peel_off(frame, relaxed=False, make=None):
     """Yield the complete representations of frame.P as tuples of
     (face index, shift) pairs.  A new pair chains off an earlier pair j
     whose face is no later in the face order, along a variable x_l of
@@ -155,7 +186,19 @@ def _peel_off(frame, relaxed=False):
 
     Residuals are integer vectors L * Q on frame.basis, so the leading
     term is the first nonzero entry, and a larger index is a smaller
-    monomial.  Each (face, degree) vector is built once per search."""
+    monomial.  Each distinct pair gets a number when the search first
+    meets it.  A state holds the numbers of its pairs, and the sorted
+    numbers are its deduplication key: numbering is one to one, so they
+    stand for the pair multiset.  The pair's successor shifts (its shift
+    plus each step of its face) and its face vector depend on the pair
+    alone, so they are built then, once; each (face, degree) vector is
+    built once per search, and each shift's degree once.
+
+    make(face index, shift), when given, builds the object that stands
+    for a pair in the yielded representations: once per distinct pair,
+    when a pushed or yielded state first holds it, and every rep holding
+    the pair shares that object.  Without make a pair stands as the
+    (face index, shift) tuple, and nothing else is built."""
     if frame.P.is_zero():
         return
     X, faces = frame.X, frame.face_order.faces
@@ -165,61 +208,72 @@ def _peel_off(frame, relaxed=False):
         steps = [tuple(int(i == ell) for i in range(X.n)) for ell in range(X.n)]
     vectors = {}
     degrees = {}
+    numbers = {}   # (face index, shift) -> the pair's number
+    nodes = []     # by number: (face index, successor shifts, face vector)
+    objects = []   # by number: make's object, built when a state first holds it
+
+    def node(ti, shift):
+        if relaxed:
+            degree = shift
+        else:
+            degree = degrees.get(shift)
+            if degree is None:
+                degree = degrees[shift] = X.degree(shift)
+        face = vectors.get((ti, degree))
+        if face is None:
+            face = vectors[ti, degree] = _face_vector(frame, ti, degree)
+        successors = frozenset(tuple(map(add, shift, steps[ell])) for ell in faces[ti])
+        numbers[ti, shift] = len(nodes)
+        nodes.append((ti, successors, face))
+        objects.append(None)
+        return len(nodes) - 1
+
     seen = set()
     target = tuple(int(frame.P.terms.get(e, 0) * frame.scale) for e in frame.basis)
-    stack = [((), target, *_leading(target))]
+    stack = [((), (), target, *_leading(target))]
     while stack:
-        pairs, Q, q_init, q_coeff = stack.pop()
+        state, held, Q, q_init, q_coeff = stack.pop()
         for ti, init in enumerate(frame.inits):
             if init != q_init:
                 continue
-            if pairs:
-                shifts = sorted({
-                    tuple(a + b for a, b in zip(shift, steps[ell]))
-                    for fj, shift in pairs if fj <= ti for ell in faces[fj]})
+            if state:
+                shifts = sorted(frozenset().union(
+                    *(nodes[k][1] for k in state if nodes[k][0] <= ti)))
             else:
                 shifts = [(0,) * len(steps[0])]
             for shift in shifts:
-                new_pair = (ti, shift)
-                if not relaxed and new_pair in pairs:
+                k = numbers.get((ti, shift))
+                if k is None:
+                    k = node(ti, shift)
+                elif not relaxed and k in state:
                     continue
-                state = pairs + (new_pair,)
-                key = tuple(sorted(state))
+                key = tuple(sorted(state + (k,)))
                 if key in seen:
                     continue
                 seen.add(key)
-                if relaxed:
-                    degree = shift
+                residual = tuple(map(sub, Q, nodes[k][2]))
+                complete = not any(residual)
+                if not complete:
+                    r_init, r_coeff = _leading(residual)
+                    if r_coeff <= 0:
+                        continue
+                    if r_init < q_init or (r_init == q_init and r_coeff >= q_coeff):
+                        raise SearchExhausted("peel-off measure did not drop")
+                obj = objects[k]
+                if obj is None:
+                    obj = objects[k] = (ti, shift) if make is None else make(ti, shift)
+                if complete:
+                    yield held + (obj,)
                 else:
-                    degree = degrees.get(shift)
-                    if degree is None:
-                        degree = degrees[shift] = X.degree(shift)
-                face = vectors.get((ti, degree))
-                if face is None:
-                    face = vectors[ti, degree] = _face_vector(frame, ti, degree)
-                residual = tuple(map(sub, Q, face))
-                if not any(residual):
-                    yield state
-                    continue
-                r_init, r_coeff = _leading(residual)
-                if r_coeff <= 0:
-                    continue
-                if r_init < q_init or (r_init == q_init and r_coeff >= q_coeff):
-                    raise SearchExhausted("peel-off measure did not drop")
-                stack.append((state, residual, r_init, r_coeff))
+                    stack.append((state + (k,), held + (obj,), residual, r_init, r_coeff))
 
 
 def _stanley_reps(frame):
-    """The monomial search's representations as tuples of StanleyPairs."""
-    pairs = {}  # one StanleyPair object per distinct pair, shared across reps
-
-    def shared(pair):
-        obj = pairs.get(pair)
-        if obj is None:
-            obj = pairs[pair] = StanleyPair(pair[1], frame.sigmas[pair[0]])
-        return obj
-
-    return [tuple(map(shared, rep)) for rep in _peel_off(frame)]
+    """The monomial search's representations as tuples of StanleyPairs,
+    one object per distinct pair, shared across reps, built by the search
+    itself so that no rep is mapped afterwards."""
+    sigmas = frame.sigmas
+    return list(_peel_off(frame, make=lambda ti, shift: StanleyPair(shift, sigmas[ti])))
 
 
 def _realize(frame, reps):
@@ -240,6 +294,16 @@ def _realize(frame, reps):
     from the unit ideal) for the previous rep, and each rep intersects
     only past the longest prefix it shares with it.  The search shares
     one StanleyPair per distinct pair, so prefixes match by identity.
+
+    What remains repeats: on P(2) 4*t+1 the 14324 intersections past a
+    shared prefix have only 3328 distinct inputs.  intersect_irreducible
+    reads nothing of an ideal but its minimal generators, and
+    pair_component nothing but the pair, so each pair's component is
+    taken once, and each distinct (generators, component) is intersected
+    once, in frame.meets, keyed by value since different paths reach
+    equal ideals.  The exact check is sum_d c_d N(d) over the coarse
+    K-polynomial sum_d c_d y^d of S/I, which equals the moment kernel
+    over it by linearity (see _kernel_vector).
 
     Reps under a prefix whose ideal already overshoots P are skipped.
     Let I be a rep's ideal and J the ideal of one of its prefixes.  Then
@@ -272,16 +336,16 @@ def _realize(frame, reps):
     if any(c.denominator != 1 for c in target.values()):
         return {}, 0, 0
     target = [int(target.get(e, 0)) for e in frame.basis]
-    verdicts = {}  # ideal -> sign of the leading coefficient of D * (P - P_{S/I})
+    verdicts = {}    # generators of I -> sign of the leading coefficient of D * (P - P_{S/I})
+    components = {}  # pair -> its irreducible component
+    meets = frame.meets
 
     def verdict(ideal):
-        sign = verdicts.get(ideal)
+        sign = verdicts.get(ideal.gens)
         if sign is None:
-            numerators = shift_numerators(X, coarse_k_polynomial(X, ideal))
-            sign = next((1 if t > c else -1 for t, c in
-                         zip(target, (numerators.get(e, 0) for e in frame.basis))
-                         if t != c), 0)
-            verdicts[ideal] = sign
+            numerators = _kernel_vector(frame, coarse_k_polynomial(X, ideal))
+            sign = next((1 if t > c else -1 for t, c in zip(target, numerators) if t != c), 0)
+            verdicts[ideal.gens] = sign
         return sign
 
     unit = MonomialIdeal.unit(X.n)
@@ -291,8 +355,8 @@ def _realize(frame, reps):
     dead = False   # path[-1] is a prefix that failed its test
     tests = skipped = 0
     for rep in reps:
-        k = 0
-        while k < len(path) and k < len(rep) and path[k][0] is rep[k]:
+        k, shared = 0, min(len(path), len(rep))
+        while k < shared and path[k][0] is rep[k]:
             k += 1
         if dead and k == len(path):
             skipped += 1
@@ -309,7 +373,14 @@ def _realize(frame, reps):
             cleared = k
         for pair in rep[k:]:
             ideal = path[-1][1] if path else unit
-            path.append((pair, ideal.intersect_irreducible(pair_component(pair))))
+            component = components.get(pair)
+            if component is None:
+                component = components[pair] = pair_component(pair)
+            key = (ideal.gens, component)
+            meet = meets.get(key)
+            if meet is None:
+                meet = meets[key] = ideal.intersect_irreducible(component)
+            path.append((pair, meet))
         ideal = path[-1][1]
         sign = verdict(ideal)
         if sign >= 0:
@@ -327,6 +398,7 @@ class EnumerationResult:
     gotzmann_realized: int  # max pairs over reps whose ideal survived
     prefix_tests: int       # realize: prefixes tested for excess over P
     skipped_reps: int       # realize: reps under a prefix that failed, never intersected
+    intersections: int      # realize: distinct (ideal, component) pairs intersected
 
 
 def run_enumeration(X, P, order=None):
@@ -360,6 +432,7 @@ def run_enumeration(X, P, order=None):
         gotzmann_realized=max(map(len, chain.from_iterable(by_ideal.values())), default=0),
         prefix_tests=prefix_tests,
         skipped_reps=skipped_reps,
+        intersections=len(frame.meets),
     )
 
 

@@ -206,8 +206,9 @@ def test_enumeration_through_coordinate_change():
 
 
 def test_gotzmann_number_runs_only_frame_and_search(monkeypatch):
-    # the bound needs only the representations: realizing ideals and
-    # choosing witnesses must not run
+    # the bound needs only the representations: building Stanley pairs,
+    # realizing ideals and choosing witnesses must not run, in the
+    # monomial search or in the relaxed one
     from toricreg.regularity import reg_bound_from_polynomial
 
     P = parse_poly("3*t1+1", nvars=2)
@@ -215,9 +216,10 @@ def test_gotzmann_number_runs_only_frame_and_search(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a later stage ran")
 
-    for name in ("_colon_chain", "stanley_filtration", "pair_component"):
+    for name in ("_colon_chain", "stanley_filtration", "pair_component", "StanleyPair"):
         monkeypatch.setattr(en, name, forbidden)
     assert en.gotzmann_number(PP, P) == 4
+    assert en.gotzmann_upper_bound(PP, P) == 4
     assert reg_bound_from_polynomial(PP, P).generators == ((3, 3),)
 
 
@@ -306,16 +308,27 @@ def test_realize_intersects_only_past_shared_prefixes(monkeypatch):
     original = mi.MonomialIdeal.intersect_irreducible
 
     def counting(self, a):
-        calls.append(1)
+        calls.append((self.gens, tuple(a)))
         return original(self, a)
 
     monkeypatch.setattr(mi.MonomialIdeal, "intersect_irreducible", counting)
     result = en.run_enumeration(tv.projective_space(2), parse_poly("4*t+1"))
     assert (len(result.reps), len(result.ideals)) == (12487, 330)
-    # one intersection per rep and pair would be 74050 + 12487; each path
-    # starts from the unit ideal, so the 3 distinct first pairs add 3 to
-    # the 14321 intersections past a shared prefix
-    assert len(calls) == 14324
+    # one intersection per rep and pair would be 74050 + 12487, and one per
+    # pair past a shared prefix 14324; those repeat only 3328 distinct
+    # (ideal, component) inputs, and each is intersected once
+    assert len(calls) == len(set(calls)) == 3328
+    assert result.intersections == 3328
+
+
+@pytest.mark.parametrize("X, text, count", [
+    (tv.projective_space(3), "3*t+1", 1620),
+    (PP, "3*t1+1", 633),
+], ids=["P3", "PxP(2,1)"])
+def test_intersection_count(X, text, count):
+    # P(2) 4*t+1 (3328) is pinned with its call count above
+    result = en.run_enumeration(X, parse_poly(text, nvars=X.r))
+    assert result.intersections == count
 
 
 def _multipoly_peel_off(frame, relaxed=False):
@@ -472,7 +485,8 @@ def test_exact_check_candidate_count(monkeypatch, X, text, tests, leaves, count)
 
 def test_one_stanley_pair_per_distinct_pair(monkeypatch):
     # the search's representations share one StanleyPair object per
-    # distinct (face, shift): no object is built and thrown away
+    # distinct (face, shift): no object is built and thrown away, and
+    # realize computes one irreducible component per distinct pair
     built = []
     original = en.StanleyPair
 
@@ -480,9 +494,20 @@ def test_one_stanley_pair_per_distinct_pair(monkeypatch):
         built.append((shift, face))
         return original(shift, face)
 
+    components = []
+    original_component = en.pair_component
+
+    def counting_component(pair):
+        components.append(pair)
+        return original_component(pair)
+
     frame = en._working_frame(P2, parse_poly("4*t+1"), None)
     monkeypatch.setattr(en, "StanleyPair", counting)
+    monkeypatch.setattr(en, "pair_component", counting_component)
     reps = en._stanley_reps(frame)
     distinct = {pair for rep in reps for pair in rep}
-    assert len(built) == len(set(built)) == len(distinct)
+    assert len(built) == len(set(built)) == len(distinct) == 279
     assert len({id(pair) for rep in reps for pair in rep}) == len(distinct)
+    # realize takes each pair's component once, not once per intersection
+    en._realize(frame, reps)
+    assert len(components) == len(set(components)) == 279
