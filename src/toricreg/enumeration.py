@@ -9,12 +9,16 @@ decreases the (leading monomial, leading coefficient) pair: the
 termination proof, checked at runtime.  Realize turns representations
 into ideals and keeps those passing the exact Hilbert-polynomial check,
 since candidates are over-generated (every admissible anchor is tried).
-The search yields representations depth first, so realize builds each
-ideal incrementally along one path of prefix intersections.  It skips
-the representations under a prefix by a proved test, not a heuristic:
-the prefix's ideal already overshoots P, and a rep's ideal lies inside
-it (see _realize).  The Gotzmann number needs only the search; only
-run_enumeration also chooses witness filtrations.
+The search yields representations depth first, so realize follows one
+path of prefixes.  A rep's ideal is the intersection of its pairs'
+irreducible components, and realize decides the exact check from those
+components alone, by inclusion-exclusion (Mayer-Vietoris) over the
+components of each prefix (see _meet); it intersects ideals only for
+the reps that pass.  It skips the representations under a prefix by a
+proved test, not a heuristic: the prefix's ideal already overshoots P,
+and a rep's ideal lies inside it (see _realize).  The Gotzmann number
+needs only the search; only run_enumeration also chooses witness
+filtrations.
 
 The search and the check run on integers.  A residual
 Q = P - sum P_{S_sigma}(t - delta) has total degree at most
@@ -31,20 +35,22 @@ is, the leading term is the first nonzero entry, and the measure
 (leading monomial, leading coefficient) compares as before: no float or
 modular step enters, and the search makes the same choices as one over
 rational polynomials.  The exact check likewise compares the integer
-D * P_{S/I} with D * P (see _realize).
+D * P_{S/I} with D * P, and inclusion-exclusion only adds and subtracts
+such integer vectors (see _realize).
 
 Both stages redo small computations on a few distinct inputs, so each
 is done once per distinct input and looked up after.  Every memo is
 exact, not an approximation: it stores the value of a pure function of
 its key.  The search numbers each distinct pair once and builds its
 successor shifts, face vector and (for run_enumeration) StanleyPair
-then.  Realize takes each pair's irreducible component once and each
-intersection once per distinct (minimal generators, component), the
-only inputs intersect_irreducible reads.  Every integer polynomial is
-sum_d c_d N(d), N(d) = D * P_S(t - d) on the basis, by linearity of the
-moment kernel, with N(d) built once per distinct degree.  Every memo
-lives and dies with one frame, that is one call: nothing is cached
-across requests.
+then.  Realize takes each pair's irreducible component once, builds the
+vector of each reduced component set once and each step from one set
+to the next once (_meet), and intersects each distinct (minimal
+generators, component) once, the only inputs intersect_irreducible
+reads.  Every integer polynomial is sum_d c_d N(d), N(d) = D * P_S(t - d)
+on the basis, by linearity of the moment kernel, with N(d) built once
+per distinct degree.  Every memo lives and dies with one frame, that is
+one call: nothing is cached across requests.
 """
 
 from dataclasses import dataclass, field
@@ -56,7 +62,6 @@ from . import intlinalg as il
 from .errors import NoRepresentation, SearchExhausted, ZeroPolynomial
 from .hilbert import (
     _ring_expansion,
-    coarse_k_polynomial,
     face_hilbert_polynomial,
     face_k_polynomial,
     shift_numerators,
@@ -121,6 +126,7 @@ class _Frame:
     inits: list    # the basis index of the leading monomial of each P_{S_sigma}
     shifted: dict = field(default_factory=dict)  # degree d -> N(d) = D * P_S(t - d) on basis
     meets: dict = field(default_factory=dict)    # (generators, component) -> their intersection
+    component_sets: dict = field(default_factory=dict)  # reduced components -> their _ComponentSet
 
 
 def _working_frame(X, P, order):
@@ -276,34 +282,142 @@ def _stanley_reps(frame):
     return list(_peel_off(frame, make=lambda ti, shift: StanleyPair(shift, sigmas[ti])))
 
 
+def _koszul_vector(frame, component):
+    """D * P_{S/C} on frame.basis for the irreducible C = m^a, a = component:
+    the moment kernel over K(S/C) = prod_{a_i > 0} (1 - y^{a_i deg x_i}),
+    the Koszul numerator of the regular sequence x_i^{a_i}."""
+    X = frame.X
+    kpoly = {(0,) * X.r: 1}
+    for i, e in enumerate(component):
+        if e:
+            step = tuple(e * x for x in X.variable_degree(i))
+            for d, c in list(kpoly.items()):
+                key = tuple(map(add, d, step))
+                kpoly[key] = kpoly.get(key, 0) - c
+    return tuple(_kernel_vector(frame, kpoly.items()))
+
+
+def _contains(a, b):
+    """Whether m^a contains m^b: each x_i^{b_i} of m^b lies in m^a, that is
+    0 < a_i <= b_i wherever b_i > 0."""
+    return all(0 < x <= y for x, y in zip(a, b) if y)
+
+
+def _component_sum(a, b):
+    """m^a + m^b, again irreducible: the smaller exponent on the common
+    support and the one exponent elsewhere."""
+    return tuple(min(x, y) if x and y else x or y for x, y in zip(a, b))
+
+
+def _on_fan(frame, a):
+    """Whether the support of m^a is a face of the fan; off the fan S/m^a
+    is B-torsion, so P_{S/m^a} = 0."""
+    return frozenset(i for i, e in enumerate(a) if e) in frame.X.delta
+
+
+def _reduced(frame, components):
+    """The sorted antichain that remains of the components once those that
+    add nothing to D * P are dropped: one supported off the fan (_on_fan;
+    every sum with it is off the fan too) and one that contains another
+    (it is redundant in the intersection)."""
+    kept = [a for a in set(components) if _on_fan(frame, a)]
+    return tuple(sorted(a for a in kept
+                        if not any(b != a and _contains(a, b) for b in kept)))
+
+
+class _ComponentSet:
+    """A reduced component tuple (see _reduced), the integer vector D * P
+    of its intersection on frame.basis, and the sets reached from it by
+    meeting one more component (component -> _ComponentSet)."""
+
+    __slots__ = ("components", "vector", "steps")
+
+    def __init__(self, components, vector):
+        self.components = components
+        self.vector = vector
+        self.steps = {}
+
+
+def _component_set(frame, components):
+    """The _ComponentSet of a reduced component tuple, built once per
+    frame, in frame.component_sets (see _meet)."""
+    node = frame.component_sets.get(components)
+    if node is None:
+        if len(components) > 1:
+            return _meet(frame, _component_set(frame, components[:-1]), components[-1])
+        # the unit ideal (S/S = 0), or C = m^c with its Koszul numerator
+        vector = _koszul_vector(frame, components[0]) if components else (0,) * len(frame.basis)
+        node = frame.component_sets[components] = _ComponentSet(components, vector)
+    return node
+
+
+def _meet(frame, node, c):
+    """The _ComponentSet of J meet C, for J the ideal of node and C = m^c
+    irreducible, memoized in node.steps.
+
+    For monomial ideals 0 -> S/(J meet C) -> S/J + S/C -> S/(J + C) -> 0
+    is exact, so v(J meet C) = v(J) + v(C) - v(J + C) for v = D * P.
+    Monomial ideals form a distributive lattice, so J + C is the
+    intersection of the D + C over J's components D, and a sum of
+    irreducible ideals is irreducible (_component_sum).  A component
+    that _reduced drops changes no v: one supported off the fan has
+    v(C) = 0, and so has every sum with it, so by the same sequence it
+    leaves v unchanged; a redundant one leaves the ideal unchanged.
+    Hence v is a function of the reduced tuple, and so is the tuple of
+    J meet C: C joins it unless C is dropped, and the components that
+    contain C leave.
+
+    Termination: _component_set of a tuple of size k >= 2 calls
+    _component_set on its first k - 1 components and _meet on that, and
+    _meet on a set of size k - 1 asks _component_set for the singleton C
+    and for the reduced sums D + C, at most k - 1 of them.  So every
+    recursive call is on a strictly smaller tuple, down to the
+    singletons (the Koszul numerator) and the empty tuple."""
+    out = node.steps.get(c)
+    if out is None:
+        components = node.components
+        if not _on_fan(frame, c) or any(_contains(c, d) for d in components):
+            out = node
+        else:
+            met = tuple(sorted([d for d in components if not _contains(d, c)] + [c]))
+            out = frame.component_sets.get(met)
+            if out is None:
+                sums = _reduced(frame, [_component_sum(d, c) for d in components])
+                vector = tuple(map(sub, map(add, node.vector, _component_set(frame, (c,)).vector),
+                                   _component_set(frame, sums).vector))
+                out = frame.component_sets.setdefault(met, _ComponentSet(met, vector))
+        node.steps[c] = out
+    return out
+
+
 def _realize(frame, reps):
     """Group the representations by ideal; keep the ideals whose quotient
     has Hilbert polynomial frame.P, each with its representations.
     Returns (those ideals, prefix tests run, representations skipped).
 
-    The exact check compares integers.  D * P_{S/I} is the sum of the
-    integer numerators of the moment kernel over the coarse K-polynomial
-    of S/I (hilbert.shift_numerators), so it is integral for every I,
-    and it equals D * frame.P, computed once, exactly when
-    P_{S/I} = frame.P (D > 0).  So when D * frame.P is not integral no
+    The exact check compares integers: D * P_{S/I} on frame.basis with
+    D * frame.P, computed once, and they are equal exactly when
+    P_{S/I} = frame.P (D > 0).  D * P_{S/I} is integral for every I
+    (hilbert.shift_numerators), so when D * frame.P is not integral no
     ideal can match, and the result is empty.
 
     A rep's ideal is the intersection of its pairs' irreducible
-    components.  The reps come in depth-first order, so consecutive reps
-    share long prefixes: path holds (pair, intersection up to that pair,
-    from the unit ideal) for the previous rep, and each rep intersects
-    only past the longest prefix it shares with it.  The search shares
-    one StanleyPair per distinct pair, so prefixes match by identity.
-
-    What remains repeats: on P(2) 4*t+1 the 14324 intersections past a
-    shared prefix have only 3328 distinct inputs.  intersect_irreducible
-    reads nothing of an ideal but its minimal generators, and
-    pair_component nothing but the pair, so each pair's component is
-    taken once, and each distinct (generators, component) is intersected
-    once, in frame.meets, keyed by value since different paths reach
-    equal ideals.  The exact check is sum_d c_d N(d) over the coarse
-    K-polynomial sum_d c_d y^d of S/I, which equals the moment kernel
-    over it by linearity (see _kernel_vector).
+    components (pair_component, taken once per distinct pair), and its
+    D * P_{S/I} comes from those components alone (_meet), never from
+    the ideal's generators or its K-polynomial.  The reps come in
+    depth-first order, so consecutive reps share long prefixes: path
+    holds (pair, _ComponentSet of the prefix up to that pair) for the
+    previous rep, and each rep steps only past the longest prefix it
+    shares with it.  The search shares one StanleyPair per distinct
+    pair, so prefixes match by identity, and components are keyed by
+    it.  Each _ComponentSet and each step between two of them is built
+    once per frame, so different paths to the same component set share
+    one vector and one verdict, the sign of the leading coefficient of
+    D * P - D * P_{S/I}.  Only a rep that passes needs its ideal, for
+    grouping: ideals holds the intersections along an initial segment
+    of path, extended on demand, and each distinct (minimal generators,
+    component) is intersected once, in frame.meets, since
+    intersect_irreducible reads nothing else.
 
     Reps under a prefix whose ideal already overshoots P are skipped.
     Let I be a rep's ideal and J the ideal of one of its prefixes.  Then
@@ -316,7 +430,7 @@ def _realize(frame, reps):
     D * P - D * P_{S/J} has a negative leading coefficient ("excess"),
     then P - P_{S/I} <= P - P_{S/J} is negative far along that curve,
     and no rep under the prefix has an ideal with polynomial P.  The
-    integer numerators decide that sign exactly.  Conversely, if some
+    integer vectors decide that sign exactly.  Conversely, if some
     leaf ideal I under the prefix passes, or fails with a deficit (a
     positive leading coefficient), then
     P - P_{S/J} = (P - P_{S/I}) + (P_{S/I} - P_{S/J}) is eventually
@@ -327,30 +441,29 @@ def _realize(frame, reps):
     clears every shorter one too.  Prefixes known to pass form an
     initial segment of path (cleared entries), and a failed one is the
     last entry of path (dead), since every later rep under it is
-    skipped.  Prefix tests and leaf checks share one verdict per
-    distinct ideal, so each K-polynomial is computed once; every leaf
-    that is not skipped still gets the exact check."""
+    skipped.  Every leaf that is not skipped gets the exact check."""
     X = frame.X
     denom = _ring_expansion(X)[1]
     target = {e: c * denom for e, c in frame.P.terms.items()}
     if any(c.denominator != 1 for c in target.values()):
         return {}, 0, 0
     target = [int(target.get(e, 0)) for e in frame.basis]
-    verdicts = {}    # generators of I -> sign of the leading coefficient of D * (P - P_{S/I})
-    components = {}  # pair -> its irreducible component
+    components = {}  # id(pair) -> its irreducible component
     meets = frame.meets
+    verdicts = {}    # _ComponentSet -> sign of the leading coefficient of D * (P - P_{S/I})
 
-    def verdict(ideal):
-        sign = verdicts.get(ideal.gens)
+    def verdict(node):
+        sign = verdicts.get(node)
         if sign is None:
-            numerators = _kernel_vector(frame, coarse_k_polynomial(X, ideal))
-            sign = next((1 if t > c else -1 for t, c in zip(target, numerators) if t != c), 0)
-            verdicts[ideal.gens] = sign
+            sign = verdicts[node] = next(
+                (1 if t > c else -1 for t, c in zip(target, node.vector) if t != c), 0)
         return sign
 
     unit = MonomialIdeal.unit(X.n)
     grouped = {}
-    path = []
+    root = _component_set(frame, ())
+    path = []      # (pair, _ComponentSet) per prefix of the previous rep
+    ideals = []    # ideals[j]: the ideal of path[:j + 1], for an initial segment
     cleared = 0    # path[:cleared] are prefixes that cannot fail
     dead = False   # path[-1] is a prefix that failed its test
     tests = skipped = 0
@@ -361,7 +474,7 @@ def _realize(frame, reps):
         if dead and k == len(path):
             skipped += 1
             continue
-        del path[k:]
+        del path[k:], ideals[k:]
         dead = False
         cleared = min(cleared, k)
         if cleared < k:
@@ -372,21 +485,23 @@ def _realize(frame, reps):
                 continue
             cleared = k
         for pair in rep[k:]:
-            ideal = path[-1][1] if path else unit
-            component = components.get(pair)
+            component = components.get(id(pair))
             if component is None:
-                component = components[pair] = pair_component(pair)
-            key = (ideal.gens, component)
-            meet = meets.get(key)
-            if meet is None:
-                meet = meets[key] = ideal.intersect_irreducible(component)
-            path.append((pair, meet))
-        ideal = path[-1][1]
-        sign = verdict(ideal)
+                component = components[id(pair)] = pair_component(pair)
+            node = path[-1][1] if path else root
+            path.append((pair, _meet(frame, node, component)))
+        sign = verdict(path[-1][1])
         if sign >= 0:
             cleared = len(path)
         if sign == 0:
-            grouped.setdefault(ideal, []).append(rep)
+            for pair, _ in path[len(ideals):]:
+                ideal = ideals[-1] if ideals else unit
+                key = (ideal.gens, components[id(pair)])
+                meet = meets.get(key)
+                if meet is None:
+                    meet = meets[key] = ideal.intersect_irreducible(key[1])
+                ideals.append(meet)
+            grouped.setdefault(ideals[-1], []).append(rep)
     return grouped, tests, skipped
 
 
@@ -398,7 +513,8 @@ class EnumerationResult:
     gotzmann_realized: int  # max pairs over reps whose ideal survived
     prefix_tests: int       # realize: prefixes tested for excess over P
     skipped_reps: int       # realize: reps under a prefix that failed, never intersected
-    intersections: int      # realize: distinct (ideal, component) pairs intersected
+    intersections: int      # realize: distinct (ideal, component) pairs intersected, for passing reps
+    component_vectors: int  # realize: distinct reduced component sets given a D * P vector
 
 
 def run_enumeration(X, P, order=None):
@@ -413,11 +529,14 @@ def run_enumeration(X, P, order=None):
     # partial filtration whose fan-supported components already cut out
     # the saturated ideal, so the graded-order recursion supplies a true
     # filtration instead.  The search built every pair, so the colon
-    # chain runs without verify_stanley's input validation.
+    # chain runs without verify_stanley's input validation.  The search
+    # shares one object per distinct pair, so each sort key is taken once.
+    pairs = {id(p): p for rep in chain.from_iterable(by_ideal.values()) for p in rep}
+    keys = {k: p.sort_key() for k, p in pairs.items()}
     ideals = []
     for ideal in sorted(by_ideal):
         candidates = sorted(by_ideal[ideal],
-                            key=lambda rep: tuple(p.sort_key() for p in rep))
+                            key=lambda rep: tuple(keys[id(p)] for p in rep))
         witness = next(
             (rep for rep in candidates
              if _colon_chain(ideal, rep)), None)
@@ -433,6 +552,7 @@ def run_enumeration(X, P, order=None):
         prefix_tests=prefix_tests,
         skipped_reps=skipped_reps,
         intersections=len(frame.meets),
+        component_vectors=len(frame.component_sets),
     )
 
 

@@ -5,15 +5,20 @@ from functools import reduce
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as gen
 
 from toricreg import enumeration as en
+from toricreg import hilbert as hb
 from toricreg import ideals as mi
 from toricreg import variety as tv
 from toricreg.errors import NoRepresentation, NoSaturatedIdeal, SearchExhausted
 from toricreg.hilbert import (
+    coarse_k_polynomial,
     face_hilbert_polynomial,
     quotient_hilbert_polynomial,
     ring_hilbert_polynomial,
+    shift_numerators,
 )
 from toricreg.ideals import b_saturate, is_b_saturated
 from toricreg.multipoly import GradedOrder, MultiPoly, parse_poly
@@ -271,7 +276,7 @@ def _unpruned_realize(frame, reps):
         grouped.setdefault(path[-1][1], []).append(rep)
     return {
         ideal: cands for ideal, cands in grouped.items()
-        if en.shift_numerators(frame.X, en.coarse_k_polynomial(frame.X, ideal)) == target
+        if shift_numerators(frame.X, coarse_k_polynomial(frame.X, ideal)) == target
     }
 
 
@@ -314,21 +319,58 @@ def test_realize_intersects_only_past_shared_prefixes(monkeypatch):
     monkeypatch.setattr(mi.MonomialIdeal, "intersect_irreducible", counting)
     result = en.run_enumeration(tv.projective_space(2), parse_poly("4*t+1"))
     assert (len(result.reps), len(result.ideals)) == (12487, 330)
-    # one intersection per rep and pair would be 74050 + 12487, and one per
-    # pair past a shared prefix 14324; those repeat only 3328 distinct
-    # (ideal, component) inputs, and each is intersected once
-    assert len(calls) == len(set(calls)) == 3328
-    assert result.intersections == 3328
+    # one intersection per rep and pair would be 74050 + 12487, one per pair
+    # past a shared prefix 14324, and 3328 distinct (ideal, component)
+    # inputs; the exact check needs no ideal, so only the prefixes of the
+    # 1516 passing reps are intersected, 1103 distinct inputs, each once
+    assert len(calls) == len(set(calls)) == 1103
+    assert result.intersections == 1103
 
 
 @pytest.mark.parametrize("X, text, count", [
-    (tv.projective_space(3), "3*t+1", 1620),
-    (PP, "3*t1+1", 633),
+    (tv.projective_space(3), "3*t+1", 512),
+    (PP, "3*t1+1", 212),
 ], ids=["P3", "PxP(2,1)"])
 def test_intersection_count(X, text, count):
-    # P(2) 4*t+1 (3328) is pinned with its call count above
+    # P(2) 4*t+1 (1103) is pinned with its call count above
     result = en.run_enumeration(X, parse_poly(text, nvars=X.r))
     assert result.intersections == count
+
+
+# P(2), P(3), PxP(1,1), PxP(2,1), Hirzebruch(1), Hirzebruch(2), and the
+# two-point blowup of P(2) read from a dict with its canonical grading
+MEET_VARIETIES = [P2, tv.projective_space(3), tv.product_projective(1, 1), PP,
+                  tv.hirzebruch(1), F2,
+                  tv.variety_from_dict({
+                      "rays": [[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]],
+                      "max_cones": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]})]
+
+
+@given(gen.data())
+def test_component_vector_matches_k_polynomial(data):
+    # D * P of an intersection of irreducible components by inclusion-
+    # exclusion over the components, against the moment kernel over the
+    # coarse K-polynomial of the intersected ideal, after every component.
+    # Components repeat, nest (an earlier one with its exponents raised
+    # and part of its support dropped) and are drawn off the fan
+    X = data.draw(gen.sampled_from(MEET_VARIETIES))
+    frame = en._working_frame(X, parse_poly("1", nvars=X.r), None)
+    components = data.draw(gen.lists(gen.tuples(*[gen.integers(0, 3)] * X.n),
+                                     min_size=1, max_size=4))
+    for _ in range(data.draw(gen.integers(0, 3))):
+        a = data.draw(gen.sampled_from(components))
+        raise_by = data.draw(gen.tuples(*[gen.integers(0, 2)] * X.n))
+        keep = data.draw(gen.tuples(*[gen.booleans()] * X.n))
+        components.append(tuple(e + b if e and k else 0 for e, b, k in zip(a, raise_by, keep)))
+    components = data.draw(gen.permutations(components))
+    node = en._component_set(frame, ())
+    ideal = mi.MonomialIdeal.unit(X.n)
+    assert node.vector == tuple(en._kernel_vector(frame, coarse_k_polynomial(frame.X, ideal)))
+    for c in components:
+        node = en._meet(frame, node, c)
+        ideal = ideal.intersect_irreducible(c)
+        expected = en._kernel_vector(frame, coarse_k_polynomial(frame.X, ideal))
+        assert node.vector == tuple(expected), (X, components, c)
 
 
 def _multipoly_peel_off(frame, relaxed=False):
@@ -458,29 +500,37 @@ def test_each_shift_degree_is_computed_once_per_search(monkeypatch):
 
 
 @pytest.mark.parametrize("X, text, tests, leaves, count", [
-    (P2, "4*t+1", 3, 12487, 901),
-    (tv.projective_space(3), "3*t+1", 202, 5537 - 3749, 1156),
-    (PP, "3*t1+1", 44, 2107 - 1278, 508),
+    (P2, "4*t+1", 3, 12487, 1129),
+    (tv.projective_space(3), "3*t+1", 202, 5537 - 3749, 1360),
+    (PP, "3*t1+1", 44, 2107 - 1278, 654),
 ], ids=["P2", "P3", "PxP(2,1)"])
 def test_exact_check_candidate_count(monkeypatch, X, text, tests, leaves, count):
-    # prefix tests and leaf checks share one verdict per distinct ideal,
-    # so no K-polynomial is computed twice; a count that moves means
-    # realize groups or skips the representations differently.  On P(2)
-    # the rejected ideals fall short of P, so no prefix fails and no rep
-    # is skipped; on P(3) and PxP(2,1) most overshoot it
+    # realize decides every prefix test and leaf check from the pairs'
+    # irreducible components, so no K-polynomial is computed; count is the
+    # number of distinct reduced component sets that get a vector.  A count
+    # that moves means realize groups or skips the representations
+    # differently.  On P(2) the rejected ideals fall short of P, so no
+    # prefix fails and no rep is skipped; on P(3) and PxP(2,1) most
+    # overshoot it
     checked = []
-    original = en.coarse_k_polynomial
 
-    def counting(X, ideal):
-        checked.append(ideal)
-        return original(X, ideal)
+    def counting(original):
+        def wrapper(*args):
+            checked.append(args)
+            return original(*args)
+        return wrapper
 
-    frame = en._working_frame(X, parse_poly(text, nvars=X.r), None)
+    P = parse_poly(text, nvars=X.r)
+    frame = en._working_frame(X, P, None)
     reps = en._stanley_reps(frame)
-    monkeypatch.setattr(en, "coarse_k_polynomial", counting)
-    _, prefix_tests, skipped = en._realize(frame, reps)
+    with monkeypatch.context() as patch:
+        for name in ("coarse_k_polynomial", "_k_polynomial"):
+            patch.setattr(hb, name, counting(getattr(hb, name)))
+        _, prefix_tests, skipped = en._realize(frame, reps)
     assert (prefix_tests, len(reps) - skipped) == (tests, leaves)
-    assert len(checked) == len(set(checked)) == count
+    assert checked == []
+    assert len(frame.component_sets) == count
+    assert en.run_enumeration(X, P).component_vectors == count
 
 
 def test_one_stanley_pair_per_distinct_pair(monkeypatch):
