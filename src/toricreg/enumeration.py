@@ -66,7 +66,7 @@ from .hilbert import (
     face_k_polynomial,
     shift_numerators,
 )
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, component_contains, component_sum, on_fan, reduce_components
 from .multipoly import GradedOrder
 from .stanley import (
     StanleyPair,
@@ -297,36 +297,8 @@ def _koszul_vector(frame, component):
     return tuple(_kernel_vector(frame, kpoly.items()))
 
 
-def _contains(a, b):
-    """Whether m^a contains m^b: each x_i^{b_i} of m^b lies in m^a, that is
-    0 < a_i <= b_i wherever b_i > 0."""
-    return all(0 < x <= y for x, y in zip(a, b) if y)
-
-
-def _component_sum(a, b):
-    """m^a + m^b, again irreducible: the smaller exponent on the common
-    support and the one exponent elsewhere."""
-    return tuple(min(x, y) if x and y else x or y for x, y in zip(a, b))
-
-
-def _on_fan(frame, a):
-    """Whether the support of m^a is a face of the fan; off the fan S/m^a
-    is B-torsion, so P_{S/m^a} = 0."""
-    return frozenset(i for i, e in enumerate(a) if e) in frame.X.delta
-
-
-def _reduced(frame, components):
-    """The sorted antichain that remains of the components once those that
-    add nothing to D * P are dropped: one supported off the fan (_on_fan;
-    every sum with it is off the fan too) and one that contains another
-    (it is redundant in the intersection)."""
-    kept = [a for a in set(components) if _on_fan(frame, a)]
-    return tuple(sorted(a for a in kept
-                        if not any(b != a and _contains(a, b) for b in kept)))
-
-
 class _ComponentSet:
-    """A reduced component tuple (see _reduced), the integer vector D * P
+    """A reduced component tuple (see reduce_components), the integer vector D * P
     of its intersection on frame.basis, and the sets reached from it by
     meeting one more component (component -> _ComponentSet)."""
 
@@ -359,8 +331,8 @@ def _meet(frame, node, c):
     is exact, so v(J meet C) = v(J) + v(C) - v(J + C) for v = D * P.
     Monomial ideals form a distributive lattice, so J + C is the
     intersection of the D + C over J's components D, and a sum of
-    irreducible ideals is irreducible (_component_sum).  A component
-    that _reduced drops changes no v: one supported off the fan has
+    irreducible ideals is irreducible (ideals.component_sum).  A component
+    that reduce_components drops changes no v: one supported off the fan has
     v(C) = 0, and so has every sum with it, so by the same sequence it
     leaves v unchanged; a redundant one leaves the ideal unchanged.
     Hence v is a function of the reduced tuple, and so is the tuple of
@@ -376,13 +348,13 @@ def _meet(frame, node, c):
     out = node.steps.get(c)
     if out is None:
         components = node.components
-        if not _on_fan(frame, c) or any(_contains(c, d) for d in components):
+        if not on_fan(c, frame.X.delta) or any(component_contains(c, d) for d in components):
             out = node
         else:
-            met = tuple(sorted([d for d in components if not _contains(d, c)] + [c]))
+            met = tuple(sorted([d for d in components if not component_contains(d, c)] + [c]))
             out = frame.component_sets.get(met)
             if out is None:
-                sums = _reduced(frame, [_component_sum(d, c) for d in components])
+                sums = reduce_components([component_sum(d, c) for d in components], frame.X.delta)
                 vector = tuple(map(sub, map(add, node.vector, _component_set(frame, (c,)).vector),
                                    _component_set(frame, sums).vector))
                 out = frame.component_sets.setdefault(met, _ComponentSet(met, vector))

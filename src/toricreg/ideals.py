@@ -3,9 +3,10 @@
 Monomials are exponent tuples in N^n.  Ideals keep their minimal
 generating set at all times, so equality is tuple comparison and the
 colon/add recursion elsewhere can rely on strict growth.  An
-irreducible monomial ideal <x_i^{a_i} : a_i > 0> is its exponent tuple
-a in N^n (Miller-Sturmfels, ch. 5); the all-zero tuple is the zero
-ideal.
+irreducible monomial ideal m^a = <x_i^{a_i} : a_i > 0> is its exponent
+tuple a in N^n (Miller-Sturmfels, ch. 5); the all-zero tuple is the
+zero ideal.  Decompositions meet the generators one at a time, and
+B-saturation drops off-fan components at each step (proofs there).
 """
 
 from operator import index, le
@@ -158,63 +159,89 @@ class MonomialIdeal:
         return f"MonomialIdeal({format_ideal(self)})"
 
 
-def irreducible_decomposition(I):
-    """Irredundant irreducible components of a proper monomial ideal.
+def component_contains(a, b):
+    """Whether m^a contains m^b: 0 < a_i <= b_i wherever b_i > 0, so
+    supp b lies in supp a.  Every m^a contains the zero ideal b = 0."""
+    return all(0 < x <= y for x, y in zip(a, b) if y)
 
-    A component <x_i^{a_i} : a_i > 0> is its exponent tuple a in N^n;
-    the result is the sorted tuple of these tuples.  Splits any
-    generator with two or more variables in its support (standard
-    Alexander-duality style recursion), then discards components
-    containing the intersection of the others.
+
+def component_sum(a, b):
+    """m^a + m^b, again irreducible: the smaller exponent on the common
+    support and the one exponent elsewhere."""
+    return tuple(min(x, y) if x and y else x or y for x, y in zip(a, b))
+
+
+def on_fan(a, delta):
+    """Whether supp a is a face of delta (ToricVariety.delta)."""
+    return frozenset(i for i, e in enumerate(a) if e) in delta
+
+
+def reduce_components(components, delta=None):
+    """The sorted components that contain no other one, after dropping
+    those supported off delta when it is given.  An irreducible Q is
+    meet-prime among monomial ideals (m in J, m' in K, neither in Q:
+    lcm(m, m') is in J meet K, not in Q), so Q contains the meet of the
+    others exactly when it contains one of them."""
+    comps = set(components) if delta is None else {a for a in components if on_fan(a, delta)}
+    return tuple(sorted(a for a in comps
+                        if not any(b != a and component_contains(a, b) for b in comps)))
+
+
+def irreducible_decomposition(I, delta=None):
+    """Irredundant irreducible components of a proper monomial ideal, as
+    the sorted tuple of their exponent tuples; given delta, only those
+    supported on a face of it (see b_saturate).
+
+    The generators are met one at a time, from the zero ideal (the one
+    component 0).  Monomial ideals form a distributive lattice, so
+    (meet of the C) + <x^g> is the meet of the C + <x^g>, and each of
+    these the meet over i in supp g of C + <x_i^{g_i}>.  A C containing
+    x^g (some 0 < C_i <= g_i) stays; any other has C_i = 0 or C_i > g_i
+    on supp g, so C + <x_i^{g_i}> is C with exponent g_i at i.  A kept
+    component containing that would contain C, against irredundancy, so
+    only the new ones need reducing.  Each step consumes one generator,
+    so the loop ends after len(I.gens) steps.
     """
     if I.is_unit():
         raise UnitIdeal("the unit ideal has no decomposition")
-
-    def split(J):
-        target = next((g for g in J.gens if sum(1 for e in g if e) >= 2), None)
-        if target is None:
-            # every generator is a pure power x_i^{e_i}
-            return {tuple(sum(g[i] for g in J.gens) for i in range(J.n))}
-        i = next(j for j, e in enumerate(target) if e)
-        pure = tuple(target[j] if j == i else 0 for j in range(J.n))
-        rest = tuple(0 if j == i else target[j] for j in range(J.n))
-        return split(J.plus(pure)) | split(J.plus(rest))
-
-    return _irredundant(split(I))
-
-
-def _irredundant(components):
-    """The components containing no other one, in sorted order.
-
-    An irreducible monomial ideal Q is meet-prime among monomial ideals:
-    if m is in J but not Q and m' in K but not Q, then lcm(m, m') is in
-    J meet K but not Q.  So Q contains the intersection of the others
-    exactly when it contains one of them, and the component b lies
-    inside the component a exactly when b_i >= a_i > 0 wherever b_i > 0.
-    """
-    comps = sorted(components)
-    return tuple(a for a in comps
-                 if not any(b != a and all(y >= x > 0 for x, y in zip(a, b) if y)
-                            for b in comps))
+    comps = [(0,) * I.n]
+    for g in I.gens:
+        support = [(i, e) for i, e in enumerate(g) if e]
+        kept, fresh = [], []
+        for a in comps:
+            if any(0 < a[i] <= e for i, e in support):
+                kept.append(a)
+            else:
+                fresh.extend(a[:i] + (e,) + a[i + 1:] for i, e in support)
+        comps = kept + [b for b in reduce_components(fresh, delta)
+                        if not any(component_contains(b, k) for k in kept)]
+    return tuple(sorted(comps))
 
 
 def b_saturate(I, X):
-    """(I : B^infinity): keep components supported on faces of the fan.
+    """(I : B^infinity): the meet of the components of I on the fan, the
+    unit ideal when there is none (S/I is B-torsion).
 
-    Returns the unit ideal when no component survives, which says S/I is
-    B-torsion.
-    """
+    irreducible_decomposition(I, X.delta) drops each off-fan component
+    at once, losing nothing: steps only grow supports and the fan is
+    closed under faces, so an off-fan component has only off-fan
+    descendants; and one containing another has the larger support, so
+    no off-fan one makes an on-fan one redundant."""
     if I.is_unit():
         raise UnitIdeal("cannot saturate the unit ideal")
     out = MonomialIdeal.unit(I.n)
-    for a in irreducible_decomposition(I):
-        if frozenset(i for i, e in enumerate(a) if e) in X.delta:
-            out = out.intersect_irreducible(a)
+    for a in irreducible_decomposition(I, X.delta):
+        out = out.intersect_irreducible(a)
     return out
 
 
 def is_b_saturated(I, X):
-    return b_saturate(I, X) == I
+    """Whether I = (I : B^infinity): whether every component is on the
+    fan.  If so, b_saturate meets them all.  If not, let C be one off it
+    and J the meet of the others (S if none): C contains I but not J
+    (irredundancy), so I is not J, nor the saturation, which contains J.
+    True on the zero ideal (the empty face); UnitIdeal on the unit."""
+    return all(on_fan(a, X.delta) for a in irreducible_decomposition(I))
 
 
 def b_saturate_classical(I, X):

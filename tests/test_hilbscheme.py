@@ -10,6 +10,7 @@ from hypothesis import strategies as gen
 from toricreg import hilbscheme as hs
 from toricreg import ideals as mi
 from toricreg import variety as tv
+from toricreg.enumeration import run_enumeration
 from toricreg.errors import BudgetExceeded, InfeasibleHilbertValue
 from toricreg.hilbert import quotient_hilbert_polynomial
 from toricreg.multipoly import MultiPoly, parse_poly
@@ -145,6 +146,20 @@ def test_saturation_bridging():
         sat = mi.b_saturate(I, P2)
         got = MultiPoly.zero(1) if sat.is_unit() else quotient_hilbert_polynomial(P2, sat)
         assert got == P
+
+
+@pytest.mark.parametrize("name, ptext", [
+    ("P(2)", "3*t+1"), ("P(2)", "4"), ("P(2)", "2*t+1"), ("P(3)", "3"), ("P(3)", "2*t+1"),
+    ("Hirzebruch(1)", "2"), ("PxP(1,1)", "2"), ("PxP(1,1)", "t1+1"), ("PxP(1,1)", "t1+t2+1")])
+def test_degset_saturations_are_the_enumerated_ideals(name, ptext):
+    # two independent routes to the B-saturated ideals with polynomial P:
+    # saturating degset's candidates, and the peel-off enumeration
+    X = tv.load_variety(name)
+    P = parse_poly(ptext, nvars=X.r)
+    saturated = sorted(mi.b_saturate(I, X)
+                       for I in hs.degree_set(X, P, seed=11).ideals if not I.is_unit())
+    assert saturated == sorted(I for I, _ in run_enumeration(X, P).ideals)
+    assert len(set(saturated)) == len(saturated)
 
 
 def test_degset_enumerates_each_fiber_key_once(monkeypatch, capsys):

@@ -142,6 +142,104 @@ def test_b_saturate_agrees_with_classical():
             assert mi.b_saturate(I, X) == mi.b_saturate_classical(I, X)
 
 
+def split_decomposition(I):
+    """The split recursion of Miller-Sturmfels, ch. 5, as the oracle for
+    irreducible_decomposition: a generator with two or more variables in
+    its support splits I into I + <first pure power> and I + <the rest>;
+    once every generator is a pure power, I is irreducible.  The union of
+    the leaves' components is then reduced."""
+    if I.is_unit():
+        raise UnitIdeal("the unit ideal has no decomposition")
+
+    def split(J):
+        target = next((g for g in J.gens if sum(1 for e in g if e) >= 2), None)
+        if target is None:
+            return {tuple(sum(g[i] for g in J.gens) for i in range(J.n))}
+        i = next(j for j, e in enumerate(target) if e)
+        pure = tuple(target[j] if j == i else 0 for j in range(J.n))
+        rest = tuple(0 if j == i else target[j] for j in range(J.n))
+        return split(J.plus(pure)) | split(J.plus(rest))
+
+    return mi.reduce_components(split(I))
+
+
+def intersect_components(n, comps):
+    """The intersection of the irreducible ideals with exponent tuples
+    comps, built from their generators (the unit ideal when empty)."""
+    out = mi.MonomialIdeal.unit(n)
+    for a in comps:
+        out = out.intersect(component_ideal(a))
+    return out
+
+
+def irrelevant_power(X, k):
+    """B^k, B the irrelevant ideal of X: its components all lie off the fan."""
+    gens = [(0,) * X.n]
+    for _ in range(k):
+        gens = [mi.monomial_mul(g, h) for g in gens for h in X.irrelevant_generators()]
+    return mi.MonomialIdeal(X.n, gens)
+
+
+DECOMPOSITION_VARIETIES = {"P2": P2, "P3": P3, "P1xP1": P1xP1, "F1": F1, "F2": F2,
+                           "two_point_blowup": TWO_POINT_BLOWUP, "hexagon": HEXAGON}
+
+
+def check_decomposition(I, X):
+    """The decomposition, saturation and saturation test of I on X against
+    the split-recursion oracle and the classical saturation."""
+    comps = split_decomposition(I)
+    assert mi.irreducible_decomposition(I) == comps
+    sat = mi.b_saturate(I, X)
+    on_fan = [a for a in comps if frozenset(support(a)) in X.delta]
+    assert sat == intersect_components(I.n, on_fan)
+    assert sat == mi.b_saturate_classical(I, X)
+    assert mi.is_b_saturated(I, X) == (sat == I)
+    return sat
+
+
+@pytest.mark.parametrize("name", DECOMPOSITION_VARIETIES)
+def test_decomposition_and_saturation_match_split_oracle(name):
+    X = DECOMPOSITION_VARIETIES[name]
+    n = X.n
+    rng = random.Random(31)
+    pure = [tuple(2 if j == i else 0 for j in range(n)) for i in range(n)]
+    assert check_decomposition(mi.MonomialIdeal.zero(n), X).is_zero()
+    assert mi.is_b_saturated(mi.MonomialIdeal.zero(n), X)
+    for g in pure:
+        assert check_decomposition(mi.MonomialIdeal(n, [g]), X) == mi.MonomialIdeal(n, [g])
+    for k in (1, 2):
+        # every component lies off the fan: the saturation is the unit ideal
+        B = irrelevant_power(X, k)
+        assert all(frozenset(support(a)) not in X.delta for a in split_decomposition(B))
+        assert check_decomposition(B, X).is_unit()
+        assert check_decomposition(mi.MonomialIdeal(n, B.gens + (pure[0],)), X).is_unit()
+    for _ in range(40):
+        one = tuple(rng.randint(0, 3) for _ in range(n))
+        if any(one):
+            check_decomposition(mi.MonomialIdeal(n, [one]), X)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 5))]
+        I = mi.MonomialIdeal(n, gens)
+        if not I.is_unit():
+            check_decomposition(I, X)
+    with pytest.raises(UnitIdeal):
+        mi.is_b_saturated(mi.MonomialIdeal.unit(n), X)
+
+
+@gen.composite
+def variety_and_ideal(draw):
+    """A variety of DECOMPOSITION_VARIETIES and a proper ideal on it with
+    0..5 generators, exponents 0..3."""
+    X = draw(gen.sampled_from(list(DECOMPOSITION_VARIETIES.values())))
+    exps = gen.tuples(*[gen.integers(0, 3)] * X.n).filter(any)
+    return X, mi.MonomialIdeal(X.n, draw(gen.lists(exps, max_size=5)))
+
+
+@given(variety_and_ideal())
+def test_decomposition_and_saturation_match_split_oracle_on_drawn_ideals(case):
+    X, I = case
+    check_decomposition(I, X)
+
+
 def test_b_saturate_idempotent_and_extensive():
     rng = random.Random(13)
     for _ in range(60):
@@ -255,7 +353,7 @@ def test_irredundant_pairwise_matches_intersection_definition():
         for _ in range(rng.randint(1, 6)):
             supp = rng.sample(range(n), rng.randint(1, n))
             comps.add(tuple(rng.randint(1, 3) if i in supp else 0 for i in range(n)))
-        assert mi._irredundant(comps) == _irredundant_by_intersection(comps)
+        assert mi.reduce_components(comps) == _irredundant_by_intersection(comps)
 
 
 @gen.composite
