@@ -22,11 +22,9 @@ from .hilbert import (
     ring_hilbert_polynomial,
 )
 from .hilbscheme import degree_set, ideals_generated_in_degrees, supportive_check
-from .hilbert import hilbert_polynomial_of_pairs
 from .ideals import (
     MonomialIdeal,
     b_saturate,
-    b_saturate_classical,
     fiber_monomials,
     format_ideal,
     format_monomial,
@@ -40,7 +38,6 @@ from .multipoly import (
     GradedOrder,
     MultiPoly,
     format_poly,
-    leading_coeff_positive,
     parse_poly,
 )
 from .regularity import (
@@ -68,9 +65,7 @@ from .variety import (
     build_variety,
     find_c,
     hirzebruch,
-    is_face,
     load_variety,
-    nef_member,
     positive_orthant_change,
     product_projective,
     projective_space,

@@ -64,6 +64,7 @@ from .hilbert import (
     _ring_expansion,
     face_hilbert_polynomial,
     face_k_polynomial,
+    koszul_numerator,
     shift_numerators,
 )
 from .ideals import MonomialIdeal, component_contains, component_sum, on_fan, reduce_components
@@ -84,9 +85,6 @@ class FaceOrder:
 
     faces: tuple
     index: dict
-
-    def leq(self, a, b):
-        return self.index[frozenset(a)] <= self.index[frozenset(b)]
 
     def __repr__(self):
         from .variety import _show_face
@@ -287,13 +285,9 @@ def _koszul_vector(frame, component):
     the moment kernel over K(S/C) = prod_{a_i > 0} (1 - y^{a_i deg x_i}),
     the Koszul numerator of the regular sequence x_i^{a_i}."""
     X = frame.X
-    kpoly = {(0,) * X.r: 1}
-    for i, e in enumerate(component):
-        if e:
-            step = tuple(e * x for x in X.variable_degree(i))
-            for d, c in list(kpoly.items()):
-                key = tuple(map(add, d, step))
-                kpoly[key] = kpoly.get(key, 0) - c
+    kpoly = koszul_numerator(
+        (tuple(e * x for x in X.variable_degree(i)) for i, e in enumerate(component) if e),
+        (0,) * X.r)
     return tuple(_kernel_vector(frame, kpoly.items()))
 
 
@@ -323,6 +317,9 @@ def _component_set(frame, components):
     return node
 
 
+_UNSEEN = object()
+
+
 def _meet(frame, node, c):
     """The _ComponentSet of J meet C, for J the ideal of node and C = m^c
     irreducible, memoized in node.steps.
@@ -345,11 +342,11 @@ def _meet(frame, node, c):
     and for the reduced sums D + C, at most k - 1 of them.  So every
     recursive call is on a strictly smaller tuple, down to the
     singletons (the Koszul numerator) and the empty tuple."""
-    out = node.steps.get(c)
-    if out is None:
+    out = node.steps.get(c, _UNSEEN)
+    if out is _UNSEEN:
         components = node.components
         if not on_fan(c, frame.X.delta) or any(component_contains(c, d) for d in components):
-            out = node
+            out = None  # J meet C = J, kept as None: node.steps[c] = node is a cycle
         else:
             met = tuple(sorted([d for d in components if not component_contains(d, c)] + [c]))
             out = frame.component_sets.get(met)
@@ -359,7 +356,7 @@ def _meet(frame, node, c):
                                    _component_set(frame, sums).vector))
                 out = frame.component_sets.setdefault(met, _ComponentSet(met, vector))
         node.steps[c] = out
-    return out
+    return node if out is None else out
 
 
 def _realize(frame, reps):

@@ -9,7 +9,7 @@ coefficients binom(t + q - s, q) expand exactly over the rationals.
 from dataclasses import dataclass
 
 from .errors import NotAHilbertPolynomial, NotRealizable
-from .multipoly import MultiPoly, binomial_in_t
+from .multipoly import binomial_in_t
 from .stanley import StanleyPair, _colon_chain, decomposition_to_ideal
 
 
@@ -31,12 +31,6 @@ class GotzmannRep:
     @property
     def length(self):
         return len(self.q)
-
-    def polynomial(self):
-        total = MultiPoly.zero(1)
-        for i, qi in enumerate(self.q):
-            total = total + binomial_piece(qi, i)
-        return total
 
 
 def _check_univariate(P):
@@ -100,6 +94,7 @@ def enumerate_binomial_representations(P, max_m):
             rec(residual - binomial_piece(q, u), index + 1, qs + [q], us + [u])
 
     rec(P, 1, [], [])
+    del rec  # rec refers to itself: break the reference cycle
     return results
 
 

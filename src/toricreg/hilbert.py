@@ -44,7 +44,6 @@ The K-polynomial comes from the exact sequence
 K(S/I) = K(S/(I + m)) + y^{deg m} K(S/(I : m)).  The recursion runs in
 any grading: the coarse one, memoized on the variety, and the fine one
 deg u = u, which certifies Stanley decompositions (verify_stanley).
-hilbert_polynomial_of_pairs sums face-ring K-polynomials over pairs.
 """
 
 from fractions import Fraction
@@ -231,6 +230,18 @@ def _shift_sum(X, kpoly):
 # -- the K-polynomial recursion ---------------------------------------------
 
 
+def koszul_numerator(degrees, zero):
+    """{degree: coefficient} of prod_d (1 - y^d) over the given degrees,
+    the K-polynomial of a regular sequence of monomials of those
+    degrees; zero is the degree of 1."""
+    out = {zero: 1}
+    for deg in degrees:
+        for d, c in list(out.items()):
+            key = tuple(map(add, d, deg))
+            out[key] = out.get(key, 0) - c
+    return out
+
+
 def coarse_k_polynomial(X, I):
     """K(S/I; y) pushed to Z^r by the grading, as a tuple of
     (degree, nonzero integer coefficient) pairs; empty for the unit
@@ -263,12 +274,7 @@ def _k_polynomial(degree, zero, cache, gens, bound):
         raise SearchExhausted("the K-polynomial recursion made no progress")
     counts = [len(col) - col.count(0) for col in zip(*gens)]
     if max(counts, default=0) <= 1:
-        out = {zero: 1}
-        for g in gens:
-            deg = degree(g)
-            for d, c in list(out.items()):
-                key = tuple(map(add, d, deg))
-                out[key] = out.get(key, 0) - c
+        out = koszul_numerator(map(degree, gens), zero)
     else:
         i = counts.index(max(counts))
         exps = sorted(g[i] for g, s in zip(gens, support) if g[i] and s >= 2)
@@ -332,11 +338,3 @@ def face_hilbert_polynomial(X, sigma):
         poly = quotient_hilbert_polynomial(X, MonomialIdeal(X.n, _face_prime(X.n, sigma)))
         X._face_poly_cache[sigma] = poly
     return poly
-
-
-def hilbert_polynomial_of_pairs(X, pairs):
-    """Sum P_{S_sigma}(t - A u) over the pairs supported on the fan, as
-    one shift sum over the K-polynomials y^{A u} K(S_sigma; y)."""
-    supported = [p for p in pairs if frozenset(range(X.n)) - p.face in X.delta]
-    kpoly = pairs_k_polynomial(X.degree, (0,) * X.r, X._k_poly_cache, supported)
-    return _shift_sum(X, kpoly.items())

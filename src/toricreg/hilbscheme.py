@@ -114,6 +114,7 @@ def ideals_generated_in_degrees(X, degrees, P, node_budget=1_000_000):
             rec(level + 1, chosen + list(subset))
 
     rec(0, [])
+    del rec  # rec refers to itself: a reference cycle holding the fibers
     return results
 
 

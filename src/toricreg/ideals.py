@@ -11,15 +11,12 @@ B-saturation drops off-fan components at each step (proofs there).
 
 from operator import index, le
 
+from . import intlinalg as il
 from .errors import FiberTooLarge, UnitIdeal
 
 
 def divides(a, b):
     return all(map(le, a, b))
-
-
-def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def monomial_lcm(a, b):
@@ -110,12 +107,6 @@ class MonomialIdeal:
         """I + <x^m>."""
         return MonomialIdeal(self.n, self.gens + (tuple(m),))
 
-    def intersect(self, other):
-        if self.is_zero() or other.is_zero():
-            return MonomialIdeal.zero(self.n)
-        return MonomialIdeal(
-            self.n, [monomial_lcm(g, h) for g in self.gens for h in other.gens])
-
     def intersect_irreducible(self, a):
         """I meet C = <x_i^{a_i} : a_i > 0>, the irreducible ideal with
         exponent tuple a; the all-zero tuple is the zero ideal.
@@ -137,12 +128,6 @@ class MonomialIdeal:
         fresh = [h for h in minimal_generators(raised)
                  if not any(divides(k, h) for k in kept)]
         return MonomialIdeal.from_minimal(self.n, sorted(kept + fresh))
-
-    def saturate_monomial(self, m):
-        """(I : (x^m)^infinity): zero out all exponents in supp(m)."""
-        supp = {i for i, e in enumerate(m) if e}
-        return MonomialIdeal(
-            self.n, [tuple(0 if j in supp else e for j, e in enumerate(g)) for g in self.gens])
 
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):
@@ -244,18 +229,6 @@ def is_b_saturated(I, X):
     return all(on_fan(a, X.delta) for a in irreducible_decomposition(I))
 
 
-def b_saturate_classical(I, X):
-    """Independent route: intersect (I : m^infinity) over the minimal
-    generators m of the irrelevant ideal."""
-    if I.is_unit():
-        raise UnitIdeal("cannot saturate the unit ideal")
-    out = None
-    for m in X.irrelevant_generators():
-        part = I.saturate_monomial(m)
-        out = part if out is None else out.intersect(part)
-    return out
-
-
 # -- degree fibers and Hilbert functions --------------------------------
 
 
@@ -308,11 +281,8 @@ def _enumerate_fiber(X, t, cap):
     degs = [X.variable_degree(i) for i in free]
     wdeg = [sum(a * b for a, b in zip(w, d)) for d in degs]
 
-    def solve(v):
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in minv)
-
     # s is the solved sigma^ block M_sigma^^-1 (t - A.u)
-    steps = [solve(d) for d in degs]
+    steps = [il.matvec(minv, d) for d in degs]
     depth = len(free)
     out = []
     acc = [0] * X.n
@@ -334,7 +304,8 @@ def _enumerate_fiber(X, t, cap):
             s = tuple(x - y for x, y in zip(s, step))
         acc[i] = 0
 
-    rec(0, solve(t), wt)
+    rec(0, il.matvec(minv, t), wt)
+    del rec  # rec refers to itself: a reference cycle holding out
     out.sort()
     return tuple(out)
 

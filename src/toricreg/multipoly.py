@@ -188,10 +188,6 @@ class MultiPoly:
         return f"MultiPoly({format_poly(self)!r})"
 
 
-def leading_coeff_positive(P, order=None):
-    return P.leading_coeff(order) > 0
-
-
 def binomial_in_t(nvars, index, top_shift, q):
     """The polynomial binom(t_index + top_shift, q) as a MultiPoly."""
     t = MultiPoly.variable(nvars, index)

@@ -9,6 +9,7 @@ spaces and their products.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 from operator import index
 
 from .errors import (
@@ -39,9 +40,6 @@ class KUpset:
     def translate(self, v):
         return KUpset(self.X, [tuple(a + b for a, b in zip(g, v)) for g in self.generators])
 
-    def intersect(self, other):
-        return upset_intersect(self, other)
-
     def __eq__(self, other):
         if not isinstance(other, KUpset):
             return NotImplemented
@@ -49,25 +47,6 @@ class KUpset:
 
     def __repr__(self):
         return f"KUpset({format_upset(self)!r})"
-
-
-class LazyIntersection:
-    """Intersection of upsets over a non-simplicial K: membership only."""
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-
-    def contains(self, p):
-        return all(part.contains(p) for part in self.parts)
-
-    @property
-    def generators(self):
-        raise Unsupported(
-            "minimal generators of intersections need a simplicial unimodular K")
-
-    def intersect(self, other):
-        others = other.parts if isinstance(other, LazyIntersection) else (other,)
-        return LazyIntersection(self.parts + tuple(others))
 
 
 def _minimal_generators(X, generators):
@@ -86,14 +65,13 @@ def upset_intersect(a, b):
     With a nef basis (K unimodular simplicial), (g + K) cap (h + K) =
     join(g, h) + K, where join(g, h) = find_point_dominating(X, (g, h))
     is the least point dominating g and h; intersections of unions
-    distribute over the joins.  Otherwise a lazy membership-only object
-    is returned.
+    distribute over the joins.  Without a nef basis the minimal
+    generators are not computed: Unsupported.
     """
-    if isinstance(a, LazyIntersection) or isinstance(b, LazyIntersection):
-        return LazyIntersection((a, b)) if not isinstance(a, LazyIntersection) else a.intersect(b)
     X = a.X
     if X._nef_basis is None:
-        return LazyIntersection((a, b))
+        raise Unsupported(
+            "minimal generators of intersections need a simplicial unimodular K")
     return KUpset(X, [find_point_dominating(X, (g, h))
                       for g in a.generators for h in b.generators])
 
@@ -136,16 +114,14 @@ def reg_bound_from_filtration(X, I, filt, assume=None, check=True):
             raise FiltrationInvalid(
                 f"not a Stanley filtration for the ideal: {result.reason}")
     saturated = is_b_saturated(I, X)
-    out = None
-    for pair in filt:
-        sigma_hat = frozenset(range(X.n)) - pair.face
-        if saturated and sigma_hat not in X.delta:
-            continue
-        part = assume.baseline(X, pair.face).translate(X.degree(pair.shift))
-        out = part if out is None else upset_intersect(out, part)
-    if out is None:
+    # every baseline before any intersection: a missing baseline is
+    # reported even where K could not intersect
+    parts = [assume.baseline(X, pair.face).translate(X.degree(pair.shift))
+             for pair in filt
+             if not saturated or frozenset(range(X.n)) - pair.face in X.delta]
+    if not parts:
         raise FiltrationInvalid("no pair of the filtration is supported on the fan")
-    return out
+    return reduce(upset_intersect, parts)
 
 
 def reg_bound_from_polynomial(X, P, assume=None):
@@ -160,15 +136,10 @@ def reg_bound_from_polynomial(X, P, assume=None):
         raise NoSaturatedIdeal(
             "no B-saturated ideal realizes this Hilbert polynomial") from exc
     c = find_c(X)
-    out = None
-    for face in X.faces():
-        sigma = frozenset(range(X.n)) - face
-        part = assume.baseline(X, sigma)
-        out = part if out is None else upset_intersect(out, part)
-    shift = tuple((m - 1) * x for x in c)
-    if isinstance(out, LazyIntersection):
+    if X._nef_basis is None:
         raise Unsupported("uniform bound needs a simplicial unimodular K")
-    return out.translate(shift)
+    parts = [assume.baseline(X, frozenset(range(X.n)) - face) for face in X.faces()]
+    return reduce(upset_intersect, parts).translate(tuple((m - 1) * x for x in c))
 
 
 def format_upset(upset, assumption=None):

@@ -135,7 +135,9 @@ def stanley_decompose(I, strategy=None):
         e = tuple(1 if i == var else 0 for i in range(J.n))
         return StanleyTree(J, var, build(J.plus(e)), build(J.colon(e)))
 
-    return build(I)
+    tree = build(I)
+    del build  # build refers to itself: break the reference cycle
+    return tree
 
 
 def filtration(tree):
@@ -158,6 +160,7 @@ def filtration(tree):
         walk(node.right, shift)
 
     walk(tree, [0] * n)
+    del walk  # walk refers to itself: break the reference cycle
     return tuple(pairs)
 
 

@@ -123,11 +123,6 @@ class ToricVariety:
         return all(sum(a * b for a, b in zip(row, v)) >= 0
                    for _, minv in self._facet_data for row in minv)
 
-    def nef_coordinates_unimodular(self):
-        """Matrix of nef-cone rays as columns when they form a lattice basis,
-        else None.  When not None, K = V . N^r exactly."""
-        return None if self._nef_basis is None else self._nef_basis[0]
-
     def __repr__(self):
         return f"ToricVariety(n={self.n}, d={self.d}, r={self.r})"
 
@@ -240,18 +235,6 @@ def _check_complete(fan, dets):
 
 def _show_face(face):
     return "{" + ",".join(str(i + 1) for i in sorted(face)) + "}"
-
-
-def is_face(X, sigma_hat):
-    """Membership of a subset of {1..n} (0-based) in the fan complex.
-
-    Equivalently, K is contained in NA_sigma for sigma the complement.
-    """
-    return frozenset(sigma_hat) in X.delta
-
-
-def nef_member(X, v):
-    return X.nef_member(v)
 
 
 def positive_orthant_change(X):

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, JSON round trips."""
 
+import gc
 import json
 import os
 import subprocess
@@ -289,3 +290,66 @@ def test_parser_is_built_once(monkeypatch, capsys):
     finally:
         cli._parser.cache_clear()
     assert built == [1]
+
+
+HEXAGON = {"rays": [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
+           "max_cones": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]]}
+
+
+def test_nef_cone_without_nef_basis(tmp_path, capsys):
+    # the hexagon's nef cone has 5 rays in rank 4: bounds with one
+    # translate print, intersections and uniform bounds are Unsupported,
+    # and a missing baseline is reported before any intersection
+    path = tmp_path / "hexagon.json"
+    path.write_text(json.dumps(HEXAGON))
+    variety = ("--variety", str(path))
+    unsupported = ("error: Unsupported: minimal generators of intersections need a "
+                   "simplicial unimodular K")
+    uniform = "error: Unsupported: uniform bound needs a simplicial unimodular K"
+    expected = [
+        (("regularity", "--ideal", "x1*x2,x3^2"), 1, "",
+         "error: MissingBaseline: no regularity baseline for face ring on variables "
+         "[2, 4, 5, 6] (complement is not a face)"),
+        (("regularity", "--ideal", "x1*x3,x2"), 1, "", unsupported),
+        (("regularity", "--ideal", "x1*x3,x2", "--json"), 1, "", unsupported),
+        (("regularity", "--ideal", "x1"), 0,
+         "{(0,0,0,0)} + K  [baseline assumption: default-K]", ""),
+        (("regularity", "--ideal", "x1", "--json"), 0,
+         '{"generators": [[0, 0, 0, 0]], "assumed_baselines": "default-K"}', ""),
+        (("regularity", "--poly", "1"), 1, "", uniform),
+        (("degset", "--poly", "1"), 1, "", uniform),
+    ]
+    for (verb, *rest), code, out, err in expected:
+        got = run(capsys, verb, *variety, *rest)
+        assert (got[0], got[1].strip(), got[2].strip()) == (code, out, err), rest
+    code, out, err = run(capsys, "regularity", *variety, "--poly", "7*t1")
+    assert (code, out) == (1, "")
+    assert "NoSaturatedIdeal" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("stanley", "--variety", "P(3)", "--ideal", "x1*x4^2, x2*x4^2, x3*x4^2"),
+    ("hilbert", "--variety", "P(3)", "--ideal", "x1*x4^2, x2*x4^2, x3*x4^2"),
+    ("regularity", "--variety", "P(3)", "--ideal", "x1*x4^2, x2*x4^2, x3*x4^2"),
+    ("regularity", "--variety", "PxP(2,1)", "--poly", "3*t1+1"),
+    ("degset", "--variety", "P(2)", "--poly", "4", "--seed", "11"),
+    ("gotzmann", "--poly", "3*t+1", "--vars", "3"),
+    ("lex", "--poly", "3*t+1", "--vars", "3"),
+    ("variety", "--variety", "Hirzebruch(2)"),
+    ("enumerate", "--variety", "P(2)", "--poly", "3*t+1"),
+], ids=["stanley", "hilbert", "regularity-ideal", "regularity-poly", "degset", "gotzmann",
+        "lex", "variety", "enumerate"])
+def test_request_leaves_no_reference_cycle(capsys, argv):
+    # a cycle keeps its objects (fiber lists, trees, search nodes) alive
+    # until the cyclic collector runs, so every request must free by
+    # reference counting alone
+    run(capsys, *argv)  # warm-up: one-time imports and module state
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(list(argv))
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert (code, garbage) == (0, 0)

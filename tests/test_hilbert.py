@@ -19,7 +19,7 @@ from toricreg.errors import (
     SearchExhausted,
     UnitIdeal,
 )
-from toricreg.multipoly import GradedOrder, leading_coeff_positive, parse_poly
+from toricreg.multipoly import GradedOrder, parse_poly
 from toricreg.stanley import StanleyPair, stanley_filtration
 
 P1 = tv.projective_space(1)
@@ -30,6 +30,14 @@ PP = tv.product_projective(2, 1)
 
 # doubled plane union a point: <x4^2> intersect <x1,x2,x3>
 DPP_IDEAL = mi.MonomialIdeal(4, [(1, 0, 0, 2), (0, 1, 0, 2), (0, 0, 1, 2)])
+
+
+def hilbert_polynomial_of_pairs(X, pairs):
+    """The oracle sum of P_{S_sigma}(t - A u) over the pairs supported on
+    the fan, as one shift sum over the K-polynomials y^{A u} K(S_sigma; y)."""
+    supported = [p for p in pairs if frozenset(range(X.n)) - p.face in X.delta]
+    kpoly = hb.pairs_k_polynomial(X.degree, (0,) * X.r, X._k_poly_cache, supported)
+    return hb._shift_sum(X, kpoly.items())
 
 
 def test_ring_polynomials():
@@ -94,7 +102,7 @@ def test_decomposition_independence():
               StanleyPair((0, 1, 0, 1), frozenset({1, 2})),
               StanleyPair((1, 0, 0, 0), frozenset({0, 1, 2})),
               StanleyPair((1, 0, 0, 1), frozenset({0, 1, 2})))
-    assert hb.hilbert_polynomial_of_pairs(P3, first) == hb.hilbert_polynomial_of_pairs(P3, second)
+    assert hilbert_polynomial_of_pairs(P3, first) == hilbert_polynomial_of_pairs(P3, second)
 
 
 def test_interpolation_agrees_with_fibers_deep():
@@ -194,11 +202,11 @@ def test_leading_coefficient_positivity():
                 continue
             P = hb.quotient_hilbert_polynomial(X, I)
             if not P.is_zero():
-                assert leading_coeff_positive(P, order), (X, I, P)
+                assert P.leading_coeff(order) > 0, (X, I, P)
     # and for the other glex order too
     order21 = GradedOrder(2, (1, 0))
     P = hb.ring_hilbert_polynomial(PP)
-    assert leading_coeff_positive(P, order21)
+    assert P.leading_coeff(order21) > 0
 
 
 def test_torsion_quotient_polynomial_is_zero():
@@ -348,7 +356,7 @@ def test_interpolation_fills_no_fiber_cache():
 
 
 def _stanley_path(X, I):
-    return hb.hilbert_polynomial_of_pairs(X, stanley_filtration(I))
+    return hilbert_polynomial_of_pairs(X, stanley_filtration(I))
 
 
 @given(gen.data())

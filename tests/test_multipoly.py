@@ -11,7 +11,6 @@ from toricreg.multipoly import (
     MultiPoly,
     binomial_in_t,
     format_poly,
-    leading_coeff_positive,
     parse_poly,
 )
 
@@ -63,7 +62,7 @@ def test_leading_terms_under_orders():
     assert Q.leading_term(GradedOrder(2, (1, 0))) == ((0, 2), 1)
     P = parse_poly("3*t + 1")
     assert P.leading_term() == ((1,), 3)
-    assert leading_coeff_positive(P)
+    assert P.leading_coeff() > 0
     with pytest.raises(ZeroPolynomial):
         MultiPoly.zero(1).leading_term()
 

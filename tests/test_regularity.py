@@ -169,27 +169,24 @@ def test_nef_coordinates_are_computed_once_per_variety(monkeypatch):
     I = mi.parse_ideal("x1^2*x4, x1*x2*x4^2, x2^3", X.n)
     bound = rg.reg_bound_from_filtration(X, I, stanley_filtration(I))
     assert bound.generators == ((3, 1),)
-    assert X.nef_coordinates_unimodular() == ((0, 1), (1, 0))
+    assert X._nef_basis[0] == ((0, 1), (1, 0))
     assert not calls
 
 
-def test_lazy_intersection_for_nonsimplicial_nef_cone():
-    # hexagon fan: five nef rays in rank four, so no coordinate mode
+def test_intersection_unsupported_for_nonsimplicial_nef_cone():
+    # hexagon fan: five nef rays in rank four, so no coordinate mode;
+    # single upsets still answer membership
     from toricreg.errors import Unsupported
     hexagon = tv.build_variety(tv.Fan(
         [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
         [(i, (i + 1) % 6) for i in range(6)]))
-    assert hexagon.nef_coordinates_unimodular() is None
+    assert hexagon._nef_basis is None
     A = rg.KUpset(hexagon, [(1, 1, 1, 1)])
     B = rg.KUpset(hexagon, [(0, 1, 1, 0)])
-    lazy = rg.upset_intersect(A, B)
-    assert isinstance(lazy, rg.LazyIntersection)
-    for p in [(0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 1), (1, 2, 2, 1)]:
-        assert lazy.contains(p) == (A.contains(p) and B.contains(p))
-    with pytest.raises(Unsupported):
-        lazy.generators
-    deeper = lazy.intersect(rg.KUpset(hexagon, [(0, 0, 0, 0)]))
-    assert deeper.contains((2, 2, 2, 2)) == lazy.contains((2, 2, 2, 2))
+    points = [(0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 1)]
+    assert [A.contains(p) for p in points] == [False, True, True]
+    with pytest.raises(Unsupported, match="minimal generators of intersections"):
+        rg.upset_intersect(A, B)
 
 
 def test_rendering():

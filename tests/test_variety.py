@@ -115,11 +115,11 @@ def test_enumerate_smith_form_count(monkeypatch, capsys):
 
 
 def test_is_face():
-    assert tv.is_face(P3, {0, 1})
-    assert tv.is_face(P3, set())
-    assert not tv.is_face(F2, {0, 2})
-    assert tv.is_face(F2, {1, 2})
-    assert not tv.is_face(P2, {0, 1, 2})
+    assert frozenset({0, 1}) in P3.delta
+    assert frozenset() in P3.delta
+    assert frozenset({0, 2}) not in F2.delta
+    assert frozenset({1, 2}) in F2.delta
+    assert frozenset({0, 1, 2}) not in P2.delta
 
 
 def test_nef_member_fixtures():
@@ -198,7 +198,7 @@ def _least_dominating_point(X, vectors, radius):
 def test_find_point_dominating_is_the_least_point():
     rng = random.Random(5)
     for X in NEF_BASIS_VARIETIES:
-        assert X.nef_coordinates_unimodular() is not None
+        assert X._nef_basis is not None
         radius = 12 if X.r < 3 else 7
         for _ in range(12 if X.r < 3 else 4):
             vectors = [tuple(rng.randint(-2, 2) for _ in range(X.r))
@@ -215,7 +215,7 @@ def test_find_point_dominating_far_apart_vectors():
 
 def test_find_point_dominating_without_nef_basis():
     # five nef rays in rank four: the answer is a multiple of their sum
-    assert HEXAGON.nef_coordinates_unimodular() is None
+    assert HEXAGON._nef_basis is None
     assert tv.find_c(HEXAGON) == (1, 2, 2, 1)
     rng = random.Random(6)
     for _ in range(10):
