@@ -20,6 +20,19 @@ and a rep's ideal lies inside it (see _realize).  The Gotzmann number
 needs only the search; only run_enumeration also chooses witness
 filtrations.
 
+A witness is chosen from the prefix ideals realize builds anyway.  For a
+rep p_1 ... p_k, p_i = (u_i, sigma_i) with irreducible component C_i,
+let J_i = C_1 meet ... meet C_i (J_0 = S).  The rep is a Stanley
+filtration of S/J_k exactly when every step i passes: x^{u_i} lies in
+J_{i-1}, and every generator of J_{i-1} is divisible by x^{u_i} or by
+some x_l^{u_{i,l} + 1} with l outside sigma_i, that is
+J_{i-1} <= C_i + <x^{u_i}> (proof at _filtration_step).  Realize
+decides each step once per path extension, carries "every step so far
+passed" along the path, and keeps per ideal the least passing rep by
+StanleyPair.sort_key; an ideal with none falls back to the graded-order
+recursion.  This is the rep that sorting all of an ideal's reps and
+taking the first to pass stanley._colon_chain would choose.
+
 The search and the check run on integers.  A residual
 Q = P - sum P_{S_sigma}(t - delta) has total degree at most
 max(d, deg P), so it is a coefficient vector on the fixed basis of
@@ -57,6 +70,7 @@ from dataclasses import dataclass, field
 from itertools import chain, product
 from math import lcm
 from operator import add, sub
+from typing import NamedTuple
 
 from . import intlinalg as il
 from .errors import NoRepresentation, SearchExhausted, ZeroPolynomial
@@ -67,15 +81,16 @@ from .hilbert import (
     koszul_numerator,
     shift_numerators,
 )
-from .ideals import MonomialIdeal, component_contains, component_sum, on_fan, reduce_components
-from .multipoly import GradedOrder
-from .stanley import (
-    StanleyPair,
-    _colon_chain,
-    nice_strategy,
-    pair_component,
-    stanley_filtration,
+from .ideals import (
+    MonomialIdeal,
+    component_contains,
+    component_sum,
+    divides,
+    on_fan,
+    reduce_components,
 )
+from .multipoly import GradedOrder
+from .stanley import StanleyPair, nice_strategy, pair_component, stanley_filtration
 from .variety import positive_orthant_change, with_grading
 
 
@@ -359,10 +374,55 @@ def _meet(frame, node, c):
     return node if out is None else out
 
 
+def _filtration_step(ideal, pair, component):
+    """Whether pair i = (u, sigma), with irreducible component
+    C = m^component (pair_component), passes its step on the prefix ideal
+    J = J_{i-1}: x^u lies in J, and every generator of J is divisible by
+    x^u or by some x_l^{u_l + 1}, l outside sigma, that is J <= C + <x^u>.
+
+    The rep p_1 ... p_k is a Stanley filtration of S/J_k, J_i the meet of
+    C_1 ... C_i (J_0 = S), exactly when every step passes.  Let J'_k = J_k
+    and J'_{i-1} = J'_i + <x^{u_i}>: the colon chain (stanley._colon_chain)
+    certifies a filtration exactly when every (J'_i : x^{u_i}) is
+    P_{sigma_i} and J'_0 = S.
+    - If the rep is a filtration, the standard monomials of J'_i are the
+      monomials of pairs 1..i, and they are closed under division, so
+      they contain the standard monomials of each C_j, j <= i, which are
+      the divisors of the monomials of pair j.  Those of J_i are the union
+      of the latter, so J'_i = J_i.  Hence x^{u_i} lies in J'_{i-1} =
+      J_{i-1}, and J_{i-1} = J_i + <x^{u_i}> lies in C_i + <x^{u_i}>.
+    - Conversely, let every step pass.  Monomial ideals form a
+      distributive lattice, so J_{i-1} = J_{i-1} meet (C_i + <x^{u_i}>) =
+      J_i + <x^{u_i}>, and by downward induction from J'_k = J_k,
+      J'_i = J_i for every i; so J'_0 = S.  And (J_i : x^{u_i}) =
+      (J_{i-1} : x^{u_i}) meet (C_i : x^{u_i}) = S meet P_{sigma_i}, since
+      x^{u_i} lies in J_{i-1}.
+    A monomial lies in C + <x^u> exactly when it is divisible by x^u or
+    by a generator x_l^{u_l + 1} of C, so the generators of J decide the
+    inclusion."""
+    u = pair.shift
+    support = [(l, e) for l, e in enumerate(component) if e]
+    return ideal.contains(u) and all(
+        divides(u, g) or any(g[l] >= e for l, e in support) for g in ideal.gens)
+
+
+def _sort_keys(rep):
+    return tuple(pair.sort_key() for pair in rep)
+
+
+class _Realized(NamedTuple):
+    grouped: dict          # passing ideal -> its reps, in search order
+    witnesses: dict        # passing ideal -> its least rep that is a Stanley filtration
+    prefix_tests: int      # prefixes tested for excess over P
+    skipped_reps: int      # reps under a prefix that failed
+    filtration_steps: int  # path extensions given a _filtration_step
+
+
 def _realize(frame, reps):
     """Group the representations by ideal; keep the ideals whose quotient
-    has Hilbert polynomial frame.P, each with its representations.
-    Returns (those ideals, prefix tests run, representations skipped).
+    has Hilbert polynomial frame.P, each with its representations, and
+    the least of them (by StanleyPair.sort_key) that is a Stanley
+    filtration of S/I, when there is one.
 
     The exact check compares integers: D * P_{S/I} on frame.basis with
     D * frame.P, computed once, and they are equal exactly when
@@ -387,6 +447,14 @@ def _realize(frame, reps):
     of path, extended on demand, and each distinct (minimal generators,
     component) is intersected once, in frame.meets, since
     intersect_irreducible reads nothing else.
+
+    Each extension of ideals also decides one filtration step
+    (_filtration_step) on the ideal before it: filtered[j] says that the
+    steps of path[:j + 1] all pass, so a passing rep is a Stanley
+    filtration of its ideal exactly when filtered[-1] holds.  A step
+    after a failed one is not tested.  Only the least such rep per ideal
+    is kept, by the tuple of its pairs' sort keys, taken only when a
+    second one of the same ideal arrives.
 
     Reps under a prefix whose ideal already overshoots P are skipped.
     Let I be a rep's ideal and J the ideal of one of its prefixes.  Then
@@ -415,7 +483,7 @@ def _realize(frame, reps):
     denom = _ring_expansion(X)[1]
     target = {e: c * denom for e, c in frame.P.terms.items()}
     if any(c.denominator != 1 for c in target.values()):
-        return {}, 0, 0
+        return _Realized({}, {}, 0, 0, 0)
     target = [int(target.get(e, 0)) for e in frame.basis]
     components = {}  # id(pair) -> its irreducible component
     meets = frame.meets
@@ -430,12 +498,14 @@ def _realize(frame, reps):
 
     unit = MonomialIdeal.unit(X.n)
     grouped = {}
+    witnesses = {}  # passing ideal -> its least rep so far whose steps all pass
     root = _component_set(frame, ())
     path = []      # (pair, _ComponentSet) per prefix of the previous rep
     ideals = []    # ideals[j]: the ideal of path[:j + 1], for an initial segment
+    filtered = []  # filtered[j]: every filtration step of path[:j + 1] passes
     cleared = 0    # path[:cleared] are prefixes that cannot fail
     dead = False   # path[-1] is a prefix that failed its test
-    tests = skipped = 0
+    tests = skipped = steps = 0
     for rep in reps:
         k, shared = 0, min(len(path), len(rep))
         while k < shared and path[k][0] is rep[k]:
@@ -443,7 +513,7 @@ def _realize(frame, reps):
         if dead and k == len(path):
             skipped += 1
             continue
-        del path[k:], ideals[k:]
+        del path[k:], ideals[k:], filtered[k:]
         dead = False
         cleared = min(cleared, k)
         if cleared < k:
@@ -470,8 +540,17 @@ def _realize(frame, reps):
                 if meet is None:
                     meet = meets[key] = ideal.intersect_irreducible(key[1])
                 ideals.append(meet)
+                passed = not filtered or filtered[-1]
+                if passed:
+                    steps += 1
+                    passed = _filtration_step(ideal, pair, key[1])
+                filtered.append(passed)
             grouped.setdefault(ideals[-1], []).append(rep)
-    return grouped, tests, skipped
+            if filtered[-1]:
+                current = witnesses.get(ideals[-1])
+                if current is None or _sort_keys(rep) < _sort_keys(current):
+                    witnesses[ideals[-1]] = rep
+    return _Realized(grouped, witnesses, tests, skipped, steps)
 
 
 @dataclass
@@ -484,32 +563,33 @@ class EnumerationResult:
     skipped_reps: int       # realize: reps under a prefix that failed, never intersected
     intersections: int      # realize: distinct (ideal, component) pairs intersected, for passing reps
     component_vectors: int  # realize: distinct reduced component sets given a D * P vector
+    witness_fallbacks: int  # ideals whose witness came from the graded-order recursion
+    filtration_steps: int   # realize: path extensions given a filtration step test
 
 
 def run_enumeration(X, P, order=None):
     """Steps 1-5 of the peel-off search; see enumerate_saturated_ideals."""
     frame = _working_frame(X, P, order)
     reps = _stanley_reps(frame)
-    by_ideal, prefix_tests, skipped_reps = _realize(frame, reps)
+    realized = _realize(frame, reps)
 
     # Witnesses: a constructed representation is only guaranteed to be a
     # full Stanley filtration when every one of its pairs is supported on
     # the fan (always true on projective space).  In general it is a
     # partial filtration whose fan-supported components already cut out
     # the saturated ideal, so the graded-order recursion supplies a true
-    # filtration instead.  The search built every pair, so the colon
-    # chain runs without verify_stanley's input validation.  The search
-    # shares one object per distinct pair, so each sort key is taken once.
-    pairs = {id(p): p for rep in chain.from_iterable(by_ideal.values()) for p in rep}
-    keys = {k: p.sort_key() for k, p in pairs.items()}
-    ideals = []
-    for ideal in sorted(by_ideal):
-        candidates = sorted(by_ideal[ideal],
-                            key=lambda rep: tuple(keys[id(p)] for p in rep))
-        witness = next(
-            (rep for rep in candidates
-             if _colon_chain(ideal, rep)), None)
+    # filtration instead.  Realize has decided which reps are
+    # filtrations, one step per path extension on the prefix ideals J_i it
+    # builds: step i passes when x^{u_i} lies in J_{i-1} and every
+    # generator of J_{i-1} lies in C_i + <x^{u_i}>, and the rep is a
+    # filtration exactly when all its steps pass (proof at
+    # _filtration_step).  Its witness is the least such rep by sort key,
+    # the first of the sorted reps that the colon chain would accept.
+    ideals, fallbacks = [], 0
+    for ideal in sorted(realized.grouped):
+        witness = realized.witnesses.get(ideal)
         if witness is None:
+            fallbacks += 1
             witness = stanley_filtration(ideal, nice_strategy(frame.X, frame.face_order))
         ideals.append((ideal, witness))
 
@@ -517,11 +597,14 @@ def run_enumeration(X, P, order=None):
         ideals=ideals,
         reps=reps,
         gotzmann_number=max(map(len, reps), default=0),
-        gotzmann_realized=max(map(len, chain.from_iterable(by_ideal.values())), default=0),
-        prefix_tests=prefix_tests,
-        skipped_reps=skipped_reps,
+        gotzmann_realized=max(map(len, chain.from_iterable(realized.grouped.values())),
+                              default=0),
+        prefix_tests=realized.prefix_tests,
+        skipped_reps=realized.skipped_reps,
         intersections=len(frame.meets),
         component_vectors=len(frame.component_sets),
+        witness_fallbacks=fallbacks,
+        filtration_steps=realized.filtration_steps,
     )
 
 

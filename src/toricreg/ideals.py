@@ -172,10 +172,16 @@ def reduce_components(components, delta=None):
                         if not any(b != a and component_contains(a, b) for b in comps)))
 
 
-def irreducible_decomposition(I, delta=None):
+def irreducible_decomposition(I):
     """Irredundant irreducible components of a proper monomial ideal, as
-    the sorted tuple of their exponent tuples; given delta, only those
-    supported on a face of it (see b_saturate).
+    the sorted tuple of their exponent tuples."""
+    return _decompose(I, None)[0]
+
+
+def _decompose(I, delta):
+    """The components of irreducible_decomposition(I), only those
+    supported on a face of delta when it is given (see b_saturate), and
+    whether a step dropped an irredundant component for lying off delta.
 
     The generators are met one at a time, from the zero ideal (the one
     component 0).  Monomial ideals form a distributive lattice, so
@@ -186,10 +192,20 @@ def irreducible_decomposition(I, delta=None):
     component containing that would contain C, against irredundancy, so
     only the new ones need reducing.  Each step consumes one generator,
     so the loop ends after len(I.gens) steps.
+
+    A step drops an irredundant off-fan component exactly when some
+    off-fan new one B contains none of the step's kept and reduced
+    on-fan components.  Such a B contains no on-fan new one either (each
+    contains a reduced one, or a kept one that a reduced one would
+    contain), so a containment-minimal off-fan new one inside B is
+    irredundant; an irredundant one is such a B.  Until the first drop
+    each step splits its new components by the fan itself, to test the
+    off-fan ones; after it, reduce_components drops them.
     """
     if I.is_unit():
         raise UnitIdeal("the unit ideal has no decomposition")
     comps = [(0,) * I.n]
+    dropped = False
     for g in I.gens:
         support = [(i, e) for i, e in enumerate(g) if e]
         kept, fresh = [], []
@@ -198,24 +214,36 @@ def irreducible_decomposition(I, delta=None):
                 kept.append(a)
             else:
                 fresh.extend(a[:i] + (e,) + a[i + 1:] for i, e in support)
-        comps = kept + [b for b in reduce_components(fresh, delta)
+        off = ()
+        if delta is not None and not dropped:
+            on = [b for b in fresh if on_fan(b, delta)]
+            if len(on) < len(fresh):
+                off, fresh = set(fresh).difference(on), on
+        comps = kept + [b for b in reduce_components(fresh, delta if dropped else None)
                         if not any(component_contains(b, k) for k in kept)]
-    return tuple(sorted(comps))
+        if off:
+            dropped = any(not any(component_contains(b, c) for c in comps) for b in off)
+    return tuple(sorted(comps)), dropped
 
 
 def b_saturate(I, X):
     """(I : B^infinity): the meet of the components of I on the fan, the
     unit ideal when there is none (S/I is B-torsion).
 
-    irreducible_decomposition(I, X.delta) drops each off-fan component
-    at once, losing nothing: steps only grow supports and the fan is
-    closed under faces, so an off-fan component has only off-fan
-    descendants; and one containing another has the larger support, so
-    no off-fan one makes an on-fan one redundant."""
+    The decomposition drops each off-fan component at once, losing
+    nothing: steps only grow supports and the fan is closed under faces,
+    so an off-fan component has only off-fan descendants; and one
+    containing another has the larger support, so no off-fan one makes
+    an on-fan one redundant.  When no step drops one, every step is the
+    one the unfiltered decomposition takes, so the components are all of
+    I's, their meet is I, and I is returned as it is."""
     if I.is_unit():
         raise UnitIdeal("cannot saturate the unit ideal")
+    comps, dropped = _decompose(I, X.delta)
+    if not dropped:
+        return I
     out = MonomialIdeal.unit(I.n)
-    for a in irreducible_decomposition(I, X.delta):
+    for a in comps:
         out = out.intersect_irreducible(a)
     return out
 

@@ -31,12 +31,6 @@ class KUpset:
         self.X = X
         self.generators = _minimal_generators(X, generators)
 
-    def contains(self, p):
-        p = tuple(map(index, p))
-        return any(
-            self.X.nef_member(tuple(a - b for a, b in zip(p, g)))
-            for g in self.generators)
-
     def translate(self, v):
         return KUpset(self.X, [tuple(a + b for a, b in zip(g, v)) for g in self.generators])
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as gen
 from toricreg import enumeration as en
 from toricreg import hilbert as hb
 from toricreg import ideals as mi
+from toricreg import stanley as st
 from toricreg import variety as tv
 from toricreg.errors import NoRepresentation, NoSaturatedIdeal, SearchExhausted
 from toricreg.hilbert import (
@@ -23,7 +24,7 @@ from toricreg.hilbert import (
 from toricreg.ideals import b_saturate, is_b_saturated
 from toricreg.multipoly import GradedOrder, MultiPoly, parse_poly
 from toricreg.regularity import reg_bound_from_polynomial
-from toricreg.stanley import pair_component, verify_stanley
+from toricreg.stanley import _colon_chain, pair_component, verify_stanley
 
 from test_ideals import intersect
 
@@ -223,7 +224,7 @@ def test_gotzmann_number_runs_only_frame_and_search(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a later stage ran")
 
-    for name in ("_colon_chain", "stanley_filtration", "pair_component", "StanleyPair"):
+    for name in ("_filtration_step", "stanley_filtration", "pair_component", "StanleyPair"):
         monkeypatch.setattr(en, name, forbidden)
     assert en.gotzmann_number(PP, P) == 4
     assert en.gotzmann_upper_bound(PP, P) == 4
@@ -250,7 +251,7 @@ def test_incremental_realize_matches_per_rep_intersection(X, text):
         grouped.setdefault(ideal, []).append(rep)
     expected = {ideal: cands for ideal, cands in grouped.items()
                 if quotient_hilbert_polynomial(frame.X, ideal) == frame.P}
-    got, _, _ = en._realize(frame, reps)
+    got = en._realize(frame, reps).grouped
     assert expected
     assert list(got) == list(expected)
     assert got == expected
@@ -300,7 +301,8 @@ def test_pruned_realize_matches_unpruned_oracle(X, P):
     frame = en._working_frame(X, P, None)
     reps = en._stanley_reps(frame)
     expected = _unpruned_realize(frame, reps)
-    got, _, skipped = en._realize(frame, reps)
+    realized = en._realize(frame, reps)
+    got, skipped = realized.grouped, realized.skipped_reps
     assert list(got) == list(expected)
     assert got == expected
     assert skipped <= len(reps) - sum(map(len, got.values()))
@@ -528,7 +530,8 @@ def test_exact_check_candidate_count(monkeypatch, X, text, tests, leaves, count)
     with monkeypatch.context() as patch:
         for name in ("coarse_k_polynomial", "_k_polynomial"):
             patch.setattr(hb, name, counting(getattr(hb, name)))
-        _, prefix_tests, skipped = en._realize(frame, reps)
+        realized = en._realize(frame, reps)
+    prefix_tests, skipped = realized.prefix_tests, realized.skipped_reps
     assert (prefix_tests, len(reps) - skipped) == (tests, leaves)
     assert checked == []
     assert len(frame.component_sets) == count
@@ -563,3 +566,139 @@ def test_one_stanley_pair_per_distinct_pair(monkeypatch):
     # realize takes each pair's component once, not once per intersection
     en._realize(frame, reps)
     assert len(components) == len(set(components)) == 279
+
+
+def _colon_chain_witness(ideal, reps):
+    """The witness selection that realize's filtration steps replace, kept
+    as their oracle: sort the ideal's reps by their pairs' sort keys and
+    take the first that the colon chain certifies (None if none does)."""
+    candidates = sorted(reps, key=lambda rep: tuple(pair.sort_key() for pair in rep))
+    return next((rep for rep in candidates if _colon_chain(ideal, rep)), None)
+
+
+def _stepped_filtration(rep):
+    """The rep's ideal (the meet of its pairs' components) and whether
+    every _filtration_step along its prefix ideals passes."""
+    ideal, passed = mi.MonomialIdeal.unit(len(rep[0].shift)), True
+    for pair in rep:
+        component = pair_component(pair)
+        passed = passed and en._filtration_step(ideal, pair, component)
+        ideal = ideal.intersect_irreducible(component)
+    return ideal, passed
+
+
+P3 = tv.projective_space(3)
+P4 = tv.projective_space(4)
+P1xP1 = tv.product_projective(1, 1)
+P2xP2 = tv.product_projective(2, 2)
+F1 = tv.hirzebruch(1)
+
+# name -> (variety, polynomial, ideals whose witness falls back to the recursion)
+WITNESS_CASES = {
+    "P2-3t+1": (P2, "3*t+1", 0), "P2-4": (P2, "4", 12), "P2-5": (P2, "5", 41),
+    "P2-2t+2": (P2, "2*t+2", 0),
+    "P3-2t+1": (P3, "2*t+1", 0), "P3-3": (P3, "3", 4), "P3-2t+2": (P3, "2*t+2", 3),
+    "P4-2t+1": (P4, "2*t+1", 0), "P4-3": (P4, "3", 10),
+    "PxP(1,1)-t1+t2+1": (P1xP1, "t1+t2+1", 0), "PxP(1,1)-3": (P1xP1, "3", 12),
+    "PxP(2,1)-2t1+t2+1": (PP, "2*t1+t2+1", 6), "PxP(2,1)-t1+2t2+1": (PP, "t1+2*t2+1", 0),
+    "PxP(2,1)-2": (PP, "2", 6),
+    "PxP(2,2)-2": (P2xP2, "2", 18), "PxP(2,2)-t1+1": (P2xP2, "t1+1", 0),
+    "Hirzebruch(1)-t1+t2+1": (F1, "t1+t2+1", 0), "Hirzebruch(1)-3": (F1, "3", 11),
+    "Hirzebruch(2)-3": (F2, "3", 11), "Hirzebruch(2)-t2+1": (F2, "t2+1", 0),
+}
+
+
+@pytest.mark.parametrize("X, text, fallbacks", WITNESS_CASES.values(), ids=WITNESS_CASES)
+def test_witnesses_match_colon_chain_oracle(X, text, fallbacks):
+    # realize's least rep whose filtration steps all pass is the first
+    # sorted rep the colon chain certifies; an ideal with no such rep, and
+    # only such an ideal, falls back to the graded-order recursion
+    P = parse_poly(text, nvars=X.r)
+    frame = en._working_frame(X, P, None)
+    realized = en._realize(frame, en._stanley_reps(frame))
+    assert realized.grouped
+    expected = {}
+    for ideal, reps in realized.grouped.items():
+        witness = _colon_chain_witness(ideal, reps)
+        if witness is not None:
+            expected[ideal] = witness
+    assert realized.witnesses == expected
+    assert len(realized.grouped) - len(expected) == fallbacks
+    result = en.run_enumeration(X, P)
+    assert result.witness_fallbacks == fallbacks
+    for ideal, witness in result.ideals:
+        if ideal in expected:
+            assert witness == expected[ideal]
+        else:
+            assert verify_stanley(ideal, witness, mode="filtration")
+
+
+@pytest.mark.parametrize("X, text", [case[:2] for case in WITNESS_CASES.values()],
+                         ids=WITNESS_CASES)
+def test_filtration_steps_decide_the_colon_chain_on_every_passing_rep(X, text):
+    # every rep of every passing ideal, not only the chosen witness
+    frame = en._working_frame(X, parse_poly(text, nvars=X.r), None)
+    grouped = en._realize(frame, en._stanley_reps(frame)).grouped
+    verdicts = Counter()
+    for ideal, reps in grouped.items():
+        for rep in reps:
+            meet, passed = _stepped_filtration(rep)
+            assert meet == ideal
+            assert passed == bool(_colon_chain(ideal, rep)), (ideal, rep)
+            verdicts[passed] += 1
+    assert verdicts[True]
+
+
+@gen.composite
+def pair_sequences(draw):
+    """A Stanley filtration of a drawn ideal, as the recursion builds it,
+    then with pairs dropped or swapped, so that both outcomes occur."""
+    n = draw(gen.integers(2, 4))
+    gens = draw(gen.lists(gen.tuples(*[gen.integers(0, 2)] * n), min_size=1, max_size=4))
+    ideal = mi.MonomialIdeal(n, gens)
+    if ideal.is_unit():
+        ideal = mi.MonomialIdeal(n, [tuple(e + 1 for e in gens[0])])
+    pairs = list(st.stanley_filtration(ideal))
+    for _ in range(draw(gen.integers(0, 2))):
+        i = draw(gen.integers(0, len(pairs) - 1))
+        if len(pairs) > 1 and draw(gen.booleans()):
+            del pairs[i]
+        else:
+            j = draw(gen.integers(0, len(pairs) - 1))
+            pairs[i], pairs[j] = pairs[j], pairs[i]
+    return tuple(pairs)
+
+
+@given(pair_sequences())
+def test_filtration_steps_decide_the_colon_chain_on_drawn_sequences(pairs):
+    # the step claim holds for any pair sequence, not only the search's reps
+    meet, passed = _stepped_filtration(pairs)
+    assert passed == bool(_colon_chain(meet, pairs))
+
+
+@pytest.mark.parametrize("X, text, fallbacks, steps", [
+    (P2, "4*t+1", 15, 1122),
+    (P3, "3*t+1", 10, 508),
+    (PP, "3*t1+1", 6, 334),
+], ids=["P2", "P3", "PxP(2,1)"])
+def test_witness_counters(X, text, fallbacks, steps):
+    # steps counts the path extensions whose filtration step ran: realize
+    # tests no step after a failed one
+    result = en.run_enumeration(X, parse_poly(text, nvars=X.r))
+    assert (result.witness_fallbacks, result.filtration_steps) == (fallbacks, steps)
+
+
+def test_realize_keeps_the_least_filtration_in_any_rep_order():
+    # on every search checked, an ideal has at most one rep that is a
+    # filtration, so the comparison is exercised by hand: the fat point
+    # <x1^2, x1*x2, x2^2> on P(2) has the filtrations 1, x1, x2 and
+    # 1, x2, x1 (face {x3} each); the second sorts first
+    frame = en._working_frame(P2, parse_poly("3"), None)
+    one, x1, x2 = (st.StanleyPair(u, frozenset({2})) for u in [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    ideal = mi.MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0)])
+    reps = [(one, x1, x2), (one, x2, x1)]
+    for order in (reps, reps[::-1]):
+        realized = en._realize(frame, order)
+        assert realized.grouped == {ideal: order}
+        assert realized.witnesses == {ideal: (one, x2, x1)} == {
+            ideal: _colon_chain_witness(ideal, order)}

@@ -255,6 +255,48 @@ def test_decomposition_and_saturation_match_split_oracle(name):
         mi.is_b_saturated(mi.MonomialIdeal.unit(n), X)
 
 
+@pytest.mark.parametrize("name", DECOMPOSITION_VARIETIES)
+def test_saturated_inputs_reach_no_intersection(name, monkeypatch):
+    # b_saturate returns I itself when no step of the decomposition drops
+    # an irredundant off-fan component; on the split-oracle inputs every
+    # saturated input is such a case, so it meets no component
+    calls = []
+    original_meet = mi.MonomialIdeal.intersect_irreducible
+
+    def counting(self, a):
+        calls.append(a)
+        return original_meet(self, a)
+
+    saturations = []
+    original = mi.b_saturate
+
+    def recording(I, X):
+        before = len(calls)
+        out = original(I, X)
+        saturations.append((I, X, out, len(calls) - before))
+        return out
+
+    monkeypatch.setattr(mi.MonomialIdeal, "intersect_irreducible", counting)
+    monkeypatch.setattr(mi, "b_saturate", recording)
+    test_decomposition_and_saturation_match_split_oracle(name)
+    saturated = [(I, out, met) for I, X, out, met in saturations if mi.is_b_saturated(I, X)]
+    assert saturated and len(saturated) < len(saturations)
+    for I, out, met in saturated:
+        assert (out is I, met) == (True, 0), I
+
+
+def test_saturated_input_whose_decomposition_drops_a_component():
+    # the early return is sufficient, not necessary: meeting x2*x5, then
+    # x1*x3, drops <x3, x5> (supported off the fan), whose descendants
+    # <x1, x3, x5> and <x2, x3, x5> the last generator x1*x2 makes
+    # redundant, so I is saturated and b_saturate meets its components
+    X = TWO_POINT_BLOWUP
+    I = mi.MonomialIdeal(5, [(1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (0, 1, 0, 0, 1)])
+    assert mi.is_b_saturated(I, X)
+    assert mi._decompose(I, X.delta) == (mi.irreducible_decomposition(I), True)
+    assert mi.b_saturate(I, X) == I
+
+
 @gen.composite
 def variety_and_ideal(draw):
     """A variety of DECOMPOSITION_VARIETIES and a proper ideal on it with
@@ -509,11 +551,10 @@ X1 = mi.MonomialIdeal(3, [(1, 0, 0)])
     lambda: tv.find_point_dominating(P2, [(0,), (0.5,)]),
     lambda: MultiPoly(1, {(1.5,): 1}),
     lambda: KUpset(P2, [(0.7,)]),
-    lambda: KUpset(P2, [(0,)]).contains((0.5,)),
     lambda: il.unimodular_with_first_column((1.0, 2)),
     lambda: ideals_generated_in_degrees(P2, [(1.5,)], MultiPoly.constant(1, 1)),
 ], ids=["hilbert_function", "fiber_monomials", "nef_member", "find_point_dominating",
-        "MultiPoly", "KUpset", "KUpset.contains", "unimodular_with_first_column",
+        "MultiPoly", "KUpset", "unimodular_with_first_column",
         "ideals_generated_in_degrees"])
 def test_non_integer_vectors_are_rejected(call):
     # truncating 2.7 to 2 would answer for a different degree
