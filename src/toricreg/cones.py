@@ -5,11 +5,13 @@ projective toric variety and duals of degree cones.  Rays are found by
 intersecting (r-1)-subsets of the defining hyperplanes, which is exact
 and entirely adequate for the handful of inequalities we ever see.  The
 line cut out by r-1 independent rows is spanned by their signed maximal
-minors (the generalized cross product), one determinant per entry.
+minors (the generalized cross product), one determinant per entry; on
+a line it is 1, and in the plane the normal (b, -a) of the row (a, b).
 Matrices are tuples of int rows, as in intlinalg.
 """
 
 from itertools import combinations
+from operator import mul
 
 from . import intlinalg as il
 
@@ -25,21 +27,27 @@ def cone_rays(W, dim):
         return ()
     W = dedupe_rows(W)
     rays = set()
-    cols = tuple(range(dim))
     for subset in combinations(W, dim - 1):
-        cross = tuple((-1) ** j * il.determinant(il.columns(subset, cols[:j] + cols[j + 1:]))
-                      for j in range(dim))
+        cross = _cross(subset, dim)
         if not any(cross):  # the rows are dependent: no line
             continue
         v = il.primitive(cross)
         for cand in (v, tuple(-x for x in v)):
-            if all(x >= 0 for x in il.matvec(W, cand)):
+            if all(sum(map(mul, row, cand)) >= 0 for row in W):
                 rays.add(cand)
     return tuple(sorted(rays))
 
 
-def is_pointed(W, dim):
-    return il.rank(W) == dim
+def _cross(rows, dim):
+    """The signed maximal minors of dim - 1 rows in R^dim."""
+    if dim == 1:
+        return (1,)
+    if dim == 2:
+        ((a, b),) = rows
+        return (b, -a)
+    cols = tuple(range(dim))
+    return tuple((-1) ** j * il.determinant(il.columns(rows, cols[:j] + cols[j + 1:]))
+                 for j in range(dim))
 
 
 def interior_point(W, rays):

@@ -181,7 +181,7 @@ def irreducible_decomposition(I):
 def _decompose(I, delta):
     """The components of irreducible_decomposition(I), only those
     supported on a face of delta when it is given (see b_saturate), and
-    whether a step dropped an irredundant component for lying off delta.
+    whether an irredundant component of I lies off delta.
 
     The generators are met one at a time, from the zero ideal (the one
     component 0).  Monomial ideals form a distributive lattice, so
@@ -193,36 +193,32 @@ def _decompose(I, delta):
     only the new ones need reducing.  Each step consumes one generator,
     so the loop ends after len(I.gens) steps.
 
-    A step drops an irredundant off-fan component exactly when some
-    off-fan new one B contains none of the step's kept and reduced
-    on-fan components.  Such a B contains no on-fan new one either (each
-    contains a reduced one, or a kept one that a reduced one would
-    contain), so a containment-minimal off-fan new one inside B is
-    irredundant; an irredundant one is such a B.  Until the first drop
-    each step splits its new components by the fan itself, to test the
-    off-fan ones; after it, reduce_components drops them.
+    The new components off delta are set aside, and the test for an
+    off-fan irredundant component Q of I is made once, at the end: some
+    set-aside B contains none of the final components.  Q's line of
+    ancestors starts at the on-fan 0, and its first off-fan member B is
+    a new component of an on-fan parent, which the filtered steps keep
+    (b_saturate), so B is set aside.  Q contains B, so if B contained a
+    final component, Q would contain another component of I.  An answer
+    of True when I has no such Q only costs b_saturate a meet.
     """
     if I.is_unit():
         raise UnitIdeal("the unit ideal has no decomposition")
     comps = [(0,) * I.n]
-    dropped = False
+    off = []
     for g in I.gens:
         support = [(i, e) for i, e in enumerate(g) if e]
         kept, fresh = [], []
         for a in comps:
             if any(0 < a[i] <= e for i, e in support):
                 kept.append(a)
-            else:
-                fresh.extend(a[:i] + (e,) + a[i + 1:] for i, e in support)
-        off = ()
-        if delta is not None and not dropped:
-            on = [b for b in fresh if on_fan(b, delta)]
-            if len(on) < len(fresh):
-                off, fresh = set(fresh).difference(on), on
-        comps = kept + [b for b in reduce_components(fresh, delta if dropped else None)
+                continue
+            for i, e in support:
+                b = a[:i] + (e,) + a[i + 1:]
+                (fresh if delta is None or on_fan(b, delta) else off).append(b)
+        comps = kept + [b for b in reduce_components(fresh)
                         if not any(component_contains(b, k) for k in kept)]
-        if off:
-            dropped = any(not any(component_contains(b, c) for c in comps) for b in off)
+    dropped = any(not any(component_contains(b, c) for c in comps) for b in off)
     return tuple(sorted(comps)), dropped
 
 
@@ -234,9 +230,10 @@ def b_saturate(I, X):
     nothing: steps only grow supports and the fan is closed under faces,
     so an off-fan component has only off-fan descendants; and one
     containing another has the larger support, so no off-fan one makes
-    an on-fan one redundant.  When no step drops one, every step is the
-    one the unfiltered decomposition takes, so the components are all of
-    I's, their meet is I, and I is returned as it is."""
+    an on-fan one redundant, and each step keeps the on-fan components
+    of the unfiltered one.  When no irredundant component of I lies off
+    the fan (_decompose), the components are all of I's, their meet is I,
+    and I is returned as it is."""
     if I.is_unit():
         raise UnitIdeal("cannot saturate the unit ideal")
     comps, dropped = _decompose(I, X.delta)

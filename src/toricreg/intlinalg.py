@@ -4,18 +4,22 @@ A matrix is a tuple of rows, each a tuple of Python ints, so nothing
 ever overflows or rounds.  A matrix with no rows carries no column
 count; the functions that need one take it as an argument.
 
-Rank, determinant and unimodular inverse come from fraction-free
-(Bareiss) elimination, which needs no change of basis.  The Smith form
-is kept for what needs the unimodular factors themselves: a lattice
-basis of an integer kernel (kernel_basis, behind the canonical grading
-of a fan) and the completion of a primitive vector to a unimodular
-matrix (unimodular_with_first_column).  It does not enforce the
-divisibility chain on the diagonal; for those two only which diagonal
-entries are zero or +-1 matters.
+Determinants and unimodular inverses up to 3 x 3 are closed forms (the
+cofactor expansion and the adjugate); rank, and determinant and inverse
+beyond, come from fraction-free (Bareiss) elimination, which needs no
+change of basis.  The Smith form is kept for what needs the unimodular
+factors themselves: the completion of a primitive vector to a unimodular
+matrix (unimodular_with_first_column), and a lattice basis of an integer
+kernel (kernel_basis).  A fan's canonical grading does not come from it:
+build_variety reads the ray kernel off a unimodular cone, and takes
+kernel_basis only for a fan with no maximal cone.  The Smith form does
+not enforce the divisibility chain on the diagonal; for those two only
+which diagonal entries are zero or +-1 matters.
 """
 
+from functools import cache
 from math import gcd
-from operator import index
+from operator import index, mul
 
 
 def as_int_matrix(rows):
@@ -30,6 +34,7 @@ def as_int_matrix(rows):
     return mat
 
 
+@cache
 def identity(k):
     return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
@@ -44,12 +49,12 @@ def columns(A, cols):
 
 
 def matvec(A, v):
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
+    return tuple(sum(map(mul, row, v)) for row in A)
 
 
 def matmul(A, B):
     Bt = transpose(B)
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
+    return tuple(tuple(sum(map(mul, row, col)) for col in Bt) for row in A)
 
 
 def _shape(A):
@@ -237,36 +242,75 @@ def row_hermite_normal_form(A):
 
 
 def _check_square(A, what):
-    m, n = _shape(A)
-    if any(len(row) != m for row in A):
-        raise ValueError(f"{what} of a non-square {m} x {n} matrix")
+    m = len(A)
+    for row in A:
+        if len(row) != m:
+            raise ValueError(f"{what} of a non-square {m} x {len(A[0])} matrix")
     return m
 
 
 def determinant(A):
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant: cofactor expansion up to 3 x 3, fraction-free
+    Bareiss elimination beyond."""
     m = _check_square(A, "determinant")
-    if m == 0:
-        return 1
+    if m <= 3:
+        return _small_determinant(A, m)
     M, pivots, sign = _bareiss(A, m)
     return sign * M[m - 1][m - 1] if len(pivots) == m else 0
+
+
+def _small_determinant(A, m):
+    if m == 0:
+        return 1
+    if m == 1:
+        return A[0][0]
+    if m == 2:
+        (a, b), (c, d) = A
+        return a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = A
+    return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
+
+
+def _adjugate(A, m):
+    """The transposed cofactor matrix of a matrix of size at most 3."""
+    if m <= 1:
+        return ((1,),) if m else ()
+    if m == 2:
+        (a, b), (c, d) = A
+        return ((d, -b), (-c, a))
+    (a, b, c), (d, e, f), (g, h, i) = A
+    return ((e * i - f * h, c * h - b * i, b * f - c * e),
+            (f * g - d * i, a * i - c * g, c * d - a * f),
+            (d * h - e * g, b * g - a * h, a * e - b * d))
 
 
 def inverse_unimodular(A):
     """Integer inverse of a matrix with determinant +-1.
 
+    Up to 3 x 3 the inverse is det A times the adjugate.  Beyond,
     Gauss-Jordan Bareiss elimination on [A | I] ends at [p I | p A^-1]
     with p = +-det A, so for p = +-1 the right block times p is A^-1.
+    Either way A times the result is checked to be I.
     """
     m = _check_square(A, "inverse")
-    augmented = [tuple(row) + e for row, e in zip(A, identity(m))]
-    M, pivots, _ = _bareiss(augmented, m, reduce_above=True)
-    if len(pivots) < m:
-        raise ValueError("matrix is singular")
-    p = M[m - 1][m - 1] if m else 1
-    if p not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    inv = tuple(tuple(p * x for x in row[m:]) for row in M)
+    if m <= 3:
+        p = _small_determinant(A, m)
+        if p == 0:
+            raise ValueError("matrix is singular")
+        if p not in (1, -1):
+            raise ValueError("matrix is not unimodular")
+        inv = _adjugate(A, m)
+        if p == -1:
+            inv = tuple(tuple(-x for x in row) for row in inv)
+    else:
+        augmented = [tuple(row) + e for row, e in zip(A, identity(m))]
+        M, pivots, _ = _bareiss(augmented, m, reduce_above=True)
+        if len(pivots) < m:
+            raise ValueError("matrix is singular")
+        p = M[m - 1][m - 1]
+        if p not in (1, -1):
+            raise ValueError("matrix is not unimodular")
+        inv = tuple(tuple(p * x for x in row[m:]) for row in M)
     if matmul(A, inv) != identity(m):
         raise ArithmeticError("computed inverse does not invert the matrix")
     return inv

@@ -33,7 +33,7 @@ class Fan:
     """Rays plus maximal cones of a simplicial fan (0-based indices)."""
 
     def __init__(self, rays, max_cones):
-        self.rays = tuple(tuple(index(x) for x in ray) for ray in rays)
+        self.rays = tuple(tuple(map(index, ray)) for ray in rays)
         self.max_cones = tuple(sorted(
             {frozenset(index(i) for i in cone) for cone in max_cones},
             key=sorted))
@@ -134,6 +134,20 @@ def build_variety(fan, grading=None, assume_complete=False):
     exact sequence as the canonical Gale dual (checked).  When omitted,
     A is the Hermite-normal-form basis of the ray kernel, which makes
     the output reproducible across runs.
+
+    Every maximal cone is checked to be unimodular, and the Gale dual is
+    read off the first one (Cox-Little-Schenck, Toric Varieties, 5.1).
+    Let sigma_0 be that cone, R the block of its rays and sigma_0^ the
+    other r = n - d indices.  Each b_j, j in sigma_0^, is the integer
+    combination lambda_j = b_j R^-1 of the rays of sigma_0, so
+    k_j = e_j - sum_i lambda_{j,i} e_{sigma_0,i} lies in the kernel L of
+    the ray map.  The k_j are a lattice basis of L: their block on
+    sigma_0^ is the identity, so they are independent, and x in L equals
+    sum_j x_j k_j, because the difference lies in L and is zero off
+    sigma_0, where the rays are independent.  The Hermite normal form of
+    a row lattice is canonical, so it is the one any other basis of L
+    (a Smith-form kernel, say) would give.  No Smith form is taken unless
+    the fan has no maximal cone to read L from.
     """
     n, d = fan.n, fan.d
     if n <= d:
@@ -141,22 +155,31 @@ def build_variety(fan, grading=None, assume_complete=False):
     for ray in fan.rays:
         if il.vec_gcd(ray) != 1:
             raise NonPrimitiveRay(f"ray {ray} is not primitive")
-    if il.rank(fan.rays) != d:
+    ordered = [tuple(sorted(cone)) for cone in fan.max_cones]
+    dets = {cone: il.determinant(tuple(fan.rays[i] for i in c))
+            for cone, c in zip(fan.max_cones, ordered) if len(c) == d}
+    # d rays of nonzero determinant span R^d: only without them is the
+    # rank taken
+    if not any(dets.values()) and il.rank(fan.rays) != d:
         raise RaysNotSpanning("rays do not span R^d")
 
-    dets = {}
     for cone in fan.max_cones:
         if len(cone) != d:
             raise NotSmooth(f"maximal cone {_show_face(cone)} does not have dimension {d}")
-        det = dets[cone] = il.determinant(tuple(fan.rays[i] for i in sorted(cone)))
-        if det not in (1, -1):
-            raise NotSmooth(f"cone {_show_face(cone)} has determinant {det}")
+        if dets[cone] not in (1, -1):
+            raise NotSmooth(f"cone {_show_face(cone)} has determinant {dets[cone]}")
 
     if not assume_complete:
         _check_complete(fan, dets)
 
-    canonical = il.row_hermite_normal_form(il.kernel_basis(il.transpose(fan.rays), n))
+    if ordered:
+        kernel = _kernel_from_cone(fan.rays, ordered[0])
+    else:  # no cone to read the kernel off
+        kernel = il.kernel_basis(il.transpose(fan.rays), n)
+    canonical = il.row_hermite_normal_form(kernel)
     r = n - d
+    # never raised: the rays have rank d, so their kernel has rank r, and
+    # either basis of it is independent
     if len(canonical) != r:
         raise RaysNotSpanning("ray matrix kernel has unexpected rank")
     if grading is None:
@@ -170,16 +193,22 @@ def build_variety(fan, grading=None, assume_complete=False):
         if il.row_hermite_normal_form(A) != canonical:
             raise ValueError("grading rows do not span the full ray kernel")
 
-    delta = set()
-    for cone in fan.max_cones:
-        for k in range(len(cone) + 1):
-            delta.update(frozenset(s) for s in combinations(sorted(cone), k))
+    delta = {frozenset()}
+    for c in ordered:
+        faces = [()]
+        for i in c:
+            faces += [f + (i,) for f in faces]
+        delta.update(map(frozenset, faces))
     delta = frozenset(delta)
 
     facet_data = []
     ineq_rows = []
-    for cone in fan.max_cones:
-        sigma_hat = tuple(i for i in range(n) if i not in cone)
+    for c in ordered:
+        sigma_hat = tuple(i for i in range(n) if i not in c)
+        # never raised: A's rows are a basis of L (checked above), and so
+        # are the k_j read off this cone as in the docstring, whose block
+        # on sigma_hat is the identity; A's block there is the unimodular
+        # change from the k_j to A's rows
         try:
             minv = il.inverse_unimodular(il.columns(A, sigma_hat))
         except ValueError:
@@ -189,7 +218,9 @@ def build_variety(fan, grading=None, assume_complete=False):
         ineq_rows.extend(minv)
     W = tuple(ineq_rows)
 
-    if not cones.is_pointed(W, r):
+    # the rows of one facet inverse already have rank r, so the nef cone
+    # contains a line exactly when the fan has no maximal cone
+    if not facet_data:
         raise NotPointed("the nef cone contains a line")
     nef_rays = cones.cone_rays(W, r)
     if cones.interior_point(W, nef_rays) is None:
@@ -207,6 +238,21 @@ def build_variety(fan, grading=None, assume_complete=False):
         raise NotPointed("the degree cone pos{a_i} is not pointed")
 
     return ToricVariety(fan, A, delta, facet_data, nef_rays, nef_basis, w)
+
+
+def _kernel_from_cone(rays, cone):
+    """The basis k_j, j not in cone, of the ray kernel read off a
+    unimodular cone (see build_variety)."""
+    R_inv_t = il.transpose(il.inverse_unimodular(tuple(rays[i] for i in cone)))
+    basis = []
+    for j in range(len(rays)):
+        if j not in cone:
+            k = [0] * len(rays)
+            k[j] = 1
+            for i, lam in zip(cone, il.matvec(R_inv_t, rays[j])):
+                k[i] = -lam
+            basis.append(tuple(k))
+    return tuple(basis)
 
 
 def _check_complete(fan, dets):
