@@ -19,9 +19,8 @@ from math import comb
 from operator import index
 
 from .errors import BudgetExceeded, InfeasibleHilbertValue, SearchExhausted
-from .hilbert import quotient_hilbert_polynomial
-from .ideals import MonomialIdeal, b_saturate, fiber_monomials, hilbert_function
-from .multipoly import MultiPoly
+from .hilbert import _ring_expansion, coarse_k_polynomial, shift_numerators
+from .ideals import MonomialIdeal, fiber_monomials, fiber_sizes, hilbert_value
 from .regularity import RegularityAssumption, reg_bound_from_polynomial
 from .variety import find_c
 
@@ -146,16 +145,35 @@ class DegreeSetResult:
         return bool(self.trace) and self.trace[-1]["bad"] == 0
 
 
-def _quotient_poly(X, I):
-    if I.is_unit():
-        return MultiPoly.zero(X.r)
-    return quotient_hilbert_polynomial(X, I)
+def _scaled_target(X, P):
+    """D * P as {exponent: integer}, for D the denominator of P_S
+    (hilbert._ring_expansion), or None when D * P is not integral.
+
+    D * P_{S/I} = shift_numerators(X, K(S/I)) has integer coefficients
+    for every I (hilbert.py), and D > 0, so P_{S/I} = P exactly when that
+    dict equals this one; when D * P is not integral no ideal has
+    polynomial P.  The unit ideal has K = 0, so it matches exactly when
+    P = 0.  Both sides keep nonzero coefficients only.
+    """
+    denom = _ring_expansion(X)[1]
+    target = {e: c * denom for e, c in P.terms.items()}
+    if any(c.denominator != 1 for c in target.values()):
+        return None
+    return {e: int(c) for e, c in target.items()}
 
 
-def _find_disagreement(X, I, P, anchor, cap=2000):
-    """First point of anchor + K where the Hilbert function differs from P."""
+def _has_polynomial(X, kpoly, target):
+    """Whether the quotient with coarse K-polynomial kpoly has Hilbert
+    polynomial P, for target = _scaled_target(X, P)."""
+    return target is not None and shift_numerators(X, kpoly) == target
+
+
+def _find_disagreement(X, kpoly, P, anchor, size, cap=2000):
+    """First point of anchor + K where the Hilbert function of the
+    quotient with coarse K-polynomial kpoly differs from P (hilbert_value,
+    reading fiber sizes through size)."""
     for t in _cone_points(X, anchor, cap):
-        if hilbert_function(X, I, t) != P.evaluate(t):
+        if hilbert_value(kpoly, t, size) != P.evaluate(t):
             return t
     raise SearchExhausted("found no disagreement point in the bound region")
 
@@ -189,6 +207,11 @@ def degree_set(X, P, seed=0, assume=None, max_rounds=12, node_budget=1_000_000):
     ideal with the wrong Hilbert polynomial, (b) the regularity bound
     for ideals generated in D, and (c) binom(n, d) seeded points above
     that bound.
+
+    A candidate I is wrong unless P_{S/I} = P, compared in integers
+    (_scaled_target) from its coarse K-polynomial, fetched once per
+    round; the same K-polynomial gives its Hilbert function in the
+    search for (a), through one fiber-size lookup per call.
     """
     assume = assume or RegularityAssumption()
     bound = reg_bound_from_polynomial(X, P, assume)
@@ -198,12 +221,15 @@ def degree_set(X, P, seed=0, assume=None, max_rounds=12, node_budget=1_000_000):
     rng = random.Random(seed)
     rays = X.nef_rays
     c = find_c(X)
+    target = _scaled_target(X, P)
+    size = fiber_sizes(X)
     D = {anchor}
     trace = []
     ideals = []
     for round_index in range(max_rounds):
         ideals = ideals_generated_in_degrees(X, D, P, node_budget=node_budget)
-        bad = [I for I in ideals if _quotient_poly(X, I) != P]
+        kpolys = (coarse_k_polynomial(X, I) for I in ideals)
+        bad = [k for k in kpolys if not _has_polynomial(X, k, target)]
         trace.append({"round": round_index, "size": len(D),
                       "candidates": len(ideals), "bad": len(bad)})
         if not bad:
@@ -211,8 +237,8 @@ def degree_set(X, P, seed=0, assume=None, max_rounds=12, node_budget=1_000_000):
                 points=tuple(sorted(D, key=lambda t: _degree_sort_key(X, t))),
                 anchor=anchor, ideals=ideals, seed=seed, trace=trace)
         new_points = set()
-        for I in bad:
-            new_points.add(_find_disagreement(X, I, P, anchor))
+        for kpoly in bad:
+            new_points.add(_find_disagreement(X, kpoly, P, anchor, size))
         max_total = max(
             (sum(u) for t in D for u in fiber_monomials(X, t)), default=0)
         c_new = tuple(max_total * x for x in c)
@@ -237,18 +263,37 @@ def degree_set(X, P, seed=0, assume=None, max_rounds=12, node_budget=1_000_000):
 
 
 def supportive_check(X, result, P, box_level=6):
-    """Desk-scale verification of the supporting property of D.
+    """Verification of the supporting property of D: whether every
+    candidate ideal I surviving on the final D has Hilbert polynomial P
+    (exact), and Hilbert function P at every sampled point of anchor + K
+    (a sample, not a proof).
 
-    Every candidate ideal surviving on the final D must agree with P at
-    every sampled point of anchor + K (a triangular grid of nef-ray
-    combinations up to box_level), and its saturation must have Hilbert
-    polynomial P.
+    The polynomial clause is decided in integers from I's coarse
+    K-polynomial (_scaled_target).  It also settles the saturation:
+    P_{S/I^sat} = P_{S/I}, so no I^sat is built.  In the exact sequence
+    0 -> I^sat/I -> S/I -> S/I^sat -> 0 the Hilbert functions add, so
+    P_{S/I} = P_{S/I^sat} + P_M for M = I^sat/I.  M is finitely generated
+    (S is Noetherian) and B-torsion (B^k I^sat lies in I for some k), so
+    its sheaf on X is zero, and for t deep in K the Hilbert function of
+    a finitely generated module is the Euler characteristic of its sheaf
+    twisted by O(t) (Maclagan-Smith, Multigraded Castelnuovo-Mumford
+    regularity, 2004): P_M = 0.  When I^sat is the unit ideal, S/I is
+    itself B-torsion and both sides are 0.
+
+    The grid is the points of anchor + sum_k c_k ray_k over the nef rays
+    with sum_k c_k <= box_level, listed once; P is evaluated once per
+    point, each candidate's K-polynomial is fetched once, and fiber
+    sizes are read through one lookup for the call (hilbert_value).
+    Agreement there is sampled, up to box_level: it does not certify
+    H_{S/I} = P on all of anchor + K.
     """
+    target = _scaled_target(X, P)
+    grid = [(t, P.evaluate(t)) for t in dict.fromkeys(_cone_points(X, result.anchor, box_level))]
+    size = fiber_sizes(X)
     for I in result.ideals:
-        if any(hilbert_function(X, I, t) != P.evaluate(t)
-               for t in _cone_points(X, result.anchor, box_level)):
+        kpoly = coarse_k_polynomial(X, I)
+        if not _has_polynomial(X, kpoly, target):
             return False
-        saturated = b_saturate(I, X) if not I.is_unit() else I
-        if _quotient_poly(X, saturated) != P:
+        if any(hilbert_value(kpoly, t, size) != value for t, value in grid):
             return False
     return True

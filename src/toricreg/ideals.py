@@ -9,7 +9,7 @@ zero ideal.  Decompositions meet the generators one at a time, and
 B-saturation drops off-fan components at each step (proofs there).
 """
 
-from operator import index, le
+from operator import index, le, sub
 
 from . import intlinalg as il
 from .errors import FiberTooLarge, UnitIdeal
@@ -336,17 +336,37 @@ def _enumerate_fiber(X, t, cap):
 
 
 def hilbert_function(X, I, t, cap=10_000_000):
-    """dim_k (S/I)_t = sum_d c_d |fiber(t - d)| over the coarse
-    K-polynomial sum_d c_d y^d of S/I (see hilbert.py), from cached fibers.
+    """dim_k (S/I)_t by hilbert_value, from cached fibers.
 
-    Every d is the degree of a monomial, so fiber(t - d) embeds in
-    fiber(t) and cap bounds them all.
+    Every d of the K-polynomial is the degree of a monomial, so
+    fiber(t - d) embeds in fiber(t) and cap bounds them all.
     """
     from .hilbert import coarse_k_polynomial
     t = tuple(map(index, t))
     _fiber(X, t, cap)  # checks the entries of t and the cap on fiber(t)
-    return sum(c * len(_fiber(X, tuple(a - b for a, b in zip(t, d)), cap))
-               for d, c in coarse_k_polynomial(X, I))
+    return hilbert_value(coarse_k_polynomial(X, I), t, fiber_sizes(X, cap))
+
+
+def hilbert_value(kpoly, t, size):
+    """dim_k (S/I)_t = sum_d c_d |fiber(t - d)| over the coarse
+    K-polynomial kpoly = ((d, c_d), ...) of S/I (see hilbert.py), for a
+    tuple t of r ints and size = fiber_sizes(X, cap)."""
+    return sum(c * size(tuple(map(sub, t, d))) for d, c in kpoly)
+
+
+def fiber_sizes(X, cap=10_000_000):
+    """The lookup u -> |fiber(u)| for tuples u of r ints, raising
+    FiberTooLarge past cap, memoized in a dict owned by the lookup alone:
+    a caller that reads many values builds one and drops it when done."""
+    sizes = {}
+
+    def size(u):
+        count = sizes.get(u)
+        if count is None:
+            count = sizes[u] = len(_fiber(X, u, cap))
+        return count
+
+    return size
 
 
 # -- text rendering ------------------------------------------------------

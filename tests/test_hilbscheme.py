@@ -1,5 +1,8 @@
 """Degree sets for the Hilbert scheme embedding and the Step-2 search."""
 
+import json
+from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from operator import index
 
@@ -7,12 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as gen
 
+from toricreg import hilbert as hb
 from toricreg import hilbscheme as hs
 from toricreg import ideals as mi
 from toricreg import variety as tv
 from toricreg.enumeration import run_enumeration
 from toricreg.errors import BudgetExceeded, InfeasibleHilbertValue
-from toricreg.hilbert import quotient_hilbert_polynomial
+from toricreg.hilbert import coarse_k_polynomial, quotient_hilbert_polynomial
 from toricreg.multipoly import MultiPoly, parse_poly
 
 P1 = tv.projective_space(1)
@@ -136,28 +140,139 @@ def test_degree_set_deterministic_per_seed():
     assert c.converged  # different seed still converges
 
 
-def test_saturation_bridging():
-    # candidates matching H on D have saturations with Hilbert polynomial P
-    P = parse_poly("2", nvars=1)
-    result = hs.degree_set(P2, P, seed=7)
+def rational_polynomial(X, I):
+    """P_{S/I} as a Fraction MultiPoly, the zero polynomial for the unit ideal."""
+    return MultiPoly.zero(X.r) if I.is_unit() else quotient_hilbert_polynomial(X, I)
+
+
+def saturating_supportive_oracle(X, result, P, box_level=6):
+    """supportive_check as it was with a saturation clause: every
+    candidate agrees with P on the sampled grid (by hilbert_function),
+    and its B-saturation has Hilbert polynomial P, as a Fraction
+    polynomial."""
     for I in result.ideals:
-        if I.is_unit() or I.is_zero():
-            continue
-        sat = mi.b_saturate(I, P2)
-        got = MultiPoly.zero(1) if sat.is_unit() else quotient_hilbert_polynomial(P2, sat)
-        assert got == P
+        if any(mi.hilbert_function(X, I, t) != P.evaluate(t)
+               for t in hs._cone_points(X, result.anchor, box_level)):
+            return False
+        saturated = mi.b_saturate(I, X) if not I.is_unit() else I
+        if rational_polynomial(X, saturated) != P:
+            return False
+    return True
+
+
+def variety(name):
+    return DP7 if name == "DP7" else tv.load_variety(name)
+
+
+@cache
+def degset_rounds(name, ptext):
+    """(X, P, degree_set result at seed 11, the candidates of every round,
+    bad ones included)."""
+    X = variety(name)
+    P = parse_poly(ptext, nvars=X.r)
+    rounds = []
+    search = hs.ideals_generated_in_degrees
+
+    def recording(*args, **kwargs):
+        rounds.append(search(*args, **kwargs))
+        return rounds[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hs, "ideals_generated_in_degrees", recording)
+        result = hs.degree_set(X, P, seed=11)
+    return X, P, result, rounds
+
+
+# (variety, P, verdict of supportive_check at seed 11)
+SUPPORT_CASES = [
+    ("P(2)", "4", True), ("P(3)", "3", True), ("Hirzebruch(1)", "2", True),
+    ("Hirzebruch(2)", "2", True), ("PxP(1,1)", "2", True), ("PxP(2,1)", "2", True),
+    ("PxP(2,1)", "t1+1", False), ("DP7", "1", False), ("DP7", "2", True)]
+
+
+@pytest.mark.parametrize("name, ptext, verdict", SUPPORT_CASES)
+def test_supportive_check_matches_saturating_oracle(name, ptext, verdict):
+    X, P, result, _ = degset_rounds(name, ptext)
+    assert hs.supportive_check(X, result, P) is verdict
+    assert saturating_supportive_oracle(X, result, P) is verdict
+
+
+def test_exact_clause_rejects_what_the_anchor_cannot():
+    # round 0 runs on D = {anchor}, so every candidate of it agrees with P
+    # at the anchor; with box_level=0 that is the whole grid, and only the
+    # polynomial clause tells the bad ones apart
+    X, P, result, rounds = degset_rounds("P(2)", "4")
+    verdicts = []
+    for I in rounds[0]:
+        alone = hs.DegreeSetResult(points=(result.anchor,), anchor=result.anchor,
+                                   ideals=[I], seed=11)
+        verdict = hs.supportive_check(X, alone, P, box_level=0)
+        assert verdict == saturating_supportive_oracle(X, alone, P, box_level=0)
+        verdicts.append(verdict)
+    assert (len(verdicts), verdicts.count(False)) == (210, 174)
+
+
+def test_saturation_bridging():
+    # P_{S/I^sat} = P_{S/I} on every candidate of every round, so on every
+    # final candidate, where it is P; a B-torsion S/I has both sides 0
+    unit_saturations = 0
+    for name, ptext, _ in SUPPORT_CASES:
+        X, P, result, rounds = degset_rounds(name, ptext)
+        for I in result.ideals:
+            assert rational_polynomial(X, I) == P
+        for I in {I for ideals in rounds for I in ideals}:
+            sat = I if I.is_unit() else mi.b_saturate(I, X)
+            unit_saturations += sat.is_unit()
+            assert rational_polynomial(X, sat) == rational_polynomial(X, I), (name, ptext, I)
+    assert unit_saturations == 59
+
+
+def test_integer_check_matches_rational_polynomials():
+    # D * P_{S/I} == D * Q in integers agrees with P_{S/I} == Q as Fraction
+    # polynomials: for Q = P, for Q = 0 and for Q = P + 1/(D + 1), whose
+    # D * Q is not integral, on every round's candidates and the unit ideal
+    for name, ptext, _ in SUPPORT_CASES:
+        X, P, _, rounds = degset_rounds(name, ptext)
+        denom = hb._ring_expansion(X)[1]
+        off = P + MultiPoly.constant(X.r, Fraction(1, denom + 1))
+        assert hs._scaled_target(X, off) is None
+        ideals = {I for ideals in rounds for I in ideals} | {mi.MonomialIdeal.unit(X.n)}
+        for Q in (P, MultiPoly.zero(X.r), off):
+            target = hs._scaled_target(X, Q)
+            for I in ideals:
+                got = hs._has_polynomial(X, coarse_k_polynomial(X, I), target)
+                assert got == (rational_polynomial(X, I) == Q), (name, ptext, I, Q)
+
+
+@pytest.mark.parametrize("name, ptext, candidates", [("PxP(2,1)", "t1+1", 6), ("DP7", "1", 5)])
+def test_grid_clause_fails_on_candidates_with_polynomial_p(tmp_path, capsys, name, ptext, candidates):
+    # recorded finding: every final candidate has polynomial P and so does
+    # its saturation, but each one's Hilbert function differs from P on the
+    # sampled grid of anchor + K, so degset prints FAIL and exits 1
+    X, P, result, _ = degset_rounds(name, ptext)
+    assert len(result.ideals) == candidates
+    for I in result.ideals:
+        assert rational_polynomial(X, mi.b_saturate(I, X)) == P
+        assert any(mi.hilbert_function(X, I, t) != P.evaluate(t)
+                   for t in hs._cone_points(X, result.anchor, 6))
+    source = name
+    if name == "DP7":
+        source = tmp_path / "dp7.json"
+        source.write_text(json.dumps(tv.variety_to_dict(DP7)), encoding="utf-8")
+    from toricreg import cli
+    assert cli.main(["degset", "--variety", str(source), "--poly", ptext, "--seed", "11"]) == 1
+    assert capsys.readouterr().out.endswith("supportive check: FAIL\n")
 
 
 @pytest.mark.parametrize("name, ptext", [
     ("P(2)", "3*t+1"), ("P(2)", "4"), ("P(2)", "2*t+1"), ("P(3)", "3"), ("P(3)", "2*t+1"),
-    ("Hirzebruch(1)", "2"), ("PxP(1,1)", "2"), ("PxP(1,1)", "t1+1"), ("PxP(1,1)", "t1+t2+1")])
+    ("Hirzebruch(1)", "2"), ("PxP(1,1)", "2"), ("PxP(1,1)", "t1+1"), ("PxP(1,1)", "t1+t2+1"),
+    ("Hirzebruch(2)", "2"), ("PxP(2,1)", "2"), ("DP7", "2")])
 def test_degset_saturations_are_the_enumerated_ideals(name, ptext):
     # two independent routes to the B-saturated ideals with polynomial P:
     # saturating degset's candidates, and the peel-off enumeration
-    X = tv.load_variety(name)
-    P = parse_poly(ptext, nvars=X.r)
-    saturated = sorted(mi.b_saturate(I, X)
-                       for I in hs.degree_set(X, P, seed=11).ideals if not I.is_unit())
+    X, P, result, _ = degset_rounds(name, ptext)
+    saturated = sorted(mi.b_saturate(I, X) for I in result.ideals if not I.is_unit())
     assert saturated == sorted(I for I, _ in run_enumeration(X, P).ideals)
     assert len(set(saturated)) == len(saturated)
 
@@ -178,6 +293,34 @@ def test_degset_enumerates_each_fiber_key_once(monkeypatch, capsys):
     assert "supportive check: pass" in capsys.readouterr().out
     assert keys
     assert len(keys) == len(set(keys))
+
+
+def test_degset_saturates_nothing(monkeypatch, capsys):
+    # candidates are decided from their K-polynomials: no B-saturation, and
+    # Hilbert polynomials only of the face rings of the regularity bound
+    from toricreg import cli
+
+    saturated = []
+    polynomials = []
+    b_saturate = mi.b_saturate
+    quotient = hb.quotient_hilbert_polynomial
+
+    def saturating(I, X):
+        saturated.append(I)
+        return b_saturate(I, X)
+
+    def polynomial(X, I):
+        polynomials.append(I)
+        return quotient(X, I)
+
+    monkeypatch.setattr(mi, "b_saturate", saturating)
+    monkeypatch.setattr(hb, "quotient_hilbert_polynomial", polynomial)
+    assert not hasattr(hs, "b_saturate") and not hasattr(hs, "quotient_hilbert_polynomial")
+    assert cli.main(["degset", "--variety", "P(2)", "--poly", "4", "--seed", "11"]) == 0
+    assert "supportive check: pass" in capsys.readouterr().out
+    assert saturated == []
+    assert len(polynomials) == 7
+    assert all(I.is_prime() for I in polynomials)
 
 
 ORACLE_SEARCHES = [
