@@ -9,16 +9,18 @@ decreases the (leading monomial, leading coefficient) pair: the
 termination proof, checked at runtime.  Realize turns representations
 into ideals and keeps those passing the exact Hilbert-polynomial check,
 since candidates are over-generated (every admissible anchor is tried).
-The search yields representations depth first, so realize follows one
-path of prefixes.  A rep's ideal is the intersection of its pairs'
-irreducible components, and realize decides the exact check from those
-components alone, by inclusion-exclusion (Mayer-Vietoris) over the
-components of each prefix (see _meet); it intersects ideals only for
-the reps that pass.  It skips the representations under a prefix by a
-proved test, not a heuristic: the prefix's ideal already overshoots P,
-and a rep's ideal lies inside it (see _realize).  The Gotzmann number
-needs only the search; only run_enumeration also chooses witness
-filtrations.
+Realize runs on the search's own states: the search folds a payload
+(_prefix) down to every state it pushes or yields, and each rep arrives
+with its own, whose parents are the payloads of the rep's prefixes.
+A rep's ideal is the intersection of its pairs' irreducible components,
+and realize decides the exact check from those components alone, by
+inclusion-exclusion (Mayer-Vietoris) over the components of each prefix
+(see _meet).  A state gets its component set once, when a rep below it
+first needs it, and only the states above passing reps get their
+ideals.  A rep whose parent state's ideal already overshoots P is not
+realized, by a proved test, not a heuristic: the rep's ideal lies
+inside it (see _realize).  The Gotzmann number needs only the search;
+only run_enumeration also chooses witness filtrations.
 
 A witness is chosen from the prefix ideals realize builds anyway.  For a
 rep p_1 ... p_k, p_i = (u_i, sigma_i) with irreducible component C_i,
@@ -27,8 +29,8 @@ filtration of S/J_k exactly when every step i passes: x^{u_i} lies in
 J_{i-1}, and every generator of J_{i-1} is divisible by x^{u_i} or by
 some x_l^{u_{i,l} + 1} with l outside sigma_i, that is
 J_{i-1} <= C_i + <x^{u_i}> (proof at _filtration_step).  Realize
-decides each step once per path extension, carries "every step so far
-passed" along the path, and keeps per ideal the least passing rep by
+decides each step once per state, carries "every step so far passed"
+down from the parent state, and keeps per ideal the least passing rep by
 StanleyPair.sort_key; an ideal with none falls back to the graded-order
 recursion.  This is the rep that sorting all of an ideal's reps and
 taking the first to pass stanley._colon_chain would choose.
@@ -56,7 +58,8 @@ is done once per distinct input and looked up after.  Every memo is
 exact, not an approximation: it stores the value of a pure function of
 its key.  The search numbers each distinct pair once and builds its
 successor shifts, face vector and (for run_enumeration) StanleyPair
-then.  Realize takes each pair's irreducible component once, builds the
+then.  Realize takes each pair's irreducible component once, decides
+once per distinct component whether it lies on the fan, builds the
 vector of each reduced component set once and each step from one set
 to the next once (_meet), and intersects each distinct (minimal
 generators, component) once, the only inputs intersect_irreducible
@@ -140,6 +143,7 @@ class _Frame:
     shifted: dict = field(default_factory=dict)  # degree d -> N(d) = D * P_S(t - d) on basis
     meets: dict = field(default_factory=dict)    # (generators, component) -> their intersection
     component_sets: dict = field(default_factory=dict)  # reduced components -> their _ComponentSet
+    supported: dict = field(default_factory=dict)  # component -> whether it lies on the fan
 
 
 def _working_frame(X, P, order):
@@ -187,15 +191,7 @@ def _face_vector(frame, ti, degree):
     return tuple(factor * v for v in _kernel_vector(frame, kpoly))
 
 
-def _leading(vector):
-    """(index, coefficient) of the first nonzero entry: the leading term."""
-    for k, c in enumerate(vector):
-        if c:
-            return k, c
-    raise ZeroPolynomial("the zero polynomial has no leading term")
-
-
-def _peel_off(frame, relaxed=False, make=None):
+def _peel_off(frame, relaxed=False, make=None, fold=None):
     """Yield the complete representations of frame.P as tuples of
     (face index, shift) pairs.  A new pair chains off an earlier pair j
     whose face is no later in the face order, along a variable x_l of
@@ -205,19 +201,31 @@ def _peel_off(frame, relaxed=False, make=None):
 
     Residuals are integer vectors L * Q on frame.basis, so the leading
     term is the first nonzero entry, and a larger index is a smaller
-    monomial.  Each distinct pair gets a number when the search first
-    meets it.  A state holds the numbers of its pairs, and the sorted
-    numbers are its deduplication key: numbering is one to one, so they
-    stand for the pair multiset.  The pair's successor shifts (its shift
-    plus each step of its face) and its face vector depend on the pair
-    alone, so they are built then, once; each (face, degree) vector is
-    built once per search, and each shift's degree once.
+    monomial.  Only the faces whose leading index is the residual's can
+    take a step, so faces are looked up by leading index.  Each distinct
+    pair gets a number when the search first meets it.  A state holds
+    the numbers of its pairs, in push order, and is deduplicated by a
+    key that stands for the pair multiset, since numbering is one to
+    one: on monomials a state is a set, and its key is the bitmask of its
+    numbers, so "already in the state" is one bit; relaxed, it is the
+    sorted tuple of its numbers.  A candidate completes a rep exactly
+    when its face vector equals the residual.  The pair's successor
+    shifts (its shift plus each step of its face) and its face vector
+    depend on the pair alone, so they are built then, once; each
+    (face, degree) vector is built once per search, and each shift's
+    degree once.
 
     make(face index, shift), when given, builds the object that stands
     for a pair in the yielded representations: once per distinct pair,
     when a pushed or yielded state first holds it, and every rep holding
     the pair shares that object.  Without make a pair stands as the
-    (face index, shift) tuple, and nothing else is built."""
+    (face index, shift) tuple, and nothing else is built.
+
+    fold(parent payload, pair object), when given, makes each state's
+    payload from its parent's (None at the root), and the search yields
+    (rep, payload) instead of the rep.  A state is pushed at most once,
+    so its payload belongs to one pair sequence, and the payloads on a
+    yielded rep's parent chain are those of its prefixes."""
     if frame.P.is_zero():
         return
     X, faces = frame.X, frame.face_order.faces
@@ -225,9 +233,12 @@ def _peel_off(frame, relaxed=False, make=None):
         steps = [X.variable_degree(ell) for ell in range(X.n)]
     else:
         steps = [tuple(int(i == ell) for i in range(X.n)) for ell in range(X.n)]
+    by_init = {}   # leading index -> the faces with that leading index, in order
+    for ti, init in enumerate(frame.inits):
+        by_init.setdefault(init, []).append(ti)
     vectors = {}
     degrees = {}
-    numbers = {}   # (face index, shift) -> the pair's number
+    numbers = [{} for _ in faces]  # by face index: shift -> the pair's number
     nodes = []     # by number: (face index, successor shifts, face vector)
     objects = []   # by number: make's object, built when a state first holds it
 
@@ -242,57 +253,61 @@ def _peel_off(frame, relaxed=False, make=None):
         if face is None:
             face = vectors[ti, degree] = _face_vector(frame, ti, degree)
         successors = frozenset(tuple(map(add, shift, steps[ell])) for ell in faces[ti])
-        numbers[ti, shift] = len(nodes)
+        numbers[ti][shift] = len(nodes)
         nodes.append((ti, successors, face))
         objects.append(None)
         return len(nodes) - 1
 
     seen = set()
     target = tuple(int(frame.P.terms.get(e, 0) * frame.scale) for e in frame.basis)
-    stack = [((), (), target, *_leading(target))]
+    q_init = next((k for k, c in enumerate(target) if c), None)
+    if q_init is None:
+        raise ZeroPolynomial("the zero polynomial has no leading term")
+    origin = [(0,) * len(steps[0])]
+    stack = [((), 0, (), target, q_init, target[q_init], None)]
     while stack:
-        state, held, Q, q_init, q_coeff = stack.pop()
-        for ti, init in enumerate(frame.inits):
-            if init != q_init:
-                continue
+        state, key, held, Q, q_init, q_coeff, payload = stack.pop()
+        for ti in by_init.get(q_init, ()):
             if state:
                 shifts = sorted(frozenset().union(
-                    *(nodes[k][1] for k in state if nodes[k][0] <= ti)))
+                    *[nodes[k][1] for k in state if nodes[k][0] <= ti]))
             else:
-                shifts = [(0,) * len(steps[0])]
+                shifts = origin
+            numbered = numbers[ti]
             for shift in shifts:
-                k = numbers.get((ti, shift))
+                k = numbered.get(shift)
                 if k is None:
                     k = node(ti, shift)
-                elif not relaxed and k in state:
+                if relaxed:
+                    new_key = tuple(sorted(state + (k,)))
+                else:
+                    new_key = key | 1 << k
+                    if new_key == key:
+                        continue
+                if new_key in seen:
                     continue
-                key = tuple(sorted(state + (k,)))
-                if key in seen:
-                    continue
-                seen.add(key)
-                residual = tuple(map(sub, Q, nodes[k][2]))
-                complete = not any(residual)
+                seen.add(new_key)
+                face = nodes[k][2]
+                complete = Q == face
                 if not complete:
-                    r_init, r_coeff = _leading(residual)
-                    if r_coeff <= 0:
+                    residual = tuple(map(sub, Q, face))
+                    for r_init, r_coeff in enumerate(residual):
+                        if r_coeff:
+                            break
+                    if r_coeff < 0:
                         continue
                     if r_init < q_init or (r_init == q_init and r_coeff >= q_coeff):
                         raise SearchExhausted("peel-off measure did not drop")
                 obj = objects[k]
                 if obj is None:
                     obj = objects[k] = (ti, shift) if make is None else make(ti, shift)
+                rep = held + (obj,)
+                new_payload = None if fold is None else fold(payload, obj)
                 if complete:
-                    yield held + (obj,)
+                    yield rep if fold is None else (rep, new_payload)
                 else:
-                    stack.append((state + (k,), held + (obj,), residual, r_init, r_coeff))
-
-
-def _stanley_reps(frame):
-    """The monomial search's representations as tuples of StanleyPairs,
-    one object per distinct pair, shared across reps, built by the search
-    itself so that no rep is mapped afterwards."""
-    sigmas = frame.sigmas
-    return list(_peel_off(frame, make=lambda ti, shift: StanleyPair(shift, sigmas[ti])))
+                    stack.append((state + (k,), new_key, rep, residual, r_init, r_coeff,
+                                  new_payload))
 
 
 def _koszul_vector(frame, component):
@@ -335,6 +350,14 @@ def _component_set(frame, components):
 _UNSEEN = object()
 
 
+def _on_fan(frame, c):
+    """on_fan(c, frame.X.delta), decided once per distinct component."""
+    known = frame.supported.get(c)
+    if known is None:
+        known = frame.supported[c] = on_fan(c, frame.X.delta)
+    return known
+
+
 def _meet(frame, node, c):
     """The _ComponentSet of J meet C, for J the ideal of node and C = m^c
     irreducible, memoized in node.steps.
@@ -360,13 +383,14 @@ def _meet(frame, node, c):
     out = node.steps.get(c, _UNSEEN)
     if out is _UNSEEN:
         components = node.components
-        if not on_fan(c, frame.X.delta) or any(component_contains(c, d) for d in components):
+        if not _on_fan(frame, c) or any(component_contains(c, d) for d in components):
             out = None  # J meet C = J, kept as None: node.steps[c] = node is a cycle
         else:
             met = tuple(sorted([d for d in components if not component_contains(d, c)] + [c]))
             out = frame.component_sets.get(met)
             if out is None:
-                sums = reduce_components([component_sum(d, c) for d in components], frame.X.delta)
+                sums = reduce_components([s for s in (component_sum(d, c) for d in components)
+                                          if _on_fan(frame, s)])
                 vector = tuple(map(sub, map(add, node.vector, _component_set(frame, (c,)).vector),
                                    _component_set(frame, sums).vector))
                 out = frame.component_sets.setdefault(met, _ComponentSet(met, vector))
@@ -410,53 +434,57 @@ def _sort_keys(rep):
     return tuple(pair.sort_key() for pair in rep)
 
 
+def _prefix(parent, pair):
+    """The payload of a search state, the prefix of the reps below it:
+    [parent's payload (None at the root), pair, _ComponentSet, sign,
+    ideal, filtered].  _realize fills the last four on demand."""
+    return [parent, pair, None, None, None, None]
+
+
 class _Realized(NamedTuple):
+    reps: list             # every rep the search yielded, in search order
     grouped: dict          # passing ideal -> its reps, in search order
     witnesses: dict        # passing ideal -> its least rep that is a Stanley filtration
-    prefix_tests: int      # prefixes tested for excess over P
-    skipped_reps: int      # reps under a prefix that failed
-    filtration_steps: int  # path extensions given a _filtration_step
+    prefix_tests: int      # states given a component set and tested for excess over P
+    skipped_reps: int      # reps whose parent state overshoots P
+    filtration_steps: int  # states given a _filtration_step
 
 
-def _realize(frame, reps):
-    """Group the representations by ideal; keep the ideals whose quotient
-    has Hilbert polynomial frame.P, each with its representations, and
-    the least of them (by StanleyPair.sort_key) that is a Stanley
-    filtration of S/I, when there is one.
+def _realize(frame, found):
+    """List the representations of found, the (rep, payload) pairs of
+    _peel_off(frame, fold=_prefix), and group them by ideal; keep the
+    ideals whose quotient has Hilbert polynomial frame.P, each with its
+    representations, and the least of them (by StanleyPair.sort_key)
+    that is a Stanley filtration of S/I, when there is one.
 
     The exact check compares integers: D * P_{S/I} on frame.basis with
     D * frame.P, computed once, and they are equal exactly when
     P_{S/I} = frame.P (D > 0).  D * P_{S/I} is integral for every I
     (hilbert.shift_numerators), so when D * frame.P is not integral no
-    ideal can match, and the result is empty.
+    ideal can match, and only the reps are listed.
 
     A rep's ideal is the intersection of its pairs' irreducible
     components (pair_component, taken once per distinct pair), and its
     D * P_{S/I} comes from those components alone (_meet), never from
-    the ideal's generators or its K-polynomial.  The reps come in
-    depth-first order, so consecutive reps share long prefixes: path
-    holds (pair, _ComponentSet of the prefix up to that pair) for the
-    previous rep, and each rep steps only past the longest prefix it
-    shares with it.  The search shares one StanleyPair per distinct
-    pair, so prefixes match by identity, and components are keyed by
-    it.  Each _ComponentSet and each step between two of them is built
-    once per frame, so different paths to the same component set share
-    one vector and one verdict, the sign of the leading coefficient of
-    D * P - D * P_{S/I}.  Only a rep that passes needs its ideal, for
-    grouping: ideals holds the intersections along an initial segment
-    of path, extended on demand, and each distinct (minimal generators,
+    the ideal's generators or its K-polynomial.  A prefix's component
+    set and ideal do not depend on the order of its pairs, and the
+    search pushes each state once, so each state's payload (_prefix)
+    keeps them, filled in once, walking up to the first state that has
+    them: the _ComponentSet (one _meet from the parent's) and its
+    verdict, the sign of the leading coefficient of D * P - D * P_{S/J},
+    when a rep below the state first arrives; the ideal and the
+    filtration flag when a passing rep does, which needs its ideal for
+    grouping.  Each _ComponentSet and each step between two of them is
+    built once per frame, and each distinct (minimal generators,
     component) is intersected once, in frame.meets, since
-    intersect_irreducible reads nothing else.
+    intersect_irreducible reads nothing else.  A state's flag says that
+    its _filtration_step on its parent's ideal and every step above it
+    pass, so a passing rep is a Stanley filtration of its ideal exactly
+    when its flag holds.  The least such rep per ideal is kept, by the
+    tuple of its pairs' sort keys, taken only when a second one of the
+    same ideal arrives.
 
-    Each extension of ideals also decides one filtration step
-    (_filtration_step) on the ideal before it: filtered[j] says that the
-    steps of path[:j + 1] all pass, so a passing rep is a Stanley
-    filtration of its ideal exactly when filtered[-1] holds.  A step
-    after a failed one is not tested.  Only the least such rep per ideal
-    is kept, by the tuple of its pairs' sort keys, taken only when a
-    second one of the same ideal arrives.
-
-    Reps under a prefix whose ideal already overshoots P are skipped.
+    A rep whose parent state overshoots P is listed but not realized.
     Let I be a rep's ideal and J the ideal of one of its prefixes.  Then
     I is inside J, so H_{S/J} <= H_{S/I} at every degree, and
     P_{S/I} - P_{S/J} >= 0 deep in K.  In the working frame N^r lies in
@@ -467,27 +495,30 @@ def _realize(frame, reps):
     D * P - D * P_{S/J} has a negative leading coefficient ("excess"),
     then P - P_{S/I} <= P - P_{S/J} is negative far along that curve,
     and no rep under the prefix has an ideal with polynomial P.  The
-    integer vectors decide that sign exactly.  Conversely, if some
-    leaf ideal I under the prefix passes, or fails with a deficit (a
-    positive leading coefficient), then
-    P - P_{S/J} = (P - P_{S/I}) + (P_{S/I} - P_{S/J}) is eventually
-    positive or zero, so the prefix cannot fail, and neither can any
-    shorter prefix.  Hence the trigger: a prefix is tested only when a
-    later rep reaches it, and only while every leaf checked below it
-    failed with excess.  The deepest shared prefix is tested; a pass
-    clears every shorter one too.  Prefixes known to pass form an
-    initial segment of path (cleared entries), and a failed one is the
-    last entry of path (dead), since every later rep under it is
-    skipped.  Every leaf that is not skipped gets the exact check."""
+    integer vectors decide that sign exactly.  The same argument with I
+    the ideal of a longer prefix shows that every state below one with
+    excess has excess too, so it is marked so without a component set.
+    Every rep that is not skipped gets the exact check."""
     X = frame.X
     denom = _ring_expansion(X)[1]
     target = {e: c * denom for e, c in frame.P.terms.items()}
+    reps, grouped, witnesses = [], {}, {}
     if any(c.denominator != 1 for c in target.values()):
-        return _Realized({}, {}, 0, 0, 0)
+        reps.extend(rep for rep, _ in found)
+        return _Realized(reps, grouped, witnesses, 0, 0, 0)
     target = [int(target.get(e, 0)) for e in frame.basis]
     components = {}  # id(pair) -> its irreducible component
-    meets = frame.meets
     verdicts = {}    # _ComponentSet -> sign of the leading coefficient of D * (P - P_{S/I})
+    # above the depth-one states: the unit ideal, never tested; only it has
+    # no set, and _component_set(frame, ()) stands in for it
+    root = [None, None, None, 0, MonomialIdeal.unit(X.n), True]
+    counts = [0, 0]  # states tested for excess, filtration steps
+
+    def component(pair):
+        c = components.get(id(pair))
+        if c is None:
+            c = components[id(pair)] = pair_component(pair)
+        return c
 
     def verdict(node):
         sign = verdicts.get(node)
@@ -496,61 +527,60 @@ def _realize(frame, reps):
                 (1 if t > c else -1 for t, c in zip(target, node.vector) if t != c), 0)
         return sign
 
-    unit = MonomialIdeal.unit(X.n)
-    grouped = {}
-    witnesses = {}  # passing ideal -> its least rep so far whose steps all pass
-    root = _component_set(frame, ())
-    path = []      # (pair, _ComponentSet) per prefix of the previous rep
-    ideals = []    # ideals[j]: the ideal of path[:j + 1], for an initial segment
-    filtered = []  # filtered[j]: every filtration step of path[:j + 1] passes
-    cleared = 0    # path[:cleared] are prefixes that cannot fail
-    dead = False   # path[-1] is a prefix that failed its test
-    tests = skipped = steps = 0
-    for rep in reps:
-        k, shared = 0, min(len(path), len(rep))
-        while k < shared and path[k][0] is rep[k]:
-            k += 1
-        if dead and k == len(path):
+    def unfilled(state, slot):
+        """The state above those from state up whose slot is empty, and those, top first."""
+        chain = []
+        while state[slot] is None:
+            chain.append(state)
+            state = state[0] or root
+        return state, reversed(chain)
+
+    def settle(state):
+        """Fill in the _ComponentSet and verdict of state and of every
+        state above it that lacks them; one with excess passes it down."""
+        above, chain = unfilled(state, 3)
+        for state in chain:
+            if above[3] < 0:
+                state[3] = -1
+            else:
+                counts[0] += 1
+                state[2] = _meet(frame, above[2] or _component_set(frame, ()), component(state[1]))
+                state[3] = verdict(state[2])
+            above = state
+
+    def ideal_of(state):
+        """The ideal of state and whether every filtration step of its
+        pairs passes, filled in for it and every state above it."""
+        above, chain = unfilled(state, 4)
+        for state in chain:
+            ideal, pair = above[4], state[1]
+            key = (ideal.gens, component(pair))
+            meet = frame.meets.get(key)
+            if meet is None:
+                meet = frame.meets[key] = ideal.intersect_irreducible(key[1])
+            counts[1] += above[5]  # no step after a failed one
+            state[4], state[5] = meet, above[5] and _filtration_step(ideal, pair, key[1])
+            above = state
+        return above[4], above[5]
+
+    skipped = 0
+    for rep, payload in found:
+        reps.append(rep)
+        parent = payload[0] or root
+        if parent[3] is None:
+            settle(parent)
+        if parent[3] < 0:
             skipped += 1
             continue
-        del path[k:], ideals[k:], filtered[k:]
-        dead = False
-        cleared = min(cleared, k)
-        if cleared < k:
-            tests += 1
-            if verdict(path[-1][1]) < 0:
-                dead = True
-                skipped += 1
-                continue
-            cleared = k
-        for pair in rep[k:]:
-            component = components.get(id(pair))
-            if component is None:
-                component = components[id(pair)] = pair_component(pair)
-            node = path[-1][1] if path else root
-            path.append((pair, _meet(frame, node, component)))
-        sign = verdict(path[-1][1])
-        if sign >= 0:
-            cleared = len(path)
-        if sign == 0:
-            for pair, _ in path[len(ideals):]:
-                ideal = ideals[-1] if ideals else unit
-                key = (ideal.gens, components[id(pair)])
-                meet = meets.get(key)
-                if meet is None:
-                    meet = meets[key] = ideal.intersect_irreducible(key[1])
-                ideals.append(meet)
-                passed = not filtered or filtered[-1]
-                if passed:
-                    steps += 1
-                    passed = _filtration_step(ideal, pair, key[1])
-                filtered.append(passed)
-            grouped.setdefault(ideals[-1], []).append(rep)
-            if filtered[-1]:
-                current = witnesses.get(ideals[-1])
-                if current is None or _sort_keys(rep) < _sort_keys(current):
-                    witnesses[ideals[-1]] = rep
-    return _Realized(grouped, witnesses, tests, skipped, steps)
+        if verdict(_meet(frame, parent[2] or _component_set(frame, ()), component(payload[1]))):
+            continue
+        ideal, filtered = ideal_of(payload)
+        grouped.setdefault(ideal, []).append(rep)
+        if filtered:
+            current = witnesses.get(ideal)
+            if current is None or _sort_keys(rep) < _sort_keys(current):
+                witnesses[ideal] = rep
+    return _Realized(reps, grouped, witnesses, counts[0], skipped, counts[1])
 
 
 @dataclass
@@ -559,19 +589,21 @@ class EnumerationResult:
     reps: list              # complete representations, one per pair set
     gotzmann_number: int    # max pairs over reps (0 when none)
     gotzmann_realized: int  # max pairs over reps whose ideal survived
-    prefix_tests: int       # realize: prefixes tested for excess over P
-    skipped_reps: int       # realize: reps under a prefix that failed, never intersected
+    prefix_tests: int       # realize: states given a component set and tested for excess over P
+    skipped_reps: int       # realize: reps whose parent state overshoots P, never met or intersected
     intersections: int      # realize: distinct (ideal, component) pairs intersected, for passing reps
     component_vectors: int  # realize: distinct reduced component sets given a D * P vector
     witness_fallbacks: int  # ideals whose witness came from the graded-order recursion
-    filtration_steps: int   # realize: path extensions given a filtration step test
+    filtration_steps: int   # realize: states of passing reps' prefixes given a filtration step
 
 
 def run_enumeration(X, P, order=None):
     """Steps 1-5 of the peel-off search; see enumerate_saturated_ideals."""
     frame = _working_frame(X, P, order)
-    reps = _stanley_reps(frame)
-    realized = _realize(frame, reps)
+    sigmas = frame.sigmas
+    realized = _realize(frame, _peel_off(
+        frame, make=lambda ti, shift: StanleyPair(shift, sigmas[ti]), fold=_prefix))
+    reps = realized.reps
 
     # Witnesses: a constructed representation is only guaranteed to be a
     # full Stanley filtration when every one of its pairs is supported on
@@ -579,7 +611,7 @@ def run_enumeration(X, P, order=None):
     # partial filtration whose fan-supported components already cut out
     # the saturated ideal, so the graded-order recursion supplies a true
     # filtration instead.  Realize has decided which reps are
-    # filtrations, one step per path extension on the prefix ideals J_i it
+    # filtrations, one step per search state on the prefix ideals J_i it
     # builds: step i passes when x^{u_i} lies in J_{i-1} and every
     # generator of J_{i-1} lies in C_i + <x^{u_i}>, and the rep is a
     # filtration exactly when all its steps pass (proof at

@@ -2,7 +2,7 @@
 
 from collections import Counter
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -13,7 +13,12 @@ from toricreg import hilbert as hb
 from toricreg import ideals as mi
 from toricreg import stanley as st
 from toricreg import variety as tv
-from toricreg.errors import NoRepresentation, NoSaturatedIdeal, SearchExhausted
+from toricreg.errors import (
+    NoRepresentation,
+    NoSaturatedIdeal,
+    SearchExhausted,
+    ZeroPolynomial,
+)
 from toricreg.hilbert import (
     coarse_k_polynomial,
     face_hilbert_polynomial,
@@ -40,6 +45,30 @@ def component_ideal(a):
     n = len(a)
     return mi.MonomialIdeal(
         n, [tuple(e if j == i else 0 for j in range(n)) for i, e in enumerate(a) if e])
+
+
+def _stanley_reps(frame):
+    """The monomial search's representations as tuples of StanleyPairs,
+    one object per distinct pair, shared across reps, as run_enumeration's
+    search builds them."""
+    sigmas = frame.sigmas
+    return list(en._peel_off(frame, make=lambda ti, shift: en.StanleyPair(shift, sigmas[ti])))
+
+
+def _folded(reps):
+    """The (rep, payload) pairs that realize reads, for any rep list: each
+    prefix's payload is folded from the root with en._prefix once, and is
+    shared by every rep with that prefix, as the search shares a state's
+    payload among the reps below it."""
+    payloads = {}
+    for rep in reps:
+        payload = None
+        for i, pair in enumerate(rep):
+            prefix = rep[:i + 1]
+            if prefix not in payloads:
+                payloads[prefix] = en._prefix(payload, pair)
+            payload = payloads[prefix]
+        yield rep, payload
 
 
 def test_face_order_p2():
@@ -243,7 +272,7 @@ def test_incremental_realize_matches_per_rep_intersection(X, text):
     # overlap, so no disjointness check), group by ideal, then apply the
     # exact Hilbert-polynomial check
     frame = en._working_frame(X, parse_poly(text, nvars=X.r), None)
-    reps = en._stanley_reps(frame)
+    reps = _stanley_reps(frame)
     grouped = {}
     for rep in reps:
         ideal = reduce(intersect,
@@ -251,7 +280,7 @@ def test_incremental_realize_matches_per_rep_intersection(X, text):
         grouped.setdefault(ideal, []).append(rep)
     expected = {ideal: cands for ideal, cands in grouped.items()
                 if quotient_hilbert_polynomial(frame.X, ideal) == frame.P}
-    got = en._realize(frame, reps).grouped
+    got = en._realize(frame, _folded(reps)).grouped
     assert expected
     assert list(got) == list(expected)
     assert got == expected
@@ -299,9 +328,9 @@ def test_pruned_realize_matches_unpruned_oracle(X, P):
     # skipping reps under a failed prefix keeps every surviving ideal
     # with all its reps, in the same order
     frame = en._working_frame(X, P, None)
-    reps = en._stanley_reps(frame)
+    reps = _stanley_reps(frame)
     expected = _unpruned_realize(frame, reps)
-    realized = en._realize(frame, reps)
+    realized = en._realize(frame, _folded(reps))
     got, skipped = realized.grouped, realized.skipped_reps
     assert list(got) == list(expected)
     assert got == expected
@@ -323,8 +352,8 @@ def test_realize_intersects_only_past_shared_prefixes(monkeypatch):
     monkeypatch.setattr(mi.MonomialIdeal, "intersect_irreducible", counting)
     result = en.run_enumeration(tv.projective_space(2), parse_poly("4*t+1"))
     assert (len(result.reps), len(result.ideals)) == (12487, 330)
-    # one intersection per rep and pair would be 74050 + 12487, one per pair
-    # past a shared prefix 14324, and 3328 distinct (ideal, component)
+    # one intersection per rep and pair would be 74050 + 12487, one per
+    # search state 14324, and 3328 distinct (ideal, component)
     # inputs; the exact check needs no ideal, so only the prefixes of the
     # 1516 passing reps are intersected, 1103 distinct inputs, each once
     assert len(calls) == len(set(calls)) == 1103
@@ -452,6 +481,118 @@ def test_integer_search_matches_multipoly_oracle(X, P, relaxed):
     assert got == list(_multipoly_peel_off(frame, relaxed=relaxed))
 
 
+def _leading(vector):
+    """(index, coefficient) of the first nonzero entry: the leading term."""
+    for k, c in enumerate(vector):
+        if c:
+            return k, c
+    raise ZeroPolynomial("the zero polynomial has no leading term")
+
+
+def _reference_peel_off(frame, relaxed=False):
+    """The integer-vector search before faces were looked up by leading
+    index and monomial states were keyed by bitmask, kept as the oracle
+    of the search's order: a state is the tuple of its pair numbers, its
+    key their sorted tuple, and each candidate scans every face and finds
+    the residual's leading term from the front."""
+    if frame.P.is_zero():
+        return
+    X, faces = frame.X, frame.face_order.faces
+    if relaxed:
+        steps = [X.variable_degree(ell) for ell in range(X.n)]
+    else:
+        steps = [tuple(int(i == ell) for i in range(X.n)) for ell in range(X.n)]
+    vectors = {}
+    numbers = {}   # (face index, shift) -> the pair's number
+    nodes = []     # by number: (face index, successor shifts, face vector)
+
+    def node(ti, shift):
+        degree = shift if relaxed else X.degree(shift)
+        face = vectors.get((ti, degree))
+        if face is None:
+            face = vectors[ti, degree] = en._face_vector(frame, ti, degree)
+        successors = frozenset(tuple(a + b for a, b in zip(shift, steps[ell])) for ell in faces[ti])
+        numbers[ti, shift] = len(nodes)
+        nodes.append((ti, successors, face))
+        return len(nodes) - 1
+
+    seen = set()
+    target = tuple(int(frame.P.terms.get(e, 0) * frame.scale) for e in frame.basis)
+    stack = [((), (), target, *_leading(target))]
+    while stack:
+        state, held, Q, q_init, q_coeff = stack.pop()
+        for ti, init in enumerate(frame.inits):
+            if init != q_init:
+                continue
+            if state:
+                shifts = sorted(frozenset().union(
+                    *(nodes[k][1] for k in state if nodes[k][0] <= ti)))
+            else:
+                shifts = [(0,) * len(steps[0])]
+            for shift in shifts:
+                k = numbers.get((ti, shift))
+                if k is None:
+                    k = node(ti, shift)
+                elif not relaxed and k in state:
+                    continue
+                key = tuple(sorted(state + (k,)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                residual = tuple(a - b for a, b in zip(Q, nodes[k][2]))
+                complete = not any(residual)
+                if not complete:
+                    r_init, r_coeff = _leading(residual)
+                    if r_coeff <= 0:
+                        continue
+                    if r_init < q_init or (r_init == q_init and r_coeff >= q_coeff):
+                        raise SearchExhausted("peel-off measure did not drop")
+                if complete:
+                    yield held + ((ti, shift),)
+                else:
+                    stack.append((state + (k,), held + ((ti, shift),), residual, r_init, r_coeff))
+
+
+SEARCH_CASES = {
+    "P2-3t+1": (P2, "3*t+1"), "P2-4t+1": (P2, "4*t+1"), "P2-t^3+1": (P2, "t^3+1"),
+    "P3-3t+1": (tv.projective_space(3), "3*t+1"),
+    "PxP(2,1)-3t1+1": (PP, "3*t1+1"), "PxP(2,1)-2t1+t2+1": (PP, "2*t1+t2+1"),
+    "PxP(2,1)-3t2+1": (PP, "3*t2+1"),
+    "PxP(1,1)-t1+t2+1": (tv.product_projective(1, 1), "t1+t2+1"),
+    "Hirzebruch(1)-t1+t2+1": (tv.hirzebruch(1), "t1+t2+1"),
+}
+
+
+@pytest.mark.parametrize("X, text", SEARCH_CASES.values(), ids=SEARCH_CASES)
+@pytest.mark.parametrize("relaxed", [False, True], ids=["monomial", "relaxed"])
+def test_search_matches_reference_order(X, text, relaxed):
+    # the order of the reps fixes each rep's pair order, hence the
+    # witnesses: it must be the reference search's, rep for rep
+    frame = en._working_frame(X, parse_poly(text, nvars=X.r), None)
+    got = list(en._peel_off(frame, relaxed=relaxed))
+    assert got == list(_reference_peel_off(frame, relaxed=relaxed))
+    if text == "3*t2+1" and not relaxed:
+        assert got == []
+
+
+def test_fold_payloads_are_the_rep_prefixes():
+    # each yielded payload's parent chain is the rep's prefixes, and a
+    # prefix has one payload, shared by every rep below it
+    frame = en._working_frame(P2, parse_poly("4*t+1"), None)
+    pushed = {}
+    found = list(en._peel_off(frame, fold=lambda parent, pair: (parent, pair)))
+    assert [rep for rep, _ in found] == list(en._peel_off(frame))
+    for rep, payload in found:
+        chain = []
+        while payload is not None:
+            chain.append(payload)
+            payload = payload[0]
+        assert tuple(link[1] for link in reversed(chain)) == rep
+        for i, link in enumerate(reversed(chain[1:])):
+            assert pushed.setdefault(rep[:i + 1], link) is link
+    assert len(pushed) == 1837
+
+
 @pytest.mark.parametrize("text", ["1/2*t+1", "t^3+1", "0"])
 def test_unrealizable_targets_on_p2(text):
     # 1/2*t+1 scales to an integral 2*P (D = 2 on P(2)) yet no rep matches;
@@ -504,18 +645,21 @@ def test_each_shift_degree_is_computed_once_per_search(monkeypatch):
 
 
 @pytest.mark.parametrize("X, text, tests, leaves, count", [
-    (P2, "4*t+1", 3, 12487, 1129),
-    (tv.projective_space(3), "3*t+1", 202, 5537 - 3749, 1360),
-    (PP, "3*t1+1", 44, 2107 - 1278, 654),
+    (P2, "4*t+1", 1837, 12487, 1129),
+    (tv.projective_space(3), "3*t+1", 272, 5537 - 3912, 1282),
+    (PP, "3*t1+1", 74, 2107 - 1308, 632),
 ], ids=["P2", "P3", "PxP(2,1)"])
 def test_exact_check_candidate_count(monkeypatch, X, text, tests, leaves, count):
-    # realize decides every prefix test and leaf check from the pairs'
-    # irreducible components, so no K-polynomial is computed; count is the
-    # number of distinct reduced component sets that get a vector.  A count
-    # that moves means realize groups or skips the representations
-    # differently.  On P(2) the rejected ideals fall short of P, so no
-    # prefix fails and no rep is skipped; on P(3) and PxP(2,1) most
-    # overshoot it
+    # realize decides every state's excess test and every leaf check from
+    # the pairs' irreducible components, so no K-polynomial is computed;
+    # tests counts the pushed states that get a component set and a
+    # verdict, leaves the reps whose parent state does not overshoot P,
+    # and count the distinct reduced component sets that get a vector.  A
+    # count that moves means realize groups or skips the representations
+    # differently.  On P(2) every pushed state lies above a rep and none
+    # overshoots P, so no rep is skipped; on P(3) and PxP(2,1) most reps
+    # lie under a state that overshoots it, and the states below such a
+    # state get no component set
     checked = []
 
     def counting(original):
@@ -526,16 +670,18 @@ def test_exact_check_candidate_count(monkeypatch, X, text, tests, leaves, count)
 
     P = parse_poly(text, nvars=X.r)
     frame = en._working_frame(X, P, None)
-    reps = en._stanley_reps(frame)
+    reps = _stanley_reps(frame)
     with monkeypatch.context() as patch:
         for name in ("coarse_k_polynomial", "_k_polynomial"):
             patch.setattr(hb, name, counting(getattr(hb, name)))
-        realized = en._realize(frame, reps)
+        realized = en._realize(frame, _folded(reps))
     prefix_tests, skipped = realized.prefix_tests, realized.skipped_reps
     assert (prefix_tests, len(reps) - skipped) == (tests, leaves)
     assert checked == []
     assert len(frame.component_sets) == count
-    assert en.run_enumeration(X, P).component_vectors == count
+    result = en.run_enumeration(X, P)
+    assert (result.prefix_tests, result.skipped_reps) == (prefix_tests, skipped)
+    assert result.component_vectors == count
 
 
 def test_one_stanley_pair_per_distinct_pair(monkeypatch):
@@ -559,12 +705,12 @@ def test_one_stanley_pair_per_distinct_pair(monkeypatch):
     frame = en._working_frame(P2, parse_poly("4*t+1"), None)
     monkeypatch.setattr(en, "StanleyPair", counting)
     monkeypatch.setattr(en, "pair_component", counting_component)
-    reps = en._stanley_reps(frame)
+    reps = _stanley_reps(frame)
     distinct = {pair for rep in reps for pair in rep}
     assert len(built) == len(set(built)) == len(distinct) == 279
     assert len({id(pair) for rep in reps for pair in rep}) == len(distinct)
     # realize takes each pair's component once, not once per intersection
-    en._realize(frame, reps)
+    en._realize(frame, _folded(reps))
     assert len(components) == len(set(components)) == 279
 
 
@@ -615,7 +761,7 @@ def test_witnesses_match_colon_chain_oracle(X, text, fallbacks):
     # only such an ideal, falls back to the graded-order recursion
     P = parse_poly(text, nvars=X.r)
     frame = en._working_frame(X, P, None)
-    realized = en._realize(frame, en._stanley_reps(frame))
+    realized = en._realize(frame, _folded(_stanley_reps(frame)))
     assert realized.grouped
     expected = {}
     for ideal, reps in realized.grouped.items():
@@ -638,7 +784,7 @@ def test_witnesses_match_colon_chain_oracle(X, text, fallbacks):
 def test_filtration_steps_decide_the_colon_chain_on_every_passing_rep(X, text):
     # every rep of every passing ideal, not only the chosen witness
     frame = en._working_frame(X, parse_poly(text, nvars=X.r), None)
-    grouped = en._realize(frame, en._stanley_reps(frame)).grouped
+    grouped = en._realize(frame, _folded(_stanley_reps(frame))).grouped
     verdicts = Counter()
     for ideal, reps in grouped.items():
         for rep in reps:
@@ -682,8 +828,8 @@ def test_filtration_steps_decide_the_colon_chain_on_drawn_sequences(pairs):
     (PP, "3*t1+1", 6, 334),
 ], ids=["P2", "P3", "PxP(2,1)"])
 def test_witness_counters(X, text, fallbacks, steps):
-    # steps counts the path extensions whose filtration step ran: realize
-    # tests no step after a failed one
+    # steps counts the search states on passing reps whose filtration step
+    # ran: realize tests no step after a failed one
     result = en.run_enumeration(X, parse_poly(text, nvars=X.r))
     assert (result.witness_fallbacks, result.filtration_steps) == (fallbacks, steps)
 
@@ -698,7 +844,44 @@ def test_realize_keeps_the_least_filtration_in_any_rep_order():
     ideal = mi.MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0)])
     reps = [(one, x1, x2), (one, x2, x1)]
     for order in (reps, reps[::-1]):
-        realized = en._realize(frame, order)
+        realized = en._realize(frame, _folded(order))
         assert realized.grouped == {ideal: order}
         assert realized.witnesses == {ideal: (one, x2, x1)} == {
             ideal: _colon_chain_witness(ideal, order)}
+
+
+def _degree_preserving_fan_permutations(X):
+    """The permutations p of the variables (x_i -> x_{p[i]}) that map every
+    face of the fan to a face and keep every variable's degree.  Such a p
+    maps B to itself and S/I to an isomorphic graded module S/p(I), so it
+    keeps B-saturation and the Hilbert polynomial."""
+    return [perm for perm in permutations(range(X.n))
+            if all(X.variable_degree(perm[i]) == X.variable_degree(i) for i in range(X.n))
+            and all(frozenset(perm[i] for i in face) in X.delta for face in X.delta)]
+
+
+def _permuted(ideal, perm):
+    return mi.MonomialIdeal(ideal.n, [tuple(g[perm.index(i)] for i in range(ideal.n))
+                                      for g in ideal.gens])
+
+
+@pytest.mark.parametrize("X, text, count", [
+    (tv.projective_space(3), "3*t+1", 24),
+    (tv.product_projective(1, 1), "t1+t2+1", 4),
+    (PP, "3*t1+1", 12),
+    (tv.hirzebruch(1), "t1+t2+1", 2),
+], ids=["P3", "PxP(1,1)", "PxP(2,1)", "Hirzebruch(1)"])
+def test_enumeration_is_closed_under_fan_automorphisms(X, text, count):
+    # metamorphic: the enumerated ideals of (X, P) are all B-saturated
+    # ideals with polynomial P, so a degree-preserving automorphism of the
+    # fan permutes them, and sigma(I) has the Hilbert polynomial of I
+    perms = _degree_preserving_fan_permutations(X)
+    assert len(perms) == count
+    ideals = {ideal for ideal, _ in en.enumerate_saturated_ideals(X, parse_poly(text, nvars=X.r))}
+    assert ideals
+    for ideal in ideals:
+        poly = quotient_hilbert_polynomial(X, ideal)
+        images = {_permuted(ideal, perm) for perm in perms}
+        assert images <= ideals, ideal
+        for image in images:
+            assert quotient_hilbert_polynomial(X, image) == poly, (ideal, image)
