@@ -1,8 +1,10 @@
 """Multigraded Hilbert polynomials, exactly.
 
-P_{S_sigma} comes from exact rational interpolation of lattice-point
-counts deep inside the nef cone; P_{S/I} is the shifted sum over any
-Stanley decomposition, with off-fan pairs contributing nothing.
+P_S comes in closed form from the maximal cones (Brion's lattice-point
+formula, with exact rational coefficients); P_{S_sigma} and P_{S/I} are
+shifted sums of P_S over a K-polynomial, and over any Stanley
+decomposition P_{S/I} is the sum of its face polynomials, with off-fan
+pairs contributing nothing.
 """
 
 from toricreg import (

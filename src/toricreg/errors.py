@@ -49,10 +49,6 @@ class ZeroPolynomial(DomainError):
     pass
 
 
-class InterpolationInconsistent(DomainError):
-    pass
-
-
 class StrategyInvalid(DomainError):
     pass
 

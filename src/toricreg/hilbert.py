@@ -22,13 +22,14 @@ agree with polynomials deep in K, and as polynomials
 exactly.  A face ring S_sigma = S / <x_i : i in sigma^> has the Koszul
 numerator prod_{i in sigma^} (1 - y^{deg x_i}), so it comes out of the
 same sum; when sigma^ is not a face the ring is B-torsion and the sum
-is zero.  P_S is the only polynomial interpolated per variety: from
-the integer forward differences of the fiber counts of S at the points
-U.{0..d}^r, for the unimodular U of positive_orthant_change with
-U.N^r inside K, where Demazure vanishing makes those counts exact.  The
-counts are coefficients of H(S; y) itself, multiplied out to a finite
-truncation (ring_fiber_counts), so no monomial is listed; the Newton
-form of P_S is built in integers scaled by d! and divided once.
+is zero.  P_S is the only polynomial built per variety, in closed form
+from the maximal cones: Brion's formula sums the lattice points of a
+fiber of S over its vertex cones, one per maximal cone, and the
+constant term of that sum at s = 0 is a Todd (Bernoulli) expansion
+(_ring_polynomial; Brion, Points entiers dans les polyedres convexes,
+1988; Cox-Little-Schenck, Toric Varieties, ch. 9 and 13).  It is
+assembled in integers over one common denominator, and P_S(0) = 1 is
+checked.
 
 The sum is computed in integers: with D the lcm of the denominators
 of P_S, D * P_S(t - d) expands by the binomial theorem into integer
@@ -47,159 +48,126 @@ deg u = u, which certifies Stanley decompositions (verify_stanley).
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb, factorial, lcm, prod
-from operator import add, le, mul
+from operator import add, mul, sub
 
-from .errors import InterpolationInconsistent, SearchExhausted, UnitIdeal
+from .errors import NotComplete, SearchExhausted, UnitIdeal
 from .ideals import MonomialIdeal, minimal_generators
 from .multipoly import MultiPoly
-from .variety import positive_orthant_change
-
-from . import intlinalg as il
 
 
-def ring_fiber_counts(X, degrees):
-    """{t: number of monomials of S in degree t} for the given degrees.
+@cache
+def _todd_scale(d):
+    """(T, (T b_0, ..., T b_d)) for b_k = B_k / k! the coefficients of
+    B(x) = x / (e^x - 1), so B_1 = -1/2, and T their least common
+    denominator; a constant per dimension."""
+    b = [Fraction(1)]
+    for k in range(1, d + 1):
+        # B(x) times (e^x - 1) / x = sum_j x^j / (j + 1)! is 1
+        b.append(-sum(b[j] / factorial(k - j + 1) for j in range(k)))
+    scale = lcm(*(x.denominator for x in b))
+    return scale, tuple(int(x * scale) for x in b)
 
-    The counts are coefficients of the Hilbert series
-    H(S; y) = prod_i 1 / (1 - y^{deg x_i}); no monomial is listed.  Split
-    the variables at sigma^, the complement of the first maximal cone,
-    as fiber_monomials does: its degrees are the columns of a unimodular
-    M, so in the coordinates v = M^-1 t the factor over sigma^ has
-    coefficient 1 at every v >= 0 and 0 elsewhere, and
-    |fiber(t)| = sum of the coefficients of the factor F over the other
-    d variables at the v <= M^-1 t.  F is multiplied out one factor at a
-    time, truncated at w.t <= top, the largest w.t over the degrees, for
-    the w = X.positive_w with w . a_i > 0.  Every partial sum of the
-    exponents of a monomial of degree t has w-value in [0, w.t], so the
-    truncation loses no term the counts need, in K or not.
+
+def _ring_polynomial(X, gammas):
+    """P_S from the maximal cones, as {alpha: coefficient of t^alpha}
+    over the exponents alpha in gammas (|alpha| <= d).
+
+    For lam in Z^n and a maximal cone sigma, the vertex of the fiber
+    {u in N^n : A u = t} at sigma is u_sigma^ = M^-1 t, u_sigma = 0, with
+    M = A's columns on sigma^; moving off it along x_i, i in sigma,
+    changes lam.u by c_i = lam_i - ell.a_i, for ell = lam_sigma^ M^-1.
+    Brion's formula sums the lattice points of the fiber over these
+    vertex cones:
+
+        sum_u e^{s lam.u} = sum_sigma e^{s ell.t} / prod_i (1 - e^{s c_i}),
+
+    valid when no c_i is zero.  With 1 / (1 - e^x) = -B(x) / x, the
+    constant term at s = 0 is
+
+        P_S(t) = sum_sigma (-1)^d / prod_i c_i
+                 * sum_k (ell.t)^k / k! * beta_{d-k}(c),
+        beta_j(c) = [x^j] prod_i B(c_i x),
+
+    the Euler characteristic of O(t), so equal to the fiber count on K
+    (Demazure vanishing), as polynomials.  lam = (1, N, ..., N^{n-1})
+    makes each c_i a nonzero polynomial in N of degree below n (its N^i
+    coefficient is 1), so of any cones * d * (n - 1) + 1 values of N one
+    leaves every c_i nonzero; N runs from 2.  With L the lcm of the
+    prod_i c_i and T^d beta_j(c) an integer from the table of
+    _todd_scale, alpha! T^d L times the coefficient of t^alpha is the
+    integer (-1)^d sum_sigma (L / prod_i c_i) ell^alpha T^d
+    beta_{d-|alpha|}(c), so each coefficient is one Fraction.  P_S(0) = 1,
+    the one monomial in degree 0, is checked: a fan that is not complete
+    breaks it.
     """
-    w = X.positive_w
-    hat, minv = X._facet_data[0]
-    degrees = [tuple(t) for t in degrees]
-    top = max((sum(map(mul, w, t)) for t in degrees), default=-1)
-    zero = (0,) * X.r
-    series = {zero: 1}
-    levels = [[] for _ in range(top + 1)]  # the v in series by w-value
-    if top >= 0:
-        levels[0].append(zero)
-    for i in range(X.n):
-        if i in hat:
-            continue
-        a = X.variable_degree(i)
-        step = sum(map(mul, w, a))
-        a = il.matvec(minv, a)
-        # series times 1 / (1 - y^a), in increasing w-value, so that
-        # series[v] is final before it is pushed on to v + a
-        for level in range(top + 1 - step):
-            for v in levels[level]:
-                s = tuple(map(add, v, a))
-                if s not in series:
-                    series[s] = 0
-                    levels[level + step].append(s)
-                series[s] += series[v]
-    # t - s = M (q - v) with q - v >= 0 has w-value >= 0, so only the
-    # levels up to w.t can hold a v <= q
-    counts = {}
-    for t in degrees:
-        q = il.matvec(minv, t)
-        below = levels[:max(sum(map(mul, w, t)) + 1, 0)]
-        counts[t] = sum(series[v] for level in below for v in level if all(map(le, v, q)))
-    return counts
+    n, d = X.n, X.d
+    columns = tuple(zip(*X.grading))
+    scale, todd = _todd_scale(d)
+    cones = X._facet_data
+    for N in range(2, 3 + len(cones) * d * (n - 1)):
+        lam = [N ** i for i in range(n)]
+        local = []
+        for hat, minv in cones:
+            ell = [sum(lam[j] * x for j, x in zip(hat, col)) for col in zip(*minv)]
+            c = [lam[i] - sum(map(mul, ell, columns[i])) for i in range(n) if i not in hat]
+            if not all(c):
+                break
+            local.append((ell, c))
+        else:
+            break
+    else:  # never raised: see the docstring
+        raise SearchExhausted("no weight vector is generic on every maximal cone")
 
-
-def _interpolate_ring(X):
-    """P_S from fiber counts at the points U lam, lam in {0..d}^r.
-
-    U = positive_orthant_change(X) is unimodular with U N^r inside K,
-    where H_S = P_S, so f(lam) = |fiber(U lam)| is Q(lam) = P_S(U lam),
-    a polynomial of total degree d.  Every count comes from one
-    truncated Hilbert series (ring_fiber_counts).  The integer forward
-    differences a_j = Delta^j f(0) vanish for |j| > d (checked), and
-    Newton's formula gives Q = sum_j a_j prod_k binom(lam_k, j_k).  So
-    d! P_S(t) = sum_j a_j (d! / prod_k j_k!) prod_k (l_k)_{j_k}, with
-    l_k = (U^-1 t)_k and (l)_q = l (l - 1) ... (l - q + 1), is a
-    polynomial with integer coefficients (d! / prod_k j_k! is an integer
-    for |j| <= d), computed in integers.  Checked at r + 1 more points
-    of U N^r.
-    """
-    d, r = X.d, X.r
-    change = positive_orthant_change(X)
-    grid = list(product(range(d + 1), repeat=r))
-    checks = [(d + 1,) * r] + [tuple(d + 2 if j == k else 0 for j in range(r))
-                               for k in range(r)]
-    points = {lam: il.matvec(change.matrix, lam) for lam in grid + checks}
-    counts = ring_fiber_counts(X, points.values())
-
-    diffs = {lam: counts[points[lam]] for lam in grid}
-    for k in range(r):
-        for step in range(d):
-            # in reverse lex order lam - e_k still holds the previous step
-            for lam in reversed(grid):
-                if lam[k] > step:
-                    diffs[lam] -= diffs[lam[:k] + (lam[k] - 1,) + lam[k + 1:]]
-
-    zero = (0,) * r
-    falling = []  # falling[k][q] = (l_k)_q as {exponent: integer}
-    for row in change.inverse:
-        form = {tuple(int(i == j) for i in range(r)): c for j, c in enumerate(row) if c}
-        powers = [{zero: 1}]
-        for q in range(d):
-            powers.append(_int_product(powers[-1], {**form, zero: -q} if q else form))
-        falling.append(powers)
-    scaled = {}  # d! P_S
-    for j, a in diffs.items():
-        if not a:
-            continue
-        if sum(j) > d:
-            raise InterpolationInconsistent(
-                f"fiber counts of S are not polynomial on K: difference {j} is {a}")
-        term = {zero: a * factorial(d) // prod(map(factorial, j))}
-        for k, jk in enumerate(j):
-            if jk:
-                term = _int_product(term, falling[k][jk])
-        for e, c in term.items():
-            scaled[e] = scaled.get(e, 0) + c
-    poly = MultiPoly(r, {e: Fraction(c, factorial(d)) for e, c in scaled.items()})
-
-    for lam in checks:
-        t = points[lam]
-        if poly.evaluate(t) != counts[t]:
-            raise InterpolationInconsistent(f"P_S disagrees with the fiber count at {t}")
-    return poly
-
-
-def _int_product(f, g):
-    """The product of two polynomials given as {exponent: integer}."""
-    out = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
+    total = lcm(*(prod(c) for _, c in local))
+    rests = [d - sum(alpha) for alpha in gammas]
+    numerators = [0] * len(gammas)
+    for ell, c in local:
+        series = [1] + [0] * d  # T^d beta_j(c), j <= d
+        for ci in c:
+            factor = [t * ci ** k for k, t in enumerate(todd)]
+            # times factor, truncated, from the top down: series[m] reads
+            # only the series[j], j <= m, not yet updated
+            for m in reversed(range(d + 1)):
+                series[m] = sum(map(mul, series[:m + 1], factor[m::-1]))
+        weight = total // prod(c)
+        series = [weight * x for x in series]
+        for k, alpha in enumerate(gammas):
+            numerators[k] += series[rests[k]] * prod(map(pow, ell, alpha))
+    denom = (-1) ** d * total * scale ** d
+    if numerators[0] != denom:  # gammas[0] is the zero exponent
+        raise NotComplete(f"P_S(0) = {Fraction(numerators[0], denom)}, not 1: "
+                          "the fan is not complete")
+    return {alpha: Fraction(v, denom * prod(map(factorial, alpha)))
+            for alpha, v in zip(gammas, numerators) if v}
 
 
 def ring_hilbert_polynomial(X):
-    """P_S(t) of the full Cox ring, interpolated once per variety."""
+    """P_S(t) of the full Cox ring, in closed form from the maximal
+    cones, once per variety.  NotComplete when P_S(0) is not 1, as on a
+    fan built with assume_complete that is not complete."""
     return _ring_expansion(X)[0]
 
 
 def _ring_expansion(X):
     """(P_S, D, gammas, terms) with
     P_S(t - d) = (1/D) sum over the terms (beta, k, a) of
-    a * t^beta * prod_j (-d_j)^gammas[k][j], all integers."""
+    a * t^beta * prod_j (-d_j)^gammas[k][j], all integers; gammas, the
+    exponents of total degree at most d, are also the monomials of the
+    closed form of P_S (_ring_polynomial)."""
     if X._ring_expansion is None:
-        poly = _interpolate_ring(X)
-        denom = lcm(*(c.denominator for c in poly.terms.values()))
         gammas = [g for g in product(range(X.d + 1), repeat=X.r) if sum(g) <= X.d]
+        poly = MultiPoly(X.r, _ring_polynomial(X, gammas))
+        denom = lcm(*(c.denominator for c in poly.terms.values()))
+        index = {gamma: k for k, gamma in enumerate(gammas)}
         terms = []
         for alpha, coeff in poly.terms.items():
-            whole = int(coeff * denom)
-            for k, gamma in enumerate(gammas):
-                beta = tuple(a - g for a, g in zip(alpha, gamma))
-                if min(beta) >= 0:
-                    terms.append((beta, k, whole * prod(map(comb, alpha, beta))))
+            whole = coeff.numerator * (denom // coeff.denominator)
+            for gamma in product(*(range(a + 1) for a in alpha)):
+                beta = tuple(map(sub, alpha, gamma))
+                terms.append((beta, index[gamma], whole * prod(map(comb, alpha, beta))))
         X._ring_expansion = (poly, denom, gammas, tuple(terms))
     return X._ring_expansion
 

@@ -1,8 +1,11 @@
 """Face and quotient Hilbert polynomials against fiber counting."""
 
+import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, factorial, prod
+from operator import add, le, mul
 
 import pytest
 from hypothesis import assume, given
@@ -15,12 +18,14 @@ from toricreg import ideals as mi
 from toricreg import variety as tv
 from toricreg.errors import (
     FiberTooLarge,
-    InterpolationInconsistent,
+    NotComplete,
     SearchExhausted,
     UnitIdeal,
 )
-from toricreg.multipoly import GradedOrder, parse_poly
+from toricreg.multipoly import GradedOrder, MultiPoly, parse_poly
 from toricreg.stanley import StanleyPair, stanley_filtration
+
+from test_variety import BLOWN_UP_P3, BLOWUP, HEXAGON_FAN, SEVEN_RAYS, _gradings, _relabel
 
 P1 = tv.projective_space(1)
 P2 = tv.projective_space(2)
@@ -106,8 +111,8 @@ def test_decomposition_independence():
 
 
 def test_interpolation_agrees_with_fibers_deep():
-    # 20 sampled deep points per variety; on the last three the grid
-    # U.{0..d}^r is not the positive orthant
+    # 20 sampled deep points per variety; on the last three the positive
+    # orthant does not lie in K
     from toricreg.variety import find_point_dominating
     changed = [tv.build_variety(F2.fan), TWO_POINT_BLOWUP, HEXAGON]
     assert not any(tv.positive_orthant_change(X).is_identity() for X in changed)
@@ -125,25 +130,43 @@ def test_interpolation_agrees_with_fibers_deep():
             assert P.evaluate(t) == mi.hilbert_function(X, mi.MonomialIdeal.zero(X.n), t)
 
 
-@pytest.mark.parametrize("X, lam, message", [
-    # a corner of the grid {0..2}^2: differences of order 3 and 4 > d
-    (tv.product_projective(1, 1), (2, 2), "not polynomial"),
-    # P(2) has no difference of order above d; the check at lam = d + 1 fails
-    (tv.projective_space(2), (3,), "disagrees"),
-], ids=["difference", "check-point"])
-def test_interpolation_rejects_a_wrong_fiber_count(monkeypatch, X, lam, message):
-    U = tv.positive_orthant_change(X).matrix
-    point = tuple(sum(a * b for a, b in zip(row, lam)) for row in U)
-    ring_fiber_counts = hb.ring_fiber_counts
+def _drop_last_cone(X, monkeypatch):
+    monkeypatch.setattr(X, "_facet_data", X._facet_data[:-1])
 
-    def one_too_many(X, degrees):
-        counts = ring_fiber_counts(X, degrees)
-        counts[point] += 1
-        return counts
 
-    monkeypatch.setattr(hb, "ring_fiber_counts", one_too_many)
-    with pytest.raises(InterpolationInconsistent, match=message):
+def _zero_b1(X, monkeypatch):
+    todd_scale = hb._todd_scale
+
+    def without_b1(d):
+        scale, todd = todd_scale(d)
+        return scale, todd[:1] + (0,) + todd[2:]
+
+    monkeypatch.setattr(hb, "_todd_scale", without_b1)
+
+
+@pytest.mark.parametrize("break_it, value", [
+    # P(2) without its last maximal cone: the sum misses a vertex
+    (_drop_last_cone, "17/36"),
+    # B_1 = 0 in place of -1/2 in the Todd table
+    (_zero_b1, "1/4"),
+], ids=["dropped-cone", "todd-table"])
+def test_closed_form_checks_its_constant_term(monkeypatch, break_it, value):
+    X = tv.projective_space(2)
+    break_it(X, monkeypatch)
+    with pytest.raises(NotComplete, match=rf"P_S\(0\) = {value}, not 1"):
         hb.ring_hilbert_polynomial(X)
+
+
+def test_incomplete_fan_fails_loudly():
+    # two of the three cones of P^2: with the completeness check skipped,
+    # the localization sum has constant term 23/24, not the 1 of the one
+    # monomial in degree 0
+    X = tv.build_variety(tv.Fan([[1, 0], [0, 1], [-1, -1]], [(0, 1), (1, 2)]),
+                         assume_complete=True)
+    with pytest.raises(NotComplete, match=r"P_S\(0\) = 23/24, not 1"):
+        hb.ring_hilbert_polynomial(X)
+    with pytest.raises(NotComplete):
+        hb.quotient_hilbert_polynomial(X, mi.MonomialIdeal(3, [(1, 0, 0)]))
 
 
 def test_quotient_agrees_with_hilbert_function_deep():
@@ -301,6 +324,167 @@ HEXAGON = tv.build_variety(tv.Fan([[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0
                                   [(i, (i + 1) % 6) for i in range(6)]))
 
 
+# -- the interpolation oracle ------------------------------------------------
+
+
+def ring_fiber_counts(X, degrees):
+    """{t: number of monomials of S in degree t} for the given degrees.
+
+    The counts are coefficients of the Hilbert series
+    H(S; y) = prod_i 1 / (1 - y^{deg x_i}); no monomial is listed.  Split
+    the variables at sigma^, the complement of the first maximal cone,
+    as fiber_monomials does: its degrees are the columns of a unimodular
+    M, so in the coordinates v = M^-1 t the factor over sigma^ has
+    coefficient 1 at every v >= 0 and 0 elsewhere, and
+    |fiber(t)| = sum of the coefficients of the factor F over the other
+    d variables at the v <= M^-1 t.  F is multiplied out one factor at a
+    time, truncated at w.t <= top, the largest w.t over the degrees, for
+    the w = X.positive_w with w . a_i > 0.  Every partial sum of the
+    exponents of a monomial of degree t has w-value in [0, w.t], so the
+    truncation loses no term the counts need, in K or not.
+    """
+    w = X.positive_w
+    hat, minv = X._facet_data[0]
+    degrees = [tuple(t) for t in degrees]
+    top = max((sum(map(mul, w, t)) for t in degrees), default=-1)
+    zero = (0,) * X.r
+    series = {zero: 1}
+    levels = [[] for _ in range(top + 1)]  # the v in series by w-value
+    if top >= 0:
+        levels[0].append(zero)
+    for i in range(X.n):
+        if i in hat:
+            continue
+        a = X.variable_degree(i)
+        step = sum(map(mul, w, a))
+        a = il.matvec(minv, a)
+        # series times 1 / (1 - y^a), in increasing w-value, so that
+        # series[v] is final before it is pushed on to v + a
+        for level in range(top + 1 - step):
+            for v in levels[level]:
+                s = tuple(map(add, v, a))
+                if s not in series:
+                    series[s] = 0
+                    levels[level + step].append(s)
+                series[s] += series[v]
+    # t - s = M (q - v) with q - v >= 0 has w-value >= 0, so only the
+    # levels up to w.t can hold a v <= q
+    counts = {}
+    for t in degrees:
+        q = il.matvec(minv, t)
+        below = levels[:max(sum(map(mul, w, t)) + 1, 0)]
+        counts[t] = sum(series[v] for level in below for v in level if all(map(le, v, q)))
+    return counts
+
+
+def interpolate_ring(X):
+    """P_S from fiber counts at the points U lam, lam in {0..d}^r.
+
+    U = positive_orthant_change(X) is unimodular with U N^r inside K,
+    where H_S = P_S, so f(lam) = |fiber(U lam)| is Q(lam) = P_S(U lam),
+    a polynomial of total degree d.  The integer forward differences
+    a_j = Delta^j f(0) vanish for |j| > d (checked), and Newton's formula
+    gives Q = sum_j a_j prod_k binom(lam_k, j_k).  So
+    d! P_S(t) = sum_j a_j (d! / prod_k j_k!) prod_k (l_k)_{j_k}, with
+    l_k = (U^-1 t)_k and (l)_q = l (l - 1) ... (l - q + 1), is a
+    polynomial with integer coefficients, computed in integers.  Checked
+    at r + 1 more points of U N^r.
+    """
+    d, r = X.d, X.r
+    change = tv.positive_orthant_change(X)
+    grid = list(product(range(d + 1), repeat=r))
+    checks = [(d + 1,) * r] + [tuple(d + 2 if j == k else 0 for j in range(r))
+                               for k in range(r)]
+    points = {lam: il.matvec(change.matrix, lam) for lam in grid + checks}
+    counts = ring_fiber_counts(X, points.values())
+
+    diffs = {lam: counts[points[lam]] for lam in grid}
+    for k in range(r):
+        for step in range(d):
+            # in reverse lex order lam - e_k still holds the previous step
+            for lam in reversed(grid):
+                if lam[k] > step:
+                    diffs[lam] -= diffs[lam[:k] + (lam[k] - 1,) + lam[k + 1:]]
+
+    zero = (0,) * r
+    falling = []  # falling[k][q] = (l_k)_q as {exponent: integer}
+    for row in change.inverse:
+        form = {tuple(int(i == j) for i in range(r)): c for j, c in enumerate(row) if c}
+        powers = [{zero: 1}]
+        for q in range(d):
+            powers.append(_int_product(powers[-1], {**form, zero: -q} if q else form))
+        falling.append(powers)
+    scaled = {}  # d! P_S
+    for j, a in diffs.items():
+        if not a:
+            continue
+        assert sum(j) <= d, f"fiber counts of S are not polynomial on K: difference {j} is {a}"
+        term = {zero: a * factorial(d) // prod(map(factorial, j))}
+        for k, jk in enumerate(j):
+            if jk:
+                term = _int_product(term, falling[k][jk])
+        for e, c in term.items():
+            scaled[e] = scaled.get(e, 0) + c
+    poly = MultiPoly(r, {e: Fraction(c, factorial(d)) for e, c in scaled.items()})
+
+    for lam in checks:
+        t = points[lam]
+        assert poly.evaluate(t) == counts[t], f"P_S disagrees with the fiber count at {t}"
+    return poly
+
+
+def _int_product(f, g):
+    """The product of two polynomials given as {exponent: integer}."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _fans_relabelled_and_regraded(fans, seed):
+    """Each fan, the fan with its rays relabelled, and every variety
+    _gradings makes from either (the canonical, the given and two
+    seeded regradings)."""
+    rng = random.Random(seed)
+    for fan in fans:
+        for fan2 in (fan, _relabel(fan, rng.sample(range(fan.n), fan.n))):
+            base = tv.build_variety(fan2)
+            for grading in _gradings(base, rng):
+                yield tv.build_variety(fan2, grading=grading, assume_complete=True)
+
+
+def test_closed_form_matches_interpolation_oracle():
+    fans = ([tv.projective_space(d).fan for d in range(1, 5)]
+            + [tv.product_projective(a, b).fan for a in (1, 2) for b in (1, 2)]
+            + [tv.hirzebruch(ell).fan for ell in range(6)]
+            + [BLOWUP, HEXAGON_FAN, BLOWN_UP_P3])
+    named = [tv.projective_space(d) for d in range(1, 5)] + [
+        tv.product_projective(a, b) for a in (1, 2) for b in (1, 2)] + [
+        tv.hirzebruch(ell) for ell in range(6)]
+    count = 0
+    for X in named + list(_fans_relabelled_and_regraded(fans, 41)):
+        assert hb.ring_hilbert_polynomial(X) == interpolate_ring(X), (X.fan.rays, X.grading)
+        count += 1
+    assert count == 14 + 17 * 2 * 4
+
+
+def test_closed_form_on_seven_rays_matches_hilbert_function():
+    # r = 5, where the oracle takes seconds: H_S = P_S deep in K instead
+    zero = mi.MonomialIdeal.zero(SEVEN_RAYS.n)
+    rng = random.Random(43)
+    base = tv.build_variety(SEVEN_RAYS)
+    for X in [base] + [tv.with_grading(base, g) for g in _gradings(base, rng)[2:]]:
+        P = hb.ring_hilbert_polynomial(X)
+        t0 = tv.find_point_dominating(X, [X.variable_degree(i) for i in range(X.n)])
+        for _ in range(6):
+            weights = [rng.randint(0, 2) for _ in X.nef_rays]
+            t = tuple(t0[j] + sum(c * ray[j] for c, ray in zip(weights, X.nef_rays))
+                      for j in range(X.r))
+            assert P.evaluate(t) == mi.hilbert_function(X, zero, t), (X.grading, t)
+
+
 # P(1..3), PxP(2,1), PxP(1,1), Hirzebruch(1), Hirzebruch(2) with its
 # canonical grading, the two-point blowup (r = 3) and the hexagon (r = 4)
 COUNTING_VARIETIES = [P1, P2, P3, PP, tv.product_projective(1, 1), tv.hirzebruch(1),
@@ -314,11 +498,11 @@ def test_series_counts_match_fiber_enumeration():
     for X in COUNTING_VARIETIES:
         radius = {1: 6, 2: 4, 3: 3, 4: 2}[X.r]
         box = list(product(range(-2, radius + 1), repeat=X.r))
-        counts = hb.ring_fiber_counts(X, box)
+        counts = ring_fiber_counts(X, box)
         assert set(counts) == set(box)
         for t in box:
             assert counts[t] == len(mi.fiber_monomials(X, t)), (X, t)
-            assert hb.ring_fiber_counts(X, [t]) == {t: counts[t]}
+            assert ring_fiber_counts(X, [t]) == {t: counts[t]}
         assert any(counts.values()) and not all(counts.values())
 
 
@@ -440,16 +624,16 @@ def test_hilbert_function_keeps_the_cap():
     assert mi.hilbert_function(X, DPP_IDEAL, (12,), cap=455) == 12 * 12 + 2 * 12 + 2
 
 
-def test_each_variety_interpolates_only_its_ring_polynomial(monkeypatch):
+def test_each_variety_builds_its_ring_polynomial_once(monkeypatch):
     from toricreg import enumeration as en
-    interpolated = Counter()
-    original = hb._interpolate_ring
+    built = Counter()
+    original = hb._ring_polynomial
 
-    def counting(X):
-        interpolated[id(X)] += 1
-        return original(X)
+    def counting(X, gammas):
+        built[id(X)] += 1
+        return original(X, gammas)
 
-    monkeypatch.setattr(hb, "_interpolate_ring", counting)
+    monkeypatch.setattr(hb, "_ring_polynomial", counting)
     # canonical-grading F2 enumerates on a regraded copy with its own P_S
     for X in (tv.projective_space(2), tv.product_projective(2, 1), tv.build_variety(F2.fan)):
         for size in range(X.n + 1):
@@ -458,5 +642,5 @@ def test_each_variety_interpolates_only_its_ring_polynomial(monkeypatch):
         mi.hilbert_function(X, mi.MonomialIdeal(X.n, [(2,) + (0,) * (X.n - 1)]), (3,) * X.r)
         curve = mi.MonomialIdeal(X.n, [(1, 0, 1) + (0,) * (X.n - 3)])
         en.run_enumeration(X, hb.quotient_hilbert_polynomial(X, curve))
-        assert interpolated[id(X)] == 1
-    assert sorted(interpolated.values()) == [1, 1, 1, 1]
+        assert built[id(X)] == 1
+    assert sorted(built.values()) == [1, 1, 1, 1]
