@@ -22,18 +22,13 @@ realized, by a proved test, not a heuristic: the rep's ideal lies
 inside it (see _realize).  The Gotzmann number needs only the search;
 only run_enumeration also chooses witness filtrations.
 
-A witness is chosen from the prefix ideals realize builds anyway.  For a
-rep p_1 ... p_k, p_i = (u_i, sigma_i) with irreducible component C_i,
-let J_i = C_1 meet ... meet C_i (J_0 = S).  The rep is a Stanley
-filtration of S/J_k exactly when every step i passes: x^{u_i} lies in
-J_{i-1}, and every generator of J_{i-1} is divisible by x^{u_i} or by
-some x_l^{u_{i,l} + 1} with l outside sigma_i, that is
-J_{i-1} <= C_i + <x^{u_i}> (proof at _filtration_step).  Realize
-decides each step once per state, carries "every step so far passed"
-down from the parent state, and keeps per ideal the least passing rep by
-StanleyPair.sort_key; an ideal with none falls back to the graded-order
-recursion.  This is the rep that sorting all of an ideal's reps and
-taking the first to pass stanley._colon_chain would choose.
+A witness is chosen from the prefix ideals realize builds anyway: a rep
+p_1 ... p_k is a Stanley filtration of its ideal exactly when each p_i
+passes stanley._filtration_step, the step verify_stanley chains, on the
+meet J_{i-1} of the components of p_1 ... p_{i-1}.  Realize keeps per
+ideal the least such rep by StanleyPair.sort_key, the first of its
+sorted reps that verify_stanley accepts; an ideal with none falls back
+to the graded-order recursion.
 
 The search and the check run on integers.  A residual
 Q = P - sum P_{S_sigma}(t - delta) has total degree at most
@@ -79,6 +74,7 @@ from . import intlinalg as il
 from .errors import NoRepresentation, SearchExhausted, ZeroPolynomial
 from .hilbert import (
     _ring_expansion,
+    _scaled_target,
     face_hilbert_polynomial,
     face_k_polynomial,
     koszul_numerator,
@@ -88,12 +84,17 @@ from .ideals import (
     MonomialIdeal,
     component_contains,
     component_sum,
-    divides,
     on_fan,
     reduce_components,
 )
 from .multipoly import GradedOrder
-from .stanley import StanleyPair, nice_strategy, pair_component, stanley_filtration
+from .stanley import (
+    StanleyPair,
+    _filtration_step,
+    nice_strategy,
+    pair_component,
+    stanley_filtration,
+)
 from .variety import positive_orthant_change, with_grading
 
 
@@ -398,38 +399,6 @@ def _meet(frame, node, c):
     return node if out is None else out
 
 
-def _filtration_step(ideal, pair, component):
-    """Whether pair i = (u, sigma), with irreducible component
-    C = m^component (pair_component), passes its step on the prefix ideal
-    J = J_{i-1}: x^u lies in J, and every generator of J is divisible by
-    x^u or by some x_l^{u_l + 1}, l outside sigma, that is J <= C + <x^u>.
-
-    The rep p_1 ... p_k is a Stanley filtration of S/J_k, J_i the meet of
-    C_1 ... C_i (J_0 = S), exactly when every step passes.  Let J'_k = J_k
-    and J'_{i-1} = J'_i + <x^{u_i}>: the colon chain (stanley._colon_chain)
-    certifies a filtration exactly when every (J'_i : x^{u_i}) is
-    P_{sigma_i} and J'_0 = S.
-    - If the rep is a filtration, the standard monomials of J'_i are the
-      monomials of pairs 1..i, and they are closed under division, so
-      they contain the standard monomials of each C_j, j <= i, which are
-      the divisors of the monomials of pair j.  Those of J_i are the union
-      of the latter, so J'_i = J_i.  Hence x^{u_i} lies in J'_{i-1} =
-      J_{i-1}, and J_{i-1} = J_i + <x^{u_i}> lies in C_i + <x^{u_i}>.
-    - Conversely, let every step pass.  Monomial ideals form a
-      distributive lattice, so J_{i-1} = J_{i-1} meet (C_i + <x^{u_i}>) =
-      J_i + <x^{u_i}>, and by downward induction from J'_k = J_k,
-      J'_i = J_i for every i; so J'_0 = S.  And (J_i : x^{u_i}) =
-      (J_{i-1} : x^{u_i}) meet (C_i : x^{u_i}) = S meet P_{sigma_i}, since
-      x^{u_i} lies in J_{i-1}.
-    A monomial lies in C + <x^u> exactly when it is divisible by x^u or
-    by a generator x_l^{u_l + 1} of C, so the generators of J decide the
-    inclusion."""
-    u = pair.shift
-    support = [(l, e) for l, e in enumerate(component) if e]
-    return ideal.contains(u) and all(
-        divides(u, g) or any(g[l] >= e for l, e in support) for g in ideal.gens)
-
-
 def _sort_keys(rep):
     return tuple(pair.sort_key() for pair in rep)
 
@@ -457,11 +426,9 @@ def _realize(frame, found):
     representations, and the least of them (by StanleyPair.sort_key)
     that is a Stanley filtration of S/I, when there is one.
 
-    The exact check compares integers: D * P_{S/I} on frame.basis with
-    D * frame.P, computed once, and they are equal exactly when
-    P_{S/I} = frame.P (D > 0).  D * P_{S/I} is integral for every I
-    (hilbert.shift_numerators), so when D * frame.P is not integral no
-    ideal can match, and only the reps are listed.
+    The exact check compares D * P_{S/I} on frame.basis with D * frame.P
+    in integers (hilbert._scaled_target); when D * frame.P is not
+    integral no ideal can match, and only the reps are listed.
 
     A rep's ideal is the intersection of its pairs' irreducible
     components (pair_component, taken once per distinct pair), and its
@@ -500,13 +467,12 @@ def _realize(frame, found):
     excess has excess too, so it is marked so without a component set.
     Every rep that is not skipped gets the exact check."""
     X = frame.X
-    denom = _ring_expansion(X)[1]
-    target = {e: c * denom for e, c in frame.P.terms.items()}
+    target = _scaled_target(X, frame.P)
     reps, grouped, witnesses = [], {}, {}
-    if any(c.denominator != 1 for c in target.values()):
+    if target is None:
         reps.extend(rep for rep, _ in found)
         return _Realized(reps, grouped, witnesses, 0, 0, 0)
-    target = [int(target.get(e, 0)) for e in frame.basis]
+    target = [target.get(e, 0) for e in frame.basis]
     components = {}  # id(pair) -> its irreducible component
     verdicts = {}    # _ComponentSet -> sign of the leading coefficient of D * (P - P_{S/I})
     # above the depth-one states: the unit ideal, never tested; only it has
@@ -605,18 +571,8 @@ def run_enumeration(X, P, order=None):
         frame, make=lambda ti, shift: StanleyPair(shift, sigmas[ti]), fold=_prefix))
     reps = realized.reps
 
-    # Witnesses: a constructed representation is only guaranteed to be a
-    # full Stanley filtration when every one of its pairs is supported on
-    # the fan (always true on projective space).  In general it is a
-    # partial filtration whose fan-supported components already cut out
-    # the saturated ideal, so the graded-order recursion supplies a true
-    # filtration instead.  Realize has decided which reps are
-    # filtrations, one step per search state on the prefix ideals J_i it
-    # builds: step i passes when x^{u_i} lies in J_{i-1} and every
-    # generator of J_{i-1} lies in C_i + <x^{u_i}>, and the rep is a
-    # filtration exactly when all its steps pass (proof at
-    # _filtration_step).  Its witness is the least such rep by sort key,
-    # the first of the sorted reps that the colon chain would accept.
+    # an ideal none of whose reps is a Stanley filtration of it, in the
+    # order the search built them, takes its witness from the recursion
     ideals, fallbacks = [], 0
     for ideal in sorted(realized.grouped):
         witness = realized.witnesses.get(ideal)

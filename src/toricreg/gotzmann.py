@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import NotAHilbertPolynomial, NotRealizable
 from .multipoly import binomial_in_t
-from .stanley import StanleyPair, _colon_chain, decomposition_to_ideal
+from .stanley import StanleyPair, _step_chain
 
 
 def binomial_piece(q, shift):
@@ -104,8 +104,10 @@ def lex_ideal(P, n):
     carries.
 
     The level data (ell, b_1..b_ell) is read off the multiplicities of
-    the values in the q-sequence; the result is verified against P
-    rather than trusted.
+    the values in the q-sequence.  The ideal is the one the pairs filter,
+    from the forward chain of filtration steps, which fails unless they
+    are a Stanley filtration; the result is verified against P rather
+    than trusted.
     """
     rep = gotzmann_representation(P)
     q = rep.q
@@ -127,8 +129,8 @@ def lex_ideal(P, n):
         prefix[spin] += multiplicity[j - 1]
     pairs = tuple(pairs)
 
-    ideal = decomposition_to_ideal(pairs, n)
-    if not _colon_chain(ideal, pairs):  # pairs built above: no validation
+    failed, ideal = _step_chain(pairs, n)  # pairs built above: no validation
+    if failed is not None:
         raise NotRealizable("constructed pairs are not a Stanley filtration")
     from .hilbert import quotient_hilbert_polynomial
     from .variety import projective_space

@@ -188,6 +188,23 @@ def shift_numerators(X, kpoly):
     return {beta: v for beta, v in numerators.items() if v}
 
 
+def _scaled_target(X, P):
+    """D * P as {exponent: integer}, for D the denominator of P_S
+    (_ring_expansion), or None when D * P is not integral.
+
+    D * P_{S/I} = shift_numerators(X, K(S/I)) is integral for every I
+    (module docstring), and D > 0, so P_{S/I} = P exactly when that
+    dict equals this one; when D * P is not integral no ideal has
+    polynomial P.  The unit ideal has K = 0, so it matches exactly when
+    P = 0.  Both sides keep nonzero coefficients only.
+    """
+    denom = _ring_expansion(X)[1]
+    target = {e: c * denom for e, c in P.terms.items()}
+    if any(c.denominator != 1 for c in target.values()):
+        return None
+    return {e: int(c) for e, c in target.items()}
+
+
 def _shift_sum(X, kpoly):
     """sum_d c_d P_S(t - d) as a MultiPoly."""
     denom = _ring_expansion(X)[1]

@@ -19,7 +19,7 @@ from math import comb
 from operator import index
 
 from .errors import BudgetExceeded, InfeasibleHilbertValue, SearchExhausted
-from .hilbert import _ring_expansion, coarse_k_polynomial, shift_numerators
+from .hilbert import _scaled_target, coarse_k_polynomial, shift_numerators
 from .ideals import MonomialIdeal, fiber_monomials, fiber_sizes, hilbert_value
 from .regularity import RegularityAssumption, reg_bound_from_polynomial
 from .variety import find_c
@@ -145,29 +145,6 @@ class DegreeSetResult:
         return bool(self.trace) and self.trace[-1]["bad"] == 0
 
 
-def _scaled_target(X, P):
-    """D * P as {exponent: integer}, for D the denominator of P_S
-    (hilbert._ring_expansion), or None when D * P is not integral.
-
-    D * P_{S/I} = shift_numerators(X, K(S/I)) has integer coefficients
-    for every I (hilbert.py), and D > 0, so P_{S/I} = P exactly when that
-    dict equals this one; when D * P is not integral no ideal has
-    polynomial P.  The unit ideal has K = 0, so it matches exactly when
-    P = 0.  Both sides keep nonzero coefficients only.
-    """
-    denom = _ring_expansion(X)[1]
-    target = {e: c * denom for e, c in P.terms.items()}
-    if any(c.denominator != 1 for c in target.values()):
-        return None
-    return {e: int(c) for e, c in target.items()}
-
-
-def _has_polynomial(X, kpoly, target):
-    """Whether the quotient with coarse K-polynomial kpoly has Hilbert
-    polynomial P, for target = _scaled_target(X, P)."""
-    return target is not None and shift_numerators(X, kpoly) == target
-
-
 def _find_disagreement(X, kpoly, P, anchor, size, cap=2000):
     """First point of anchor + K where the Hilbert function of the
     quotient with coarse K-polynomial kpoly differs from P (hilbert_value,
@@ -229,7 +206,7 @@ def degree_set(X, P, seed=0, assume=None, max_rounds=12, node_budget=1_000_000):
     for round_index in range(max_rounds):
         ideals = ideals_generated_in_degrees(X, D, P, node_budget=node_budget)
         kpolys = (coarse_k_polynomial(X, I) for I in ideals)
-        bad = [k for k in kpolys if not _has_polynomial(X, k, target)]
+        bad = [k for k in kpolys if shift_numerators(X, k) != target]
         trace.append({"round": round_index, "size": len(D),
                       "candidates": len(ideals), "bad": len(bad)})
         if not bad:
@@ -292,7 +269,7 @@ def supportive_check(X, result, P, box_level=6):
     size = fiber_sizes(X)
     for I in result.ideals:
         kpoly = coarse_k_polynomial(X, I)
-        if not _has_polynomial(X, kpoly, target):
+        if shift_numerators(X, kpoly) != target:
             return False
         if any(hilbert_value(kpoly, t, size) != value for t, value in grid):
             return False

@@ -94,7 +94,7 @@ class RegularityAssumption:
             f"{sorted(i + 1 for i in sigma)} (complement is not a face)")
 
 
-def reg_bound_from_filtration(X, I, filt, assume=None, check=True):
+def reg_bound_from_filtration(X, I, filt, assume=None):
     """Theorem-level bound: intersect deg(x^u_i) + baseline(sigma_i).
 
     For B-saturated I the intersection may skip pairs whose face
@@ -102,11 +102,9 @@ def reg_bound_from_filtration(X, I, filt, assume=None, check=True):
     """
     assume = assume or RegularityAssumption()
     filt = tuple(filt)
-    if check:
-        result = verify_stanley(I, filt, mode="filtration")
-        if not result:
-            raise FiltrationInvalid(
-                f"not a Stanley filtration for the ideal: {result.reason}")
+    result = verify_stanley(I, filt, mode="filtration")
+    if not result:
+        raise FiltrationInvalid(f"not a Stanley filtration for the ideal: {result.reason}")
     saturated = is_b_saturated(I, X)
     # every baseline before any intersection: a missing baseline is
     # reported even where K could not intersect

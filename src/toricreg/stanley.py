@@ -5,12 +5,15 @@ properly divides a minimal generator: the left child is I + <x_l>, the
 right child is (I : x_l).  Leaves are prime ideals; reading the leaves
 off in depth-first order (left children first) yields not just a
 Stanley decomposition but a Stanley filtration of S/I.  verify_stanley
-certifies a filtration by a colon chain and a decomposition by an
-identity of fine K-polynomials; both checks are exact.
+certifies a filtration by a forward chain of steps over the
+intersections of the pairs' irreducible components (_filtration_step,
+the check realize runs too) and a decomposition by an identity of fine
+K-polynomials; both checks are exact.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 
 from .errors import OverlappingPairs, StrategyInvalid, UnitIdeal
 from .hilbert import _k_polynomial, pairs_k_polynomial
@@ -189,17 +192,12 @@ def verify_stanley(I, pairs, mode="decomposition"):
     decomposition of S over the ideal enlarged by the later shifts.
     Returns a falsy VerifyResult with a counterexample monomial on
     failure.  Malformed pairs (a shift that is not n nonnegative
-    integers, a face index outside 0..n-1) raise ValueError.
+    integers, a face index that is not an integer in 0..n-1) raise
+    ValueError.
 
-    Filtration mode is the colon chain.  With J_k = I and
-    J_{i-1} = J_i + <x^{u_i}>, the pairs (u_1, s_1) ... (u_k, s_k) form a
-    Stanley filtration exactly when (J_i : x^{u_i}) = P_{s_i} =
-    <x_j : j not in s_i> for every i and J_0 is the unit ideal: the
-    monomials of J_{i-1} outside J_i are x^{u_i} times the standard
-    monomials of (J_i : x^{u_i}), and these are the monomials of pair i
-    exactly when the colon is the face prime.  So the prefixes partition
-    the complement of I exactly when every colon is its face prime and
-    J_0 contains 1.
+    Filtration mode runs the forward chain of _filtration_step: the pairs
+    form a Stanley filtration exactly when every step passes and the
+    chain ends at I (_filtration_counterexample).
 
     Decomposition mode is an identity of fine K-polynomials
     (Miller-Sturmfels, ch. 8), each from the recursion of hilbert.py in
@@ -212,12 +210,16 @@ def verify_stanley(I, pairs, mode="decomposition"):
     a failing monomial has a divisor in N, which sorts at or after m.
     """
     pairs = tuple(pairs)
-    span = frozenset(range(I.n))
     for p in pairs:
-        if len(p.shift) != I.n or min(p.shift, default=0) < 0 or not p.face <= span:
-            raise ValueError(f"bad Stanley pair {p!r} for {I.n} variables")
+        try:
+            ok = (len(p.shift) == I.n and all(index(e) >= 0 for e in p.shift)
+                  and all(0 <= index(i) < I.n for i in p.face))
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"bad Stanley pair ({p.shift!r}, {p.face!r}) for {I.n} variables")
     if mode == "filtration":
-        return _colon_chain(I, pairs)
+        return _filtration_counterexample(I, pairs)
     if mode != "decomposition":
         raise ValueError(f"unknown mode {mode!r}")
     zero, cache = (0,) * I.n, {}  # the fine grading: deg u = u
@@ -232,41 +234,87 @@ def verify_stanley(I, pairs, mode="decomposition"):
     return VerifyResult(False, m, f"covered {sum(p.contains(m) for p in pairs)} times")
 
 
-def _colon_chain(I, pairs):
-    """The colon-chain certificate for filtration mode.
+def _filtration_step(ideal, pair, component):
+    """Whether pair i = (u, sigma), with component C = m^component
+    (pair_component), passes its step on the prefix ideal J = J_{i-1}:
+    x^u lies in J, and J <= C + <x^u> (_step_escape).
 
-    J_i is kept as a (not necessarily minimal) generator list.  The
-    colon is inside P_s exactly when every generator g of J_i exceeds
-    u_i at some variable outside s; otherwise lcm(u_i, g) lies both in
-    pair i and in J_i.  P_s is inside the colon exactly when every
-    x^{u_i + e_j}, j outside s, lies in J_i; otherwise that monomial is
-    left uncovered.
-    """
-    n = I.n
-    gens = list(I.gens)
-    for i in range(len(pairs), 0, -1):
-        u, face = pairs[i - 1].shift, pairs[i - 1].face
-        outside = [j for j in range(n) if j not in face]
-        for g in gens:
-            if all(g[j] <= u[j] for j in outside):
-                m = monomial_lcm(u, g)
-                return VerifyResult(
-                    False, m,
-                    f"prefix {i}: {format_monomial(m)} lies in pair {i} "
-                    f"and in I + <later shifts>")
-        for j in outside:
-            m = tuple(e + (k == j) for k, e in enumerate(u))
-            if not any(divides(g, m) for g in gens):
-                return VerifyResult(
-                    False, m,
-                    f"prefix {i}: {format_monomial(m)} lies outside "
-                    f"I + <later shifts> but not in pair {i}")
-        gens.append(u)
-    if all(any(g) for g in gens):
-        return VerifyResult(
-            False, (0,) * n,
-            "prefix 0: I + <all shifts> is not the unit ideal, so 1 is uncovered")
-    return VerifyResult(True)
+    With J_0 = S and J_i = J_{i-1} meet C_i, the pairs p_1 ... p_k are a
+    Stanley filtration of S/I exactly when every step passes and J_k = I.
+    Definition 3.1 asks that pairs 1..i decompose S/J'_i for every i,
+    J'_i = I + <x^{u_{i+1}}, ..., x^{u_k}>; the standard monomials of C_j
+    are the divisors of the monomials of pair j.
+    - If so, the standard monomials of J'_i, the monomials of pairs 1..i,
+      are closed under division, so they are those of J_i: J'_i = J_i and
+      I = J_k.  So x^{u_i} lies in J'_{i-1} = J_{i-1} = J_i + <x^{u_i}>,
+      which lies in C_i + <x^{u_i}>.
+    - If every step passes, J_{i-1} = J_{i-1} meet (C_i + <x^{u_i}>) =
+      J_i + <x^{u_i}> (monomial ideals form a distributive lattice), so
+      J_{i-1} minus J_i is x^{u_i} times the standard monomials of
+      (J_i : x^{u_i}) = (C_i : x^{u_i}) = P_{sigma_i}, as x^{u_i} lies in
+      J_{i-1}: the monomials of pair i.  By induction from J_0 = S, pairs
+      1..i decompose S/J_i, and J'_i = J_i by downward induction from
+      J_k = I."""
+    return ideal.contains(pair.shift) and _step_escape(ideal, pair.shift, component) is None
+
+
+def _step_escape(ideal, u, component):
+    """The first generator of ideal outside C + <x^u>, C = m^component, or
+    None: a monomial lies in C + <x^u> exactly when x^u or a generator
+    x_l^{c_l} of C divides it."""
+    support = [(l, e) for l, e in enumerate(component) if e]
+    return next((g for g in ideal.gens
+                 if not divides(u, g) and all(g[l] < e for l, e in support)), None)
+
+
+def _step_chain(pairs, n):
+    """The forward chain of _filtration_step over pairs in n variables:
+    (i, J_{i-1}) at the first failing step i, else (None, J_k)."""
+    ideal = MonomialIdeal.unit(n)
+    for i, pair in enumerate(pairs, 1):
+        component = pair_component(pair)
+        if not _filtration_step(ideal, pair, component):
+            return i, ideal
+        ideal = ideal.intersect_irreducible(component)
+    return None, ideal
+
+
+def _filtration_counterexample(I, pairs):
+    """Filtration mode of verify_stanley, with a failing monomial m.
+
+    At the first failing step i, with J = J_{i-1}, pairs 1..i-1 decompose
+    S/J (_filtration_step).  If x^{u_i} is outside J, m = u_i lies in one
+    of them, but shift i divides it.  Otherwise a generator g of J lies
+    outside C_i + <x^{u_i}>: u_i does not divide g, and g_l <= u_{i,l}
+    off sigma_i, so v = lcm(g, u_i) lies in pair i.  If v lies in I, or a
+    later shift divides v, m = v.  Otherwise m = g: it lies in J, so in
+    none of pairs 1..i-1, not in pair i, and in no later pair, whose
+    shift would divide v; and outside I, which would contain v.  When
+    every step passes, the pairs decompose S/J_k: a generator of I
+    outside J_k lies in I and in a pair, one of J_k outside I in none."""
+    failed, J = _step_chain(pairs, I.n)
+    if failed is None:
+        if J == I:
+            return VerifyResult(True)
+        m = ([g for g in I.gens if not J.contains(g)]
+             or [g for g in J.gens if not I.contains(g)])[0]
+    else:
+        u = pairs[failed - 1].shift
+        if not J.contains(u):
+            m = u
+        else:
+            g = _step_escape(J, u, pair_component(pairs[failed - 1]))
+            v = monomial_lcm(g, u)
+            later = any(divides(p.shift, v) for p in pairs[failed:])
+            m = v if later or I.contains(v) else g
+    # Definition 3.1 puts m in no pair when it lies in I, else in pair
+    # prefix alone, the last pair whose shift divides m
+    prefix = max((j for j, q in enumerate(pairs, 1) if divides(q.shift, m)), default=0)
+    j = next((j for j, q in enumerate(pairs, 1) if q.contains(m)), None)
+    where = ("lies outside I and in no pair" if j is None
+             else f"lies in pair {j} and in I" if I.contains(m)
+             else f"lies in pair {j} but shift {prefix} divides it")
+    return VerifyResult(False, m, f"prefix {prefix}: {format_monomial(m)} {where}")
 
 
 # -- back to ideals ------------------------------------------------------

@@ -222,7 +222,7 @@ def test_criterion_8_property_suites():
         # H = P on the bound region for all 30 fixture ideals
         target = parse_poly("3*t+1")
         for ideal, witness in en.enumerate_saturated_ideals(P2, target):
-            bound = rg.reg_bound_from_filtration(P2, ideal, witness, check=False)
+            bound = rg.reg_bound_from_filtration(P2, ideal, witness)
             (k,) = bound.generators
             for step in range(1, 11):
                 t = (k[0] + step,)

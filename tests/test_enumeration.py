@@ -29,9 +29,10 @@ from toricreg.hilbert import (
 from toricreg.ideals import b_saturate, is_b_saturated
 from toricreg.multipoly import GradedOrder, MultiPoly, parse_poly
 from toricreg.regularity import reg_bound_from_polynomial
-from toricreg.stanley import _colon_chain, pair_component, verify_stanley
+from toricreg.stanley import pair_component, verify_stanley
 
 from test_ideals import intersect
+from test_stanley import colon_chain
 
 P1 = tv.projective_space(1)
 P2 = tv.projective_space(2)
@@ -719,7 +720,7 @@ def _colon_chain_witness(ideal, reps):
     as their oracle: sort the ideal's reps by their pairs' sort keys and
     take the first that the colon chain certifies (None if none does)."""
     candidates = sorted(reps, key=lambda rep: tuple(pair.sort_key() for pair in rep))
-    return next((rep for rep in candidates if _colon_chain(ideal, rep)), None)
+    return next((rep for rep in candidates if colon_chain(ideal, rep)), None)
 
 
 def _stepped_filtration(rep):
@@ -728,7 +729,7 @@ def _stepped_filtration(rep):
     ideal, passed = mi.MonomialIdeal.unit(len(rep[0].shift)), True
     for pair in rep:
         component = pair_component(pair)
-        passed = passed and en._filtration_step(ideal, pair, component)
+        passed = passed and st._filtration_step(ideal, pair, component)
         ideal = ideal.intersect_irreducible(component)
     return ideal, passed
 
@@ -790,7 +791,7 @@ def test_filtration_steps_decide_the_colon_chain_on_every_passing_rep(X, text):
         for rep in reps:
             meet, passed = _stepped_filtration(rep)
             assert meet == ideal
-            assert passed == bool(_colon_chain(ideal, rep)), (ideal, rep)
+            assert passed == bool(colon_chain(ideal, rep)), (ideal, rep)
             verdicts[passed] += 1
     assert verdicts[True]
 
@@ -819,7 +820,7 @@ def pair_sequences(draw):
 def test_filtration_steps_decide_the_colon_chain_on_drawn_sequences(pairs):
     # the step claim holds for any pair sequence, not only the search's reps
     meet, passed = _stepped_filtration(pairs)
-    assert passed == bool(_colon_chain(meet, pairs))
+    assert passed == bool(colon_chain(meet, pairs))
 
 
 @pytest.mark.parametrize("X, text, fallbacks, steps", [

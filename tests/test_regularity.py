@@ -77,7 +77,7 @@ def test_invalid_filtration_rejected():
     reordered = stanley_filtration(I)[::-1]
     assert verify_stanley(I, reordered, mode="decomposition")
     with pytest.raises(FiltrationInvalid,
-                       match="prefix 2: x1 lies outside I \\+ <later shifts>"):
+                       match="prefix 2: x1 lies in pair 1 but shift 2 divides it"):
         rg.reg_bound_from_filtration(PP, I, reordered)
 
 
@@ -108,7 +108,7 @@ def test_filtration_bound_refines_polynomial_bound():
     ideals = enumerate_saturated_ideals(P2, P)
     assert len(ideals) == 30
     for ideal, witness in ideals:
-        fine = rg.reg_bound_from_filtration(P2, ideal, witness, check=False)
+        fine = rg.reg_bound_from_filtration(P2, ideal, witness)
         for g in uniform.generators:
             assert upset_contains(fine, g)
 

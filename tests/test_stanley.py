@@ -255,7 +255,7 @@ def test_verify_returns_counterexample():
     result = st.verify_stanley(I, [pair((0, 0), {0})], mode="decomposition")
     assert not result
     assert result.counterexample is not None
-    # one case for each way the colon chain can fail
+    # every step passes but J_1 != I (twice), or the first step fails
     for pairs, m, reason in (
             ([pair((0, 0), {0, 1})], (1, 1), "prefix 1: x1*x2 lies in pair 1"),
             ([pair((0, 0), {0})], (0, 1), "prefix 1: x2 lies outside"),
@@ -266,10 +266,34 @@ def test_verify_returns_counterexample():
         assert result.reason.startswith(reason)
 
 
+@pytest.mark.parametrize("I, pairs, m", [
+    # (a) x^{u_2} = x2 lies outside J_1 = <x1>, in pair 1
+    (mi.MonomialIdeal(2, [(1, 0)]), [pair((0, 0), {1}), pair((0, 1), {1})], (0, 1)),
+    # (b) the generator 1 of J_0 escapes C_1 + <x1>; v = x1 lies in I
+    (mi.MonomialIdeal(2, [(1, 0)]), [pair((1, 0), {0})], (1, 0)),
+    # (b) the same escape; v = x1 is divisible by the later shift 1
+    (mi.MonomialIdeal(2, [(1, 1)]), [pair((1, 0), {0}), pair((0, 0), {0, 1})], (1, 0)),
+    # (b) the generator x1 of J_1 = <x1> escapes <x1^3> + <x1^2>; v = x1^2
+    # is outside I = <x1^3>, so x1 itself is returned: it lies in no pair
+    (mi.MonomialIdeal(2, [(3, 0)]), [pair((0, 0), {1}), pair((2, 0), {1})], (1, 0)),
+    # (c) every step passes, and the generator x1 of I lies outside J_2 = <x1^2>
+    (mi.MonomialIdeal(2, [(1, 0)]), [pair((0, 0), {1}), pair((1, 0), {1})], (1, 0)),
+    # (c) every step passes, and the generator x1 of J_1 lies outside I = <x1^2>
+    (mi.MonomialIdeal(2, [(2, 0)]), [pair((0, 0), {1})], (1, 0)),
+], ids=["a", "b-v-in-I", "b-v-later-shift", "b-g", "c-I-outside-J", "c-J-outside-I"])
+def test_filtration_counterexample_branches(I, pairs, m):
+    result = st.verify_stanley(I, pairs, mode="filtration")
+    assert not result
+    assert result.counterexample == m
+    assert monomial_failure(I, pairs, m, "filtration")
+
+
 def test_verify_rejects_malformed_pairs():
     I = mi.MonomialIdeal(3, [(1, 1, 0)])
     for bad in (pair((0, 1), {2}), pair((0, 1, 0, 0), {2}),
-                pair((0, 0, -1), {1}), pair((0, 0, 0), {1, 3})):
+                pair((0, 0, -1), {1}), pair((0, 0, 0), {1, 3}),
+                pair((0.5, 0, 0), {0}), pair((0, 1.0, 0), {2}), pair(("a", 0, 0), {0}),
+                pair((0, 0, 0), {1.0}), pair((0, 0, 0), {"a"})):
         for mode in ("decomposition", "filtration"):
             with pytest.raises(ValueError):
                 st.verify_stanley(I, [pair((0, 0, 0), {0, 2}), bad], mode=mode)
@@ -336,6 +360,37 @@ def monomial_failure(I, pairs, m, mode):
     return ""
 
 
+def colon_chain(I, pairs):
+    """The backward colon-chain certificate of filtration mode, kept as
+    the oracle of verify_stanley's forward step chain.
+
+    With J_k = I and J_{i-1} = J_i + <x^{u_i}>, the pairs form a Stanley
+    filtration exactly when every (J_i : x^{u_i}) is the face prime
+    P_{s_i} = <x_j : j not in s_i> and J_0 is the unit ideal.  J_i is kept
+    as a (not necessarily minimal) generator list.  The colon is inside
+    P_s exactly when every generator g of J_i exceeds u_i at some variable
+    outside s; otherwise lcm(u_i, g) lies both in pair i and in J_i.  P_s
+    is inside the colon exactly when every x^{u_i + e_j}, j outside s,
+    lies in J_i; otherwise that monomial is left uncovered.
+    """
+    n = I.n
+    gens = list(I.gens)
+    for i in range(len(pairs), 0, -1):
+        u, face = pairs[i - 1].shift, pairs[i - 1].face
+        outside = [j for j in range(n) if j not in face]
+        for g in gens:
+            if all(g[j] <= u[j] for j in outside):
+                return st.VerifyResult(False, mi.monomial_lcm(u, g), f"prefix {i}: in J_i")
+        for j in outside:
+            m = tuple(e + (k == j) for k, e in enumerate(u))
+            if not any(mi.divides(g, m) for g in gens):
+                return st.VerifyResult(False, m, f"prefix {i}: uncovered")
+        gens.append(u)
+    if all(any(g) for g in gens):
+        return st.VerifyResult(False, (0,) * n, "prefix 0: 1 is uncovered")
+    return st.VerifyResult(True)
+
+
 def grid_decomposition_check(I, pairs):
     """The decomposition predicate on the grid of exponent vectors whose
     i-th coordinate is 0, some g_i for a generator g of I, or u_i or
@@ -370,6 +425,7 @@ def test_verify_agrees_with_box_oracle(case):
         assert bool(result) == (box_failure(I, pairs, mode) is None), (mode, result)
         if not result:
             assert monomial_failure(I, pairs, result.counterexample, mode), result
+    assert bool(st.verify_stanley(I, pairs, mode="filtration")) == bool(colon_chain(I, pairs))
     assert st.verify_stanley(I, pairs) == grid_decomposition_check(I, pairs)
 
 
