@@ -16,8 +16,8 @@ A rep's ideal is the intersection of its pairs' irreducible components,
 and realize decides the exact check from those components alone, by
 inclusion-exclusion (Mayer-Vietoris) over the components of each prefix
 (see _meet).  A state gets its component set once, when a rep below it
-first needs it, and only the states above passing reps get their
-ideals.  A rep whose parent state's ideal already overshoots P is not
+first needs it, and only the sets above passing reps get their ideals,
+one per set.  A rep whose parent state's ideal already overshoots P is not
 realized, by a proved test, not a heuristic: the rep's ideal lies
 inside it (see _realize).  The Gotzmann number needs only the search;
 only run_enumeration also chooses witness filtrations.
@@ -56,11 +56,10 @@ successor shifts, face vector and (for run_enumeration) StanleyPair
 then.  Realize takes each pair's irreducible component once, decides
 once per distinct component whether it lies on the fan, builds the
 vector of each reduced component set once and each step from one set
-to the next once (_meet), and intersects each distinct (minimal
-generators, component) once, the only inputs intersect_irreducible
-reads.  Every integer polynomial is sum_d c_d N(d), N(d) = D * P_S(t - d)
-on the basis, by linearity of the moment kernel, with N(d) built once
-per distinct degree.  Every memo lives and dies with one frame, that is
+to the next once (_meet), and intersects each prefix ideal once per
+distinct component set.  Every integer polynomial is sum_d c_d N(d),
+N(d) = D * P_S(t - d) on the basis, by linearity of the moment kernel,
+with N(d) built once per distinct degree.  Every memo lives and dies with one frame, that is
 one call: nothing is cached across requests.
 """
 
@@ -142,12 +141,13 @@ class _Frame:
     scale: int     # L: lcm of the P_S denominator D and the denominators of P
     inits: list    # the basis index of the leading monomial of each P_{S_sigma}
     shifted: dict = field(default_factory=dict)  # degree d -> N(d) = D * P_S(t - d) on basis
-    meets: dict = field(default_factory=dict)    # (generators, component) -> their intersection
     component_sets: dict = field(default_factory=dict)  # reduced components -> their _ComponentSet
     supported: dict = field(default_factory=dict)  # component -> whether it lies on the fan
 
 
 def _working_frame(X, P, order):
+    if P.nvars != X.r:
+        raise ValueError(f"the polynomial has {P.nvars} variables, the grading has {X.r}")
     if order is None:
         order = GradedOrder(X.r)
     change = positive_orthant_change(X)
@@ -325,14 +325,16 @@ def _koszul_vector(frame, component):
 class _ComponentSet:
     """A reduced component tuple (see reduce_components), the integer vector D * P
     of its intersection on frame.basis, and the sets reached from it by
-    meeting one more component (component -> _ComponentSet)."""
+    meeting one more component (component -> _ComponentSet); _realize
+    fills in its verdict on frame.P and its ideal on demand."""
 
-    __slots__ = ("components", "vector", "steps")
+    __slots__ = ("components", "vector", "steps", "sign", "ideal")
 
     def __init__(self, components, vector):
         self.components = components
         self.vector = vector
         self.steps = {}
+        self.sign = self.ideal = None
 
 
 def _component_set(frame, components):
@@ -349,6 +351,7 @@ def _component_set(frame, components):
 
 
 _UNSEEN = object()
+_EXCESS = object()  # a state's component set at or under a state that overshoots P
 
 
 def _on_fan(frame, c):
@@ -368,7 +371,7 @@ def _meet(frame, node, c):
     Monomial ideals form a distributive lattice, so J + C is the
     intersection of the D + C over J's components D, and a sum of
     irreducible ideals is irreducible (ideals.component_sum).  A component
-    that reduce_components drops changes no v: one supported off the fan has
+    that _meet drops changes no v: one supported off the fan has
     v(C) = 0, and so has every sum with it, so by the same sequence it
     leaves v unchanged; a redundant one leaves the ideal unchanged.
     Hence v is a function of the reduced tuple, and so is the tuple of
@@ -405,9 +408,9 @@ def _sort_keys(rep):
 
 def _prefix(parent, pair):
     """The payload of a search state, the prefix of the reps below it:
-    [parent's payload (None at the root), pair, _ComponentSet, sign,
-    ideal, filtered].  _realize fills the last four on demand."""
-    return [parent, pair, None, None, None, None]
+    [parent's payload (None at the root), pair, _ComponentSet or _EXCESS,
+    filtered].  _realize fills the last two on demand."""
+    return [parent, pair, None, None]
 
 
 class _Realized(NamedTuple):
@@ -417,6 +420,7 @@ class _Realized(NamedTuple):
     prefix_tests: int      # states given a component set and tested for excess over P
     skipped_reps: int      # reps whose parent state overshoots P
     filtration_steps: int  # states given a _filtration_step
+    intersections: int     # component sets given an ideal
 
 
 def _realize(frame, found):
@@ -433,23 +437,29 @@ def _realize(frame, found):
     A rep's ideal is the intersection of its pairs' irreducible
     components (pair_component, taken once per distinct pair), and its
     D * P_{S/I} comes from those components alone (_meet), never from
-    the ideal's generators or its K-polynomial.  A prefix's component
-    set and ideal do not depend on the order of its pairs, and the
+    the ideal's generators or its K-polynomial.  A prefix's reduced
+    component set does not depend on the order of its pairs, and the
     search pushes each state once, so each state's payload (_prefix)
-    keeps them, filled in once, walking up to the first state that has
-    them: the _ComponentSet (one _meet from the parent's) and its
-    verdict, the sign of the leading coefficient of D * P - D * P_{S/J},
-    when a rep below the state first arrives; the ideal and the
-    filtration flag when a passing rep does, which needs its ideal for
-    grouping.  Each _ComponentSet and each step between two of them is
-    built once per frame, and each distinct (minimal generators,
-    component) is intersected once, in frame.meets, since
-    intersect_irreducible reads nothing else.  A state's flag says that
-    its _filtration_step on its parent's ideal and every step above it
-    pass, so a passing rep is a Stanley filtration of its ideal exactly
-    when its flag holds.  The least such rep per ideal is kept, by the
-    tuple of its pairs' sort keys, taken only when a second one of the
-    same ideal arrives.
+    keeps it, one _meet from its parent's, filled in up the chain when a
+    rep below the state first arrives.
+
+    The set determines the prefix's ideal J: a pair's component is
+    supported on its face sigma^, a face of the fan, so _meet keeps
+    exactly the minimal members of the prefix's components, whose meet is
+    J, and an irreducible ideal is meet-prime (see reduce_components), so
+    none contains the meet of the others.  The set is thus the unique
+    irredundant irreducible decomposition of J, and keeps J and its
+    verdict, the sign of the leading coefficient of D * P - D * P_{S/J}:
+    the verdict when a state first reaches the set, J when a passing rep
+    below first needs it for grouping, met from the ideal of the state's
+    parent's set (the root's set is (), with the unit ideal).  Distinct
+    sets have distinct ideals, so intersect_irreducible never sees one
+    input twice.  The same walk fills in each state's filtration flag,
+    which depends on the order of the pairs: that its _filtration_step on
+    its parent's ideal and every step above it pass, so a passing rep is
+    a Stanley filtration of its ideal exactly when its flag holds.  The
+    least such rep per ideal is kept, by the tuple of its pairs' sort
+    keys, taken only when a second one arrives.
 
     A rep whose parent state overshoots P is listed but not realized.
     Let I be a rep's ideal and J the ideal of one of its prefixes.  Then
@@ -464,21 +474,19 @@ def _realize(frame, found):
     and no rep under the prefix has an ideal with polynomial P.  The
     integer vectors decide that sign exactly.  The same argument with I
     the ideal of a longer prefix shows that every state below one with
-    excess has excess too, so it is marked so without a component set.
+    excess has excess too, so it is marked _EXCESS, as that state is.
     Every rep that is not skipped gets the exact check."""
     X = frame.X
     target = _scaled_target(X, frame.P)
     reps, grouped, witnesses = [], {}, {}
     if target is None:
         reps.extend(rep for rep, _ in found)
-        return _Realized(reps, grouped, witnesses, 0, 0, 0)
+        return _Realized(reps, grouped, witnesses, 0, 0, 0, 0)
     target = [target.get(e, 0) for e in frame.basis]
     components = {}  # id(pair) -> its irreducible component
-    verdicts = {}    # _ComponentSet -> sign of the leading coefficient of D * (P - P_{S/I})
-    # above the depth-one states: the unit ideal, never tested; only it has
-    # no set, and _component_set(frame, ()) stands in for it
-    root = [None, None, None, 0, MonomialIdeal.unit(X.n), True]
-    counts = [0, 0]  # states tested for excess, filtration steps
+    root = [None, None, _component_set(frame, ()), True]  # above the depth-one states
+    root[2].ideal = MonomialIdeal.unit(X.n)
+    counts = [0, 0, 0, 0]  # prefix_tests, skipped_reps, filtration_steps, intersections
 
     def component(pair):
         c = components.get(id(pair))
@@ -486,12 +494,12 @@ def _realize(frame, found):
             c = components[id(pair)] = pair_component(pair)
         return c
 
-    def verdict(node):
-        sign = verdicts.get(node)
-        if sign is None:
-            sign = verdicts[node] = next(
-                (1 if t > c else -1 for t, c in zip(target, node.vector) if t != c), 0)
-        return sign
+    def step(node, pair):
+        """The _ComponentSet of node met with pair's component, with its verdict."""
+        node = _meet(frame, node, component(pair))
+        if node.sign is None:
+            node.sign = next((1 if t > c else -1 for t, c in zip(target, node.vector) if t != c), 0)
+        return node
 
     def unfilled(state, slot):
         """The state above those from state up whose slot is empty, and those, top first."""
@@ -501,52 +509,41 @@ def _realize(frame, found):
             state = state[0] or root
         return state, reversed(chain)
 
-    def settle(state):
-        """Fill in the _ComponentSet and verdict of state and of every
-        state above it that lacks them; one with excess passes it down."""
-        above, chain = unfilled(state, 3)
-        for state in chain:
-            if above[3] < 0:
-                state[3] = -1
-            else:
-                counts[0] += 1
-                state[2] = _meet(frame, above[2] or _component_set(frame, ()), component(state[1]))
-                state[3] = verdict(state[2])
-            above = state
-
-    def ideal_of(state):
-        """The ideal of state and whether every filtration step of its
-        pairs passes, filled in for it and every state above it."""
-        above, chain = unfilled(state, 4)
-        for state in chain:
-            ideal, pair = above[4], state[1]
-            key = (ideal.gens, component(pair))
-            meet = frame.meets.get(key)
-            if meet is None:
-                meet = frame.meets[key] = ideal.intersect_irreducible(key[1])
-            counts[1] += above[5]  # no step after a failed one
-            state[4], state[5] = meet, above[5] and _filtration_step(ideal, pair, key[1])
-            above = state
-        return above[4], above[5]
-
-    skipped = 0
     for rep, payload in found:
         reps.append(rep)
-        parent = payload[0] or root
-        if parent[3] is None:
-            settle(parent)
-        if parent[3] < 0:
-            skipped += 1
+        above, chain = unfilled(payload[0] or root, 2)
+        for state in chain:  # the rep's prefixes that have no component set yet
+            if above[2] is _EXCESS:
+                state[2] = _EXCESS
+            else:
+                counts[0] += 1
+                node = step(above[2], state[1])
+                state[2] = node if node.sign >= 0 else _EXCESS
+            above = state
+        if above[2] is _EXCESS:  # the rep's parent
+            counts[1] += 1
             continue
-        if verdict(_meet(frame, parent[2] or _component_set(frame, ()), component(payload[1]))):
+        node = step(above[2], payload[1])
+        if node.sign:
             continue
-        ideal, filtered = ideal_of(payload)
+        payload[2] = node
+        above, chain = unfilled(payload, 3)
+        for state in chain:  # the rep and its prefixes that have no filtration flag yet
+            ideal, pair, node = above[2].ideal, state[1], state[2]
+            c = component(pair)
+            if node.ideal is None:
+                counts[3] += 1
+                node.ideal = ideal.intersect_irreducible(c)
+            counts[2] += above[3]  # no step after a failed one
+            state[3] = above[3] and _filtration_step(ideal, pair, c)
+            above = state
+        ideal = payload[2].ideal
         grouped.setdefault(ideal, []).append(rep)
-        if filtered:
+        if payload[3]:
             current = witnesses.get(ideal)
             if current is None or _sort_keys(rep) < _sort_keys(current):
                 witnesses[ideal] = rep
-    return _Realized(reps, grouped, witnesses, counts[0], skipped, counts[1])
+    return _Realized(reps, grouped, witnesses, *counts)
 
 
 @dataclass
@@ -557,7 +554,7 @@ class EnumerationResult:
     gotzmann_realized: int  # max pairs over reps whose ideal survived
     prefix_tests: int       # realize: states given a component set and tested for excess over P
     skipped_reps: int       # realize: reps whose parent state overshoots P, never met or intersected
-    intersections: int      # realize: distinct (ideal, component) pairs intersected, for passing reps
+    intersections: int      # realize: component sets given an ideal, for passing reps
     component_vectors: int  # realize: distinct reduced component sets given a D * P vector
     witness_fallbacks: int  # ideals whose witness came from the graded-order recursion
     filtration_steps: int   # realize: states of passing reps' prefixes given a filtration step
@@ -589,7 +586,7 @@ def run_enumeration(X, P, order=None):
                               default=0),
         prefix_tests=realized.prefix_tests,
         skipped_reps=realized.skipped_reps,
-        intersections=len(frame.meets),
+        intersections=realized.intersections,
         component_vectors=len(frame.component_sets),
         witness_fallbacks=fallbacks,
         filtration_steps=realized.filtration_steps,

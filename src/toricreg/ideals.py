@@ -161,13 +161,12 @@ def on_fan(a, delta):
     return frozenset(i for i, e in enumerate(a) if e) in delta
 
 
-def reduce_components(components, delta=None):
-    """The sorted components that contain no other one, after dropping
-    those supported off delta when it is given.  An irreducible Q is
-    meet-prime among monomial ideals (m in J, m' in K, neither in Q:
+def reduce_components(components):
+    """The sorted components that contain no other one.  An irreducible Q
+    is meet-prime among monomial ideals (m in J, m' in K, neither in Q:
     lcm(m, m') is in J meet K, not in Q), so Q contains the meet of the
     others exactly when it contains one of them."""
-    comps = set(components) if delta is None else {a for a in components if on_fan(a, delta)}
+    comps = set(components)
     return tuple(sorted(a for a in comps
                         if not any(b != a and component_contains(a, b) for b in comps)))
 

@@ -2,7 +2,7 @@
 
 from collections import Counter
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given
@@ -26,12 +26,13 @@ from toricreg.hilbert import (
     ring_hilbert_polynomial,
     shift_numerators,
 )
+from toricreg.hilbscheme import degree_set
 from toricreg.ideals import b_saturate, is_b_saturated
 from toricreg.multipoly import GradedOrder, MultiPoly, parse_poly
-from toricreg.regularity import reg_bound_from_polynomial
+from toricreg.regularity import reg_bound_from_filtration, reg_bound_from_polynomial
 from toricreg.stanley import pair_component, verify_stanley
 
-from test_ideals import intersect
+from test_ideals import intersect, intersect_components
 from test_stanley import colon_chain
 
 P1 = tv.projective_space(1)
@@ -116,23 +117,36 @@ def test_headline_example_thirty_ideals():
         assert verify_stanley(ideal, witness, mode="filtration")
 
 
-def test_headline_example_against_brute_force():
-    # independent oracle: all pairs of degree-4 monomials, saturated,
-    # filtered by Hilbert polynomial
-    target = parse_poly("3*t+1")
-    fiber = mi.fiber_monomials(P2, (4,))
-    assert len(fiber) == 15
+BOX_22 = [t for t in product(range(3), repeat=2) if any(t)]  # 0 < t <= (2,2)
+
+
+@pytest.mark.parametrize("X, text, degrees, size, count", [
+    (P2, "3*t+1", [(4,)], 2, 30),
+    (tv.product_projective(1, 1), "t1+t2+1", BOX_22, 2, 4),
+    (tv.product_projective(1, 1), "t1+2*t2+1", BOX_22, 2, 6),
+    (tv.hirzebruch(1), "t1+t2+1", BOX_22, 2, 3),
+    (tv.projective_space(3), "2*t+1", [(1,), (2,), (3,)], 3, 24),
+], ids=["P2-3t+1", "PxP(1,1)-t1+t2+1", "PxP(1,1)-t1+2t2+1", "Hirzebruch(1)", "P3-2t+1"])
+def test_headline_example_against_brute_force(X, text, degrees, size, count):
+    # independent oracle: every antichain of at most size monomials of the
+    # given degrees, saturated, filtered by Hilbert polynomial.  Each
+    # oracle ideal is B-saturated with polynomial P, so it is enumerated
+    # whatever degrees its generators need; equality says the degrees
+    # here reach every enumerated ideal
+    target = parse_poly(text, nvars=X.r)
+    monomials = [m for t in degrees for m in mi.fiber_monomials(X, t)]
     expected = set()
-    for pair in combinations(fiber, 2):
-        I = mi.MonomialIdeal(3, pair)
-        sat = b_saturate(I, P2)
-        if sat.is_unit():
-            continue
-        if quotient_hilbert_polynomial(P2, sat) == target:
-            expected.add(sat)
-    got = {ideal for ideal, _ in en.enumerate_saturated_ideals(P2, target)}
+    for k in range(1, size + 1):
+        for gens in combinations(monomials, k):
+            if any(mi.divides(a, b) for a, b in permutations(gens, 2)):
+                continue
+            sat = b_saturate(mi.MonomialIdeal(X.n, gens), X)
+            if not sat.is_unit() and quotient_hilbert_polynomial(X, sat) == target:
+                expected.add(sat)
+    got = {ideal for ideal, _ in en.enumerate_saturated_ideals(X, target)}
+    assert expected <= got
     assert got == expected
-    assert len(got) == 30
+    assert len(got) == count
 
 
 def test_whole_ring_polynomial_gives_zero_ideal():
@@ -149,6 +163,22 @@ def test_product_fixtures():
     assert en.enumerate_saturated_ideals(PP, parse_poly("3*t2+1", nvars=2)) == []
     with pytest.raises(NoRepresentation):
         en.gotzmann_number(PP, parse_poly("3*t2+1", nvars=2))
+
+
+@pytest.mark.parametrize("entry", [
+    en.run_enumeration, en.gotzmann_number, en.gotzmann_upper_bound,
+    reg_bound_from_polynomial, degree_set,
+], ids=["run_enumeration", "gotzmann_number", "gotzmann_upper_bound",
+        "reg_bound_from_polynomial", "degree_set"])
+@pytest.mark.parametrize("X, P, message", [
+    (PP, parse_poly("3*t1+1"), "1 variables, the grading has 2"),
+    (P2, parse_poly("t1+t2+1", nvars=2), "2 variables, the grading has 1"),
+], ids=["PxP(2,1)-univariate", "P2-bivariate"])
+def test_polynomial_arity_must_match_the_grading(entry, X, P, message):
+    # parse_poly infers one variable from "3*t1+1"; read with r variables
+    # missing, such a P used to reach the search and fail deep inside it
+    with pytest.raises(ValueError, match=message):
+        entry(X, P)
 
 
 def test_product_witnesses_are_true_filtrations():
@@ -261,18 +291,20 @@ def test_gotzmann_number_runs_only_frame_and_search(monkeypatch):
     assert reg_bound_from_polynomial(PP, P).generators == ((3, 3),)
 
 
-@pytest.mark.parametrize("X, text", [
-    (P2, "3*t+1"),
-    (tv.projective_space(3), "2*t+1"),
-    (PP, "3*t1+1"),
-    (tv.product_projective(1, 1), "t1+t2+1"),
-    (tv.hirzebruch(1), "t1+t2+1"),
-], ids=["P2", "P3", "PxP(2,1)", "PxP(1,1)", "Hirzebruch(1)"])
-def test_incremental_realize_matches_per_rep_intersection(X, text):
+@pytest.mark.parametrize("X, P", [
+    (P2, parse_poly("3*t+1")),
+    (tv.projective_space(3), parse_poly("2*t+1")),
+    (PP, parse_poly("3*t1+1", nvars=2)),
+    (tv.product_projective(1, 1), parse_poly("t1+t2+1", nvars=2)),
+    (tv.hirzebruch(1), parse_poly("t1+t2+1", nvars=2)),
+    (F2, parse_poly("t1+2*t2+1", nvars=2)),
+    (Xc, quotient_hilbert_polynomial(Xc, mi.MonomialIdeal(4, [(1, 0, 1, 0)]))),
+], ids=["P2", "P3", "PxP(2,1)", "PxP(1,1)", "Hirzebruch(1)", "Hirzebruch(2)", "Xc-curve"])
+def test_incremental_realize_matches_per_rep_intersection(X, P):
     # oracle: intersect every rep's components from scratch (reps may
     # overlap, so no disjointness check), group by ideal, then apply the
     # exact Hilbert-polynomial check
-    frame = en._working_frame(X, parse_poly(text, nvars=X.r), None)
+    frame = en._working_frame(X, P, None)
     reps = _stanley_reps(frame)
     grouped = {}
     for rep in reps:
@@ -285,6 +317,11 @@ def test_incremental_realize_matches_per_rep_intersection(X, text):
     assert expected
     assert list(got) == list(expected)
     assert got == expected
+    # a component set's ideal, met from a parent set's, is its components' meet
+    nodes = [node for node in frame.component_sets.values() if node.ideal is not None]
+    assert len(nodes) > 1
+    for node in nodes:
+        assert node.ideal == intersect_components(X.n, node.components), node.components
 
 
 def _unpruned_realize(frame, reps):
@@ -354,19 +391,21 @@ def test_realize_intersects_only_past_shared_prefixes(monkeypatch):
     result = en.run_enumeration(tv.projective_space(2), parse_poly("4*t+1"))
     assert (len(result.reps), len(result.ideals)) == (12487, 330)
     # one intersection per rep and pair would be 74050 + 12487, one per
-    # search state 14324, and 3328 distinct (ideal, component)
-    # inputs; the exact check needs no ideal, so only the prefixes of the
-    # 1516 passing reps are intersected, 1103 distinct inputs, each once
-    assert len(calls) == len(set(calls)) == 1103
-    assert result.intersections == 1103
+    # search state 14324, and one per distinct (ideal, component) input
+    # 3328; the exact check needs no ideal, so only the prefixes of the
+    # 1516 passing reps are intersected, 1103 distinct inputs, and a
+    # prefix's component set determines its ideal, so each of their 544
+    # distinct sets is intersected once
+    assert len(calls) == len(set(calls)) == 544
+    assert result.intersections == 544
 
 
 @pytest.mark.parametrize("X, text, count", [
-    (tv.projective_space(3), "3*t+1", 512),
+    (tv.projective_space(3), "3*t+1", 387),
     (PP, "3*t1+1", 212),
 ], ids=["P3", "PxP(2,1)"])
 def test_intersection_count(X, text, count):
-    # P(2) 4*t+1 (1103) is pinned with its call count above
+    # P(2) 4*t+1 (544) is pinned with its call count above
     result = en.run_enumeration(X, parse_poly(text, nvars=X.r))
     assert result.intersections == count
 
@@ -866,19 +905,25 @@ def _permuted(ideal, perm):
                                       for g in ideal.gens])
 
 
-@pytest.mark.parametrize("X, text, count", [
-    (tv.projective_space(3), "3*t+1", 24),
-    (tv.product_projective(1, 1), "t1+t2+1", 4),
-    (PP, "3*t1+1", 12),
-    (tv.hirzebruch(1), "t1+t2+1", 2),
-], ids=["P3", "PxP(1,1)", "PxP(2,1)", "Hirzebruch(1)"])
-def test_enumeration_is_closed_under_fan_automorphisms(X, text, count):
+@pytest.mark.parametrize("X, text, count, stride", [
+    (tv.projective_space(3), "3*t+1", 24, 8),
+    (tv.product_projective(1, 1), "t1+t2+1", 4, 1),
+    (PP, "3*t1+1", 12, 1),
+    (tv.hirzebruch(1), "t1+t2+1", 2, 1),
+    (F2, "t1+2*t2+1", 2, 1),
+], ids=["P3", "PxP(1,1)", "PxP(2,1)", "Hirzebruch(1)", "Hirzebruch(2)"])
+def test_enumeration_is_closed_under_fan_automorphisms(X, text, count, stride):
     # metamorphic: the enumerated ideals of (X, P) are all B-saturated
     # ideals with polynomial P, so a degree-preserving automorphism of the
-    # fan permutes them, and sigma(I) has the Hilbert polynomial of I
+    # fan permutes them, and sigma(I) has the Hilbert polynomial of I.
+    # sigma maps a Stanley filtration of I to one of sigma(I), pair by
+    # pair, keeping each pair's degree and face cone, so the bound from
+    # the witness is the bound from its image; every stride-th ideal is
+    # checked so, with every sigma
     perms = _degree_preserving_fan_permutations(X)
     assert len(perms) == count
-    ideals = {ideal for ideal, _ in en.enumerate_saturated_ideals(X, parse_poly(text, nvars=X.r))}
+    result = en.enumerate_saturated_ideals(X, parse_poly(text, nvars=X.r))
+    ideals = {ideal for ideal, _ in result}
     assert ideals
     for ideal in ideals:
         poly = quotient_hilbert_polynomial(X, ideal)
@@ -886,3 +931,10 @@ def test_enumeration_is_closed_under_fan_automorphisms(X, text, count):
         assert images <= ideals, ideal
         for image in images:
             assert quotient_hilbert_polynomial(X, image) == poly, (ideal, image)
+    for ideal, witness in result[::stride]:
+        bound = reg_bound_from_filtration(X, ideal, witness)
+        for perm in perms:
+            image = [st.StanleyPair(tuple(pair.shift[perm.index(i)] for i in range(X.n)),
+                                    frozenset(perm[i] for i in pair.face)) for pair in witness]
+            assert reg_bound_from_filtration(X, _permuted(ideal, perm), image) == bound, (
+                ideal, perm)
