@@ -53,14 +53,16 @@ is done once per distinct input and looked up after.  Every memo is
 exact, not an approximation: it stores the value of a pure function of
 its key.  The search numbers each distinct pair once and builds its
 successor shifts, face vector and (for run_enumeration) StanleyPair
-then.  Realize takes each pair's irreducible component once, decides
-once per distinct component whether it lies on the fan, builds the
-vector of each reduced component set once and each step from one set
-to the next once (_meet), and intersects each prefix ideal once per
-distinct component set.  Every integer polynomial is sum_d c_d N(d),
-N(d) = D * P_S(t - d) on the basis, by linearity of the moment kernel,
-with N(d) built once per distinct degree.  Every memo lives and dies with one frame, that is
-one call: nothing is cached across requests.
+then.  Realize takes each pair's irreducible component once and
+encodes it as one integer (_encode), so that containment, sums and
+fan support of components are a few integer operations each, builds
+the vector of each reduced component set once and each step from one
+set to the next once (_meet), and intersects each prefix ideal once
+per distinct component set.  Every integer polynomial is
+sum_d c_d N(d), N(d) = D * P_S(t - d) on the basis, by linearity of
+the moment kernel, with N(d) built once per distinct degree.  Every
+memo lives and dies with one frame, that is one call: nothing is
+cached across requests.
 """
 
 from dataclasses import dataclass, field
@@ -79,13 +81,7 @@ from .hilbert import (
     koszul_numerator,
     shift_numerators,
 )
-from .ideals import (
-    MonomialIdeal,
-    component_contains,
-    component_sum,
-    on_fan,
-    reduce_components,
-)
+from .ideals import MonomialIdeal
 from .multipoly import GradedOrder
 from .stanley import (
     StanleyPair,
@@ -140,9 +136,11 @@ class _Frame:
     basis: tuple   # every exponent of total degree <= max(d, deg P), order-largest first
     scale: int     # L: lcm of the P_S denominator D and the denominators of P
     inits: list    # the basis index of the leading monomial of each P_{S_sigma}
+    face_supports: frozenset  # the support mask of every face of the fan (see _meet)
     shifted: dict = field(default_factory=dict)  # degree d -> N(d) = D * P_S(t - d) on basis
     component_sets: dict = field(default_factory=dict)  # reduced components -> their _ComponentSet
-    supported: dict = field(default_factory=dict)  # component -> whether it lies on the fan
+    depth: int = 0    # E: the largest exponent encoded so far (see _encode)
+    column: int = 0   # R = sum over e < E of 2^(e n): S * R is the column mask of a support S
 
 
 def _working_frame(X, P, order):
@@ -163,8 +161,9 @@ def _working_frame(X, P, order):
     scale = lcm(_ring_expansion(X)[1], *(c.denominator for c in P.terms.values()))
     position = {e: k for k, e in enumerate(basis)}
     inits = [position[face_hilbert_polynomial(X, s).leading_monomial(order)] for s in sigmas]
+    face_supports = frozenset(sum(1 << i for i in face) for face in X.delta)
     return _Frame(X, P, order, face_order, sigmas,
-                  [face_k_polynomial(X, s) for s in sigmas], basis, scale, inits)
+                  [face_k_polynomial(X, s) for s in sigmas], basis, scale, inits, face_supports)
 
 
 def _kernel_vector(frame, kpoly):
@@ -311,22 +310,38 @@ def _peel_off(frame, relaxed=False, make=None, fold=None):
                                   new_payload))
 
 
-def _koszul_vector(frame, component):
-    """D * P_{S/C} on frame.basis for the irreducible C = m^a, a = component:
+def _encode(frame, a):
+    """mask(a), the irreducible component m^a as one integer (see _meet):
+    bit e * n + i for every i with a_i > 0 and every e < a_i.  When a has
+    an exponent past frame.depth, frame.column grows to its rows first; a
+    mask encoded before has no bit past the old rows, so it stays valid."""
+    n = len(a)
+    low = (1 << n) - 1
+    top = max(a)
+    if top > frame.depth:
+        frame.depth = top
+        frame.column = ((1 << top * n) - 1) // low
+    return sum(((1 << e * n) - 1) // low << i for i, e in enumerate(a) if e)
+
+
+def _koszul_vector(frame, c):
+    """D * P_{S/C} on frame.basis for the irreducible C = m^a, c = mask(a):
     the moment kernel over K(S/C) = prod_{a_i > 0} (1 - y^{a_i deg x_i}),
-    the Koszul numerator of the regular sequence x_i^{a_i}."""
+    the Koszul numerator of the regular sequence x_i^{a_i}.  Column i of
+    c holds a_i bits."""
     X = frame.X
+    exponents = ((c >> i & frame.column).bit_count() for i in range(X.n))
     kpoly = koszul_numerator(
-        (tuple(e * x for x in X.variable_degree(i)) for i, e in enumerate(component) if e),
+        (tuple(e * x for x in X.variable_degree(i)) for i, e in enumerate(exponents) if e),
         (0,) * X.r)
     return tuple(_kernel_vector(frame, kpoly.items()))
 
 
 class _ComponentSet:
-    """A reduced component tuple (see reduce_components), the integer vector D * P
-    of its intersection on frame.basis, and the sets reached from it by
-    meeting one more component (component -> _ComponentSet); _realize
-    fills in its verdict on frame.P and its ideal on demand."""
+    """A reduced tuple of component masks (see _meet), the integer vector
+    D * P of its intersection on frame.basis, and the sets reached from it
+    by meeting one more component (mask -> _ComponentSet); _realize fills
+    in its verdict on frame.P and its ideal on demand."""
 
     __slots__ = ("components", "vector", "steps", "sign", "ideal")
 
@@ -338,8 +353,8 @@ class _ComponentSet:
 
 
 def _component_set(frame, components):
-    """The _ComponentSet of a reduced component tuple, built once per
-    frame, in frame.component_sets (see _meet)."""
+    """The _ComponentSet of a reduced tuple of component masks, built once
+    per frame, in frame.component_sets (see _meet)."""
     node = frame.component_sets.get(components)
     if node is None:
         if len(components) > 1:
@@ -354,29 +369,48 @@ _UNSEEN = object()
 _EXCESS = object()  # a state's component set at or under a state that overshoots P
 
 
-def _on_fan(frame, c):
-    """on_fan(c, frame.X.delta), decided once per distinct component."""
-    known = frame.supported.get(c)
-    if known is None:
-        known = frame.supported[c] = on_fan(c, frame.X.delta)
-    return known
-
-
 def _meet(frame, node, c):
     """The _ComponentSet of J meet C, for J the ideal of node and C = m^c
-    irreducible, memoized in node.steps.
+    irreducible, given as its mask (_encode), memoized in node.steps.
 
     For monomial ideals 0 -> S/(J meet C) -> S/J + S/C -> S/(J + C) -> 0
     is exact, so v(J meet C) = v(J) + v(C) - v(J + C) for v = D * P.
     Monomial ideals form a distributive lattice, so J + C is the
     intersection of the D + C over J's components D, and a sum of
-    irreducible ideals is irreducible (ideals.component_sum).  A component
-    that _meet drops changes no v: one supported off the fan has
-    v(C) = 0, and so has every sum with it, so by the same sequence it
-    leaves v unchanged; a redundant one leaves the ideal unchanged.
-    Hence v is a function of the reduced tuple, and so is the tuple of
-    J meet C: C joins it unless C is dropped, and the components that
-    contain C leave.
+    irreducible ideals is irreducible.  A component that _meet drops
+    changes no v: one supported off the fan has v(C) = 0, and so has
+    every sum with it, so by the same sequence it leaves v unchanged; a
+    redundant one leaves the ideal unchanged.  Hence v is a function of
+    the reduced tuple (the components that contain no other, sorted),
+    and so is the tuple of J meet C: C joins it unless C is dropped, and
+    the components that contain C leave.
+
+    Every component test is a few integer operations on masks.  On n
+    variables, mask(a) has bit e * n + i for each i with a_i > 0 and each
+    e < a_i: the pure powers x_i^e outside m^a on the support of a, laid
+    out exponent-major.  Let low = 2^n - 1 and R = frame.column, the sum
+    of 2^(e * n) over e < E for E at least every exponent encoded.  Row 0,
+    A & low for A = mask(a), is supp a; column i, the bits i, n + i,
+    2n + i, ..., holds exactly its first a_i bits; and for a support mask
+    S, S * R is every bit of the columns in S that any mask can hold.
+    With B = mask(b), Sa = A & low and Sb = B & low:
+    - m^a contains m^b exactly when 0 < a_i <= b_i for every i in supp b
+      (ideals.component_contains).  M = A & Sb * R is A on the columns of
+      supp b: 0 < a_i there is M & low == Sb, and then a_i <= b_i there,
+      column i of A inside column i of B, is M & ~B == 0, since columns
+      are initial runs.
+    - m^a + m^b is generated by the x_i^{a_i} and the x_i^{b_i}, so it is
+      m^s with s_i = min(a_i, b_i) on the common support and the one
+      nonzero exponent elsewhere: on the common support column i of the
+      sum is the meet of the two columns, the shorter run; elsewhere it
+      is the one nonempty column.  So its mask is
+      (A & B) | (A & ~(Sb * R)) | (B & ~(Sa * R)).
+    - m^a lies on the fan exactly when Sa is the support mask of a face,
+      a member of frame.face_supports.
+    Masks and exponent tuples correspond one to one, so masks key the
+    memos as the tuples would.  A reduced tuple sorts its masks as
+    integers; any fixed order gives the same vectors, and the order only
+    decides which prefixes _component_set builds on the way.
 
     Termination: _component_set of a tuple of size k >= 2 calls
     _component_set on its first k - 1 components and _meet on that, and
@@ -386,18 +420,43 @@ def _meet(frame, node, c):
     singletons (the Koszul numerator) and the empty tuple."""
     out = node.steps.get(c, _UNSEEN)
     if out is _UNSEEN:
-        components = node.components
-        if not _on_fan(frame, c) or any(component_contains(c, d) for d in components):
-            out = None  # J meet C = J, kept as None: node.steps[c] = node is a cycle
-        else:
-            met = tuple(sorted([d for d in components if not component_contains(d, c)] + [c]))
-            out = frame.component_sets.get(met)
-            if out is None:
-                sums = reduce_components([s for s in (component_sum(d, c) for d in components)
-                                          if _on_fan(frame, s)])
-                vector = tuple(map(sub, map(add, node.vector, _component_set(frame, (c,)).vector),
-                                   _component_set(frame, sums).vector))
-                out = frame.component_sets.setdefault(met, _ComponentSet(met, vector))
+        out = None  # J meet C = J, kept as None: node.steps[c] = node is a cycle
+        low, column, faces = (1 << frame.X.n) - 1, frame.column, frame.face_supports
+        cs = c & low
+        spread = cs * column  # the columns of supp c
+        if cs in faces:
+            components = node.components
+            met = [c]
+            for d in components:
+                ds = d & low
+                m = c & ds * column
+                if m & low == ds and not m & ~d:  # C contains D
+                    break
+                m = d & spread
+                if m & low != cs or m & ~c:  # D does not contain C
+                    met.append(d)
+            else:
+                met = tuple(sorted(met))
+                out = frame.component_sets.get(met)
+                if out is None:
+                    sums = set()
+                    for d in components:
+                        s = (d & c) | (d & ~spread) | (c & ~((d & low) * column))
+                        if s & low in faces:
+                            sums.add(s)
+                    reduced = []
+                    for s in sums:
+                        for t in sums:
+                            ts = t & low
+                            m = s & ts * column
+                            if t != s and m & low == ts and not m & ~t:  # S contains T
+                                break
+                        else:
+                            reduced.append(s)
+                    vector = tuple(map(sub, map(add, node.vector,
+                                                _component_set(frame, (c,)).vector),
+                                       _component_set(frame, tuple(sorted(reduced))).vector))
+                    out = frame.component_sets.setdefault(met, _ComponentSet(met, vector))
         node.steps[c] = out
     return node if out is None else out
 
@@ -435,24 +494,27 @@ def _realize(frame, found):
     integral no ideal can match, and only the reps are listed.
 
     A rep's ideal is the intersection of its pairs' irreducible
-    components (pair_component, taken once per distinct pair), and its
-    D * P_{S/I} comes from those components alone (_meet), never from
-    the ideal's generators or its K-polynomial.  A prefix's reduced
-    component set does not depend on the order of its pairs, and the
-    search pushes each state once, so each state's payload (_prefix)
-    keeps it, one _meet from its parent's, filled in up the chain when a
-    rep below the state first arrives.
+    components (pair_component, taken once per distinct pair and kept
+    with its mask, _encode), and its D * P_{S/I} comes from those
+    components alone (_meet), never from the ideal's generators or its
+    K-polynomial.  A prefix's reduced component set does not depend on
+    the order of its pairs, and the search pushes each state once, so
+    each state's payload (_prefix) keeps it, one _meet from its parent's,
+    filled in up the chain when a rep below the state first arrives.  A
+    rep's own set is read from its parent's set's steps, and met only
+    when that step is new.
 
     The set determines the prefix's ideal J: a pair's component is
     supported on its face sigma^, a face of the fan, so _meet keeps
     exactly the minimal members of the prefix's components, whose meet is
-    J, and an irreducible ideal is meet-prime (see reduce_components), so
-    none contains the meet of the others.  The set is thus the unique
-    irredundant irreducible decomposition of J, and keeps J and its
-    verdict, the sign of the leading coefficient of D * P - D * P_{S/J}:
-    the verdict when a state first reaches the set, J when a passing rep
-    below first needs it for grouping, met from the ideal of the state's
-    parent's set (the root's set is (), with the unit ideal).  Distinct
+    J, and an irreducible ideal is meet-prime (see
+    ideals.reduce_components), so none contains the meet of the others.
+    The set is thus the unique irredundant irreducible decomposition of
+    J, and keeps J and its verdict, the sign of the leading coefficient
+    of D * P - D * P_{S/J}: the verdict when a state first reaches the
+    set, J when a passing rep below first needs it for grouping, met
+    from the ideal of the state's parent's set (the root's set is (),
+    with the unit ideal).  Distinct
     sets have distinct ideals, so intersect_irreducible never sees one
     input twice.  The same walk fills in each state's filtration flag,
     which depends on the order of the pairs: that its _filtration_step on
@@ -483,7 +545,7 @@ def _realize(frame, found):
         reps.extend(rep for rep, _ in found)
         return _Realized(reps, grouped, witnesses, 0, 0, 0, 0)
     target = [target.get(e, 0) for e in frame.basis]
-    components = {}  # id(pair) -> its irreducible component
+    components = {}  # id(pair) -> its irreducible component: (mask, exponent tuple)
     root = [None, None, _component_set(frame, ()), True]  # above the depth-one states
     root[2].ideal = MonomialIdeal.unit(X.n)
     counts = [0, 0, 0, 0]  # prefix_tests, skipped_reps, filtration_steps, intersections
@@ -491,14 +553,15 @@ def _realize(frame, found):
     def component(pair):
         c = components.get(id(pair))
         if c is None:
-            c = components[id(pair)] = pair_component(pair)
+            a = pair_component(pair)
+            c = components[id(pair)] = (_encode(frame, a), a)
         return c
 
-    def step(node, pair):
-        """The _ComponentSet of node met with pair's component, with its verdict."""
-        node = _meet(frame, node, component(pair))
+    def step(node, c):
+        """The _ComponentSet of node met with the component of mask c, with its verdict."""
+        node = _meet(frame, node, c)
         if node.sign is None:
-            node.sign = next((1 if t > c else -1 for t, c in zip(target, node.vector) if t != c), 0)
+            node.sign = next((1 if t > v else -1 for t, v in zip(target, node.vector) if t != v), 0)
         return node
 
     def unfilled(state, slot):
@@ -511,26 +574,35 @@ def _realize(frame, found):
 
     for rep, payload in found:
         reps.append(rep)
-        above, chain = unfilled(payload[0] or root, 2)
-        for state in chain:  # the rep's prefixes that have no component set yet
-            if above[2] is _EXCESS:
-                state[2] = _EXCESS
-            else:
-                counts[0] += 1
-                node = step(above[2], state[1])
-                state[2] = node if node.sign >= 0 else _EXCESS
-            above = state
-        if above[2] is _EXCESS:  # the rep's parent
+        parent = payload[0] or root
+        if parent[2] is None:
+            above, chain = unfilled(parent, 2)
+            for state in chain:  # the rep's prefixes that have no component set yet
+                if above[2] is _EXCESS:
+                    state[2] = _EXCESS
+                else:
+                    counts[0] += 1
+                    node = step(above[2], component(state[1])[0])
+                    state[2] = node if node.sign >= 0 else _EXCESS
+                above = state
+        base = parent[2]
+        if base is _EXCESS:
             counts[1] += 1
             continue
-        node = step(above[2], payload[1])
+        pair = payload[1]
+        c = (components.get(id(pair)) or component(pair))[0]
+        node = base.steps.get(c, _UNSEEN)  # the rep's own step, met before or not
+        if node is None:
+            node = base
+        if node is _UNSEEN or node.sign is None:
+            node = step(base, c)
         if node.sign:
             continue
         payload[2] = node
         above, chain = unfilled(payload, 3)
         for state in chain:  # the rep and its prefixes that have no filtration flag yet
             ideal, pair, node = above[2].ideal, state[1], state[2]
-            c = component(pair)
+            c = component(pair)[1]
             if node.ideal is None:
                 counts[3] += 1
                 node.ideal = ideal.intersect_irreducible(c)

@@ -150,12 +150,6 @@ def component_contains(a, b):
     return all(0 < x <= y for x, y in zip(a, b) if y)
 
 
-def component_sum(a, b):
-    """m^a + m^b, again irreducible: the smaller exponent on the common
-    support and the one exponent elsewhere."""
-    return tuple(min(x, y) if x and y else x or y for x, y in zip(a, b))
-
-
 def on_fan(a, delta):
     """Whether supp a is a face of delta (ToricVariety.delta)."""
     return frozenset(i for i, e in enumerate(a) if e) in delta

@@ -49,6 +49,12 @@ def component_ideal(a):
         n, [tuple(e if j == i else 0 for j in range(n)) for i, e in enumerate(a) if e])
 
 
+def _decode(frame, c):
+    """The exponent tuple a of the component mask c = mask(a) (en._encode):
+    column i of c holds a_i bits."""
+    return tuple((c >> i & frame.column).bit_count() for i in range(frame.X.n))
+
+
 def _stanley_reps(frame):
     """The monomial search's representations as tuples of StanleyPairs,
     one object per distinct pair, shared across reps, as run_enumeration's
@@ -321,7 +327,8 @@ def test_incremental_realize_matches_per_rep_intersection(X, P):
     nodes = [node for node in frame.component_sets.values() if node.ideal is not None]
     assert len(nodes) > 1
     for node in nodes:
-        assert node.ideal == intersect_components(X.n, node.components), node.components
+        components = [_decode(frame, c) for c in node.components]
+        assert node.ideal == intersect_components(X.n, components), components
 
 
 def _unpruned_realize(frame, reps):
@@ -410,6 +417,25 @@ def test_intersection_count(X, text, count):
     assert result.intersections == count
 
 
+@pytest.mark.parametrize("X, text, size, reps, m, counters", [
+    (P1, "12", 13, 2049, 12, (2058, 0, 91, 90, 145, 0)),
+    (P2, "5", 108, 1980, 5, (414, 872, 425, 193, 235, 41)),
+], ids=["P1-12", "P2-5"])
+def test_large_exponent_counters(X, text, size, reps, m, counters):
+    # pair components with exponents up to m, so the frame's column
+    # grows during realize to m rows of masks.  The counters are
+    # prefix_tests, skipped_reps, component_vectors, intersections,
+    # filtration_steps and witness_fallbacks
+    P = parse_poly(text)
+    result = en.run_enumeration(X, P)
+    assert (len(result.ideals), len(result.reps), result.gotzmann_number) == (size, reps, m)
+    assert (result.prefix_tests, result.skipped_reps, result.component_vectors,
+            result.intersections, result.filtration_steps, result.witness_fallbacks) == counters
+    frame = en._working_frame(X, P, None)
+    en._realize(frame, _folded(_stanley_reps(frame)))
+    assert frame.depth == m
+
+
 # P(2), P(3), PxP(1,1), PxP(2,1), Hirzebruch(1), Hirzebruch(2), and the
 # two-point blowup of P(2) read from a dict with its canonical grading
 MEET_VARIETIES = [P2, tv.projective_space(3), tv.product_projective(1, 1), PP,
@@ -425,25 +451,77 @@ def test_component_vector_matches_k_polynomial(data):
     # exclusion over the components, against the moment kernel over the
     # coarse K-polynomial of the intersected ideal, after every component.
     # Components repeat, nest (an earlier one with its exponents raised
-    # and part of its support dropped) and are drawn off the fan
+    # and part of its support dropped) and are drawn off the fan; each is
+    # encoded when it is met, so a raised one grows the frame's column
+    # after the sets above it were built.  The set keeps exactly the
+    # minimal components on the fan
     X = data.draw(gen.sampled_from(MEET_VARIETIES))
     frame = en._working_frame(X, parse_poly("1", nvars=X.r), None)
     components = data.draw(gen.lists(gen.tuples(*[gen.integers(0, 3)] * X.n),
                                      min_size=1, max_size=4))
     for _ in range(data.draw(gen.integers(0, 3))):
         a = data.draw(gen.sampled_from(components))
-        raise_by = data.draw(gen.tuples(*[gen.integers(0, 2)] * X.n))
+        raise_by = data.draw(gen.tuples(*[gen.integers(0, 5)] * X.n))
         keep = data.draw(gen.tuples(*[gen.booleans()] * X.n))
         components.append(tuple(e + b if e and k else 0 for e, b, k in zip(a, raise_by, keep)))
     components = data.draw(gen.permutations(components))
     node = en._component_set(frame, ())
     ideal = mi.MonomialIdeal.unit(X.n)
     assert node.vector == tuple(en._kernel_vector(frame, coarse_k_polynomial(frame.X, ideal)))
-    for c in components:
-        node = en._meet(frame, node, c)
+    for k, c in enumerate(components):
+        node = en._meet(frame, node, en._encode(frame, c))
         ideal = ideal.intersect_irreducible(c)
         expected = en._kernel_vector(frame, coarse_k_polynomial(frame.X, ideal))
         assert node.vector == tuple(expected), (X, components, c)
+        assert sorted(_decode(frame, d) for d in node.components) == list(
+            mi.reduce_components(d for d in components[:k + 1] if mi.on_fan(d, X.delta)))
+
+
+def _mask_contains(frame, a, b):
+    """Whether m^a contains m^b, from the masks (see en._meet)."""
+    low = (1 << frame.X.n) - 1
+    m = a & (b & low) * frame.column
+    return m & low == b & low and not m & ~b
+
+
+def _mask_sum(frame, a, b):
+    """The mask of m^a + m^b (see en._meet)."""
+    low = (1 << frame.X.n) - 1
+    return (a & b) | (a & ~((b & low) * frame.column)) | (b & ~((a & low) * frame.column))
+
+
+@given(gen.data())
+def test_mask_algebra_matches_the_tuple_helpers(data):
+    # encode some tuples, then one with a larger exponent than any before
+    # (the frame's column grows), then the rest: every mask decodes to
+    # its tuple, and containment, sum and fan support of every pair of
+    # masks, formed before or after the column grew, agree with the
+    # tuple helpers and with the ideals themselves.  The zero tuple (the
+    # zero ideal) and the full support (off every complete fan) are
+    # always drawn
+    X = data.draw(gen.sampled_from([P2, tv.projective_space(3), PP, tv.hirzebruch(1)]))
+    frame = en._working_frame(X, parse_poly("1", nvars=X.r), None)
+    exponents = gen.tuples(*[gen.integers(0, 4)] * X.n)
+    early = [(0,) * X.n, (1,) * X.n] + data.draw(gen.lists(exponents, max_size=4))
+    masks = {a: en._encode(frame, a) for a in early}
+    depth = frame.depth
+    grown = tuple(depth + data.draw(gen.integers(1, 3)) if i == 0 else e
+                  for i, e in enumerate(data.draw(exponents)))
+    late = [grown] + data.draw(gen.lists(gen.tuples(*[gen.integers(0, depth + 3)] * X.n),
+                                         max_size=4))
+    masks.update((a, en._encode(frame, a)) for a in late)
+    assert frame.depth > depth
+    low = (1 << X.n) - 1
+    for a, ma in masks.items():
+        assert _decode(frame, ma) == a
+        assert (ma & low in frame.face_supports) == mi.on_fan(a, X.delta)
+        for b, mb in masks.items():
+            assert _mask_contains(frame, ma, mb) == mi.component_contains(a, b), (a, b)
+            assert _mask_contains(frame, ma, mb) == all(
+                component_ideal(a).contains(g) for g in component_ideal(b).gens)
+            total = _decode(frame, _mask_sum(frame, ma, mb))
+            assert component_ideal(total) == mi.MonomialIdeal(
+                X.n, component_ideal(a).gens + component_ideal(b).gens), (a, b)
 
 
 def _multipoly_peel_off(frame, relaxed=False):
@@ -905,14 +983,17 @@ def _permuted(ideal, perm):
                                       for g in ideal.gens])
 
 
-@pytest.mark.parametrize("X, text, count, stride", [
-    (tv.projective_space(3), "3*t+1", 24, 8),
-    (tv.product_projective(1, 1), "t1+t2+1", 4, 1),
-    (PP, "3*t1+1", 12, 1),
-    (tv.hirzebruch(1), "t1+t2+1", 2, 1),
-    (F2, "t1+2*t2+1", 2, 1),
-], ids=["P3", "PxP(1,1)", "PxP(2,1)", "Hirzebruch(1)", "Hirzebruch(2)"])
-def test_enumeration_is_closed_under_fan_automorphisms(X, text, count, stride):
+@pytest.mark.parametrize("X, text, count, size, stride", [
+    (tv.projective_space(3), "3*t+1", 24, 314, 8),
+    (tv.product_projective(1, 1), "t1+t2+1", 4, 4, 1),
+    (PP, "3*t1+1", 12, 174, 1),
+    (tv.hirzebruch(1), "t1+t2+1", 2, 3, 1),
+    (F2, "t1+2*t2+1", 2, 4, 1),
+    (tv.product_projective(2, 2), "t1+t2+1", 36, 36, 1),
+    (tv.product_projective(2, 2), "2", 36, 72, 4),
+], ids=["P3", "PxP(1,1)", "PxP(2,1)", "Hirzebruch(1)", "Hirzebruch(2)", "PxP(2,2)",
+        "PxP(2,2)-2"])
+def test_enumeration_is_closed_under_fan_automorphisms(X, text, count, size, stride):
     # metamorphic: the enumerated ideals of (X, P) are all B-saturated
     # ideals with polynomial P, so a degree-preserving automorphism of the
     # fan permutes them, and sigma(I) has the Hilbert polynomial of I.
@@ -924,7 +1005,7 @@ def test_enumeration_is_closed_under_fan_automorphisms(X, text, count, stride):
     assert len(perms) == count
     result = en.enumerate_saturated_ideals(X, parse_poly(text, nvars=X.r))
     ideals = {ideal for ideal, _ in result}
-    assert ideals
+    assert len(ideals) == size
     for ideal in ideals:
         poly = quotient_hilbert_polynomial(X, ideal)
         images = {_permuted(ideal, perm) for perm in perms}
