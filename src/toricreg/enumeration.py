@@ -3,19 +3,21 @@ polynomial, by peeling face-ring polynomials off the target.
 
 Three stages; each caller runs only those it needs.  The working frame
 moves to coordinates where the positive orthant sits inside K, so every
-residual has a positive leading coefficient, and orders the faces.  The
-search is one peel-off loop in which each accepted branch strictly
-decreases the (leading monomial, leading coefficient) pair: the
-termination proof, checked at runtime.  Realize turns representations
+residual has a positive leading coefficient, and orders the faces by
+the leading terms of their integer face vectors.  The search is one
+peel-off loop in which each accepted branch strictly decreases the
+(leading monomial, leading coefficient) pair: the termination proof,
+checked at runtime.  Realize turns representations
 into ideals and keeps those passing the exact Hilbert-polynomial check,
 since candidates are over-generated (every admissible anchor is tried).
 Realize runs on the search's own states: the search folds a payload
-(_prefix) down to every state it pushes or yields, and each rep arrives
-with its own, whose parents are the payloads of the rep's prefixes.
+(_prefix) down to every state it pushes, and hands over the reps that
+complete at a popped state in one batch, with that state's payload,
+whose parents are the payloads of the state's prefixes.
 A rep's ideal is the intersection of its pairs' irreducible components,
 and realize decides the exact check from those components alone, by
 inclusion-exclusion (Mayer-Vietoris) over the components of each prefix
-(see _meet).  A state gets its component set once, when a rep below it
+(see _meet).  A state gets its component set once, when a batch below it
 first needs it, and only the sets above passing reps get their ideals,
 one per set.  A rep whose parent state's ideal already overshoots P is not
 realized, by a proved test, not a heuristic: the rep's ideal lies
@@ -30,7 +32,7 @@ ideal the least such rep by StanleyPair.sort_key, the first of its
 sorted reps that verify_stanley accepts; an ideal with none falls back
 to the graded-order recursion.
 
-The search and the check run on integers.  A residual
+The frame, the search and the check run on integers.  A residual
 Q = P - sum P_{S_sigma}(t - delta) has total degree at most
 max(d, deg P), so it is a coefficient vector on the fixed basis of
 exponents of that degree, listed from the order-largest down.  Every
@@ -44,25 +46,30 @@ linear and keeps signs, so the residual is zero exactly when its vector
 is, the leading term is the first nonzero entry, and the measure
 (leading monomial, leading coefficient) compares as before: no float or
 modular step enters, and the search makes the same choices as one over
-rational polynomials.  The exact check likewise compares the integer
-D * P_{S/I} with D * P, and inclusion-exclusion only adds and subtracts
-such integer vectors (see _realize).
+rational polynomials.  The frame ranks the faces on the same vectors:
+the leading monomial of P_{S_sigma} sits at the first nonzero entry of
+D * P_{S_sigma} (see _order_faces), so no face polynomial is built.
+The exact check likewise compares the integer D * P_{S/I} with D * P,
+and inclusion-exclusion only adds and subtracts such integer vectors
+(see _realize).
 
 Both stages redo small computations on a few distinct inputs, so each
 is done once per distinct input and looked up after.  Every memo is
 exact, not an approximation: it stores the value of a pure function of
 its key.  The search numbers each distinct pair once and builds its
 successor shifts, face vector and (for run_enumeration) StanleyPair
-then.  Realize takes each pair's irreducible component once and
+then, and each state carries its pairs' successor shifts as a pool, so
+a popped state sorts its candidate shifts once (see _peel_off).
+Realize takes each pair's irreducible component once and
 encodes it as one integer (_encode), so that containment, sums and
 fan support of components are a few integer operations each, builds
 the vector of each reduced component set once and each step from one
 set to the next once (_meet), and intersects each prefix ideal once
 per distinct component set.  Every integer polynomial is
 sum_d c_d N(d), N(d) = D * P_S(t - d) on the basis, by linearity of
-the moment kernel, with N(d) built once per distinct degree.  Every
-memo lives and dies with one frame, that is one call: nothing is
-cached across requests.
+the moment kernel, with N(d) built once per distinct degree, from the
+face order on.  Every memo lives and dies with one frame, that is one
+call: nothing is cached across requests.
 """
 
 from dataclasses import dataclass, field
@@ -76,7 +83,6 @@ from .errors import NoRepresentation, SearchExhausted, ZeroPolynomial
 from .hilbert import (
     _ring_expansion,
     _scaled_target,
-    face_hilbert_polynomial,
     face_k_polynomial,
     koszul_numerator,
     shift_numerators,
@@ -107,40 +113,74 @@ class FaceOrder:
 
 def graded_total_order(X, order=None):
     """List the faces so that larger glex-initial terms of P_{S_sigma}
-    come first; ties break by size then by sorted indices."""
+    come first; ties break by size then by sorted indices.  Every
+    P_{S_sigma} has total degree at most d, so the faces are ranked on
+    the basis of that degree (see _order_faces)."""
     if order is None:
         order = GradedOrder(X.r)
-    everything = frozenset(range(X.n))
-
-    def key(face):
-        poly = face_hilbert_polynomial(X, everything - face)
-        init = poly.leading_monomial(order)
-        return (
-            tuple(-x for x in order.key(init)),
-            -len(face),
-            tuple(sorted(face)),
-        )
-
-    faces = tuple(sorted(X.faces(), key=key))
-    return FaceOrder(faces, {f: i for i, f in enumerate(faces)})
+    return _order_faces(_Frame(X, order, _basis(order, X.r, X.d))).face_order
 
 
 @dataclass
 class _Frame:
     X: object      # the variety regraded so that N^r sits inside K
-    P: object      # the target in the same coordinates
     order: GradedOrder
-    face_order: FaceOrder
-    sigmas: list   # the complement sigma of each face sigma^, by face index
-    kpolys: list   # the K-polynomials of their S_sigma
     basis: tuple   # every exponent of total degree <= max(d, deg P), order-largest first
-    scale: int     # L: lcm of the P_S denominator D and the denominators of P
-    inits: list    # the basis index of the leading monomial of each P_{S_sigma}
-    face_supports: frozenset  # the support mask of every face of the fan (see _meet)
+    P: object = None  # the target in the same coordinates
+    scale: int = 1    # L: lcm of the P_S denominator D and the denominators of P
+    face_supports: frozenset = frozenset()  # the support mask of every face of the fan (see _meet)
+    face_order: FaceOrder = None  # filled in by _order_faces, as are the next three
+    sigmas: list = None  # the complement sigma of each face sigma^, by face index
+    kpolys: list = None  # the K-polynomials of their S_sigma
+    inits: list = None   # the basis index of the leading monomial of each P_{S_sigma}
     shifted: dict = field(default_factory=dict)  # degree d -> N(d) = D * P_S(t - d) on basis
     component_sets: dict = field(default_factory=dict)  # reduced components -> their _ComponentSet
     depth: int = 0    # E: the largest exponent encoded so far (see _encode)
     column: int = 0   # R = sum over e < E of 2^(e n): S * R is the column mask of a support S
+
+
+def _basis(order, r, top):
+    """Every exponent in N^r of total degree <= top, order-largest first."""
+    return tuple(sorted((e for e in product(range(top + 1), repeat=r) if sum(e) <= top),
+                        key=order.key, reverse=True))
+
+
+def _leading_index(vector):
+    """The index of the first nonzero entry: the leading term."""
+    for k, c in enumerate(vector):
+        if c:
+            return k
+    raise ZeroPolynomial("the zero polynomial has no leading term")
+
+
+def _order_faces(frame):
+    """Fill in frame.face_order and, by face index, frame.sigmas,
+    frame.kpolys and frame.inits; return frame.
+
+    Each face's init is the index of the first nonzero entry of
+    D * P_{S_sigma} on frame.basis, the moment kernel over
+    face_k_polynomial (_kernel_vector, so its N(d) stay in frame.shifted
+    for the search), and the faces are sorted by
+    (init, -len(face), sorted(face)).  That is the key on leading
+    monomials that graded_total_order states: D > 0, so the first
+    nonzero entry is the leading term of P_{S_sigma}, and the basis lists
+    exponents order-largest first, so index k < k' exactly when basis[k]
+    is the larger monomial.  Ranking by init is therefore ranking by
+    -order.key of the leading monomial, ties included."""
+    X = frame.X
+    everything = frozenset(range(X.n))
+    ranked = []
+    for face in X.faces():
+        kpoly = face_k_polynomial(X, everything - face)
+        init = _leading_index(_kernel_vector(frame, kpoly))
+        ranked.append(((init, -len(face), tuple(sorted(face))), face, kpoly))
+    ranked.sort(key=lambda entry: entry[0])
+    faces = tuple(face for _, face, _ in ranked)
+    frame.face_order = FaceOrder(faces, {f: i for i, f in enumerate(faces)})
+    frame.sigmas = [everything - f for f in faces]
+    frame.kpolys = [kpoly for _, _, kpoly in ranked]
+    frame.inits = [key[0] for key, _, _ in ranked]
+    return frame
 
 
 def _working_frame(X, P, order):
@@ -152,18 +192,10 @@ def _working_frame(X, P, order):
     if not change.is_identity():
         X = with_grading(X, il.matmul(change.inverse, X.grading))
         P = P.compose_linear(change.matrix)
-    face_order = graded_total_order(X, order)
-    everything = frozenset(range(X.n))
-    sigmas = [everything - f for f in face_order.faces]
-    top = max(X.d, P.total_degree())
-    basis = tuple(sorted((e for e in product(range(top + 1), repeat=X.r) if sum(e) <= top),
-                         key=order.key, reverse=True))
+    basis = _basis(order, X.r, max(X.d, P.total_degree()))
     scale = lcm(_ring_expansion(X)[1], *(c.denominator for c in P.terms.values()))
-    position = {e: k for k, e in enumerate(basis)}
-    inits = [position[face_hilbert_polynomial(X, s).leading_monomial(order)] for s in sigmas]
     face_supports = frozenset(sum(1 << i for i in face) for face in X.delta)
-    return _Frame(X, P, order, face_order, sigmas,
-                  [face_k_polynomial(X, s) for s in sigmas], basis, scale, inits, face_supports)
+    return _order_faces(_Frame(X, order, basis, P, scale, face_supports))
 
 
 def _kernel_vector(frame, kpoly):
@@ -192,12 +224,15 @@ def _face_vector(frame, ti, degree):
 
 
 def _peel_off(frame, relaxed=False, make=None, fold=None):
-    """Yield the complete representations of frame.P as tuples of
-    (face index, shift) pairs.  A new pair chains off an earlier pair j
-    whose face is no later in the face order, along a variable x_l of
-    face j: v + e_l on monomials (a set of pairs), or q + deg x_l on
-    degrees when relaxed (a multiset).  A state is deduplicated by its
-    pair multiset, which determines the residual.
+    """Yield the complete representations of frame.P in batches, one per
+    popped state that completes any: (held, payload, leaves), whose reps
+    are held + (leaf,) for each leaf in order, held the state's pairs and
+    each leaf a pair whose face vector equals the state's residual.  A
+    pair stands as its (face index, shift) tuple.  A new pair chains off
+    an earlier pair j whose face is no later in the face order, along a
+    variable x_l of face j: v + e_l on monomials (a set of pairs), or
+    q + deg x_l on degrees when relaxed (a multiset).  A state is
+    deduplicated by its pair multiset, which determines the residual.
 
     Residuals are integer vectors L * Q on frame.basis, so the leading
     term is the first nonzero entry, and a larger index is a smaller
@@ -208,24 +243,29 @@ def _peel_off(frame, relaxed=False, make=None, fold=None):
     key that stands for the pair multiset, since numbering is one to
     one: on monomials a state is a set, and its key is the bitmask of its
     numbers, so "already in the state" is one bit; relaxed, it is the
-    sorted tuple of its numbers.  A candidate completes a rep exactly
-    when its face vector equals the residual.  The pair's successor
-    shifts (its shift plus each step of its face) and its face vector
-    depend on the pair alone, so they are built then, once; each
-    (face, degree) vector is built once per search, and each shift's
-    degree once.
+    sorted tuple of its numbers.  The pair's successor shifts (its shift
+    plus each step of its face) and its face vector depend on the pair
+    alone, so they are built then, once; each (face, degree) vector is
+    built once per search, and each shift's degree once.
+
+    Each state also carries its successor pool: every successor shift of
+    its pairs, mapped to the least face index among the pairs it
+    succeeds.  A pair on face ti chains off exactly the pool's shifts
+    mapped to ti or less, the union of the successors of the state's
+    pairs whose face is no later than ti, so one sort of the pool per
+    popped state serves every face.  A child's pool is its parent's with
+    the new pair's successors merged in.
 
     make(face index, shift), when given, builds the object that stands
-    for a pair in the yielded representations: once per distinct pair,
-    when a pushed or yielded state first holds it, and every rep holding
-    the pair shares that object.  Without make a pair stands as the
-    (face index, shift) tuple, and nothing else is built.
+    for a pair instead of the tuple: once per distinct pair, when a
+    pushed state or a leaf first holds it, and every rep holding the
+    pair shares that object.
 
-    fold(parent payload, pair object), when given, makes each state's
-    payload from its parent's (None at the root), and the search yields
-    (rep, payload) instead of the rep.  A state is pushed at most once,
-    so its payload belongs to one pair sequence, and the payloads on a
-    yielded rep's parent chain are those of its prefixes."""
+    fold(parent payload, pair object), when given, makes the payload of
+    each pushed state from its parent's (None at the root); a batch
+    carries its state's payload, None without fold.  A state is pushed
+    at most once, so its payload belongs to one pair sequence, and the
+    payloads on a batch's parent chain are those of held's prefixes."""
     if frame.P.is_zero():
         return
     X, faces = frame.X, frame.face_order.faces
@@ -252,27 +292,29 @@ def _peel_off(frame, relaxed=False, make=None, fold=None):
         face = vectors.get((ti, degree))
         if face is None:
             face = vectors[ti, degree] = _face_vector(frame, ti, degree)
-        successors = frozenset(tuple(map(add, shift, steps[ell])) for ell in faces[ti])
+        successors = tuple(tuple(map(add, shift, steps[ell])) for ell in faces[ti])
         numbers[ti][shift] = len(nodes)
         nodes.append((ti, successors, face))
         objects.append(None)
         return len(nodes) - 1
 
+    def pair_object(k, ti, shift):
+        obj = objects[k]
+        if obj is None:
+            obj = objects[k] = (ti, shift) if make is None else make(ti, shift)
+        return obj
+
     seen = set()
     target = tuple(int(frame.P.terms.get(e, 0) * frame.scale) for e in frame.basis)
-    q_init = next((k for k, c in enumerate(target) if c), None)
-    if q_init is None:
-        raise ZeroPolynomial("the zero polynomial has no leading term")
+    q_init = _leading_index(target)
     origin = [(0,) * len(steps[0])]
-    stack = [((), 0, (), target, q_init, target[q_init], None)]
+    stack = [((), 0, (), target, q_init, target[q_init], None, {})]
     while stack:
-        state, key, held, Q, q_init, q_coeff, payload = stack.pop()
+        state, key, held, Q, q_init, q_coeff, payload, pool = stack.pop()
+        leaves = []
+        ordered = sorted(pool)
         for ti in by_init.get(q_init, ()):
-            if state:
-                shifts = sorted(frozenset().union(
-                    *[nodes[k][1] for k in state if nodes[k][0] <= ti]))
-            else:
-                shifts = origin
+            shifts = [s for s in ordered if pool[s] <= ti] if state else origin
             numbered = numbers[ti]
             for shift in shifts:
                 k = numbered.get(shift)
@@ -288,26 +330,26 @@ def _peel_off(frame, relaxed=False, make=None, fold=None):
                     continue
                 seen.add(new_key)
                 face = nodes[k][2]
-                complete = Q == face
-                if not complete:
-                    residual = tuple(map(sub, Q, face))
-                    for r_init, r_coeff in enumerate(residual):
-                        if r_coeff:
-                            break
-                    if r_coeff < 0:
-                        continue
-                    if r_init < q_init or (r_init == q_init and r_coeff >= q_coeff):
-                        raise SearchExhausted("peel-off measure did not drop")
-                obj = objects[k]
-                if obj is None:
-                    obj = objects[k] = (ti, shift) if make is None else make(ti, shift)
-                rep = held + (obj,)
-                new_payload = None if fold is None else fold(payload, obj)
-                if complete:
-                    yield rep if fold is None else (rep, new_payload)
-                else:
-                    stack.append((state + (k,), new_key, rep, residual, r_init, r_coeff,
-                                  new_payload))
+                if Q == face:
+                    leaves.append(pair_object(k, ti, shift))
+                    continue
+                residual = tuple(map(sub, Q, face))
+                for r_init, r_coeff in enumerate(residual):
+                    if r_coeff:
+                        break
+                if r_coeff < 0:
+                    continue
+                if r_init < q_init or (r_init == q_init and r_coeff >= q_coeff):
+                    raise SearchExhausted("peel-off measure did not drop")
+                obj = pair_object(k, ti, shift)
+                child = dict(pool)
+                for s in nodes[k][1]:
+                    if child.get(s, ti) >= ti:
+                        child[s] = ti
+                stack.append((state + (k,), new_key, held + (obj,), residual, r_init, r_coeff,
+                              None if fold is None else fold(payload, obj), child))
+        if leaves:
+            yield held, payload, leaves
 
 
 def _encode(frame, a):
@@ -466,14 +508,14 @@ def _sort_keys(rep):
 
 
 def _prefix(parent, pair):
-    """The payload of a search state, the prefix of the reps below it:
-    [parent's payload (None at the root), pair, _ComponentSet or _EXCESS,
-    filtered].  _realize fills the last two on demand."""
+    """The payload of a pushed search state, the prefix of the reps below
+    it: [parent's payload (None at the root), pair, _ComponentSet or
+    _EXCESS, filtered].  _realize fills the last two on demand."""
     return [parent, pair, None, None]
 
 
 class _Realized(NamedTuple):
-    reps: list             # every rep the search yielded, in search order
+    reps: list             # every rep the search handed over, in search order
     grouped: dict          # passing ideal -> its reps, in search order
     witnesses: dict        # passing ideal -> its least rep that is a Stanley filtration
     prefix_tests: int      # states given a component set and tested for excess over P
@@ -483,11 +525,12 @@ class _Realized(NamedTuple):
 
 
 def _realize(frame, found):
-    """List the representations of found, the (rep, payload) pairs of
-    _peel_off(frame, fold=_prefix), and group them by ideal; keep the
-    ideals whose quotient has Hilbert polynomial frame.P, each with its
-    representations, and the least of them (by StanleyPair.sort_key)
-    that is a Stanley filtration of S/I, when there is one.
+    """List the representations of found, the (held, payload, leaves)
+    batches of _peel_off(frame, fold=_prefix), and group them by ideal;
+    keep the ideals whose quotient has Hilbert polynomial frame.P, each
+    with its representations, and the least of them (by
+    StanleyPair.sort_key) that is a Stanley filtration of S/I, when there
+    is one.
 
     The exact check compares D * P_{S/I} on frame.basis with D * frame.P
     in integers (hilbert._scaled_target); when D * frame.P is not
@@ -499,10 +542,10 @@ def _realize(frame, found):
     components alone (_meet), never from the ideal's generators or its
     K-polynomial.  A prefix's reduced component set does not depend on
     the order of its pairs, and the search pushes each state once, so
-    each state's payload (_prefix) keeps it, one _meet from its parent's,
-    filled in up the chain when a rep below the state first arrives.  A
-    rep's own set is read from its parent's set's steps, and met only
-    when that step is new.
+    each pushed state's payload (_prefix) keeps it, one _meet from its
+    parent's, filled in up the chain once per batch, when the first batch
+    below the state arrives.  Each leaf's own set is read from its
+    state's set's steps, and met only when that step is new.
 
     The set determines the prefix's ideal J: a pair's component is
     supported on its face sigma^, a face of the fan, so _meet keeps
@@ -511,17 +554,19 @@ def _realize(frame, found):
     ideals.reduce_components), so none contains the meet of the others.
     The set is thus the unique irredundant irreducible decomposition of
     J, and keeps J and its verdict, the sign of the leading coefficient
-    of D * P - D * P_{S/J}: the verdict when a state first reaches the
-    set, J when a passing rep below first needs it for grouping, met
-    from the ideal of the state's parent's set (the root's set is (),
-    with the unit ideal).  Distinct
-    sets have distinct ideals, so intersect_irreducible never sees one
-    input twice.  The same walk fills in each state's filtration flag,
-    which depends on the order of the pairs: that its _filtration_step on
-    its parent's ideal and every step above it pass, so a passing rep is
-    a Stanley filtration of its ideal exactly when its flag holds.  The
-    least such rep per ideal is kept, by the tuple of its pairs' sort
-    keys, taken only when a second one arrives.
+    of D * P - D * P_{S/J}: the verdict when a state or leaf first
+    reaches the set, J when a passing rep first needs it for grouping,
+    met from the ideal of the state above (the root's set is (), with
+    the unit ideal).  Distinct sets have distinct ideals, so
+    intersect_irreducible never sees one input twice.  The same walk
+    fills in each pushed state's filtration flag, which depends on the
+    order of the pairs: that its _filtration_step on its parent's ideal
+    and every step above it pass.  It runs once per batch with a passing
+    leaf, and a leaf's flag is its state's flag and the leaf's own step
+    on its state's ideal, so a passing rep is a Stanley filtration of
+    its ideal exactly when its flag holds.  The least such rep per ideal
+    is kept, by the tuple of its pairs' sort keys, taken only when a
+    second one arrives.
 
     A rep whose parent state overshoots P is listed but not realized.
     Let I be a rep's ideal and J the ideal of one of its prefixes.  Then
@@ -536,13 +581,14 @@ def _realize(frame, found):
     and no rep under the prefix has an ideal with polynomial P.  The
     integer vectors decide that sign exactly.  The same argument with I
     the ideal of a longer prefix shows that every state below one with
-    excess has excess too, so it is marked _EXCESS, as that state is.
-    Every rep that is not skipped gets the exact check."""
+    excess has excess too, so it is marked _EXCESS, as that state is,
+    and a batch under it is listed whole.  Every rep that is not skipped
+    gets the exact check."""
     X = frame.X
     target = _scaled_target(X, frame.P)
     reps, grouped, witnesses = [], {}, {}
     if target is None:
-        reps.extend(rep for rep, _ in found)
+        reps.extend(held + (leaf,) for held, _, leaves in found for leaf in leaves)
         return _Realized(reps, grouped, witnesses, 0, 0, 0, 0)
     target = [target.get(e, 0) for e in frame.basis]
     components = {}  # id(pair) -> its irreducible component: (mask, exponent tuple)
@@ -572,12 +618,24 @@ def _realize(frame, found):
             state = state[0] or root
         return state, reversed(chain)
 
-    for rep, payload in found:
-        reps.append(rep)
-        parent = payload[0] or root
+    def settle(above, pair, node):
+        """Give node, the set of above's prefix with pair appended, its
+        ideal if it has none; return the flag of that prefix: above's
+        flag and pair's _filtration_step on above's ideal."""
+        ideal, a = above[2].ideal, component(pair)[1]
+        if node.ideal is None:
+            counts[3] += 1
+            node.ideal = ideal.intersect_irreducible(a)
+        counts[2] += above[3]  # no step after a failed one
+        return above[3] and _filtration_step(ideal, pair, a)
+
+    for held, payload, leaves in found:
+        batch = [held + (leaf,) for leaf in leaves]
+        reps.extend(batch)
+        parent = payload or root
         if parent[2] is None:
             above, chain = unfilled(parent, 2)
-            for state in chain:  # the rep's prefixes that have no component set yet
+            for state in chain:  # the batch's prefixes that have no component set yet
                 if above[2] is _EXCESS:
                     state[2] = _EXCESS
                 else:
@@ -587,34 +645,28 @@ def _realize(frame, found):
                 above = state
         base = parent[2]
         if base is _EXCESS:
-            counts[1] += 1
+            counts[1] += len(leaves)
             continue
-        pair = payload[1]
-        c = (components.get(id(pair)) or component(pair))[0]
-        node = base.steps.get(c, _UNSEEN)  # the rep's own step, met before or not
-        if node is None:
-            node = base
-        if node is _UNSEEN or node.sign is None:
-            node = step(base, c)
-        if node.sign:
-            continue
-        payload[2] = node
-        above, chain = unfilled(payload, 3)
-        for state in chain:  # the rep and its prefixes that have no filtration flag yet
-            ideal, pair, node = above[2].ideal, state[1], state[2]
-            c = component(pair)[1]
-            if node.ideal is None:
-                counts[3] += 1
-                node.ideal = ideal.intersect_irreducible(c)
-            counts[2] += above[3]  # no step after a failed one
-            state[3] = above[3] and _filtration_step(ideal, pair, c)
-            above = state
-        ideal = payload[2].ideal
-        grouped.setdefault(ideal, []).append(rep)
-        if payload[3]:
-            current = witnesses.get(ideal)
-            if current is None or _sort_keys(rep) < _sort_keys(current):
-                witnesses[ideal] = rep
+        for rep, leaf in zip(batch, leaves):
+            c = (components.get(id(leaf)) or component(leaf))[0]
+            node = base.steps.get(c, _UNSEEN)  # the leaf's own step, met before or not
+            if node is None:
+                node = base
+            if node is _UNSEEN or node.sign is None:
+                node = step(base, c)
+            if node.sign:
+                continue
+            if parent[3] is None:
+                above, chain = unfilled(parent, 3)
+                for state in chain:  # the batch's prefixes that have no filtration flag yet
+                    state[3] = settle(above, state[1], state[2])
+                    above = state
+            filtered = settle(parent, leaf, node)
+            grouped.setdefault(node.ideal, []).append(rep)
+            if filtered:
+                current = witnesses.get(node.ideal)
+                if current is None or _sort_keys(rep) < _sort_keys(current):
+                    witnesses[node.ideal] = rep
     return _Realized(reps, grouped, witnesses, *counts)
 
 
@@ -673,7 +725,8 @@ def enumerate_saturated_ideals(X, P, order=None):
 
 def gotzmann_number(X, P, order=None):
     """Largest pair count over the representations the search constructs."""
-    m = max(map(len, _peel_off(_working_frame(X, P, order))), default=0)
+    m = max((len(held) + 1 for held, _, _ in _peel_off(_working_frame(X, P, order))),
+            default=0)
     if not m:
         raise NoRepresentation("the search produced no representation of P")
     return m
@@ -693,7 +746,7 @@ def gotzmann_upper_bound(X, P, order=None):
     frame = _working_frame(X, P, order)
     if frame.P.is_zero():
         raise NoRepresentation("the zero polynomial has no representation")
-    best = max(map(len, _peel_off(frame, relaxed=True)), default=0)
+    best = max((len(held) + 1 for held, _, _ in _peel_off(frame, relaxed=True)), default=0)
     if not best:
         raise NoRepresentation("the relaxed search produced no representation of P")
     return best

@@ -307,8 +307,12 @@ def _face_prime(n, sigma):
 
 
 def face_k_polynomial(X, sigma):
-    """K(S_sigma; y) = prod_{i not in sigma} (1 - y^{deg x_i})."""
-    return coarse_k_polynomial(X, MonomialIdeal(X.n, _face_prime(X.n, sigma)))
+    """K(S_sigma; y) = prod_{i not in sigma} (1 - y^{deg x_i}), the Koszul
+    numerator of the face prime's variables, as coarse_k_polynomial gives
+    it: a sorted tuple of (degree, nonzero coefficient) pairs."""
+    out = koszul_numerator((X.variable_degree(i) for i in range(X.n) if i not in sigma),
+                           (0,) * X.r)
+    return tuple(sorted((d, c) for d, c in out.items() if c))
 
 
 def face_hilbert_polynomial(X, sigma):

@@ -168,9 +168,6 @@ class MultiPoly:
         expo = order.max_monomial(self.terms)
         return expo, self.terms[expo]
 
-    def leading_monomial(self, order=None):
-        return self.leading_term(order)[0]
-
     def leading_coeff(self, order=None):
         return self.leading_term(order)[1]
 

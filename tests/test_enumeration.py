@@ -37,7 +37,12 @@ from test_stanley import colon_chain
 
 P1 = tv.projective_space(1)
 P2 = tv.projective_space(2)
+P3 = tv.projective_space(3)
+P4 = tv.projective_space(4)
+P1xP1 = tv.product_projective(1, 1)
 PP = tv.product_projective(2, 1)
+P2xP2 = tv.product_projective(2, 2)
+F1 = tv.hirzebruch(1)
 F2 = tv.hirzebruch(2)
 Xc = tv.build_variety(F2.fan)  # canonical grading: a non-identity orthant change
 
@@ -55,28 +60,38 @@ def _decode(frame, c):
     return tuple((c >> i & frame.column).bit_count() for i in range(frame.X.n))
 
 
+def _reps(frame, **kw):
+    """The search's representations, its batches flattened in order: each
+    batch (held, payload, leaves) stands for held + (leaf,) per leaf."""
+    return [held + (leaf,) for held, _, leaves in en._peel_off(frame, **kw) for leaf in leaves]
+
+
 def _stanley_reps(frame):
     """The monomial search's representations as tuples of StanleyPairs,
     one object per distinct pair, shared across reps, as run_enumeration's
     search builds them."""
     sigmas = frame.sigmas
-    return list(en._peel_off(frame, make=lambda ti, shift: en.StanleyPair(shift, sigmas[ti])))
+    return _reps(frame, make=lambda ti, shift: en.StanleyPair(shift, sigmas[ti]))
 
 
 def _folded(reps):
-    """The (rep, payload) pairs that realize reads, for any rep list: each
-    prefix's payload is folded from the root with en._prefix once, and is
-    shared by every rep with that prefix, as the search shares a state's
-    payload among the reps below it."""
-    payloads = {}
+    """The (held, payload, leaves) batches that realize reads, for any rep
+    list: consecutive reps that share all but their last pair form one
+    batch, and each prefix's payload is folded from the root with
+    en._prefix once and shared by every batch below it, as the search
+    shares a pushed state's payload among the batches below it."""
+    payloads = {(): None}
+    batches = []
     for rep in reps:
-        payload = None
-        for i, pair in enumerate(rep):
-            prefix = rep[:i + 1]
-            if prefix not in payloads:
-                payloads[prefix] = en._prefix(payload, pair)
-            payload = payloads[prefix]
-        yield rep, payload
+        held = rep[:-1]
+        for i, pair in enumerate(held):
+            if held[:i + 1] not in payloads:
+                payloads[held[:i + 1]] = en._prefix(payloads[held[:i]], pair)
+        if batches and batches[-1][0] == held:
+            batches[-1][2].append(rep[-1])
+        else:
+            batches.append((held, payloads[held], [rep[-1]]))
+    return batches
 
 
 def test_face_order_p2():
@@ -98,7 +113,7 @@ def test_face_order_refines_partial_order_and_inclusion():
         everything = frozenset(range(X.n))
         # whole-ring face first
         assert order.faces[0] == frozenset()
-        inits = {f: face_hilbert_polynomial(X, everything - f).leading_monomial(glex)
+        inits = {f: face_hilbert_polynomial(X, everything - f).leading_term(glex)[0]
                  for f in order.faces}
         for a in order.faces:
             for b in order.faces:
@@ -108,6 +123,75 @@ def test_face_order_refines_partial_order_and_inclusion():
                 # reverse-inclusion refinement
                 if a < b:
                     assert order.index[a] < order.index[b]
+
+
+# P(1)-P(4), the products of projective spaces, Hirzebruch(0)-(3) and
+# Hirzebruch(2) with its canonical grading
+FACE_ORDER_VARIETIES = {
+    "P1": P1, "P2": P2, "P3": P3, "P4": P4, "PxP(1,1)": P1xP1, "PxP(2,1)": PP,
+    "PxP(2,2)": P2xP2, "Hirzebruch(0)": tv.hirzebruch(0), "Hirzebruch(1)": F1,
+    "Hirzebruch(2)": F2, "Hirzebruch(3)": tv.hirzebruch(3), "Xc": Xc,
+}
+
+
+def _multipoly_face_order(X, order):
+    """graded_total_order as it ranked faces on the leading monomials of
+    the face polynomials, kept as the oracle of the integer face order."""
+    everything = frozenset(range(X.n))
+
+    def key(face):
+        init = face_hilbert_polynomial(X, everything - face).leading_term(order)[0]
+        return tuple(-x for x in order.key(init)), -len(face), tuple(sorted(face))
+
+    return tuple(sorted(X.faces(), key=key))
+
+
+@pytest.mark.parametrize("X", FACE_ORDER_VARIETIES.values(), ids=FACE_ORDER_VARIETIES)
+def test_integer_face_order_matches_multipoly_leading_monomials(X):
+    # the face order and each face's leading index, read off the integer
+    # face vectors, on the basis of degree d and on the working frame's
+    # larger bases, in the working coordinates, under each monomial order
+    orders = [GradedOrder(X.r)] + ([GradedOrder(2, (1, 0))] if X.r == 2 else [])
+    assert en.graded_total_order(X).faces == _multipoly_face_order(X, orders[0])
+    high = MultiPoly(X.r, {(X.d + 2,) + (0,) * (X.r - 1): 1, (0,) * X.r: 1})
+    for order in orders:
+        assert en.graded_total_order(X, order).faces == _multipoly_face_order(X, order)
+        for P in (parse_poly("1", nvars=X.r), high):
+            frame = en._working_frame(X, P, order)
+            assert frame.face_order.faces == _multipoly_face_order(frame.X, order)
+            assert frame.sigmas == [frozenset(range(X.n)) - f for f in frame.face_order.faces]
+            for ti, sigma in enumerate(frame.sigmas):
+                poly = face_hilbert_polynomial(frame.X, sigma)
+                assert frame.basis[frame.inits[ti]] == poly.leading_term(order)[0]
+
+
+@pytest.mark.parametrize("X", FACE_ORDER_VARIETIES.values(), ids=FACE_ORDER_VARIETIES)
+def test_face_k_polynomial_is_the_face_prime_k_polynomial(X):
+    # the Koszul numerator over the variables outside sigma, for every
+    # subset sigma of the variables, faces of the fan or not
+    for size in range(X.n + 1):
+        for sigma in combinations(range(X.n), size):
+            prime = mi.MonomialIdeal(X.n, [tuple(int(j == i) for j in range(X.n))
+                                           for i in range(X.n) if i not in sigma])
+            assert hb.face_k_polynomial(X, frozenset(sigma)) == coarse_k_polynomial(X, prime)
+
+
+def test_no_entry_point_builds_a_face_polynomial(monkeypatch):
+    # the frame orders the faces and the search peels them off on integer
+    # face vectors: no face or quotient Hilbert polynomial is built, on a
+    # frame in the given coordinates or through an orthant change
+    def forbidden(*args):
+        raise AssertionError("a Hilbert polynomial was built")
+
+    P = quotient_hilbert_polynomial(Xc, mi.MonomialIdeal(4, [(1, 0, 1, 0)]))
+    monkeypatch.setattr(hb, "face_hilbert_polynomial", forbidden)
+    monkeypatch.setattr(hb, "quotient_hilbert_polynomial", forbidden)
+    assert not hasattr(en, "face_hilbert_polynomial")
+    assert len(en.run_enumeration(tv.projective_space(2), parse_poly("3*t+1")).ideals) == 30
+    assert len(en.run_enumeration(tv.build_variety(F2.fan), P).ideals) == 3
+    assert en.gotzmann_number(tv.product_projective(2, 1), parse_poly("3*t1+1", nvars=2)) == 4
+    assert en.gotzmann_upper_bound(tv.hirzebruch(1), parse_poly("t1+t2+1", nvars=2)) == 2
+    assert degree_set(tv.projective_space(2), parse_poly("2"), seed=5).converged
 
 
 def test_headline_example_thirty_ideals():
@@ -532,7 +616,7 @@ def _multipoly_peel_off(frame, relaxed=False):
     if frame.P.is_zero():
         return
     X, order, faces = frame.X, frame.order, frame.face_order.faces
-    inits = [face_hilbert_polynomial(X, s).leading_monomial(order) for s in frame.sigmas]
+    inits = [face_hilbert_polynomial(X, s).leading_term(order)[0] for s in frame.sigmas]
     shifted = {}
 
     def face_poly(ti, degree):
@@ -594,7 +678,7 @@ def _multipoly_peel_off(frame, relaxed=False):
 @pytest.mark.parametrize("relaxed", [False, True], ids=["monomial", "relaxed"])
 def test_integer_search_matches_multipoly_oracle(X, P, relaxed):
     frame = en._working_frame(X, P, None)
-    got = list(en._peel_off(frame, relaxed=relaxed))
+    got = _reps(frame, relaxed=relaxed)
     assert got
     assert got == list(_multipoly_peel_off(frame, relaxed=relaxed))
 
@@ -687,28 +771,38 @@ def test_search_matches_reference_order(X, text, relaxed):
     # the order of the reps fixes each rep's pair order, hence the
     # witnesses: it must be the reference search's, rep for rep
     frame = en._working_frame(X, parse_poly(text, nvars=X.r), None)
-    got = list(en._peel_off(frame, relaxed=relaxed))
+    got = _reps(frame, relaxed=relaxed)
     assert got == list(_reference_peel_off(frame, relaxed=relaxed))
     if text == "3*t2+1" and not relaxed:
         assert got == []
 
 
 def test_fold_payloads_are_the_rep_prefixes():
-    # each yielded payload's parent chain is the rep's prefixes, and a
-    # prefix has one payload, shared by every rep below it
+    # each batch's payload chain is its held pairs, a pushed state has one
+    # payload, shared by every batch below it, a popped state hands over
+    # one batch, and fold runs for the pushed states only: on P(2) 4*t+1
+    # each of the 1837 lies above a rep
     frame = en._working_frame(P2, parse_poly("4*t+1"), None)
+    folds = []
+
+    def fold(parent, pair):
+        folds.append(pair)
+        return parent, pair
+
     pushed = {}
-    found = list(en._peel_off(frame, fold=lambda parent, pair: (parent, pair)))
-    assert [rep for rep, _ in found] == list(en._peel_off(frame))
-    for rep, payload in found:
+    batches = list(en._peel_off(frame, fold=fold))
+    assert [held + (leaf,) for held, _, leaves in batches for leaf in leaves] == _reps(frame)
+    assert len({held for held, _, _ in batches}) == len(batches)
+    for held, payload, leaves in batches:
+        assert leaves
         chain = []
         while payload is not None:
             chain.append(payload)
             payload = payload[0]
-        assert tuple(link[1] for link in reversed(chain)) == rep
-        for i, link in enumerate(reversed(chain[1:])):
-            assert pushed.setdefault(rep[:i + 1], link) is link
-    assert len(pushed) == 1837
+        assert tuple(link[1] for link in reversed(chain)) == held
+        for i, link in enumerate(reversed(chain)):
+            assert pushed.setdefault(held[:i + 1], link) is link
+    assert len(pushed) == len(folds) == 1837
 
 
 @pytest.mark.parametrize("text", ["1/2*t+1", "t^3+1", "0"])
@@ -756,7 +850,7 @@ def test_each_shift_degree_is_computed_once_per_search(monkeypatch):
 
     frame = en._working_frame(P2, parse_poly("4*t+1"), None)
     monkeypatch.setattr(type(P2), "degree", counting)
-    assert len(list(en._peel_off(frame))) == 12487
+    assert len(_reps(frame)) == 12487
     # 84 distinct shifts over the 14324 states the search builds
     assert len(degrees) == 84
     assert max(degrees.values()) == 1
@@ -850,12 +944,6 @@ def _stepped_filtration(rep):
         ideal = ideal.intersect_irreducible(component)
     return ideal, passed
 
-
-P3 = tv.projective_space(3)
-P4 = tv.projective_space(4)
-P1xP1 = tv.product_projective(1, 1)
-P2xP2 = tv.product_projective(2, 2)
-F1 = tv.hirzebruch(1)
 
 # name -> (variety, polynomial, ideals whose witness falls back to the recursion)
 WITNESS_CASES = {
