@@ -35,7 +35,6 @@ from .ideals import (
     parse_monomial,
 )
 from .multipoly import (
-    GradedOrder,
     MultiPoly,
     format_poly,
     parse_poly,

@@ -85,11 +85,7 @@ def cmd_variety(args):
 def cmd_stanley(args):
     X = tv.load_variety(args.variety)
     ideal = _load_ideal(args.ideal, X.n)
-    if args.order == "nice":
-        face_order = enumeration.graded_total_order(X)
-        strategy = st.nice_strategy(X, face_order)
-    else:
-        strategy = None
+    strategy = st.nice_strategy(enumeration.graded_total_order(X)) if args.order == "nice" else None
     pairs = st.stanley_filtration(ideal, strategy)
     if args.json:
         print(json.dumps({"generators": [list(g) for g in ideal.gens],

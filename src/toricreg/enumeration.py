@@ -10,10 +10,10 @@ peel-off loop in which each accepted branch strictly decreases the
 checked at runtime.  Realize turns representations
 into ideals and keeps those passing the exact Hilbert-polynomial check,
 since candidates are over-generated (every admissible anchor is tried).
-Realize runs on the search's own states: the search folds a payload
-(_prefix) down to every state it pushes, and hands over the reps that
-complete at a popped state in one batch, with that state's payload,
-whose parents are the payloads of the state's prefixes.
+Realize runs on the search's own states: every state the search pushes
+carries a payload (_prefix) made from its parent's, and the search hands
+over the reps that complete at a popped state in one batch, with that
+state's payload, whose parents are the payloads of the state's prefixes.
 A rep's ideal is the intersection of its pairs' irreducible components,
 and realize decides the exact check from those components alone, by
 inclusion-exclusion (Mayer-Vietoris) over the components of each prefix
@@ -32,16 +32,22 @@ ideal the least such rep by StanleyPair.sort_key, the first of its
 sorted reps that verify_stanley accepts; an ideal with none falls back
 to the graded-order recursion.
 
+The monomial order is glex with t1 > ... > tr (multipoly.glex_key); a
+caller who wants another variable order reorders the grading rows
+(variety.with_grading) and the variables of P to match.
+
 The frame, the search and the check run on integers.  A residual
 Q = P - sum P_{S_sigma}(t - delta) has total degree at most
 max(d, deg P), so it is a coefficient vector on the fixed basis of
-exponents of that degree, listed from the order-largest down.  Every
-vector is scaled by one L > 0, the lcm of the denominator D of P_S
-(hilbert._ring_expansion) and the denominators of P.  L * P is then
-integral by choice of L, and so is each L * P_{S_sigma}(t - delta) =
-(L / D) * D * sum_e c_e P_S(t - e - delta), a sum over the Koszul
-numerator c of S_sigma whose D-multiple the moment kernel
-(hilbert.shift_numerators) yields in integers.  Multiplying by L > 0 is
+exponents of that degree, listed from the glex-largest down.  Every
+vector is scaled by D > 0, the denominator of P_S
+(hilbert._ring_expansion).  Each D * P_{S_sigma}(t - delta) =
+D * sum_e c_e P_S(t - e - delta), a sum over the Koszul numerator c of
+S_sigma, is integral: the moment kernel (hilbert.shift_numerators)
+yields it in integers.  A complete representation sums such terms to
+D * P, so when D * P is not integral (frame.target is None) there is no
+representation, in the monomial search or the relaxed one, and neither
+runs; otherwise every residual is integral.  Multiplying by D > 0 is
 linear and keeps signs, so the residual is zero exactly when its vector
 is, the leading term is the first nonzero entry, and the measure
 (leading monomial, leading coefficient) compares as before: no float or
@@ -57,9 +63,9 @@ Both stages redo small computations on a few distinct inputs, so each
 is done once per distinct input and looked up after.  Every memo is
 exact, not an approximation: it stores the value of a pure function of
 its key.  The search numbers each distinct pair once and builds its
-successor shifts, face vector and (for run_enumeration) StanleyPair
-then, and each state carries its pairs' successor shifts as a pool, so
-a popped state sorts its candidate shifts once (see _peel_off).
+successor shifts, face vector and StanleyPair then, and each state
+carries its pairs' successor shifts as a pool, so a popped state sorts
+its candidate shifts once (see _peel_off).
 Realize takes each pair's irreducible component once and
 encodes it as one integer (_encode), so that containment, sums and
 fan support of components are a few integer operations each, builds
@@ -74,21 +80,14 @@ call: nothing is cached across requests.
 
 from dataclasses import dataclass, field
 from itertools import chain, product
-from math import lcm
 from operator import add, sub
 from typing import NamedTuple
 
 from . import intlinalg as il
 from .errors import NoRepresentation, SearchExhausted, ZeroPolynomial
-from .hilbert import (
-    _ring_expansion,
-    _scaled_target,
-    face_k_polynomial,
-    koszul_numerator,
-    shift_numerators,
-)
+from .hilbert import _scaled_target, face_k_polynomial, koszul_numerator, shift_numerators
 from .ideals import MonomialIdeal
-from .multipoly import GradedOrder
+from .multipoly import glex_key
 from .stanley import (
     StanleyPair,
     _filtration_step,
@@ -111,23 +110,20 @@ class FaceOrder:
         return " < ".join(_show_face(f) for f in self.faces)
 
 
-def graded_total_order(X, order=None):
+def graded_total_order(X):
     """List the faces so that larger glex-initial terms of P_{S_sigma}
     come first; ties break by size then by sorted indices.  Every
     P_{S_sigma} has total degree at most d, so the faces are ranked on
     the basis of that degree (see _order_faces)."""
-    if order is None:
-        order = GradedOrder(X.r)
-    return _order_faces(_Frame(X, order, _basis(order, X.r, X.d))).face_order
+    return _order_faces(_Frame(X, _basis(X.r, X.d))).face_order
 
 
 @dataclass
 class _Frame:
     X: object      # the variety regraded so that N^r sits inside K
-    order: GradedOrder
-    basis: tuple   # every exponent of total degree <= max(d, deg P), order-largest first
+    basis: tuple   # every exponent of total degree <= max(d, deg P), glex-largest first
     P: object = None  # the target in the same coordinates
-    scale: int = 1    # L: lcm of the P_S denominator D and the denominators of P
+    target: tuple = None  # D * P on basis, None when it is not integral
     face_supports: frozenset = frozenset()  # the support mask of every face of the fan (see _meet)
     face_order: FaceOrder = None  # filled in by _order_faces, as are the next three
     sigmas: list = None  # the complement sigma of each face sigma^, by face index
@@ -139,10 +135,10 @@ class _Frame:
     column: int = 0   # R = sum over e < E of 2^(e n): S * R is the column mask of a support S
 
 
-def _basis(order, r, top):
-    """Every exponent in N^r of total degree <= top, order-largest first."""
+def _basis(r, top):
+    """Every exponent in N^r of total degree <= top, glex-largest first."""
     return tuple(sorted((e for e in product(range(top + 1), repeat=r) if sum(e) <= top),
-                        key=order.key, reverse=True))
+                        key=glex_key, reverse=True))
 
 
 def _leading_index(vector):
@@ -164,9 +160,9 @@ def _order_faces(frame):
     (init, -len(face), sorted(face)).  That is the key on leading
     monomials that graded_total_order states: D > 0, so the first
     nonzero entry is the leading term of P_{S_sigma}, and the basis lists
-    exponents order-largest first, so index k < k' exactly when basis[k]
+    exponents glex-largest first, so index k < k' exactly when basis[k]
     is the larger monomial.  Ranking by init is therefore ranking by
-    -order.key of the leading monomial, ties included."""
+    -glex_key of the leading monomial, ties included."""
     X = frame.X
     everything = frozenset(range(X.n))
     ranked = []
@@ -183,19 +179,18 @@ def _order_faces(frame):
     return frame
 
 
-def _working_frame(X, P, order):
+def _working_frame(X, P):
     if P.nvars != X.r:
         raise ValueError(f"the polynomial has {P.nvars} variables, the grading has {X.r}")
-    if order is None:
-        order = GradedOrder(X.r)
     change = positive_orthant_change(X)
     if not change.is_identity():
         X = with_grading(X, il.matmul(change.inverse, X.grading))
         P = P.compose_linear(change.matrix)
-    basis = _basis(order, X.r, max(X.d, P.total_degree()))
-    scale = lcm(_ring_expansion(X)[1], *(c.denominator for c in P.terms.values()))
+    basis = _basis(X.r, max(X.d, P.total_degree()))
+    scaled = _scaled_target(X, P)
+    target = None if scaled is None else tuple(scaled.get(e, 0) for e in basis)
     face_supports = frozenset(sum(1 << i for i in face) for face in X.delta)
-    return _order_faces(_Frame(X, order, basis, P, scale, face_supports))
+    return _order_faces(_Frame(X, basis, P, target, face_supports))
 
 
 def _kernel_vector(frame, kpoly):
@@ -215,26 +210,26 @@ def _kernel_vector(frame, kpoly):
 
 
 def _face_vector(frame, ti, degree):
-    """L * P_{S_sigma}(t - degree) on frame.basis, sigma = frame.sigmas[ti],
-    from the moment kernel over y^degree K(S_sigma; y): (L / D) times
+    """D * P_{S_sigma}(t - degree) on frame.basis, sigma = frame.sigmas[ti],
+    from the moment kernel over y^degree K(S_sigma; y):
     sum_d c_d N(d + degree) over K(S_sigma) = sum_d c_d y^d."""
     kpoly = [(tuple(map(add, d, degree)), c) for d, c in frame.kpolys[ti]]
-    factor = frame.scale // _ring_expansion(frame.X)[1]
-    return tuple(factor * v for v in _kernel_vector(frame, kpoly))
+    return tuple(_kernel_vector(frame, kpoly))
 
 
-def _peel_off(frame, relaxed=False, make=None, fold=None):
+def _peel_off(frame, relaxed=False):
     """Yield the complete representations of frame.P in batches, one per
     popped state that completes any: (held, payload, leaves), whose reps
     are held + (leaf,) for each leaf in order, held the state's pairs and
     each leaf a pair whose face vector equals the state's residual.  A
-    pair stands as its (face index, shift) tuple.  A new pair chains off
-    an earlier pair j whose face is no later in the face order, along a
-    variable x_l of face j: v + e_l on monomials (a set of pairs), or
-    q + deg x_l on degrees when relaxed (a multiset).  A state is
-    deduplicated by its pair multiset, which determines the residual.
+    new pair chains off an earlier pair j whose face is no later in the
+    face order, along a variable x_l of face j: v + e_l on monomials (a
+    set of pairs), or q + deg x_l on degrees when relaxed (a multiset).
+    A state is deduplicated by its pair multiset, which determines the
+    residual.  Nothing is yielded when frame.target is None: D * P is not
+    integral, so no representation exists (see the module docstring).
 
-    Residuals are integer vectors L * Q on frame.basis, so the leading
+    Residuals are integer vectors D * Q on frame.basis, so the leading
     term is the first nonzero entry, and a larger index is a smaller
     monomial.  Only the faces whose leading index is the residual's can
     take a step, so faces are looked up by leading index.  Each distinct
@@ -244,9 +239,11 @@ def _peel_off(frame, relaxed=False, make=None, fold=None):
     one: on monomials a state is a set, and its key is the bitmask of its
     numbers, so "already in the state" is one bit; relaxed, it is the
     sorted tuple of its numbers.  The pair's successor shifts (its shift
-    plus each step of its face) and its face vector depend on the pair
-    alone, so they are built then, once; each (face, degree) vector is
-    built once per search, and each shift's degree once.
+    plus each step of its face), its face vector and its StanleyPair
+    (shift, sigma) depend on the pair alone, so they are built then,
+    once, and every rep holding the pair shares that StanleyPair; relaxed,
+    its shift is the pair's degree.  Each (face, degree) vector is built
+    once per search, and each shift's degree once.
 
     Each state also carries its successor pool: every successor shift of
     its pairs, mapped to the least face index among the pairs it
@@ -256,19 +253,15 @@ def _peel_off(frame, relaxed=False, make=None, fold=None):
     popped state serves every face.  A child's pool is its parent's with
     the new pair's successors merged in.
 
-    make(face index, shift), when given, builds the object that stands
-    for a pair instead of the tuple: once per distinct pair, when a
-    pushed state or a leaf first holds it, and every rep holding the
-    pair shares that object.
-
-    fold(parent payload, pair object), when given, makes the payload of
-    each pushed state from its parent's (None at the root); a batch
-    carries its state's payload, None without fold.  A state is pushed
-    at most once, so its payload belongs to one pair sequence, and the
-    payloads on a batch's parent chain are those of held's prefixes."""
-    if frame.P.is_zero():
+    Each pushed state carries the payload _prefix(parent's payload, pair),
+    None at the root, and a batch carries its state's payload.  A state
+    is pushed at most once, so its payload belongs to one pair sequence,
+    and the payloads on a batch's parent chain are those of held's
+    prefixes."""
+    target = frame.target
+    if target is None or not any(target):
         return
-    X, faces = frame.X, frame.face_order.faces
+    X, faces, sigmas = frame.X, frame.face_order.faces, frame.sigmas
     if relaxed:
         steps = [X.variable_degree(ell) for ell in range(X.n)]
     else:
@@ -279,8 +272,7 @@ def _peel_off(frame, relaxed=False, make=None, fold=None):
     vectors = {}
     degrees = {}
     numbers = [{} for _ in faces]  # by face index: shift -> the pair's number
-    nodes = []     # by number: (face index, successor shifts, face vector)
-    objects = []   # by number: make's object, built when a state first holds it
+    nodes = []     # by number: (StanleyPair, successor shifts, face vector)
 
     def node(ti, shift):
         if relaxed:
@@ -294,18 +286,10 @@ def _peel_off(frame, relaxed=False, make=None, fold=None):
             face = vectors[ti, degree] = _face_vector(frame, ti, degree)
         successors = tuple(tuple(map(add, shift, steps[ell])) for ell in faces[ti])
         numbers[ti][shift] = len(nodes)
-        nodes.append((ti, successors, face))
-        objects.append(None)
+        nodes.append((StanleyPair(shift, sigmas[ti]), successors, face))
         return len(nodes) - 1
 
-    def pair_object(k, ti, shift):
-        obj = objects[k]
-        if obj is None:
-            obj = objects[k] = (ti, shift) if make is None else make(ti, shift)
-        return obj
-
     seen = set()
-    target = tuple(int(frame.P.terms.get(e, 0) * frame.scale) for e in frame.basis)
     q_init = _leading_index(target)
     origin = [(0,) * len(steps[0])]
     stack = [((), 0, (), target, q_init, target[q_init], None, {})]
@@ -329,9 +313,9 @@ def _peel_off(frame, relaxed=False, make=None, fold=None):
                 if new_key in seen:
                     continue
                 seen.add(new_key)
-                face = nodes[k][2]
+                pair, successors, face = nodes[k]
                 if Q == face:
-                    leaves.append(pair_object(k, ti, shift))
+                    leaves.append(pair)
                     continue
                 residual = tuple(map(sub, Q, face))
                 for r_init, r_coeff in enumerate(residual):
@@ -341,13 +325,12 @@ def _peel_off(frame, relaxed=False, make=None, fold=None):
                     continue
                 if r_init < q_init or (r_init == q_init and r_coeff >= q_coeff):
                     raise SearchExhausted("peel-off measure did not drop")
-                obj = pair_object(k, ti, shift)
                 child = dict(pool)
-                for s in nodes[k][1]:
+                for s in successors:
                     if child.get(s, ti) >= ti:
                         child[s] = ti
-                stack.append((state + (k,), new_key, held + (obj,), residual, r_init, r_coeff,
-                              None if fold is None else fold(payload, obj), child))
+                stack.append((state + (k,), new_key, held + (pair,), residual, r_init, r_coeff,
+                              _prefix(payload, pair), child))
         if leaves:
             yield held, payload, leaves
 
@@ -526,15 +509,15 @@ class _Realized(NamedTuple):
 
 def _realize(frame, found):
     """List the representations of found, the (held, payload, leaves)
-    batches of _peel_off(frame, fold=_prefix), and group them by ideal;
+    batches of _peel_off(frame), and group them by ideal;
     keep the ideals whose quotient has Hilbert polynomial frame.P, each
     with its representations, and the least of them (by
     StanleyPair.sort_key) that is a Stanley filtration of S/I, when there
     is one.
 
-    The exact check compares D * P_{S/I} on frame.basis with D * frame.P
-    in integers (hilbert._scaled_target); when D * frame.P is not
-    integral no ideal can match, and only the reps are listed.
+    The exact check compares D * P_{S/I} on frame.basis with
+    frame.target = D * frame.P in integers (hilbert._scaled_target); when
+    D * frame.P is not integral the search yields no rep.
 
     A rep's ideal is the intersection of its pairs' irreducible
     components (pair_component, taken once per distinct pair and kept
@@ -573,7 +556,7 @@ def _realize(frame, found):
     I is inside J, so H_{S/J} <= H_{S/I} at every degree, and
     P_{S/I} - P_{S/J} >= 0 deep in K.  In the working frame N^r lies in
     K.  Take positive integer weights w that rank the finitely many
-    monomials of total degree <= max(d, deg P) as frame.order does;
+    monomials of total degree <= max(d, deg P) as glex does;
     along the curve t(s) = (s^{w_1}, ..., s^{w_r}) in N^r the leading
     term of any polynomial on those monomials dominates.  So if
     D * P - D * P_{S/J} has a negative leading coefficient ("excess"),
@@ -584,13 +567,8 @@ def _realize(frame, found):
     excess has excess too, so it is marked _EXCESS, as that state is,
     and a batch under it is listed whole.  Every rep that is not skipped
     gets the exact check."""
-    X = frame.X
-    target = _scaled_target(X, frame.P)
+    X, target = frame.X, frame.target
     reps, grouped, witnesses = [], {}, {}
-    if target is None:
-        reps.extend(held + (leaf,) for held, _, leaves in found for leaf in leaves)
-        return _Realized(reps, grouped, witnesses, 0, 0, 0, 0)
-    target = [target.get(e, 0) for e in frame.basis]
     components = {}  # id(pair) -> its irreducible component: (mask, exponent tuple)
     root = [None, None, _component_set(frame, ()), True]  # above the depth-one states
     root[2].ideal = MonomialIdeal.unit(X.n)
@@ -679,17 +657,15 @@ class EnumerationResult:
     prefix_tests: int       # realize: states given a component set and tested for excess over P
     skipped_reps: int       # realize: reps whose parent state overshoots P, never met or intersected
     intersections: int      # realize: component sets given an ideal, for passing reps
-    component_vectors: int  # realize: distinct reduced component sets given a D * P vector
+    component_vectors: int  # realize: component sets built, prefixes of one build order included
     witness_fallbacks: int  # ideals whose witness came from the graded-order recursion
     filtration_steps: int   # realize: states of passing reps' prefixes given a filtration step
 
 
-def run_enumeration(X, P, order=None):
+def run_enumeration(X, P):
     """Steps 1-5 of the peel-off search; see enumerate_saturated_ideals."""
-    frame = _working_frame(X, P, order)
-    sigmas = frame.sigmas
-    realized = _realize(frame, _peel_off(
-        frame, make=lambda ti, shift: StanleyPair(shift, sigmas[ti]), fold=_prefix))
+    frame = _working_frame(X, P)
+    realized = _realize(frame, _peel_off(frame))
     reps = realized.reps
 
     # an ideal none of whose reps is a Stanley filtration of it, in the
@@ -699,7 +675,7 @@ def run_enumeration(X, P, order=None):
         witness = realized.witnesses.get(ideal)
         if witness is None:
             fallbacks += 1
-            witness = stanley_filtration(ideal, nice_strategy(frame.X, frame.face_order))
+            witness = stanley_filtration(ideal, nice_strategy(frame.face_order))
         ideals.append((ideal, witness))
 
     return EnumerationResult(
@@ -717,22 +693,21 @@ def run_enumeration(X, P, order=None):
     )
 
 
-def enumerate_saturated_ideals(X, P, order=None):
+def enumerate_saturated_ideals(X, P):
     """All B-saturated monomial ideals with Hilbert polynomial P,
     each with a witness Stanley filtration, canonically sorted."""
-    return run_enumeration(X, P, order).ideals
+    return run_enumeration(X, P).ideals
 
 
-def gotzmann_number(X, P, order=None):
+def gotzmann_number(X, P):
     """Largest pair count over the representations the search constructs."""
-    m = max((len(held) + 1 for held, _, _ in _peel_off(_working_frame(X, P, order))),
-            default=0)
+    m = max((len(held) + 1 for held, _, _ in _peel_off(_working_frame(X, P))), default=0)
     if not m:
         raise NoRepresentation("the search produced no representation of P")
     return m
 
 
-def gotzmann_upper_bound(X, P, order=None):
+def gotzmann_upper_bound(X, P):
     """Largest pair count over the relaxed peel-off search.
 
     Same frame and loop as the monomial search, but a pair keeps only
@@ -743,9 +718,7 @@ def gotzmann_upper_bound(X, P, order=None):
     representations, so this is always at least the Gotzmann number,
     and equal to it in the standard graded case.
     """
-    frame = _working_frame(X, P, order)
-    if frame.P.is_zero():
-        raise NoRepresentation("the zero polynomial has no representation")
+    frame = _working_frame(X, P)
     best = max((len(held) + 1 for held, _, _ in _peel_off(frame, relaxed=True)), default=0)
     if not best:
         raise NoRepresentation("the relaxed search produced no representation of P")

@@ -167,14 +167,7 @@ def reduce_components(components):
 
 def irreducible_decomposition(I):
     """Irredundant irreducible components of a proper monomial ideal, as
-    the sorted tuple of their exponent tuples."""
-    return _decompose(I, None)[0]
-
-
-def _decompose(I, delta):
-    """The components of irreducible_decomposition(I), only those
-    supported on a face of delta when it is given (see b_saturate), and
-    whether an irredundant component of I lies off delta.
+    the sorted tuple of their exponent tuples.
 
     The generators are met one at a time, from the zero ideal (the one
     component 0).  Monomial ideals form a distributive lattice, so
@@ -185,20 +178,10 @@ def _decompose(I, delta):
     component containing that would contain C, against irredundancy, so
     only the new ones need reducing.  Each step consumes one generator,
     so the loop ends after len(I.gens) steps.
-
-    The new components off delta are set aside, and the test for an
-    off-fan irredundant component Q of I is made once, at the end: some
-    set-aside B contains none of the final components.  Q's line of
-    ancestors starts at the on-fan 0, and its first off-fan member B is
-    a new component of an on-fan parent, which the filtered steps keep
-    (b_saturate), so B is set aside.  Q contains B, so if B contained a
-    final component, Q would contain another component of I.  An answer
-    of True when I has no such Q only costs b_saturate a meet.
     """
     if I.is_unit():
         raise UnitIdeal("the unit ideal has no decomposition")
     comps = [(0,) * I.n]
-    off = []
     for g in I.gens:
         support = [(i, e) for i, e in enumerate(g) if e]
         kept, fresh = [], []
@@ -206,42 +189,30 @@ def _decompose(I, delta):
             if any(0 < a[i] <= e for i, e in support):
                 kept.append(a)
                 continue
-            for i, e in support:
-                b = a[:i] + (e,) + a[i + 1:]
-                (fresh if delta is None or on_fan(b, delta) else off).append(b)
+            fresh.extend(a[:i] + (e,) + a[i + 1:] for i, e in support)
         comps = kept + [b for b in reduce_components(fresh)
                         if not any(component_contains(b, k) for k in kept)]
-    dropped = any(not any(component_contains(b, c) for c in comps) for b in off)
-    return tuple(sorted(comps)), dropped
+    return tuple(sorted(comps))
 
 
 def b_saturate(I, X):
     """(I : B^infinity): the meet of the components of I on the fan, the
-    unit ideal when there is none (S/I is B-torsion).
-
-    The decomposition drops each off-fan component at once, losing
-    nothing: steps only grow supports and the fan is closed under faces,
-    so an off-fan component has only off-fan descendants; and one
-    containing another has the larger support, so no off-fan one makes
-    an on-fan one redundant, and each step keeps the on-fan components
-    of the unfiltered one.  When no irredundant component of I lies off
-    the fan (_decompose), the components are all of I's, their meet is I,
-    and I is returned as it is."""
-    if I.is_unit():
-        raise UnitIdeal("cannot saturate the unit ideal")
-    comps, dropped = _decompose(I, X.delta)
-    if not dropped:
+    unit ideal when there is none (S/I is B-torsion), and I itself when
+    every component is on the fan.  UnitIdeal on the unit ideal."""
+    comps = irreducible_decomposition(I)
+    kept = [a for a in comps if on_fan(a, X.delta)]
+    if len(kept) == len(comps):
         return I
     out = MonomialIdeal.unit(I.n)
-    for a in comps:
+    for a in kept:
         out = out.intersect_irreducible(a)
     return out
 
 
 def is_b_saturated(I, X):
     """Whether I = (I : B^infinity): whether every component is on the
-    fan.  If so, b_saturate meets them all.  If not, let C be one off it
-    and J the meet of the others (S if none): C contains I but not J
+    fan.  If so, the saturation, their meet, is I.  If not, let C be one
+    off it and J the meet of the others (S if none): C contains I but not J
     (irredundancy), so I is not J, nor the saturation, which contains J.
     True on the zero ideal (the empty face); UnitIdeal on the unit."""
     return all(on_fan(a, X.delta) for a in irreducible_decomposition(I))

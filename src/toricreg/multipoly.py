@@ -14,29 +14,12 @@ from operator import index
 from .errors import ParseError, ZeroPolynomial
 
 
-class GradedOrder:
-    """Graded lexicographic monomial order with a permutation of t1..tr.
-
-    Compares by total degree first, then lexicographically on the
-    exponents read in permutation order (default t1 > t2 > ... > tr).
-    """
-
-    def __init__(self, nvars, permutation=None):
-        if permutation is None:
-            permutation = tuple(range(nvars))
-        if sorted(permutation) != list(range(nvars)):
-            raise ValueError("permutation must reorder 0..nvars-1")
-        self.nvars = nvars
-        self.permutation = tuple(permutation)
-
-    def key(self, expo):
-        return (sum(expo),) + tuple(expo[i] for i in self.permutation)
-
-    def max_monomial(self, exponents):
-        return max(exponents, key=self.key)
-
-    def __repr__(self):
-        return f"GradedOrder({self.nvars}, {self.permutation})"
+def glex_key(expo):
+    """The sort key of the graded lexicographic order t1 > t2 > ... > tr:
+    total degree first, then the exponents from t1 on.  A reordered
+    grading (variety.with_grading) gives the order with the variables
+    reordered."""
+    return (sum(expo),) + tuple(expo)
 
 
 class MultiPoly:
@@ -159,17 +142,15 @@ class MultiPoly:
             out = out + term
         return out
 
-    def leading_term(self, order=None):
-        """The order-largest (exponent, coefficient); raises on the zero polynomial."""
+    def leading_term(self):
+        """The glex-largest (exponent, coefficient); raises on the zero polynomial."""
         if not self.terms:
             raise ZeroPolynomial("the zero polynomial has no leading term")
-        if order is None:
-            order = GradedOrder(self.nvars)
-        expo = order.max_monomial(self.terms)
+        expo = max(self.terms, key=glex_key)
         return expo, self.terms[expo]
 
-    def leading_coeff(self, order=None):
-        return self.leading_term(order)[1]
+    def leading_coeff(self):
+        return self.leading_term()[1]
 
     def integer_valued(self):
         """Whether P takes integer values on integer points (checked exactly).
@@ -194,7 +175,7 @@ def binomial_in_t(nvars, index, top_shift, q):
     return out * Fraction(1, factorial(q))
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>t\d*)|(?P<op>\*\*|[-+*^()]))")
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>t\d*)|(?P<op>\*\*|[-+*^]))")
 
 
 def parse_poly(text, nvars=None):
@@ -202,8 +183,11 @@ def parse_poly(text, nvars=None):
 
     For one variable the name 't' is accepted; 't3' means the third
     variable.  nvars is inferred from the largest index when omitted.
-    A bare 't' with several variables and the index 0 raise ParseError.
+    A bare 't' with several variables, the index 0 and parentheses raise
+    ParseError: the text is a sum of products, written out.
     """
+    if "(" in text or ")" in text:
+        raise ParseError("parentheses are not supported; write the polynomial expanded")
     tokens = []
     pos = 0
     while pos < len(text):
@@ -234,24 +218,17 @@ def parse_poly(text, nvars=None):
     chunks = []
     sign = 1
     current = []
-    depth = 0
     for kind, val in tokens:
-        if kind == "op" and val in "+-" and depth == 0 and not current:
+        if kind == "op" and val in "+-" and not current:
             sign = sign * (-1 if val == "-" else 1)
-        elif kind == "op" and val in "+-" and depth == 0:
+        elif kind == "op" and val in "+-":
             chunks.append((sign, current))
             sign = -1 if val == "-" else 1
             current = []
         else:
-            if kind == "op" and val == "(":
-                depth += 1
-            elif kind == "op" and val == ")":
-                depth -= 1
             current.append((kind, val))
     if current:
         chunks.append((sign, current))
-    if depth != 0:
-        raise ParseError("unbalanced parentheses")
 
     poly = MultiPoly.zero(nvars)
     for sign, chunk in chunks:
@@ -292,15 +269,13 @@ def _parse_product(tokens, nvars):
     return out
 
 
-def format_poly(P, order=None):
+def format_poly(P):
     """Canonical text form, terms in decreasing graded lex order."""
     if P.is_zero():
         return "0"
-    if order is None:
-        order = GradedOrder(P.nvars)
     names = ["t"] if P.nvars == 1 else [f"t{i+1}" for i in range(P.nvars)]
     parts = []
-    for expo in sorted(P.terms, key=order.key, reverse=True):
+    for expo in sorted(P.terms, key=glex_key, reverse=True):
         coeff = P.terms[expo]
         mono = "*".join(
             names[i] if e == 1 else f"{names[i]}^{e}"

@@ -91,7 +91,7 @@ def replay_strategy(choices):
     return choose
 
 
-def nice_strategy(X, face_order):
+def nice_strategy(face_order):
     """Variable choice of the graded-order refinement (Step 2').
 
     When the ideal sits inside some P_sigma with sigma^ a face, pick the

@@ -28,7 +28,7 @@ from toricreg.hilbert import (
 )
 from toricreg.hilbscheme import degree_set
 from toricreg.ideals import b_saturate, is_b_saturated
-from toricreg.multipoly import GradedOrder, MultiPoly, parse_poly
+from toricreg.multipoly import MultiPoly, glex_key, parse_poly
 from toricreg.regularity import reg_bound_from_filtration, reg_bound_from_polynomial
 from toricreg.stanley import pair_component, verify_stanley
 
@@ -45,6 +45,13 @@ P2xP2 = tv.product_projective(2, 2)
 F1 = tv.hirzebruch(1)
 F2 = tv.hirzebruch(2)
 Xc = tv.build_variety(F2.fan)  # canonical grading: a non-identity orthant change
+SWAP = ((0, 1), (1, 0))
+
+
+def swapped(X):
+    """X with its two grading rows swapped: glex t1 > t2 on it is the
+    order t2 > t1 on X, for P.compose_linear(SWAP) in place of P."""
+    return tv.with_grading(X, X.grading[::-1])
 
 
 def component_ideal(a):
@@ -60,18 +67,20 @@ def _decode(frame, c):
     return tuple((c >> i & frame.column).bit_count() for i in range(frame.X.n))
 
 
-def _reps(frame, **kw):
+def _reps(frame, relaxed=False):
     """The search's representations, its batches flattened in order: each
-    batch (held, payload, leaves) stands for held + (leaf,) per leaf."""
-    return [held + (leaf,) for held, _, leaves in en._peel_off(frame, **kw) for leaf in leaves]
+    batch (held, payload, leaves) stands for held + (leaf,) per leaf, a
+    tuple of StanleyPairs, one object per distinct pair, shared across reps."""
+    return [held + (leaf,) for held, _, leaves in en._peel_off(frame, relaxed)
+            for leaf in leaves]
 
 
-def _stanley_reps(frame):
-    """The monomial search's representations as tuples of StanleyPairs,
-    one object per distinct pair, shared across reps, as run_enumeration's
-    search builds them."""
-    sigmas = frame.sigmas
-    return _reps(frame, make=lambda ti, shift: en.StanleyPair(shift, sigmas[ti]))
+def _indexed(frame, reps):
+    """reps with each StanleyPair as its (face index, shift) tuple, the
+    form the search oracles yield."""
+    everything = frozenset(range(frame.X.n))
+    index = frame.face_order.index
+    return [tuple((index[everything - pair.face], pair.shift) for pair in rep) for rep in reps]
 
 
 def _folded(reps):
@@ -107,18 +116,18 @@ def test_face_order_p1():
 
 
 def test_face_order_refines_partial_order_and_inclusion():
-    glex = GradedOrder(2)
-    for X in (PP, F2):
-        order = en.graded_total_order(X, glex)
+    # glex t1 > t2, and t2 > t1 as glex on the swapped grading
+    for X in (PP, F2, swapped(PP), swapped(F2)):
+        order = en.graded_total_order(X)
         everything = frozenset(range(X.n))
         # whole-ring face first
         assert order.faces[0] == frozenset()
-        inits = {f: face_hilbert_polynomial(X, everything - f).leading_term(glex)[0]
+        inits = {f: face_hilbert_polynomial(X, everything - f).leading_term()[0]
                  for f in order.faces}
         for a in order.faces:
             for b in order.faces:
                 # induced partial order: bigger initial comes earlier
-                if glex.key(inits[a]) > glex.key(inits[b]):
+                if glex_key(inits[a]) > glex_key(inits[b]):
                     assert order.index[a] < order.index[b]
                 # reverse-inclusion refinement
                 if a < b:
@@ -134,14 +143,14 @@ FACE_ORDER_VARIETIES = {
 }
 
 
-def _multipoly_face_order(X, order):
+def _multipoly_face_order(X):
     """graded_total_order as it ranked faces on the leading monomials of
     the face polynomials, kept as the oracle of the integer face order."""
     everything = frozenset(range(X.n))
 
     def key(face):
-        init = face_hilbert_polynomial(X, everything - face).leading_term(order)[0]
-        return tuple(-x for x in order.key(init)), -len(face), tuple(sorted(face))
+        init = face_hilbert_polynomial(X, everything - face).leading_term()[0]
+        return tuple(-x for x in glex_key(init)), -len(face), tuple(sorted(face))
 
     return tuple(sorted(X.faces(), key=key))
 
@@ -150,19 +159,19 @@ def _multipoly_face_order(X, order):
 def test_integer_face_order_matches_multipoly_leading_monomials(X):
     # the face order and each face's leading index, read off the integer
     # face vectors, on the basis of degree d and on the working frame's
-    # larger bases, in the working coordinates, under each monomial order
-    orders = [GradedOrder(X.r)] + ([GradedOrder(2, (1, 0))] if X.r == 2 else [])
-    assert en.graded_total_order(X).faces == _multipoly_face_order(X, orders[0])
+    # larger bases, in the working coordinates, under glex t1 > t2 and,
+    # on two parameters, under t2 > t1 as glex on the swapped grading (Xc
+    # swapped gets its own orthant change and regraded frame)
     high = MultiPoly(X.r, {(X.d + 2,) + (0,) * (X.r - 1): 1, (0,) * X.r: 1})
-    for order in orders:
-        assert en.graded_total_order(X, order).faces == _multipoly_face_order(X, order)
+    for Y in [X] + ([swapped(X)] if X.r == 2 else []):
+        assert en.graded_total_order(Y).faces == _multipoly_face_order(Y)
         for P in (parse_poly("1", nvars=X.r), high):
-            frame = en._working_frame(X, P, order)
-            assert frame.face_order.faces == _multipoly_face_order(frame.X, order)
+            frame = en._working_frame(Y, P)
+            assert frame.face_order.faces == _multipoly_face_order(frame.X)
             assert frame.sigmas == [frozenset(range(X.n)) - f for f in frame.face_order.faces]
             for ti, sigma in enumerate(frame.sigmas):
                 poly = face_hilbert_polynomial(frame.X, sigma)
-                assert frame.basis[frame.inits[ti]] == poly.leading_term(order)[0]
+                assert frame.basis[frame.inits[ti]] == poly.leading_term()[0]
 
 
 @pytest.mark.parametrize("X", FACE_ORDER_VARIETIES.values(), ids=FACE_ORDER_VARIETIES)
@@ -318,12 +327,91 @@ def test_two_line_families_on_the_quadric():
 
 
 def test_order_independence_on_p1xp1():
+    # t2 > t1 is glex on the swapped grading; the variables, and so the
+    # ideals, are the same
     Q = tv.product_projective(1, 1)
     P = parse_poly("t1+ t2 + 1", nvars=2)
-    a = {ideal for ideal, _ in en.enumerate_saturated_ideals(Q, P, GradedOrder(2))}
-    b = {ideal for ideal, _ in en.enumerate_saturated_ideals(Q, P, GradedOrder(2, (1, 0)))}
+    a = {ideal for ideal, _ in en.enumerate_saturated_ideals(Q, P)}
+    b = {ideal for ideal, _ in en.enumerate_saturated_ideals(swapped(Q), P.compose_linear(SWAP))}
     assert a == b
     assert a  # hyperplane-section-like class is realizable
+
+
+# name -> (variety, P, (ideals, reps, m, realized m, prefix_tests,
+# skipped_reps, intersections, component_vectors, witness_fallbacks,
+# filtration_steps), relaxed m) under glex t2 > t1: the values a
+# permuted-order option on run_enumeration gave before it was replaced by
+# the swapped grading, which gave the same ideals, witnesses, rep order,
+# counters and bounds on each of these
+SWAPPED_CASES = {
+    "PxP(2,1)-3t1+1": (PP, "3*t1+1", (174, 2107, 4, 4, 74, 1308, 212, 632, 6, 334), 4),
+    "PxP(2,1)-2t1+t2+1": (PP, "2*t1+t2+1", (54, 4860, 4, 4, 165, 3672, 75, 860, 12, 105), 4),
+    "PxP(2,1)-t1+2t2+1": (PP, "t1+2*t2+1", (18, 144, 3, 3, 15, 36, 30, 148, 0, 30), 3),
+    "PxP(1,1)-2t1+2t2": (P1xP1, "2*t1+2*t2", (9, 12, 4, 4, 11, 0, 20, 51, 0, 23), 4),
+    "Hirzebruch(1)-t1+t2+1": (F1, "t1+t2+1", (3, 3, 2, 2, 2, 0, 5, 9, 0, 5), 2),
+    "Hirzebruch(1)-3": (F1, "3", (40, 130, 3, 3, 24, 0, 58, 95, 11, 69), 3),
+    "Hirzebruch(2)-t2+1": (F2, "t2+1", (2, 2, 1, 1, 0, 0, 2, 3, 0, 2), 1),
+    "Hirzebruch(2)-t1+2t2+1": (F2, "t1+2*t2+1", (4, 4, 3, 3, 5, 0, 9, 16, 0, 9), 3),
+    "PxP(2,2)-2": (P2xP2, "2", (72, 180, 2, 2, 9, 0, 81, 172, 18, 99), 2),
+    "PxP(2,2)-t1+1": (P2xP2, "t1+1", (9, 9, 1, 1, 0, 0, 9, 10, 0, 9), 1),
+}
+
+
+@pytest.mark.parametrize("X, text, counts, relaxed", SWAPPED_CASES.values(), ids=SWAPPED_CASES)
+def test_swapped_grading_is_the_other_variable_order(X, text, counts, relaxed):
+    # the monomial order is glex t1 > t2; t2 > t1 is glex on the swapped
+    # grading with P's variables swapped.  The order can move the bound:
+    # on PxP(2,1) 2*t1+t2+1, m is 3 under t1 > t2 and 4 under t2 > t1.
+    # The ideals are the B-saturated ideals with polynomial P either way
+    P = parse_poly(text, nvars=2)
+    Y, Q = swapped(X), P.compose_linear(SWAP)
+    result = en.run_enumeration(Y, Q)
+    assert (len(result.ideals), len(result.reps), result.gotzmann_number,
+            result.gotzmann_realized, result.prefix_tests, result.skipped_reps,
+            result.intersections, result.component_vectors, result.witness_fallbacks,
+            result.filtration_steps) == counts
+    assert en.gotzmann_number(Y, Q) == counts[2]
+    assert en.gotzmann_upper_bound(Y, Q) == relaxed
+    assert [ideal for ideal, _ in result.ideals] == [
+        ideal for ideal, _ in en.enumerate_saturated_ideals(X, P)]
+    for ideal, witness in result.ideals:
+        assert verify_stanley(ideal, witness, mode="filtration")
+    if text == "2*t1+t2+1":
+        assert en.gotzmann_number(X, P) == 3
+
+
+@pytest.mark.parametrize("X, text, integral", [
+    (P1xP1, "1/2*t1+1", False),
+    (P2, "1/3*t+1", False),
+    (P3, "1/4*t+1", False),
+    (P3, "1/3*t+1", True),
+    (P2, "3/2*t+1", True),
+], ids=["PxP(1,1)-1/2t1+1", "P2-1/3t+1", "P3-1/4t+1", "P3-1/3t+1", "P2-3/2t+1"])
+def test_non_integral_target_stops_the_search(monkeypatch, X, text, integral):
+    # every D * P_{S_sigma}(t - delta) is integral, so a complete
+    # representation sums to an integral D * P (D = 1 on PxP(1,1), 2 on
+    # P(2), 6 on P(3)): when D * P is not integral the frame has no target
+    # and no search builds a face vector.  When it is integral the search
+    # runs, and on these targets finds nothing
+    P = parse_poly(text, nvars=X.r)
+    frame = en._working_frame(X, P)
+    assert (frame.target is not None) == integral
+    built = []
+    original = en._face_vector
+
+    def counting(*args):
+        built.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(en, "_face_vector", counting)
+    result = en.run_enumeration(X, P)
+    assert (result.ideals, result.reps, result.gotzmann_number) == ([], [], 0)
+    for entry in (en.gotzmann_number, en.gotzmann_upper_bound):
+        with pytest.raises(NoRepresentation):
+            entry(X, P)
+    assert bool(built) == integral
+    if not integral:
+        assert result.component_vectors == 1  # realize's root set, the unit ideal
 
 
 def test_upper_bound_dominates_and_matches_standard():
@@ -364,9 +452,9 @@ def test_enumeration_through_coordinate_change():
 
 
 def test_gotzmann_number_runs_only_frame_and_search(monkeypatch):
-    # the bound needs only the representations: building Stanley pairs,
-    # realizing ideals and choosing witnesses must not run, in the
-    # monomial search or in the relaxed one
+    # the bound needs only the representations: realizing ideals and
+    # choosing witnesses must not run, in the monomial search or in the
+    # relaxed one
     from toricreg.regularity import reg_bound_from_polynomial
 
     P = parse_poly("3*t1+1", nvars=2)
@@ -374,7 +462,7 @@ def test_gotzmann_number_runs_only_frame_and_search(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a later stage ran")
 
-    for name in ("_filtration_step", "stanley_filtration", "pair_component", "StanleyPair"):
+    for name in ("_filtration_step", "stanley_filtration", "pair_component"):
         monkeypatch.setattr(en, name, forbidden)
     assert en.gotzmann_number(PP, P) == 4
     assert en.gotzmann_upper_bound(PP, P) == 4
@@ -394,8 +482,8 @@ def test_incremental_realize_matches_per_rep_intersection(X, P):
     # oracle: intersect every rep's components from scratch (reps may
     # overlap, so no disjointness check), group by ideal, then apply the
     # exact Hilbert-polynomial check
-    frame = en._working_frame(X, P, None)
-    reps = _stanley_reps(frame)
+    frame = en._working_frame(X, P)
+    reps = _reps(frame)
     grouped = {}
     for rep in reps:
         ideal = reduce(intersect,
@@ -419,7 +507,7 @@ def _unpruned_realize(frame, reps):
     """Realize without prefix tests, kept as the oracle of the pruned
     stage: every rep is intersected along the shared-prefix path, and
     every distinct ideal gets the exact check."""
-    denom = en._ring_expansion(frame.X)[1]
+    denom = hb._ring_expansion(frame.X)[1]
     target = {e: c * denom for e, c in frame.P.terms.items()}
     if any(c.denominator != 1 for c in target.values()):
         return {}
@@ -456,8 +544,8 @@ def _unpruned_realize(frame, reps):
 def test_pruned_realize_matches_unpruned_oracle(X, P):
     # skipping reps under a failed prefix keeps every surviving ideal
     # with all its reps, in the same order
-    frame = en._working_frame(X, P, None)
-    reps = _stanley_reps(frame)
+    frame = en._working_frame(X, P)
+    reps = _reps(frame)
     expected = _unpruned_realize(frame, reps)
     realized = en._realize(frame, _folded(reps))
     got, skipped = realized.grouped, realized.skipped_reps
@@ -515,8 +603,8 @@ def test_large_exponent_counters(X, text, size, reps, m, counters):
     assert (len(result.ideals), len(result.reps), result.gotzmann_number) == (size, reps, m)
     assert (result.prefix_tests, result.skipped_reps, result.component_vectors,
             result.intersections, result.filtration_steps, result.witness_fallbacks) == counters
-    frame = en._working_frame(X, P, None)
-    en._realize(frame, _folded(_stanley_reps(frame)))
+    frame = en._working_frame(X, P)
+    en._realize(frame, _folded(_reps(frame)))
     assert frame.depth == m
 
 
@@ -540,7 +628,7 @@ def test_component_vector_matches_k_polynomial(data):
     # after the sets above it were built.  The set keeps exactly the
     # minimal components on the fan
     X = data.draw(gen.sampled_from(MEET_VARIETIES))
-    frame = en._working_frame(X, parse_poly("1", nvars=X.r), None)
+    frame = en._working_frame(X, parse_poly("1", nvars=X.r))
     components = data.draw(gen.lists(gen.tuples(*[gen.integers(0, 3)] * X.n),
                                      min_size=1, max_size=4))
     for _ in range(data.draw(gen.integers(0, 3))):
@@ -584,7 +672,7 @@ def test_mask_algebra_matches_the_tuple_helpers(data):
     # zero ideal) and the full support (off every complete fan) are
     # always drawn
     X = data.draw(gen.sampled_from([P2, tv.projective_space(3), PP, tv.hirzebruch(1)]))
-    frame = en._working_frame(X, parse_poly("1", nvars=X.r), None)
+    frame = en._working_frame(X, parse_poly("1", nvars=X.r))
     exponents = gen.tuples(*[gen.integers(0, 4)] * X.n)
     early = [(0,) * X.n, (1,) * X.n] + data.draw(gen.lists(exponents, max_size=4))
     masks = {a: en._encode(frame, a) for a in early}
@@ -615,8 +703,8 @@ def _multipoly_peel_off(frame, relaxed=False):
     MultiPoly.shift."""
     if frame.P.is_zero():
         return
-    X, order, faces = frame.X, frame.order, frame.face_order.faces
-    inits = [face_hilbert_polynomial(X, s).leading_term(order)[0] for s in frame.sigmas]
+    X, faces = frame.X, frame.face_order.faces
+    inits = [face_hilbert_polynomial(X, s).leading_term()[0] for s in frame.sigmas]
     shifted = {}
 
     def face_poly(ti, degree):
@@ -632,7 +720,7 @@ def _multipoly_peel_off(frame, relaxed=False):
     stack = [((), frame.P)]
     while stack:
         pairs, Q = stack.pop()
-        q_init, q_coeff = Q.leading_term(order)
+        q_init, q_coeff = Q.leading_term()
         for ti, init in enumerate(inits):
             if init != q_init:
                 continue
@@ -655,10 +743,10 @@ def _multipoly_peel_off(frame, relaxed=False):
                 if residual.is_zero():
                     yield state
                     continue
-                r_init, r_coeff = residual.leading_term(order)
+                r_init, r_coeff = residual.leading_term()
                 if r_coeff <= 0:
                     continue
-                if (order.key(r_init), r_coeff) >= (order.key(q_init), q_coeff):
+                if (glex_key(r_init), r_coeff) >= (glex_key(q_init), q_coeff):
                     raise SearchExhausted("peel-off measure did not drop")
                 stack.append((state, residual))
 
@@ -677,8 +765,8 @@ def _multipoly_peel_off(frame, relaxed=False):
         "Hirzebruch(1)", "Xc-curve", "Xc-4-points"])
 @pytest.mark.parametrize("relaxed", [False, True], ids=["monomial", "relaxed"])
 def test_integer_search_matches_multipoly_oracle(X, P, relaxed):
-    frame = en._working_frame(X, P, None)
-    got = _reps(frame, relaxed=relaxed)
+    frame = en._working_frame(X, P)
+    got = _indexed(frame, _reps(frame, relaxed))
     assert got
     assert got == list(_multipoly_peel_off(frame, relaxed=relaxed))
 
@@ -697,7 +785,8 @@ def _reference_peel_off(frame, relaxed=False):
     of the search's order: a state is the tuple of its pair numbers, its
     key their sorted tuple, and each candidate scans every face and finds
     the residual's leading term from the front."""
-    if frame.P.is_zero():
+    target = frame.target
+    if target is None or not any(target):
         return
     X, faces = frame.X, frame.face_order.faces
     if relaxed:
@@ -719,7 +808,6 @@ def _reference_peel_off(frame, relaxed=False):
         return len(nodes) - 1
 
     seen = set()
-    target = tuple(int(frame.P.terms.get(e, 0) * frame.scale) for e in frame.basis)
     stack = [((), (), target, *_leading(target))]
     while stack:
         state, held, Q, q_init, q_coeff = stack.pop()
@@ -770,28 +858,31 @@ SEARCH_CASES = {
 def test_search_matches_reference_order(X, text, relaxed):
     # the order of the reps fixes each rep's pair order, hence the
     # witnesses: it must be the reference search's, rep for rep
-    frame = en._working_frame(X, parse_poly(text, nvars=X.r), None)
-    got = _reps(frame, relaxed=relaxed)
+    frame = en._working_frame(X, parse_poly(text, nvars=X.r))
+    got = _indexed(frame, _reps(frame, relaxed))
     assert got == list(_reference_peel_off(frame, relaxed=relaxed))
     if text == "3*t2+1" and not relaxed:
         assert got == []
 
 
-def test_fold_payloads_are_the_rep_prefixes():
-    # each batch's payload chain is its held pairs, a pushed state has one
-    # payload, shared by every batch below it, a popped state hands over
-    # one batch, and fold runs for the pushed states only: on P(2) 4*t+1
-    # each of the 1837 lies above a rep
-    frame = en._working_frame(P2, parse_poly("4*t+1"), None)
+def test_fold_payloads_are_the_rep_prefixes(monkeypatch):
+    # each batch's _prefix payload chain is its held pairs, a pushed state
+    # has one payload, shared by every batch below it, a popped state
+    # hands over one batch, and _prefix runs for the pushed states only:
+    # on P(2) 4*t+1 each of the 1837 lies above a rep
+    frame = en._working_frame(P2, parse_poly("4*t+1"))
+    reps = _reps(frame)
     folds = []
+    original = en._prefix
 
     def fold(parent, pair):
         folds.append(pair)
-        return parent, pair
+        return original(parent, pair)
 
+    monkeypatch.setattr(en, "_prefix", fold)
     pushed = {}
-    batches = list(en._peel_off(frame, fold=fold))
-    assert [held + (leaf,) for held, _, leaves in batches for leaf in leaves] == _reps(frame)
+    batches = list(en._peel_off(frame))
+    assert [held + (leaf,) for held, _, leaves in batches for leaf in leaves] == reps
     assert len({held for held, _, _ in batches}) == len(batches)
     for held, payload, leaves in batches:
         assert leaves
@@ -800,6 +891,7 @@ def test_fold_payloads_are_the_rep_prefixes():
             chain.append(payload)
             payload = payload[0]
         assert tuple(link[1] for link in reversed(chain)) == held
+        assert all(link[2:] == [None, None] for link in chain)  # realize fills these in
         for i, link in enumerate(reversed(chain)):
             assert pushed.setdefault(held[:i + 1], link) is link
     assert len(pushed) == len(folds) == 1837
@@ -810,7 +902,7 @@ def test_unrealizable_targets_on_p2(text):
     # 1/2*t+1 scales to an integral 2*P (D = 2 on P(2)) yet no rep matches;
     # t^3+1 lies outside every face's leading monomial; 0 has no rep
     P = parse_poly(text)
-    frame = en._working_frame(P2, P, None)
+    frame = en._working_frame(P2, P)
     assert list(_multipoly_peel_off(frame)) == []
     result = en.run_enumeration(P2, P)
     assert (result.ideals, result.reps, result.gotzmann_number) == ([], [], 0)
@@ -848,7 +940,7 @@ def test_each_shift_degree_is_computed_once_per_search(monkeypatch):
         degrees[id(self), tuple(u)] += 1
         return original(self, u)
 
-    frame = en._working_frame(P2, parse_poly("4*t+1"), None)
+    frame = en._working_frame(P2, parse_poly("4*t+1"))
     monkeypatch.setattr(type(P2), "degree", counting)
     assert len(_reps(frame)) == 12487
     # 84 distinct shifts over the 14324 states the search builds
@@ -881,8 +973,8 @@ def test_exact_check_candidate_count(monkeypatch, X, text, tests, leaves, count)
         return wrapper
 
     P = parse_poly(text, nvars=X.r)
-    frame = en._working_frame(X, P, None)
-    reps = _stanley_reps(frame)
+    frame = en._working_frame(X, P)
+    reps = _reps(frame)
     with monkeypatch.context() as patch:
         for name in ("coarse_k_polynomial", "_k_polynomial"):
             patch.setattr(hb, name, counting(getattr(hb, name)))
@@ -914,10 +1006,10 @@ def test_one_stanley_pair_per_distinct_pair(monkeypatch):
         components.append(pair)
         return original_component(pair)
 
-    frame = en._working_frame(P2, parse_poly("4*t+1"), None)
+    frame = en._working_frame(P2, parse_poly("4*t+1"))
     monkeypatch.setattr(en, "StanleyPair", counting)
     monkeypatch.setattr(en, "pair_component", counting_component)
-    reps = _stanley_reps(frame)
+    reps = _reps(frame)
     distinct = {pair for rep in reps for pair in rep}
     assert len(built) == len(set(built)) == len(distinct) == 279
     assert len({id(pair) for rep in reps for pair in rep}) == len(distinct)
@@ -966,8 +1058,8 @@ def test_witnesses_match_colon_chain_oracle(X, text, fallbacks):
     # sorted rep the colon chain certifies; an ideal with no such rep, and
     # only such an ideal, falls back to the graded-order recursion
     P = parse_poly(text, nvars=X.r)
-    frame = en._working_frame(X, P, None)
-    realized = en._realize(frame, _folded(_stanley_reps(frame)))
+    frame = en._working_frame(X, P)
+    realized = en._realize(frame, _folded(_reps(frame)))
     assert realized.grouped
     expected = {}
     for ideal, reps in realized.grouped.items():
@@ -989,8 +1081,8 @@ def test_witnesses_match_colon_chain_oracle(X, text, fallbacks):
                          ids=WITNESS_CASES)
 def test_filtration_steps_decide_the_colon_chain_on_every_passing_rep(X, text):
     # every rep of every passing ideal, not only the chosen witness
-    frame = en._working_frame(X, parse_poly(text, nvars=X.r), None)
-    grouped = en._realize(frame, _folded(_stanley_reps(frame))).grouped
+    frame = en._working_frame(X, parse_poly(text, nvars=X.r))
+    grouped = en._realize(frame, _folded(_reps(frame))).grouped
     verdicts = Counter()
     for ideal, reps in grouped.items():
         for rep in reps:
@@ -1045,7 +1137,7 @@ def test_realize_keeps_the_least_filtration_in_any_rep_order():
     # filtration, so the comparison is exercised by hand: the fat point
     # <x1^2, x1*x2, x2^2> on P(2) has the filtrations 1, x1, x2 and
     # 1, x2, x1 (face {x3} each); the second sorts first
-    frame = en._working_frame(P2, parse_poly("3"), None)
+    frame = en._working_frame(P2, parse_poly("3"))
     one, x1, x2 = (st.StanleyPair(u, frozenset({2})) for u in [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
     ideal = mi.MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0)])
     reps = [(one, x1, x2), (one, x2, x1)]

@@ -120,7 +120,7 @@ def test_shift_degrees_bounded_by_m_minus_one():
     P = parse_poly("3*t+1")
     m = gz.gotzmann_representation(P).length
     order = graded_total_order(P2)
-    strategy = nice_strategy(P2, order)
+    strategy = nice_strategy(order)
     ideals = enumerate_saturated_ideals(P2, P)
     assert len(ideals) == 30
     for ideal, witness in ideals:

@@ -22,7 +22,7 @@ from toricreg.errors import (
     SearchExhausted,
     UnitIdeal,
 )
-from toricreg.multipoly import GradedOrder, MultiPoly, parse_poly
+from toricreg.multipoly import MultiPoly, parse_poly
 from toricreg.stanley import StanleyPair, stanley_filtration
 
 from test_variety import BLOWN_UP_P3, BLOWUP, HEXAGON_FAN, SEVEN_RAYS, _gradings, _relabel
@@ -214,7 +214,6 @@ def test_leading_coefficient_positivity():
     # has a positive glex leading coefficient
     import random
     rng = random.Random(32)
-    order = GradedOrder(2)
     for X in (F2, PP):
         assert all(X.nef_member(e) for e in [(1, 0), (0, 1)])
         for _ in range(25):
@@ -225,11 +224,11 @@ def test_leading_coefficient_positivity():
                 continue
             P = hb.quotient_hilbert_polynomial(X, I)
             if not P.is_zero():
-                assert P.leading_coeff(order) > 0, (X, I, P)
-    # and for the other glex order too
-    order21 = GradedOrder(2, (1, 0))
-    P = hb.ring_hilbert_polynomial(PP)
-    assert P.leading_coeff(order21) > 0
+                assert P.leading_coeff() > 0, (X, I, P)
+    # and for the other glex order too: glex t1 > t2 on the swapped grading
+    P = hb.ring_hilbert_polynomial(tv.with_grading(PP, PP.grading[::-1]))
+    assert P == hb.ring_hilbert_polynomial(PP).compose_linear(((0, 1), (1, 0)))
+    assert P.leading_coeff() > 0
 
 
 def test_torsion_quotient_polynomial_is_zero():

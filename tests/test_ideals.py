@@ -257,9 +257,8 @@ def test_decomposition_and_saturation_match_split_oracle(name):
 
 @pytest.mark.parametrize("name", DECOMPOSITION_VARIETIES)
 def test_saturated_inputs_reach_no_intersection(name, monkeypatch):
-    # b_saturate returns I itself when no step of the decomposition drops
-    # an irredundant off-fan component; on the split-oracle inputs every
-    # saturated input is such a case, so it meets no component
+    # b_saturate returns I itself when every component of I is on the
+    # fan, that is on every saturated input, so it meets no component
     calls = []
     original_meet = mi.MonomialIdeal.intersect_irreducible
 
@@ -286,15 +285,15 @@ def test_saturated_inputs_reach_no_intersection(name, monkeypatch):
 
 
 def test_saturated_input_whose_decomposition_drops_a_component():
-    # the early return is sufficient, not necessary: meeting x2*x5, then
-    # x1*x3, drops <x3, x5> (supported off the fan), whose descendants
-    # <x1, x3, x5> and <x2, x3, x5> the last generator x1*x2 makes
-    # redundant, so I is saturated and b_saturate meets its components
+    # meeting x2*x5, then x1*x3, makes <x3, x5> (supported off the fan),
+    # whose descendants <x1, x3, x5> and <x2, x3, x5> the last generator
+    # x1*x2 makes redundant: I is saturated, and b_saturate, which reads
+    # only the final components, returns I itself
     X = TWO_POINT_BLOWUP
     I = mi.MonomialIdeal(5, [(1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (0, 1, 0, 0, 1)])
     assert mi.is_b_saturated(I, X)
-    assert mi._decompose(I, X.delta) == (mi.irreducible_decomposition(I), True)
-    assert mi.b_saturate(I, X) == I
+    assert all(mi.on_fan(a, X.delta) for a in mi.irreducible_decomposition(I))
+    assert mi.b_saturate(I, X) is I
 
 
 @gen.composite

@@ -109,14 +109,14 @@ def test_default_strategy_reproduces_lex_walkthrough():
 def test_nice_strategy_fixtures():
     order = graded_total_order(P2)
     L = mi.MonomialIdeal(3, [(4, 0, 0), (3, 1, 0)])
-    filt = st.stanley_filtration(L, st.nice_strategy(P2, order))
+    filt = st.stanley_filtration(L, st.nice_strategy(order))
     assert filt == (
         pair((0, 0, 0), {1, 2}),
         pair((1, 0, 0), {1, 2}),
         pair((2, 0, 0), {1, 2}),
         pair((3, 0, 0), {2}))
     P = mi.MonomialIdeal(3, [(0, 1, 0)])
-    assert st.stanley_filtration(P, st.nice_strategy(P2, order)) == (
+    assert st.stanley_filtration(P, st.nice_strategy(order)) == (
         pair((0, 0, 0), {0, 2}),)
 
 
@@ -127,7 +127,7 @@ def test_nice_strategy_on_quadric_fan():
         [[1, 0], [0, 1], [-1, 0], [0, -1]], [(0, 1), (1, 2), (2, 3), (0, 3)]))
     I = mi.MonomialIdeal(4, [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)])
     order = graded_total_order(quadric)
-    filt = st.stanley_filtration(I, st.nice_strategy(quadric, order))
+    filt = st.stanley_filtration(I, st.nice_strategy(order))
     assert len(filt) == 3
     assert st.verify_stanley(I, filt, mode="filtration")
     P = hb.quotient_hilbert_polynomial(quadric, I)
@@ -144,7 +144,7 @@ def test_nice_strategy_postcondition():
     rng = random.Random(21)
     for X in (P2, P3):
         order = graded_total_order(X)
-        strategy = st.nice_strategy(X, order)
+        strategy = st.nice_strategy(order)
         for _ in range(40):
             gens = [tuple(rng.randint(0, 2) for _ in range(X.n))
                     for _ in range(rng.randint(1, 3))]
@@ -318,7 +318,7 @@ def ideals_with_pair_lists(draw):
     assume(not I.is_unit())
     nice = draw(gen.booleans())
     pairs = list(st.stanley_filtration(
-        I, st.nice_strategy(X, order) if nice else None))
+        I, st.nice_strategy(order) if nice else None))
     change = draw(gen.sampled_from(("none", "permute", "shift", "face", "drop", "repeat")))
     if change == "permute":
         pairs = draw(gen.permutations(pairs))
