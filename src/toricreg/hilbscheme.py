@@ -20,7 +20,8 @@ from operator import index
 
 from .errors import BudgetExceeded, InfeasibleHilbertValue, SearchExhausted
 from .hilbert import _scaled_target, coarse_k_polynomial, shift_numerators
-from .ideals import MonomialIdeal, fiber_monomials, fiber_sizes, hilbert_value
+from .ideals import (
+    FIBER_CAP, MonomialIdeal, _fiber, fiber_monomials, fiber_sizes, hilbert_value)
 from .regularity import RegularityAssumption, reg_bound_from_polynomial
 from .variety import find_c
 
@@ -217,7 +218,7 @@ def degree_set(X, P, seed=0, assume=None, max_rounds=12, node_budget=1_000_000):
         for kpoly in bad:
             new_points.add(_find_disagreement(X, kpoly, P, anchor, size))
         max_total = max(
-            (sum(u) for t in D for u in fiber_monomials(X, t)), default=0)
+            (sum(u) for t in D for u in _fiber(X, t, FIBER_CAP)), default=0)
         c_new = tuple(max_total * x for x in c)
         new_points.add(c_new)
         want = comb(X.n, X.d)

@@ -220,8 +220,10 @@ def is_b_saturated(I, X):
 
 # -- degree fibers and Hilbert functions --------------------------------
 
+FIBER_CAP = 10_000_000  # the default bound on the monomials of one fiber
 
-def fiber_monomials(X, t, cap=10_000_000):
+
+def fiber_monomials(X, t, cap=FIBER_CAP):
     """All u in N^n with A.u == t, the monomials of S in degree t, as a
     sorted list.
 
@@ -230,14 +232,31 @@ def fiber_monomials(X, t, cap=10_000_000):
     of it.
 
     The fiber is finite because some functional w has w . a_i > 0 for
-    every i, which bounds u_i <= (w.t)/(w.a_i).  Only the variables
-    outside the complement sigma^ of the first maximal cone are
-    enumerated under that bound; the r coordinates on sigma^ are solved
-    from the residual: they are M_sigma^^-1 (t - sum of a_i u_i over the
-    other variables), where M_sigma^ holds the degrees of the variables
-    of sigma^.  The solve is exact because build_variety checks that
-    M_sigma^ is unimodular, so the solution is integral; a point is kept
-    exactly when every solved coordinate is >= 0.
+    every i, which bounds u_i <= (w.t)/(w.a_i).  Only the d variables
+    outside the complement sigma^ of the first maximal cone are free;
+    the r coordinates on sigma^ are solved from the residual: they are
+    M_sigma^^-1 (t - sum of a_i u_i over the free variables), where
+    M_sigma^ holds the degrees of the variables of sigma^.  The solve is
+    exact because build_variety checks that M_sigma^ is unimodular, so
+    the solution is integral; a point is in the fiber exactly when every
+    solved coordinate is >= 0.
+
+    The walk fixes the first d - 1 free exponents under the w-bound
+    (each against the w-degree the earlier ones left) and solves the
+    last one, k, as an interval.  Let i be the last free variable, s the
+    solved block with u_i = 0 and step = M_sigma^^-1 a_i.  The solved
+    block at u_i = k is s - k*step, affine in k, so k is admissible
+    exactly when s_j - k*step_j >= 0 for every j.  That reads
+    k <= floor(s_j/step_j) when step_j > 0, k >= ceil(-s_j/-step_j) when
+    step_j < 0, and s_j >= 0 when step_j = 0: together with k >= 0, one
+    interval lo..hi, whose points are emitted as one run.  It is empty
+    when lo > hi (as when s_j < 0 with step_j > 0) and when some
+    step_j = 0 has s_j < 0.  Writing c_j for the w-degree of the j-th
+    variable of sigma^, w.a_i = sum_j c_j step_j > 0, so some step_j is
+    positive and hi is finite; and the w-degree left at u_i = k is
+    sum_j c_j (s_j - k*step_j), so the w-bound on k holds on the
+    interval and only seeds hi.  Every point the walk emits is in the
+    fiber: no point is built and then dropped.
 
     Raises ValueError when t does not have r entries, and FiberTooLarge
     when the fiber has more than cap monomials (also when it comes from
@@ -247,7 +266,8 @@ def fiber_monomials(X, t, cap=10_000_000):
 
 
 def _fiber(X, t, cap):
-    """The cached sorted tuple behind fiber_monomials."""
+    """The cached sorted tuple behind fiber_monomials, for callers that
+    only read it."""
     t = tuple(map(index, t))
     if len(t) != X.r:
         raise ValueError(f"degree {t} has {len(t)} entries, the grading has {X.r}")
@@ -272,21 +292,35 @@ def _enumerate_fiber(X, t, cap):
 
     # s is the solved sigma^ block M_sigma^^-1 (t - A.u)
     steps = [il.matvec(minv, d) for d in degs]
-    depth = len(free)
+    last = len(free) - 1  # d >= 1 free variables
     out = []
     acc = [0] * X.n
 
     def rec(pos, s, wres):
-        if pos == depth:
-            if any(x < 0 for x in s):
-                return
-            for i, x in zip(hat, s):
-                acc[i] = x
-            out.append(tuple(acc))
-            if len(out) > cap:
-                raise FiberTooLarge(f"degree fiber exceeds {cap} monomials")
-            return
         i, step, wi = free[pos], steps[pos], wdeg[pos]
+        if pos == last:
+            # the k with s - k*step >= 0, an interval (fiber_monomials)
+            lo, hi = 0, wres // wi
+            for x, y in zip(s, step):
+                if y > 0:
+                    if x // y < hi:
+                        hi = x // y
+                elif y < 0:
+                    if -(x // -y) > lo:
+                        lo = -(x // -y)
+                elif x < 0:
+                    return
+            if lo > hi:
+                return
+            if len(out) + hi - lo + 1 > cap:  # the run would pass cap
+                raise FiberTooLarge(f"degree fiber exceeds {cap} monomials")
+            for k in range(lo, hi + 1):
+                acc[i] = k
+                for h, x, y in zip(hat, s, step):
+                    acc[h] = x - k * y
+                out.append(tuple(acc))
+            acc[i] = 0
+            return
         for k in range(wres // wi + 1):
             acc[i] = k
             rec(pos + 1, s, wres - k * wi)
@@ -299,7 +333,7 @@ def _enumerate_fiber(X, t, cap):
     return tuple(out)
 
 
-def hilbert_function(X, I, t, cap=10_000_000):
+def hilbert_function(X, I, t, cap=FIBER_CAP):
     """dim_k (S/I)_t by hilbert_value, from cached fibers.
 
     Every d of the K-polynomial is the degree of a monomial, so
@@ -318,7 +352,7 @@ def hilbert_value(kpoly, t, size):
     return sum(c * size(tuple(map(sub, t, d))) for d, c in kpoly)
 
 
-def fiber_sizes(X, cap=10_000_000):
+def fiber_sizes(X, cap=FIBER_CAP):
     """The lookup u -> |fiber(u)| for tuples u of r ints, raising
     FiberTooLarge past cap, memoized in a dict owned by the lookup alone:
     a caller that reads many values builds one and drops it when done."""

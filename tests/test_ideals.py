@@ -15,6 +15,8 @@ from toricreg.hilbscheme import ideals_generated_in_degrees
 from toricreg.multipoly import MultiPoly
 from toricreg.regularity import KUpset
 
+from test_variety import BLOWN_UP_P3
+
 P1 = tv.projective_space(1)
 P2 = tv.projective_space(2)
 P3 = tv.projective_space(3)
@@ -350,7 +352,8 @@ def test_fiber_cap():
 
 def _box_fibers(X, degrees):
     """Brute force: bucket by degree every u in the box u_i <= floor(w.t / w.a_i),
-    taken for the largest w.t over the given degrees."""
+    taken for the largest w.t over the given degrees.  Every u in a fiber
+    of a given degree t has w.a_i u_i <= w.t, so it lies in that box."""
     w = X.positive_w
     top = max(sum(a * b for a, b in zip(w, t)) for t in degrees)
     bounds = [top // sum(a * b for a, b in zip(w, X.variable_degree(i))) for i in range(X.n)]
@@ -360,21 +363,56 @@ def _box_fibers(X, degrees):
     return buckets
 
 
+# F1 with its rays reordered: the solved block is no longer enumerated
+# in lex order, so the result must be sorted afterwards
+F1_REORDERED = tv.build_variety(tv.Fan([[1, 0], [-1, 1], [0, -1], [0, 1]],
+                                       [(0, 3), (1, 3), (1, 2), (0, 2)]))
+# (variety, axis): the degrees axis^r, with negative entries and degrees
+# outside K; the added Hirzebruch surfaces and the blowups take smaller
+# axes, as the box of _box_fibers grows with r and n
+FIBER_ORACLE_CASES = (
+    [(X, range(-2, 7)) for X in (P1, P2, P3, P2xP1, P1xP1, F1, F2, F1_REORDERED)]
+    + [(tv.hirzebruch(ell), range(-2, 6)) for ell in (0, 3)]
+    + [(tv.build_variety(BLOWN_UP_P3), range(-2, 5)), (TWO_POINT_BLOWUP, range(-2, 4))])
+
+
 def test_fiber_matches_box_oracle():
-    """Cached facet-block solve against brute force."""
-    # F1 with its rays reordered: the solved block is no longer enumerated
-    # in lex order, so the result must be sorted afterwards
-    F1_reordered = tv.build_variety(tv.Fan([[1, 0], [-1, 1], [0, -1], [0, 1]],
-                                           [(0, 3), (1, 3), (1, 2), (0, 2)]))
-    for X in (P2, P3, P2xP1, P1xP1, F1, F2, F1_reordered):
+    """The walk (free exponents, the last one solved as an interval)
+    against brute force, on a fresh variety for each case."""
+    outside_k = 0
+    for X, axis in FIBER_ORACLE_CASES:
         X = tv.with_grading(X, X.grading)  # a fresh variety: empty caches
-        degrees = list(product(range(-2, 7), repeat=X.r))
+        degrees = list(product(axis, repeat=X.r))
         buckets = _box_fibers(X, degrees)
         for t in degrees:
             expected = sorted(buckets.get(t, []))
-            assert mi.fiber_monomials(X, t) == expected
+            assert mi.fiber_monomials(X, t) == expected, (X, t)
             # second call answers from the cache
             assert mi.fiber_monomials(X, t) == expected
+            outside_k += bool(expected) and not X.nef_member(t)
+    assert outside_k  # some nonempty fibers lie outside K
+
+
+def test_fiber_cap_boundary():
+    """cap = |fiber| returns the fiber and cap = |fiber| - 1 raises, both
+    from a fresh walk and from the cache."""
+    for X, _ in FIBER_ORACLE_CASES:
+        for t in product(range(1, 4), repeat=X.r):
+            size = len(mi.fiber_monomials(X, t))
+            if not size:
+                continue
+            fresh = tv.with_grading(X, X.grading)
+            with pytest.raises(FiberTooLarge):
+                mi._enumerate_fiber(fresh, t, size - 1)
+            with pytest.raises(FiberTooLarge):
+                mi.fiber_monomials(fresh, t, cap=size - 1)
+            assert t not in fresh._fiber_cache  # a walk that raised left nothing
+            assert len(mi._enumerate_fiber(fresh, t, size)) == size
+            assert len(mi.fiber_monomials(fresh, t, cap=size)) == size
+            assert t in fresh._fiber_cache
+            with pytest.raises(FiberTooLarge):
+                mi.fiber_monomials(fresh, t, cap=size - 1)
+            assert len(mi.fiber_monomials(fresh, t, cap=size)) == size
 
 
 def test_fiber_rejects_bad_degree():
