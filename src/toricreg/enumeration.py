@@ -21,8 +21,10 @@ inclusion-exclusion (Mayer-Vietoris) over the components of each prefix
 first needs it, and only the sets above passing reps get their ideals,
 one per set.  A rep whose parent state's ideal already overshoots P is not
 realized, by a proved test, not a heuristic: the rep's ideal lies
-inside it (see _realize).  The Gotzmann number needs only the search;
-only run_enumeration also chooses witness filtrations.
+inside it (see _realize).  The Gotzmann number needs only the lengths
+of the search's reps, so it runs the search alone, in a count-only mode
+that lists no rep (see _peel_off); only run_enumeration also chooses
+witness filtrations.
 
 A witness is chosen from the prefix ideals realize builds anyway: a rep
 p_1 ... p_k is a Stanley filtration of its ideal exactly when each p_i
@@ -63,7 +65,8 @@ Both stages redo small computations on a few distinct inputs, so each
 is done once per distinct input and looked up after.  Every memo is
 exact, not an approximation: it stores the value of a pure function of
 its key.  The search numbers each distinct pair once and builds its
-successor shifts, face vector and StanleyPair then, and each state
+successor shifts, face vector and, when listing, StanleyPair then; it
+builds each (face, degree) vector once, and each state
 carries its pairs' successor shifts as a pool, so a popped state sorts
 its candidate shifts once (see _peel_off).
 Realize takes each pair's irreducible component once and
@@ -217,7 +220,7 @@ def _face_vector(frame, ti, degree):
     return tuple(_kernel_vector(frame, kpoly))
 
 
-def _peel_off(frame, relaxed=False):
+def _peel_off(frame, relaxed=False, count=False):
     """Yield the complete representations of frame.P in batches, one per
     popped state that completes any: (held, payload, leaves), whose reps
     are held + (leaf,) for each leaf in order, held the state's pairs and
@@ -233,17 +236,18 @@ def _peel_off(frame, relaxed=False):
     term is the first nonzero entry, and a larger index is a smaller
     monomial.  Only the faces whose leading index is the residual's can
     take a step, so faces are looked up by leading index.  Each distinct
-    pair gets a number when the search first meets it.  A state holds
+    pair gets a number when the search first meets it (counting, when it
+    is first met as other than a leaf, see below).  A state holds
     the numbers of its pairs, in push order, and is deduplicated by a
     key that stands for the pair multiset, since numbering is one to
     one: on monomials a state is a set, and its key is the bitmask of its
     numbers, so "already in the state" is one bit; relaxed, it is the
     sorted tuple of its numbers.  The pair's successor shifts (its shift
-    plus each step of its face), its face vector and its StanleyPair
-    (shift, sigma) depend on the pair alone, so they are built then,
-    once, and every rep holding the pair shares that StanleyPair; relaxed,
-    its shift is the pair's degree.  Each (face, degree) vector is built
-    once per search, and each shift's degree once.
+    plus each step of its face) and its StanleyPair (shift, sigma) depend
+    on the pair alone, so they are built then, once, and every rep
+    holding the pair shares that StanleyPair; relaxed, its shift is the
+    pair's degree.  Each (face, degree) vector is built once per search,
+    and each shift's degree once.
 
     Each state also carries its successor pool: every successor shift of
     its pairs, mapped to the least face index among the pairs it
@@ -257,7 +261,27 @@ def _peel_off(frame, relaxed=False):
     None at the root, and a batch carries its state's payload.  A state
     is pushed at most once, so its payload belongs to one pair sequence,
     and the payloads on a batch's parent chain are those of held's
-    prefixes."""
+    prefixes.
+
+    With count=True the search reads depths only, for the Gotzmann
+    number: it yields len(state) + 1 for each popped state with a valid
+    leaf candidate, one whose (face, degree) vector equals the residual
+    and whose pair is not already in the state (any leaf candidate, when
+    relaxed).  A leaf candidate is not numbered (a pair met before as
+    other than a leaf keeps its number) and gets no key in seen, and no
+    StanleyPair, held tuple or payload is built for any pair.  The
+    lengths are the listing search's rep lengths, some repeated.  Proof:
+    the residual is a function of the pair multiset; a leaf's multiset
+    has zero residual and every pushed state's a nonzero one, so a leaf
+    key and a state key are never equal, and dropping the leaf keys from
+    seen changes no seen test on a non-leaf candidate, hence no push: the
+    same states are popped in the same order.  At each, a valid leaf
+    candidate that the listing search accepts is a rep of length
+    len(state) + 1, and one it rejects as seen has the multiset, hence
+    the length, of a rep it yielded before.  So the maximum is the
+    listing search's, and the search yields nothing (NoRepresentation)
+    exactly when the listing search does; the argument is the same for
+    the relaxed search, on multisets."""
     target = frame.target
     if target is None or not any(target):
         return
@@ -272,9 +296,9 @@ def _peel_off(frame, relaxed=False):
     vectors = {}
     degrees = {}
     numbers = [{} for _ in faces]  # by face index: shift -> the pair's number
-    nodes = []     # by number: (StanleyPair, successor shifts, face vector)
+    nodes = []     # by number: (StanleyPair or None when counting, successor shifts, face vector)
 
-    def node(ti, shift):
+    def face_vector(ti, shift):
         if relaxed:
             degree = shift
         else:
@@ -284,9 +308,12 @@ def _peel_off(frame, relaxed=False):
         face = vectors.get((ti, degree))
         if face is None:
             face = vectors[ti, degree] = _face_vector(frame, ti, degree)
+        return face
+
+    def node(ti, shift, face):
         successors = tuple(tuple(map(add, shift, steps[ell])) for ell in faces[ti])
         numbers[ti][shift] = len(nodes)
-        nodes.append((StanleyPair(shift, sigmas[ti]), successors, face))
+        nodes.append((None if count else StanleyPair(shift, sigmas[ti]), successors, face))
         return len(nodes) - 1
 
     seen = set()
@@ -296,6 +323,7 @@ def _peel_off(frame, relaxed=False):
     while stack:
         state, key, held, Q, q_init, q_coeff, payload, pool = stack.pop()
         leaves = []
+        complete = False  # a valid leaf candidate met, when counting
         ordered = sorted(pool)
         for ti in by_init.get(q_init, ()):
             shifts = [s for s in ordered if pool[s] <= ti] if state else origin
@@ -303,13 +331,20 @@ def _peel_off(frame, relaxed=False):
             for shift in shifts:
                 k = numbered.get(shift)
                 if k is None:
-                    k = node(ti, shift)
+                    face = face_vector(ti, shift)
+                    if count and Q == face:  # unnumbered, so not in the state
+                        complete = True
+                        continue
+                    k = node(ti, shift, face)
                 if relaxed:
                     new_key = tuple(sorted(state + (k,)))
                 else:
                     new_key = key | 1 << k
                     if new_key == key:
                         continue
+                if count and Q == nodes[k][2]:
+                    complete = True
+                    continue
                 if new_key in seen:
                     continue
                 seen.add(new_key)
@@ -329,9 +364,11 @@ def _peel_off(frame, relaxed=False):
                 for s in successors:
                     if child.get(s, ti) >= ti:
                         child[s] = ti
-                stack.append((state + (k,), new_key, held + (pair,), residual, r_init, r_coeff,
-                              _prefix(payload, pair), child))
-        if leaves:
+                stack.append((state + (k,), new_key, None if count else held + (pair,), residual,
+                              r_init, r_coeff, None if count else _prefix(payload, pair), child))
+        if complete:
+            yield len(state) + 1
+        elif leaves:
             yield held, payload, leaves
 
 
@@ -700,8 +737,14 @@ def enumerate_saturated_ideals(X, P):
 
 
 def gotzmann_number(X, P):
-    """Largest pair count over the representations the search constructs."""
-    m = max((len(held) + 1 for held, _, _ in _peel_off(_working_frame(X, P))), default=0)
+    """Largest pair count over the representations the search constructs.
+
+    Reads depths only: the count-only search (_peel_off with count=True)
+    yields the length of each completing state's reps, and no rep is
+    listed, numbered, keyed or given a StanleyPair.  The maximum is the
+    listing search's (see _peel_off), and NoRepresentation is raised
+    exactly when that search finds no rep."""
+    m = max(_peel_off(_working_frame(X, P), count=True), default=0)
     if not m:
         raise NoRepresentation("the search produced no representation of P")
     return m
@@ -716,10 +759,11 @@ def gotzmann_upper_bound(X, P):
     monomials can share a degree, so the pairs of a state form a
     multiset rather than a set.  Forgetting the monomials only adds
     representations, so this is always at least the Gotzmann number,
-    and equal to it in the standard graded case.
+    and equal to it in the standard graded case.  Like gotzmann_number
+    it reads depths only (count=True).
     """
     frame = _working_frame(X, P)
-    best = max((len(held) + 1 for held, _, _ in _peel_off(frame, relaxed=True)), default=0)
+    best = max(_peel_off(frame, relaxed=True, count=True), default=0)
     if not best:
         raise NoRepresentation("the relaxed search produced no representation of P")
     return best

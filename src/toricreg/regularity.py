@@ -130,8 +130,13 @@ def reg_bound_from_polynomial(X, P, assume=None):
     c = find_c(X)
     if X._nef_basis is None:
         raise Unsupported("uniform bound needs a simplicial unimodular K")
-    parts = [assume.baseline(X, frozenset(range(X.n)) - face) for face in X.faces()]
-    return reduce(upset_intersect, parts).translate(tuple((m - 1) * x for x in c))
+    # every baseline before any intersection, so a missing one is
+    # reported; intersection is idempotent, so each distinct one is met once
+    parts = {}
+    for face in X.faces():
+        part = assume.baseline(X, frozenset(range(X.n)) - face)
+        parts.setdefault(part.generators, part)
+    return reduce(upset_intersect, parts.values()).translate(tuple((m - 1) * x for x in c))
 
 
 def format_upset(upset, assumption=None):

@@ -5,12 +5,17 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 import toricreg
+from toricreg import enumeration as en
+from toricreg import regularity as rg
+from toricreg import variety as tv
 from toricreg.cli import main
+from toricreg.multipoly import parse_poly
 
 
 def run(capsys, *argv):
@@ -125,6 +130,32 @@ def test_regularity_with_baseline_file(tmp_path, capsys):
     assert code == 0
     # the (x4^2, {4}) pair now contributes 2 + 3 + K, dominating the rest
     assert out.strip() == "{(5)} + K  [baseline assumption: custom]"
+
+
+def test_regularity_poly_with_distinct_baselines(tmp_path, capsys):
+    # the uniform bound intersects each distinct face baseline once: the
+    # upset is the one from intersecting every face's baseline in turn,
+    # (m - 1)c = (2, 2) plus the meet of {(2,0),(0,2)}, {(3,0),(0,1)},
+    # {(1,0)} and K, each named by one or more of the 21 faces
+    entries = [([1, 4], [[2, 0], [0, 2]]), ([3, 4, 5], [[2, 0], [0, 2]]),
+               ([2, 5], [[3, 0], [0, 1]]), ([3, 5], [[3, 0], [0, 1]]),
+               ([1, 2, 3, 4, 5], [[1, 0]])]
+    path = tmp_path / "assume.json"
+    path.write_text(json.dumps({"label": "distinct", "baselines": [
+        {"sigma": sigma, "generators": gens} for sigma, gens in entries]}))
+    code, out, _ = run(capsys, "regularity", "--variety", "PxP(2,1)",
+                       "--poly", "2*t1+t2+1", "--assume-baseline", str(path))
+    assert code == 0
+    assert out.strip() == "{(3,4),(4,3),(5,2)} + K  [baseline assumption: distinct]"
+    X = tv.product_projective(2, 1)
+    assume = rg.RegularityAssumption(
+        {frozenset(i - 1 for i in sigma): rg.KUpset(X, gens) for sigma, gens in entries},
+        "distinct")
+    every_face = reduce(rg.upset_intersect, [assume.baseline(X, frozenset(range(X.n)) - face)
+                                             for face in X.faces()])
+    m = en.gotzmann_number(X, parse_poly("2*t1+t2+1", nvars=2))
+    expected = every_face.translate(tuple((m - 1) * x for x in tv.find_c(X)))
+    assert out.strip() == rg.format_upset(expected, assume)
 
 
 def test_bad_baseline_file_is_a_parse_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The peel-off enumeration of saturated ideals and Gotzmann numbers."""
 
+import tracemalloc
 from collections import Counter
 from functools import reduce
 from itertools import combinations, permutations, product
@@ -452,8 +453,9 @@ def test_enumeration_through_coordinate_change():
 
 
 def test_gotzmann_number_runs_only_frame_and_search(monkeypatch):
-    # the bound needs only the representations: realizing ideals and
-    # choosing witnesses must not run, in the monomial search or in the
+    # the bound needs only the representations' lengths: realizing ideals
+    # and choosing witnesses must not run, and the count-only search
+    # builds no pair object or payload, in the monomial search or in the
     # relaxed one
     from toricreg.regularity import reg_bound_from_polynomial
 
@@ -462,11 +464,35 @@ def test_gotzmann_number_runs_only_frame_and_search(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a later stage ran")
 
-    for name in ("_filtration_step", "stanley_filtration", "pair_component"):
+    for name in ("_filtration_step", "stanley_filtration", "pair_component", "StanleyPair",
+                 "_prefix"):
         monkeypatch.setattr(en, name, forbidden)
     assert en.gotzmann_number(PP, P) == 4
     assert en.gotzmann_upper_bound(PP, P) == 4
     assert reg_bound_from_polynomial(PP, P).generators == ((3, 3),)
+
+
+def test_count_only_search_holds_under_a_third_of_the_listing_memory():
+    # the listing search keys each of its 12487 leaves into seen and
+    # builds a StanleyPair, held tuple and payload per pushed pair; the
+    # count-only search keys only the 1837 pushed states and builds
+    # none of those.  The traced peak of each search alone, on its own
+    # frame, read 1.53 MB listing and 0.28 MB counting
+    P = parse_poly("4*t+1")
+    peaks = {}
+    for count in (False, True):
+        frame = en._working_frame(P2, P)
+        tracemalloc.start()
+        try:
+            if count:
+                m = max(en._peel_off(frame, count=True))
+            else:
+                m = max(len(held) + 1 for held, _, _ in en._peel_off(frame))
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m == 7
+    assert 3 * peaks[True] < peaks[False]
 
 
 @pytest.mark.parametrize("X, P", [
@@ -850,6 +876,7 @@ SEARCH_CASES = {
     "PxP(2,1)-3t2+1": (PP, "3*t2+1"),
     "PxP(1,1)-t1+t2+1": (tv.product_projective(1, 1), "t1+t2+1"),
     "Hirzebruch(1)-t1+t2+1": (tv.hirzebruch(1), "t1+t2+1"),
+    "P2-1/3t+1": (P2, "1/3*t+1"),
 }
 
 
@@ -857,12 +884,25 @@ SEARCH_CASES = {
 @pytest.mark.parametrize("relaxed", [False, True], ids=["monomial", "relaxed"])
 def test_search_matches_reference_order(X, text, relaxed):
     # the order of the reps fixes each rep's pair order, hence the
-    # witnesses: it must be the reference search's, rep for rep
-    frame = en._working_frame(X, parse_poly(text, nvars=X.r))
+    # witnesses: it must be the reference search's, rep for rep.  The
+    # count-only search yields exactly the listing search's rep lengths,
+    # some repeated, so its maximum is theirs, and it and the entry point
+    # built on it find nothing exactly when the listing search does: on
+    # 3*t2+1 and on 1/3*t+1, whose D * P is not integral
+    P = parse_poly(text, nvars=X.r)
+    frame = en._working_frame(X, P)
     got = _indexed(frame, _reps(frame, relaxed))
     assert got == list(_reference_peel_off(frame, relaxed=relaxed))
-    if text == "3*t2+1" and not relaxed:
+    if text in ("3*t2+1", "1/3*t+1"):
         assert got == []
+    lengths = list(en._peel_off(en._working_frame(X, P), relaxed, count=True))
+    assert set(lengths) == set(map(len, got))
+    entry = en.gotzmann_upper_bound if relaxed else en.gotzmann_number
+    if got:
+        assert max(lengths) == max(map(len, got)) == entry(X, P)
+    else:
+        with pytest.raises(NoRepresentation):
+            entry(X, P)
 
 
 def test_fold_payloads_are_the_rep_prefixes(monkeypatch):
