@@ -61,12 +61,29 @@ The exact check likewise compares the integer D * P_{S/I} with D * P,
 and inclusion-exclusion only adds and subtracts such integer vectors
 (see _realize).
 
+Each vector is held as one Python int, its entries packed into fields
+of W bits, the first entry in the highest field (Kronecker
+substitution, see _frame).  W is derived by the frame from the target
+and the face vectors it builds first, with a fixed headroom; it is no
+option.  Then equality is int ==, a residual is Q - F, the sign of a
+leading coefficient is the sign of an int, and the leading term is
+read off the bit length and one rounding shift (_leading): each is one
+integer operation, not a loop over entries.  The arithmetic stays
+exact by a range invariant, proved in _frame: every stored vector has
+its entries in [-2^(W-3), 2^(W-3)), so any +-combination of up to three
+stored vectors determines its entries and has the sign of its first
+nonzero one.  Base vectors are certified when built, and each residual
+and component-set vector passes a range guard (_checked) before it is
+stored; a vector that would leave the range raises FieldOverflow and
+never wraps.
+
 Both stages redo small computations on a few distinct inputs, so each
 is done once per distinct input and looked up after.  Every memo is
 exact, not an approximation: it stores the value of a pure function of
 its key.  The search numbers each distinct pair once and builds its
 successor shifts, face vector and, when listing, StanleyPair then; it
-builds each (face, degree) vector once, and each state
+builds each (face, degree) vector once, keeps the vector of each
+unnumbered leaf candidate by (face, shift) when counting, and each state
 carries its pairs' successor shifts as a pool, so a popped state sorts
 its candidate shifts once (see _peel_off).
 Realize takes each pair's irreducible component once and
@@ -83,11 +100,11 @@ call: nothing is cached across requests.
 
 from dataclasses import dataclass, field
 from itertools import chain, product
-from operator import add, sub
+from operator import add
 from typing import NamedTuple
 
 from . import intlinalg as il
-from .errors import NoRepresentation, SearchExhausted, ZeroPolynomial
+from .errors import FieldOverflow, NoRepresentation, SearchExhausted, ZeroPolynomial
 from .hilbert import _scaled_target, face_k_polynomial, koszul_numerator, shift_numerators
 from .ideals import MonomialIdeal
 from .multipoly import glex_key
@@ -117,22 +134,30 @@ def graded_total_order(X):
     """List the faces so that larger glex-initial terms of P_{S_sigma}
     come first; ties break by size then by sorted indices.  Every
     P_{S_sigma} has total degree at most d, so the faces are ranked on
-    the basis of that degree (see _order_faces)."""
-    return _order_faces(_Frame(X, _basis(X.r, X.d))).face_order
+    the basis of that degree, in a frame with no target (see
+    _order_faces)."""
+    return _frame(X, X.d).face_order
+
+
+# The bits a field keeps free above the largest entry of the frame's
+# base vectors, for the vectors built after it (see _frame).
+_HEADROOM = 32
 
 
 @dataclass
 class _Frame:
     X: object      # the variety regraded so that N^r sits inside K
     basis: tuple   # every exponent of total degree <= max(d, deg P), glex-largest first
+    width: int     # W: the bits of one field of a packed vector (see _frame)
+    masks: tuple   # (offset, spill) of the range guard on packed vectors (_range_masks)
+    shifted: dict  # degree d -> (N(d) = D * P_S(t - d) packed, its largest entry size)
     P: object = None  # the target in the same coordinates
-    target: tuple = None  # D * P on basis, None when it is not integral
+    target: int = None  # D * P packed, None when it is not integral
     face_supports: frozenset = frozenset()  # the support mask of every face of the fan (see _meet)
     face_order: FaceOrder = None  # filled in by _order_faces, as are the next three
     sigmas: list = None  # the complement sigma of each face sigma^, by face index
     kpolys: list = None  # the K-polynomials of their S_sigma
     inits: list = None   # the basis index of the leading monomial of each P_{S_sigma}
-    shifted: dict = field(default_factory=dict)  # degree d -> N(d) = D * P_S(t - d) on basis
     component_sets: dict = field(default_factory=dict)  # reduced components -> their _ComponentSet
     depth: int = 0    # E: the largest exponent encoded so far (see _encode)
     column: int = 0   # R = sum over e < E of 2^(e n): S * R is the column mask of a support S
@@ -144,34 +169,138 @@ def _basis(r, top):
                         key=glex_key, reverse=True))
 
 
-def _leading_index(vector):
-    """The index of the first nonzero entry: the leading term."""
-    for k, c in enumerate(vector):
-        if c:
-            return k
-    raise ZeroPolynomial("the zero polynomial has no leading term")
+def _pack(entries, width):
+    """The packed vector of the entries v_0, ..., v_{L-1}: the integer
+    sum_k v_k 2^(width (L - 1 - k)), entry v_k in the field at place
+    L - 1 - k (see _frame)."""
+    vector = 0
+    for v in entries:
+        vector = (vector << width) + v
+    return vector
 
 
-def _order_faces(frame):
+def _leading(vector, width):
+    """(place, coefficient) of the first nonzero entry v_k of a nonzero
+    packed vector, a +-combination of at most three vectors in range:
+    p = L - 1 - k and v_k, the field of the highest bit and the vector
+    rounded at that field (see _frame)."""
+    place = vector.bit_length() // width
+    shift = place * width
+    return place, (vector + (1 << shift >> 1)) >> shift
+
+
+def _range_masks(width, length):
+    """(offset, spill) of the range guard on packed vectors of length
+    entries: offset holds 2^(width - 3) in every field, spill the top two
+    bits of every field (see _checked)."""
+    ones = ((1 << width * length) - 1) // ((1 << width) - 1)
+    return ones << width - 3, ones * (3 << width - 2)
+
+
+def _checked(vector, masks):
+    """vector, a +-combination of at most three vectors in range, once
+    its entries are checked to lie in [-2^(W-3), 2^(W-3)), by
+    (vector + offset) & spill == 0 (see _frame); FieldOverflow if not."""
+    offset, spill = masks
+    if (vector + offset) & spill:
+        raise FieldOverflow("a packed vector entry left the range of its field")
+    return vector
+
+
+def _frame(X, top, P=None):
+    """The frame of X on the basis of degree top, its faces ordered, with
+    target D * P (_scaled_target) when P is given and that is integral.
+
+    Every vector on the basis, L = len(basis) entries v_0 (the
+    glex-largest monomial) to v_{L-1}, is one packed integer
+    V = sum_k v_k 2^(W (L - 1 - k)) (_pack): entry v_k fills the field of
+    W bits at place L - 1 - k.  So V + V' and V - V' are the packed sum
+    and difference, and c V the packed multiple, whatever the entries.
+    The width W is 3 + _HEADROOM plus the bit length of the largest
+    entry the frame must hold first: the target's, and for each face the
+    bound sum_d |c_d| max|N(d)| of its kernel vector (_kernel_vector).
+
+    Invariant: every stored vector is in range, every entry in
+    [-2^(W-3), 2^(W-3)).  By induction over the places a vector is stored:
+    - the target: its entries are below 2^(W-3) by the choice of W;
+    - a kernel vector sum_d c_d N(d), which is every face vector, face
+      order vector and Koszul vector: its entries are at most
+      B = sum_d |c_d| max|N(d)| in size, and it is stored only when
+      B < 2^(W-3) (FieldOverflow otherwise);
+    - the unit ideal's vector 0;
+    - a pushed residual Q - F (_peel_off) and a new component set's
+      vector v(J) + v(C) - v(J + C) (_meet): +-combinations of two or
+      three stored vectors, stored only when the range guard (_checked)
+      passes (FieldOverflow otherwise).
+    Nothing else is stored.  So a +-combination V of at most three
+    stored vectors has every entry at most 3 * 2^(W-3) < 2^(W-1) in size,
+    and:
+    - V determines its entries (balanced digits in base 2^W are unique),
+      so V = 0 exactly when every entry is, and == on stored vectors is
+      vector equality;
+    - when V != 0, with first nonzero entry v_k at place p, the fields
+      below add up to less than 3 * 2^(W-3) * 2^(W p) / (2^W - 1)
+      < 2^(W p) / 2 in size.  So V has the sign of v_k, so the sign of
+      an integer decides the sign of a leading coefficient;
+      2^(W p - 1) < |V| < 2^(W (p + 1) - 1), so p = V.bit_length() // W;
+      and V / 2^(W p) lies within 1/2 of v_k, so v_k is V rounded at
+      place p (_leading);
+    - the guard: V + O, O = 2^(W-3) in every field, has the digits
+      d_k = v_k + 2^(W-3) in [-2^(W-2), 2^(W-1)].  If V is in range, the
+      d_k lie in [0, 2^(W-2)) and are the base-2^W digits of V + O, so
+      (V + O) & spill = 0, spill the top two bits of every field.
+      Conversely, suppose (V + O) & spill = 0.  V + O > -2^(W L - 1),
+      since the d_k are at least -2^(W-2); a negative integer above that
+      has bit W L - 1, a spill bit, set, so V + O >= 0, and it is below
+      2^(W L), so it has L base-2^W digits e_k, all below 2^(W-2).  Each
+      d_k - e_k is at most 2^(W-1) in size, and the d_k and the e_k
+      weighted by 2^(W (L - 1 - k)) have the same sum, so the lowest
+      place where they differ would hold a nonzero multiple of 2^W: there
+      is none.  Hence every v_k = e_k - 2^(W-3) is in range.
+    No float and no modular reduction enters: a vector that would leave
+    its range raises, it never wraps."""
+    basis = _basis(X.r, top)
+    everything = frozenset(range(X.n))
+    kpolys = {face: face_k_polynomial(X, everything - face) for face in X.faces()}
+    numerators = {}
+    for kpoly in kpolys.values():
+        for d, _ in kpoly:
+            if d not in numerators:
+                numerators[d] = _numerator(X, basis, d)
+    scaled = None if P is None else _scaled_target(X, P)
+    target = None if scaled is None else [scaled.get(e, 0) for e in basis]
+    peak = max([sum(abs(c) * numerators[d][1] for d, c in kpoly) for kpoly in kpolys.values()]
+               + [abs(c) for c in target or ()])
+    width = peak.bit_length() + 3 + _HEADROOM
+    frame = _Frame(X, basis, width, _range_masks(width, len(basis)),
+                   {d: (_pack(entries, width), size) for d, (entries, size) in numerators.items()},
+                   P, None if target is None else _pack(target, width),
+                   frozenset(sum(1 << i for i in face) for face in X.delta))
+    return _order_faces(frame, kpolys)
+
+
+def _order_faces(frame, kpolys):
     """Fill in frame.face_order and, by face index, frame.sigmas,
-    frame.kpolys and frame.inits; return frame.
+    frame.kpolys and frame.inits, from kpolys = {face: K(S_sigma)};
+    return frame.
 
-    Each face's init is the index of the first nonzero entry of
-    D * P_{S_sigma} on frame.basis, the moment kernel over
-    face_k_polynomial (_kernel_vector, so its N(d) stay in frame.shifted
-    for the search), and the faces are sorted by
+    Each face's init is the basis index of the first nonzero entry of
+    D * P_{S_sigma}, L - 1 less the leading place of its kernel vector
+    (_kernel_vector, _leading), and the faces are sorted by
     (init, -len(face), sorted(face)).  That is the key on leading
     monomials that graded_total_order states: D > 0, so the first
     nonzero entry is the leading term of P_{S_sigma}, and the basis lists
     exponents glex-largest first, so index k < k' exactly when basis[k]
     is the larger monomial.  Ranking by init is therefore ranking by
     -glex_key of the leading monomial, ties included."""
-    X = frame.X
-    everything = frozenset(range(X.n))
+    everything = frozenset(range(frame.X.n))
+    last = len(frame.basis) - 1
     ranked = []
-    for face in X.faces():
-        kpoly = face_k_polynomial(X, everything - face)
-        init = _leading_index(_kernel_vector(frame, kpoly))
+    for face, kpoly in kpolys.items():
+        vector = _kernel_vector(frame, kpoly)
+        if not vector:
+            raise ZeroPolynomial("the zero polynomial has no leading term")
+        init = last - _leading(vector, frame.width)[0]
         ranked.append(((init, -len(face), tuple(sorted(face))), face, kpoly))
     ranked.sort(key=lambda entry: entry[0])
     faces = tuple(face for _, face, _ in ranked)
@@ -189,35 +318,42 @@ def _working_frame(X, P):
     if not change.is_identity():
         X = with_grading(X, il.matmul(change.inverse, X.grading))
         P = P.compose_linear(change.matrix)
-    basis = _basis(X.r, max(X.d, P.total_degree()))
-    scaled = _scaled_target(X, P)
-    target = None if scaled is None else tuple(scaled.get(e, 0) for e in basis)
-    face_supports = frozenset(sum(1 << i for i in face) for face in X.delta)
-    return _order_faces(_Frame(X, basis, P, target, face_supports))
+    return _frame(X, max(X.d, P.total_degree()), P)
+
+
+def _numerator(X, basis, d):
+    """N(d) = D * P_S(t - d) read on basis, from shift_numerators: its
+    entries and the size of the largest."""
+    numerators = shift_numerators(X, ((d, 1),))
+    entries = [numerators.get(e, 0) for e in basis]
+    return entries, max(map(abs, entries))
 
 
 def _kernel_vector(frame, kpoly):
     """D * sum_d c_d P_S(t - d) on frame.basis for kpoly = ((d, c_d), ...),
-    as sum_d c_d N(d).  The moment kernel is linear in kpoly, so this is
-    shift_numerators(X, kpoly) read on the basis; N(d) is built once per
-    distinct degree d, from shift_numerators(X, ((d, 1),)), in
-    frame.shifted."""
-    out = [0] * len(frame.basis)
+    packed, as sum_d c_d N(d).  The moment kernel is linear in kpoly, so
+    this is shift_numerators(X, kpoly) read on the basis; N(d) is built
+    once per distinct degree d, from shift_numerators(X, ((d, 1),)), in
+    frame.shifted, with the size of its largest entry.  The vector is
+    certified in range by sum_d |c_d| max|N(d)| < 2^(W-3) (see _frame)."""
+    vector = bound = 0
     for d, c in kpoly:
-        vector = frame.shifted.get(d)
-        if vector is None:
-            numerators = shift_numerators(frame.X, ((d, 1),))
-            vector = frame.shifted[d] = tuple(numerators.get(e, 0) for e in frame.basis)
-        out = [a + c * b for a, b in zip(out, vector)]
-    return out
+        entry = frame.shifted.get(d)
+        if entry is None:
+            entries, size = _numerator(frame.X, frame.basis, d)
+            entry = frame.shifted[d] = (_pack(entries, frame.width), size)
+        vector += c * entry[0]
+        bound += abs(c) * entry[1]
+    if bound >> frame.width - 3:
+        raise FieldOverflow("a kernel vector entry may leave the range of its field")
+    return vector
 
 
 def _face_vector(frame, ti, degree):
-    """D * P_{S_sigma}(t - degree) on frame.basis, sigma = frame.sigmas[ti],
-    from the moment kernel over y^degree K(S_sigma; y):
+    """D * P_{S_sigma}(t - degree) on frame.basis, packed, sigma =
+    frame.sigmas[ti], from the moment kernel over y^degree K(S_sigma; y):
     sum_d c_d N(d + degree) over K(S_sigma) = sum_d c_d y^d."""
-    kpoly = [(tuple(map(add, d, degree)), c) for d, c in frame.kpolys[ti]]
-    return tuple(_kernel_vector(frame, kpoly))
+    return _kernel_vector(frame, [(tuple(map(add, d, degree)), c) for d, c in frame.kpolys[ti]])
 
 
 def _peel_off(frame, relaxed=False, count=False):
@@ -232,11 +368,14 @@ def _peel_off(frame, relaxed=False, count=False):
     residual.  Nothing is yielded when frame.target is None: D * P is not
     integral, so no representation exists (see the module docstring).
 
-    Residuals are integer vectors D * Q on frame.basis, so the leading
-    term is the first nonzero entry, and a larger index is a smaller
-    monomial.  Only the faces whose leading index is the residual's can
-    take a step, so faces are looked up by leading index.  Each distinct
-    pair gets a number when the search first meets it (counting, when it
+    Residuals are packed integer vectors D * Q on frame.basis (see
+    _frame), so the leading term is the first nonzero entry, at the
+    highest place (_leading), and its coefficient is negative exactly
+    when the residual is less than 0.  Only the faces whose leading
+    place is the residual's can take a step, so faces are looked up by
+    leading place.  A residual is kept only once the range guard passes
+    (_checked), so every vector the search compares is in range.  Each
+    distinct pair gets a number when the search first meets it (counting, when it
     is first met as other than a leaf, see below).  A state holds
     the numbers of its pairs, in push order, and is deduplicated by a
     key that stands for the pair multiset, since numbering is one to
@@ -268,8 +407,10 @@ def _peel_off(frame, relaxed=False, count=False):
     leaf candidate, one whose (face, degree) vector equals the residual
     and whose pair is not already in the state (any leaf candidate, when
     relaxed).  A leaf candidate is not numbered (a pair met before as
-    other than a leaf keeps its number) and gets no key in seen, and no
-    StanleyPair, held tuple or payload is built for any pair.  The
+    other than a leaf keeps its number) and gets no key in seen, but its
+    face vector is kept by (face, shift), so meeting it again is one
+    lookup.  No StanleyPair, held tuple or payload is built for any
+    pair.  The
     lengths are the listing search's rep lengths, some repeated.  Proof:
     the residual is a function of the pair multiset; a leaf's multiset
     has zero residual and every pushed state's a nonzero one, so a leaf
@@ -283,19 +424,21 @@ def _peel_off(frame, relaxed=False, count=False):
     exactly when the listing search does; the argument is the same for
     the relaxed search, on multisets."""
     target = frame.target
-    if target is None or not any(target):
+    if not target:
         return
     X, faces, sigmas = frame.X, frame.face_order.faces, frame.sigmas
+    width, masks, last = frame.width, frame.masks, len(frame.basis) - 1
     if relaxed:
         steps = [X.variable_degree(ell) for ell in range(X.n)]
     else:
         steps = [tuple(int(i == ell) for i in range(X.n)) for ell in range(X.n)]
-    by_init = {}   # leading index -> the faces with that leading index, in order
+    by_place = {}  # leading place -> the faces with that leading place, in order
     for ti, init in enumerate(frame.inits):
-        by_init.setdefault(init, []).append(ti)
+        by_place.setdefault(last - init, []).append(ti)
     vectors = {}
     degrees = {}
     numbers = [{} for _ in faces]  # by face index: shift -> the pair's number
+    leaf_vectors = [{} for _ in faces]  # counting, by face index: shift -> an unnumbered leaf's vector
     nodes = []     # by number: (StanleyPair or None when counting, successor shifts, face vector)
 
     def face_vector(ti, shift):
@@ -317,22 +460,24 @@ def _peel_off(frame, relaxed=False, count=False):
         return len(nodes) - 1
 
     seen = set()
-    q_init = _leading_index(target)
     origin = [(0,) * len(steps[0])]
-    stack = [((), 0, (), target, q_init, target[q_init], None, {})]
+    stack = [((), 0, (), target, *_leading(target, width), None, {})]
     while stack:
-        state, key, held, Q, q_init, q_coeff, payload, pool = stack.pop()
+        state, key, held, Q, q_place, q_coeff, payload, pool = stack.pop()
         leaves = []
         complete = False  # a valid leaf candidate met, when counting
         ordered = sorted(pool)
-        for ti in by_init.get(q_init, ()):
+        for ti in by_place.get(q_place, ()):
             shifts = [s for s in ordered if pool[s] <= ti] if state else origin
-            numbered = numbers[ti]
+            numbered, unnumbered = numbers[ti], leaf_vectors[ti]
             for shift in shifts:
                 k = numbered.get(shift)
                 if k is None:
-                    face = face_vector(ti, shift)
+                    face = unnumbered.get(shift)
+                    if face is None:
+                        face = face_vector(ti, shift)
                     if count and Q == face:  # unnumbered, so not in the state
+                        unnumbered[shift] = face
                         complete = True
                         continue
                     k = node(ti, shift, face)
@@ -352,20 +497,19 @@ def _peel_off(frame, relaxed=False, count=False):
                 if Q == face:
                     leaves.append(pair)
                     continue
-                residual = tuple(map(sub, Q, face))
-                for r_init, r_coeff in enumerate(residual):
-                    if r_coeff:
-                        break
-                if r_coeff < 0:
+                residual = Q - face
+                if residual < 0:
                     continue
-                if r_init < q_init or (r_init == q_init and r_coeff >= q_coeff):
+                r_place, r_coeff = _leading(residual, width)
+                if r_place > q_place or (r_place == q_place and r_coeff >= q_coeff):
                     raise SearchExhausted("peel-off measure did not drop")
+                _checked(residual, masks)
                 child = dict(pool)
                 for s in successors:
                     if child.get(s, ti) >= ti:
                         child[s] = ti
                 stack.append((state + (k,), new_key, None if count else held + (pair,), residual,
-                              r_init, r_coeff, None if count else _prefix(payload, pair), child))
+                              r_place, r_coeff, None if count else _prefix(payload, pair), child))
         if complete:
             yield len(state) + 1
         elif leaves:
@@ -387,7 +531,7 @@ def _encode(frame, a):
 
 
 def _koszul_vector(frame, c):
-    """D * P_{S/C} on frame.basis for the irreducible C = m^a, c = mask(a):
+    """D * P_{S/C} on frame.basis, packed, for the irreducible C = m^a, c = mask(a):
     the moment kernel over K(S/C) = prod_{a_i > 0} (1 - y^{a_i deg x_i}),
     the Koszul numerator of the regular sequence x_i^{a_i}.  Column i of
     c holds a_i bits."""
@@ -396,12 +540,12 @@ def _koszul_vector(frame, c):
     kpoly = koszul_numerator(
         (tuple(e * x for x in X.variable_degree(i)) for i, e in enumerate(exponents) if e),
         (0,) * X.r)
-    return tuple(_kernel_vector(frame, kpoly.items()))
+    return _kernel_vector(frame, kpoly.items())
 
 
 class _ComponentSet:
-    """A reduced tuple of component masks (see _meet), the integer vector
-    D * P of its intersection on frame.basis, and the sets reached from it
+    """A reduced tuple of component masks (see _meet), the packed integer
+    vector D * P of its intersection on frame.basis, and the sets reached from it
     by meeting one more component (mask -> _ComponentSet); _realize fills
     in its verdict on frame.P and its ideal on demand."""
 
@@ -422,7 +566,7 @@ def _component_set(frame, components):
         if len(components) > 1:
             return _meet(frame, _component_set(frame, components[:-1]), components[-1])
         # the unit ideal (S/S = 0), or C = m^c with its Koszul numerator
-        vector = _koszul_vector(frame, components[0]) if components else (0,) * len(frame.basis)
+        vector = _koszul_vector(frame, components[0]) if components else 0
         node = frame.component_sets[components] = _ComponentSet(components, vector)
     return node
 
@@ -515,9 +659,9 @@ def _meet(frame, node, c):
                                 break
                         else:
                             reduced.append(s)
-                    vector = tuple(map(sub, map(add, node.vector,
-                                                _component_set(frame, (c,)).vector),
-                                       _component_set(frame, tuple(sorted(reduced))).vector))
+                    vector = _checked(node.vector + _component_set(frame, (c,)).vector
+                                      - _component_set(frame, tuple(sorted(reduced))).vector,
+                                      frame.masks)
                     out = frame.component_sets.setdefault(met, _ComponentSet(met, vector))
         node.steps[c] = out
     return node if out is None else out
@@ -553,8 +697,9 @@ def _realize(frame, found):
     is one.
 
     The exact check compares D * P_{S/I} on frame.basis with
-    frame.target = D * frame.P in integers (hilbert._scaled_target); when
-    D * frame.P is not integral the search yields no rep.
+    frame.target = D * frame.P in integers (hilbert._scaled_target), as
+    packed vectors (see _frame); when D * frame.P is not integral the
+    search yields no rep.
 
     A rep's ideal is the intersection of its pairs' irreducible
     components (pair_component, taken once per distinct pair and kept
@@ -599,11 +744,13 @@ def _realize(frame, found):
     D * P - D * P_{S/J} has a negative leading coefficient ("excess"),
     then P - P_{S/I} <= P - P_{S/J} is negative far along that curve,
     and no rep under the prefix has an ideal with polynomial P.  The
-    integer vectors decide that sign exactly.  The same argument with I
-    the ideal of a longer prefix shows that every state below one with
-    excess has excess too, so it is marked _EXCESS, as that state is,
-    and a batch under it is listed whole.  Every rep that is not skipped
-    gets the exact check."""
+    packed vectors decide that sign exactly: it is the sign of the int
+    target - vector, a difference of two vectors in range (see _frame),
+    so target > vector and target < vector give the verdict.  The same
+    argument with I the ideal of a longer prefix shows that every state
+    below one with excess has excess too, so it is marked _EXCESS, as
+    that state is, and a batch under it is listed whole.  Every rep that
+    is not skipped gets the exact check."""
     X, target = frame.X, frame.target
     reps, grouped, witnesses = [], {}, {}
     components = {}  # id(pair) -> its irreducible component: (mask, exponent tuple)
@@ -622,7 +769,7 @@ def _realize(frame, found):
         """The _ComponentSet of node met with the component of mask c, with its verdict."""
         node = _meet(frame, node, c)
         if node.sign is None:
-            node.sign = next((1 if t > v else -1 for t, v in zip(target, node.vector) if t != v), 0)
+            node.sign = (target > node.vector) - (target < node.vector)
         return node
 
     def unfilled(state, slot):

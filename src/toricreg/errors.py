@@ -89,6 +89,11 @@ class BudgetExceeded(DomainError):
     pass
 
 
+class FieldOverflow(DomainError):
+    """An entry of a packed enumeration vector left the range that its
+    frame's field width certifies (see enumeration._frame)."""
+
+
 class InfeasibleHilbertValue(DomainError):
     pass
 

@@ -15,6 +15,7 @@ from toricreg import ideals as mi
 from toricreg import stanley as st
 from toricreg import variety as tv
 from toricreg.errors import (
+    FieldOverflow,
     NoRepresentation,
     NoSaturatedIdeal,
     SearchExhausted,
@@ -66,6 +67,32 @@ def _decode(frame, c):
     """The exponent tuple a of the component mask c = mask(a) (en._encode):
     column i of c holds a_i bits."""
     return tuple((c >> i & frame.column).bit_count() for i in range(frame.X.n))
+
+
+def _unpack(vector, width, length):
+    """The entries of a packed vector (en._pack) whose entries are below
+    2^(width - 1) in size: its balanced base-2^width digits, the highest
+    place first."""
+    full, half = 1 << width, 1 << width - 1
+    entries = []
+    for _ in range(length):
+        digit = vector & full - 1
+        if digit >= half:
+            digit -= full
+        entries.append(digit)
+        vector = (vector - digit) >> width
+    assert vector == 0
+    return tuple(reversed(entries))
+
+
+def _unpacked(frame, vector):
+    """A packed vector of the frame as its tuple of entries on frame.basis."""
+    return _unpack(vector, frame.width, len(frame.basis))
+
+
+def _on_basis(frame, coefficients):
+    """A {exponent: coefficient} dict read on frame.basis."""
+    return tuple(coefficients.get(e, 0) for e in frame.basis)
 
 
 def _reps(frame, relaxed=False):
@@ -663,16 +690,151 @@ def test_component_vector_matches_k_polynomial(data):
         keep = data.draw(gen.tuples(*[gen.booleans()] * X.n))
         components.append(tuple(e + b if e and k else 0 for e, b, k in zip(a, raise_by, keep)))
     components = data.draw(gen.permutations(components))
+    def expected(ideal):
+        return _on_basis(frame, shift_numerators(frame.X, coarse_k_polynomial(frame.X, ideal)))
+
     node = en._component_set(frame, ())
     ideal = mi.MonomialIdeal.unit(X.n)
-    assert node.vector == tuple(en._kernel_vector(frame, coarse_k_polynomial(frame.X, ideal)))
+    assert _unpacked(frame, node.vector) == expected(ideal)
     for k, c in enumerate(components):
         node = en._meet(frame, node, en._encode(frame, c))
         ideal = ideal.intersect_irreducible(c)
-        expected = en._kernel_vector(frame, coarse_k_polynomial(frame.X, ideal))
-        assert node.vector == tuple(expected), (X, components, c)
+        assert _unpacked(frame, node.vector) == expected(ideal), (X, components, c)
         assert sorted(_decode(frame, d) for d in node.components) == list(
             mi.reduce_components(d for d in components[:k + 1] if mi.on_fan(d, X.delta)))
+
+
+@given(gen.data())
+def test_packed_arithmetic_matches_tuples(data):
+    # pack, unpack, +-, ==, sign, leading term and the range guard on up
+    # to three packed vectors in range, against tuple arithmetic, with
+    # entries drawn at and next to the edges of the range
+    # [-2^(W-3), 2^(W-3)) as well as inside it.  The width is an argument
+    # of the helpers, so narrow and wide fields are both drawn
+    width = data.draw(gen.integers(4, 80))
+    length = data.draw(gen.integers(1, 8))
+    low, high = -(1 << width - 3), (1 << width - 3) - 1
+    entry = gen.one_of(gen.sampled_from([low, low + 1, -1, 0, 1, high - 1, high]),
+                       gen.integers(low, high))
+    vectors = data.draw(gen.lists(gen.tuples(*[entry] * length), min_size=1, max_size=3))
+    signs = data.draw(gen.tuples(*[gen.sampled_from([1, -1])] * len(vectors)))
+    masks = en._range_masks(width, length)
+    packed = [en._pack(v, width) for v in vectors]
+    for v, p in zip(vectors, packed):
+        assert _unpack(p, width, length) == v
+        assert en._checked(p, masks) == p
+        assert (p == packed[0]) == (v == vectors[0])
+    total = tuple(sum(s * v[k] for s, v in zip(signs, vectors)) for k in range(length))
+    combined = sum(s * p for s, p in zip(signs, packed))
+    assert combined == en._pack(total, width)
+    assert _unpack(combined, width, length) == total
+    assert (combined == 0) == (not any(total))
+    nonzero = [(length - 1 - k, c) for k, c in enumerate(total) if c]
+    if nonzero:
+        assert en._leading(combined, width) == nonzero[0]
+        assert (combined > 0) == (nonzero[0][1] > 0)
+    if all(low <= c <= high for c in total):
+        assert en._checked(combined, masks) == combined
+    else:
+        with pytest.raises(FieldOverflow):
+            en._checked(combined, masks)
+
+
+@pytest.mark.parametrize("width", [4, 5, 31, 32, 64])
+def test_range_guard_holds_the_edges(width):
+    # one entry at each edge of the range passes, one past it raises,
+    # in every field, and so does the sum of two vectors in range that
+    # leaves it; the guard never wraps an entry into range
+    low, high = -(1 << width - 3), (1 << width - 3) - 1
+    masks = en._range_masks(width, 3)
+    for k in range(3):
+        for value, fits in ((low, True), (high, True), (low - 1, False), (high + 1, False)):
+            entries = tuple(value if i == k else 0 for i in range(3))
+            vector = en._pack(entries, width)
+            if fits:
+                assert en._checked(vector, masks) == vector
+            else:
+                with pytest.raises(FieldOverflow):
+                    en._checked(vector, masks)
+        half = en._pack(tuple(high if i == k else 1 for i in range(3)), width)
+        with pytest.raises(FieldOverflow):
+            en._checked(half + half, masks)
+        with pytest.raises(FieldOverflow):
+            en._checked(-half - half - half, masks)
+
+
+def test_kernel_vector_past_the_range_raises():
+    # a face vector far out in degree has entries near d^2 = 2^80 on
+    # P(2), past the range of the frame's fields: building it raises
+    # FieldOverflow instead of storing a wrapped vector
+    frame = en._working_frame(P2, parse_poly("3*t+1"))
+    assert frame.width < 80
+    assert en._face_vector(frame, 0, (7,))
+    with pytest.raises(FieldOverflow):
+        en._face_vector(frame, 0, (1 << 40,))
+
+
+def test_search_and_meet_guard_the_vectors_they_store():
+    # stored vectors at the edge of the range whose next residual or
+    # component-set vector leaves it: the search and _meet raise
+    # FieldOverflow where they would store it.  On P(2) 4*t+1 the target
+    # is D * P = (0, 8, 2) and every face vector the first step peels has
+    # a positive constant entry
+    frame = en._working_frame(P2, parse_poly("4*t+1"))
+    low, high = -(1 << frame.width - 3), (1 << frame.width - 3) - 1
+    assert _unpacked(frame, frame.target) == (0, 8, 2)
+    frame.target = en._pack((0, 8, low), frame.width)
+    with pytest.raises(FieldOverflow):
+        list(en._peel_off(frame))
+    c = en._encode(frame, (1, 0, 0))
+    assert _unpacked(frame, en._koszul_vector(frame, c))[-1] > 0
+    edge = en._ComponentSet((), en._pack((0, 0, high), frame.width))
+    with pytest.raises(FieldOverflow):
+        en._meet(frame, edge, c)
+
+
+FRAME_CASES = {
+    "P(1)": (P1, "3*t+1"), "P(2)": (P2, "4*t+1"), "P(3)": (P3, "3*t+1"),
+    "PxP(1,1)": (P1xP1, "t1+t2+1"), "PxP(2,1)": (PP, "2*t1+t2+1"),
+    "PxP(2,2)": (P2xP2, "t1*t2+t1+t2+1"), "Hirzebruch(1)": (F1, "t1+t2+1"),
+    "Hirzebruch(2)": (F2, "t1+2*t2+1"),
+}
+
+
+@pytest.mark.parametrize("X, text", FRAME_CASES.values(), ids=FRAME_CASES)
+def test_packed_frame_vectors_unpack_to_the_moment_kernel(X, text):
+    # the target, every N(d), face vectors at a few degrees and Koszul
+    # vectors of a few components, unpacked, are _scaled_target and
+    # shift_numerators read on the basis; each N(d) keeps its largest
+    # entry's size
+    frame = en._working_frame(X, parse_poly(text, nvars=X.r))
+    Y = frame.X
+    assert _unpacked(frame, frame.target) == _on_basis(frame, hb._scaled_target(Y, frame.P))
+    for d, (vector, size) in frame.shifted.items():
+        entries = _on_basis(frame, shift_numerators(Y, ((d, 1),)))
+        assert _unpacked(frame, vector) == entries
+        assert size == max(map(abs, entries))
+    degrees = [(0,) * Y.r] + [Y.variable_degree(i) for i in range(Y.n)]
+    degrees.append(tuple(map(sum, zip(*degrees))))
+    for ti, kpoly in enumerate(frame.kpolys):
+        for degree in degrees:
+            shifted = [(tuple(a + b for a, b in zip(d, degree)), c) for d, c in kpoly]
+            assert _unpacked(frame, en._face_vector(frame, ti, degree)) == _on_basis(
+                frame, shift_numerators(Y, shifted))
+    for a in [(1,) + (0,) * (Y.n - 1), (2, 1) + (0,) * (Y.n - 2), (1,) * Y.n, (3,) * Y.n]:
+        vector = en._koszul_vector(frame, en._encode(frame, a))
+        assert _unpacked(frame, vector) == _on_basis(
+            frame, shift_numerators(Y, coarse_k_polynomial(Y, component_ideal(a))))
+
+
+def test_frame_holds_a_target_with_huge_coefficients():
+    # the field width is sized from the target, so D * P = 2 * 10^24 t + 2
+    # (D = 2 on P(2)) is stored and unpacks exactly.  Only the frame is
+    # built: a search for this target has no budget
+    frame = en._working_frame(P2, parse_poly("10^24*t+1"))
+    assert frame.width > (2 * 10 ** 24).bit_length() + 3
+    assert _unpacked(frame, frame.target) == (0, 2 * 10 ** 24, 2)
+    assert en._leading(frame.target, frame.width) == (1, 2 * 10 ** 24)
 
 
 def _mask_contains(frame, a, b):
@@ -810,9 +972,11 @@ def _reference_peel_off(frame, relaxed=False):
     index and monomial states were keyed by bitmask, kept as the oracle
     of the search's order: a state is the tuple of its pair numbers, its
     key their sorted tuple, and each candidate scans every face and finds
-    the residual's leading term from the front."""
-    target = frame.target
-    if target is None or not any(target):
+    the residual's leading term from the front, on the unpacked vectors."""
+    if frame.target is None:
+        return
+    target = _unpacked(frame, frame.target)
+    if not any(target):
         return
     X, faces = frame.X, frame.face_order.faces
     if relaxed:
@@ -827,7 +991,7 @@ def _reference_peel_off(frame, relaxed=False):
         degree = shift if relaxed else X.degree(shift)
         face = vectors.get((ti, degree))
         if face is None:
-            face = vectors[ti, degree] = en._face_vector(frame, ti, degree)
+            face = vectors[ti, degree] = _unpacked(frame, en._face_vector(frame, ti, degree))
         successors = frozenset(tuple(a + b for a, b in zip(shift, steps[ell])) for ell in faces[ti])
         numbers[ti, shift] = len(nodes)
         nodes.append((ti, successors, face))
