@@ -32,9 +32,11 @@ def cone_rays(W, dim):
         if not any(cross):  # the rows are dependent: no line
             continue
         v = il.primitive(cross)
-        for cand in (v, tuple(-x for x in v)):
-            if all(sum(map(mul, row, cand)) >= 0 for row in W):
-                rays.add(cand)
+        values = [sum(map(mul, row, v)) for row in W]
+        if min(values, default=0) >= 0:
+            rays.add(v)
+        if max(values, default=0) <= 0:
+            rays.add(tuple(-x for x in v))
     return tuple(sorted(rays))
 
 

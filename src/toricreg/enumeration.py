@@ -98,7 +98,6 @@ face order on.  Every memo lives and dies with one frame, that is one
 call: nothing is cached across requests.
 """
 
-from dataclasses import dataclass, field
 from itertools import chain, product
 from operator import add
 from typing import NamedTuple
@@ -118,8 +117,7 @@ from .stanley import (
 from .variety import positive_orthant_change, with_grading
 
 
-@dataclass
-class FaceOrder:
+class FaceOrder(NamedTuple):
     """A graded total order on the faces sigma^ of the fan."""
 
     faces: tuple
@@ -144,23 +142,24 @@ def graded_total_order(X):
 _HEADROOM = 32
 
 
-@dataclass
 class _Frame:
-    X: object      # the variety regraded so that N^r sits inside K
-    basis: tuple   # every exponent of total degree <= max(d, deg P), glex-largest first
-    width: int     # W: the bits of one field of a packed vector (see _frame)
-    masks: tuple   # (offset, spill) of the range guard on packed vectors (_range_masks)
-    shifted: dict  # degree d -> (N(d) = D * P_S(t - d) packed, its largest entry size)
-    P: object = None  # the target in the same coordinates
-    target: int = None  # D * P packed, None when it is not integral
-    face_supports: frozenset = frozenset()  # the support mask of every face of the fan (see _meet)
-    face_order: FaceOrder = None  # filled in by _order_faces, as are the next three
-    sigmas: list = None  # the complement sigma of each face sigma^, by face index
-    kpolys: list = None  # the K-polynomials of their S_sigma
-    inits: list = None   # the basis index of the leading monomial of each P_{S_sigma}
-    component_sets: dict = field(default_factory=dict)  # reduced components -> their _ComponentSet
-    depth: int = 0    # E: the largest exponent encoded so far (see _encode)
-    column: int = 0   # R = sum over e < E of 2^(e n): S * R is the column mask of a support S
+    def __init__(self, X, basis, width, masks, shifted, P=None, target=None,
+                 face_supports=frozenset()):
+        self.X = X              # the variety regraded so that N^r sits inside K
+        self.basis = basis      # every exponent of total degree <= max(d, deg P), glex-largest first
+        self.width = width      # W: the bits of one field of a packed vector (see _frame)
+        self.masks = masks      # (offset, spill) of the range guard on packed vectors (_range_masks)
+        self.shifted = shifted  # degree d -> (N(d) = D * P_S(t - d) packed, its largest entry size)
+        self.P = P              # the target in the same coordinates
+        self.target = target    # D * P packed, None when it is not integral
+        self.face_supports = face_supports  # the support mask of every face of the fan (see _meet)
+        self.face_order = None  # filled in by _order_faces, as are the next three
+        self.sigmas = None      # the complement sigma of each face sigma^, by face index
+        self.kpolys = None      # the K-polynomials of their S_sigma
+        self.inits = None       # the basis index of the leading monomial of each P_{S_sigma}
+        self.component_sets = {}  # reduced components -> their _ComponentSet
+        self.depth = 0          # E: the largest exponent encoded so far (see _encode)
+        self.column = 0         # R = sum over e < E of 2^(e n): S * R is the column mask of a support S
 
 
 def _basis(r, top):
@@ -832,8 +831,7 @@ def _realize(frame, found):
     return _Realized(reps, grouped, witnesses, *counts)
 
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     ideals: list            # [(MonomialIdeal, witness Stanley filtration)]
     reps: list              # complete representations, one per pair set
     gotzmann_number: int    # max pairs over reps (0 when none)

@@ -6,7 +6,7 @@ Univariate polynomials here reuse MultiPoly with one variable; binomial
 coefficients binom(t + q - s, q) expand exactly over the rationals.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotAHilbertPolynomial, NotRealizable
 from .multipoly import binomial_in_t
@@ -18,8 +18,7 @@ def binomial_piece(q, shift):
     return binomial_in_t(1, 0, q - shift, q)
 
 
-@dataclass(frozen=True)
-class GotzmannRep:
+class GotzmannRep(NamedTuple):
     """P = sum_i binom(t + q_i - (i-1), q_i) with q weakly decreasing.
 
     The length of q is the Gotzmann number of P in the standard graded

@@ -71,6 +71,33 @@ def _todd_scale(d):
     return scale, tuple(int(x * scale) for x in b)
 
 
+@cache
+def _todd_power_sums(d, scale, todd):
+    """T^d beta_j(c), j <= d, from the power sums p_k = sum_i c_i^k of d
+    weights c: (weights, divisors, T^d) with
+
+        T^d beta_m(c) = T^d F_m / divisors[m],
+        F_0 = 1,  F_m = sum over (k, w) in weights[m] of w p_k F_{m-k}.
+
+    With log B(x) = sum_k l_k x^k (l_m = b_m - sum_{k<m} k l_k b_{m-k} / m,
+    from x B' = x (log B)' B), prod_i B(c_i x) = exp(sum_k l_k p_k x^k),
+    and f = exp(g) has m f_m = sum_{k<=m} k g_k f_{m-k}.  With D the lcm
+    of the denominators of the l_k, F_m = m! D^m f_m satisfies the
+    recursion above with the integer weights w = k (m-1)!/(m-k)! D^k l_k,
+    and divisors[m] = m! D^m.  T^d beta_m is an integer (a product of d
+    series with integer coefficients T b_k c^k), so each division is
+    exact.  Keyed on the table (T, T b_k), not on d alone."""
+    b = [Fraction(t, scale) for t in todd]
+    logs = [Fraction(0)]
+    for m in range(1, d + 1):
+        logs.append(b[m] - sum((k * logs[k] * b[m - k] for k in range(1, m)), Fraction(0)) / m)
+    D = lcm(*(x.denominator for x in logs))
+    weights = [[(k, int(k * factorial(m - 1) // factorial(m - k) * D ** k * logs[k]))
+                for k in range(1, m + 1) if logs[k]]
+               for m in range(d + 1)]
+    return weights, [factorial(m) * D ** m for m in range(d + 1)], scale ** d
+
+
 def _ring_polynomial(X, gammas):
     """P_S from the maximal cones, as {alpha: coefficient of t^alpha}
     over the exponents alpha in gammas (|alpha| <= d).
@@ -124,16 +151,18 @@ def _ring_polynomial(X, gammas):
     total = lcm(*(prod(c) for _, c in local))
     rests = [d - sum(alpha) for alpha in gammas]
     numerators = [0] * len(gammas)
+    weights, divisors, top = _todd_power_sums(d, scale, todd)
     for ell, c in local:
-        series = [1] + [0] * d  # T^d beta_j(c), j <= d
-        for ci in c:
-            factor = [t * ci ** k for k, t in enumerate(todd)]
-            # times factor, truncated, from the top down: series[m] reads
-            # only the series[j], j <= m, not yet updated
-            for m in reversed(range(d + 1)):
-                series[m] = sum(map(mul, series[:m + 1], factor[m::-1]))
+        sums, powers = [d], c  # p_k = sum_i c_i^k
+        for _ in range(d):
+            sums.append(sum(powers))
+            powers = list(map(mul, powers, c))
+        F = [1]
+        for m in range(1, d + 1):
+            F.append(sum(w * sums[k] * F[m - k] for k, w in weights[m]))
         weight = total // prod(c)
-        series = [weight * x for x in series]
+        # weight * T^d beta_j(c), j <= d
+        series = [weight * (top * f // e) for f, e in zip(F, divisors)]
         for k, alpha in enumerate(gammas):
             numerators[k] += series[rests[k]] * prod(map(pow, ell, alpha))
     denom = (-1) ** d * total * scale ** d

@@ -13,7 +13,7 @@ call from the fibers of D alone.
 """
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 from itertools import combinations, compress
 from math import comb
 from operator import index
@@ -133,13 +133,12 @@ def _at_least_masks(fiber, n):
     return out
 
 
-@dataclass
-class DegreeSetResult:
+class DegreeSetResult(NamedTuple):
     points: tuple               # the set D, sorted
     anchor: tuple               # the uniform regularity bound point k
     ideals: list                # candidates surviving on the final D
     seed: int
-    trace: list = field(default_factory=list)
+    trace: list = ()            # one row per round (the empty tuple when none is given)
 
     @property
     def converged(self):

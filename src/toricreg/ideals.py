@@ -9,10 +9,12 @@ zero ideal.  Decompositions meet the generators one at a time, and
 B-saturation drops off-fan components at each step (proofs there).
 """
 
+import re
+from bisect import insort
 from operator import index, le, sub
 
 from . import intlinalg as il
-from .errors import FiberTooLarge, UnitIdeal
+from .errors import FiberTooLarge, ParseError, UnitIdeal
 
 
 def divides(a, b):
@@ -47,7 +49,7 @@ def minimal_generators(gens):
     """The lex-sorted minimal elements of a set of integer exponent tuples."""
     out = []
     for g in sorted(gens):
-        if not any(divides(h, g) for h in out):
+        if not any(all(map(le, h, g)) for h in out):  # no kept h divides g
             out.append(g)
     return tuple(out)
 
@@ -89,7 +91,7 @@ class MonomialIdeal:
 
     def is_prime(self):
         """Prime monomial ideals are generated by a subset of the variables."""
-        return all(total_degree(g) == 1 for g in self.gens)
+        return all(sum(g) == 1 for g in self.gens)
 
     def support_variables(self):
         """Indices of variables generating the ideal, when prime."""
@@ -99,13 +101,34 @@ class MonomialIdeal:
         return any(divides(g, m) for g in self.gens)
 
     def colon(self, m):
-        """(I : x^m), again minimally generated."""
-        return MonomialIdeal(
-            self.n, [tuple(max(g[i] - m[i], 0) for i in range(self.n)) for g in self.gens])
+        """(I : x^m), again minimally generated.
+
+        Lowered by a tuple of ints, the generators stay int tuples and
+        only their minimal ones are kept; any other m goes through the
+        constructor, which converts the lowered tuples or raises
+        ValueError."""
+        n = self.n
+        lowered = [tuple(max(g[i] - m[i], 0) for i in range(n)) for g in self.gens]
+        if not all(type(e) is int for e in m):
+            return MonomialIdeal(n, lowered)
+        return MonomialIdeal.from_minimal(n, minimal_generators(set(lowered)))
 
     def plus(self, m):
-        """I + <x^m>."""
-        return MonomialIdeal(self.n, self.gens + (tuple(m),))
+        """I + <x^m>: I itself when x^m lies in I, else x^m and the
+        generators it does not divide.  No generator divides x^m then,
+        so these are minimal.  Anything but n nonnegative ints goes
+        through the constructor, which converts it or raises ValueError."""
+        m = tuple(m)
+        if len(m) != self.n or not all(type(e) is int and e >= 0 for e in m):
+            return MonomialIdeal(self.n, self.gens + (m,))
+        kept = []
+        for g in self.gens:
+            if all(map(le, g, m)):  # g divides m: x^m lies in I
+                return self
+            if not all(map(le, m, g)):
+                kept.append(g)
+        insort(kept, m)
+        return MonomialIdeal.from_minimal(self.n, kept)
 
     def intersect_irreducible(self, a):
         """I meet C = <x_i^{a_i} : a_i > 0>, the irreducible ideal with
@@ -383,16 +406,17 @@ def format_ideal(I):
     return "<" + ", ".join(format_monomial(g) for g in I.gens) + ">"
 
 
+_FACTOR = re.compile(r"\s*x(\d+)(?:\^(\d+))?\s*")
+
+
 def parse_monomial(text, n):
     """Parse 'x1^2*x2' (or '1') into an exponent tuple of length n."""
-    from .errors import ParseError
-    import re
     text = text.strip()
     if text in ("1", ""):
         return (0,) * n
     expo = [0] * n
     for factor in text.split("*"):
-        m = re.fullmatch(r"\s*x(\d+)(?:\^(\d+))?\s*", factor)
+        m = _FACTOR.fullmatch(factor)
         if not m:
             raise ParseError(f"cannot parse monomial factor {factor!r}")
         i = int(m.group(1)) - 1

@@ -45,7 +45,7 @@ def transpose(A):
 
 def columns(A, cols):
     """The submatrix of A on the given column indices, in that order."""
-    return tuple(tuple(row[j] for j in cols) for row in A)
+    return tuple([tuple([row[j] for j in cols]) for row in A])
 
 
 def matvec(A, v):
@@ -54,7 +54,7 @@ def matvec(A, v):
 
 def matmul(A, B):
     Bt = transpose(B)
-    return tuple(tuple(sum(map(mul, row, col)) for col in Bt) for row in A)
+    return tuple([tuple([sum(map(mul, row, col)) for col in Bt]) for row in A])
 
 
 def _shape(A):
@@ -333,10 +333,7 @@ def unimodular_with_first_column(v):
 
 
 def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, int(x))
-    return g
+    return gcd(*map(int, v))
 
 
 def primitive(v):

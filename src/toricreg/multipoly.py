@@ -230,14 +230,23 @@ def parse_poly(text, nvars=None):
     if current:
         chunks.append((sign, current))
 
-    poly = MultiPoly.zero(nvars)
+    terms = {}
     for sign, chunk in chunks:
-        poly = poly + _parse_product(chunk, nvars) * sign
-    return poly
+        expo, coeff = _parse_product(chunk, nvars)
+        total = terms.get(expo, 0) + sign * coeff
+        if total:
+            terms[expo] = total
+        else:  # a term that cancels leaves the sum, as in MultiPoly addition
+            terms.pop(expo, None)
+    return MultiPoly(nvars, terms)
 
 
 def _parse_product(tokens, nvars):
-    factors = []
+    """One product of numbers and variables, each with an optional
+    integer power, as its (exponent tuple, Fraction coefficient)."""
+    expo = [0] * nvars
+    coeff = Fraction(1)
+    empty = True
     i = 0
     while i < len(tokens):
         kind, val = tokens[i]
@@ -246,27 +255,26 @@ def _parse_product(tokens, nvars):
             continue
         if kind == "num":
             try:
-                coeff = Fraction(val)
+                base = Fraction(val)
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {val!r}") from None
-            factor = MultiPoly.constant(nvars, coeff)
-        elif kind == "var":
-            factor = MultiPoly.variable(nvars, 0 if val == "t" else int(val[1:]) - 1)
-        else:
+        elif kind != "var":
             raise ParseError(f"unexpected token {val!r} in term")
         i += 1
+        power = 1
         if i + 1 < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in ("^", "**"):
             if tokens[i + 1][0] != "num" or "/" in tokens[i + 1][1]:
                 raise ParseError("exponent must be an integer")
-            factor = factor ** int(tokens[i + 1][1])
+            power = int(tokens[i + 1][1])
             i += 2
-        factors.append(factor)
-    if not factors:
+        if kind == "num":
+            coeff *= base ** power
+        else:
+            expo[0 if val == "t" else int(val[1:]) - 1] += power
+        empty = False
+    if empty:
         raise ParseError("empty term")
-    out = MultiPoly.constant(nvars, 1)
-    for f in factors:
-        out = out * f
-    return out
+    return tuple(expo), coeff
 
 
 def format_poly(P):

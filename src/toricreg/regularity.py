@@ -8,9 +8,8 @@ local cohomology: they are explicit assumptions, by default K itself
 spaces and their products.
 """
 
-from dataclasses import dataclass, field
 from functools import reduce
-from operator import index
+from operator import add, index
 
 from .errors import (
     FiltrationInvalid,
@@ -63,14 +62,17 @@ def upset_intersect(a, b):
     generators are not computed: Unsupported.
     """
     X = a.X
-    if X._nef_basis is None:
-        raise Unsupported(
-            "minimal generators of intersections need a simplicial unimodular K")
+    _require_nef_basis(X)
     return KUpset(X, [find_point_dominating(X, (g, h))
                       for g in a.generators for h in b.generators])
 
 
-@dataclass
+def _require_nef_basis(X):
+    if X._nef_basis is None:
+        raise Unsupported(
+            "minimal generators of intersections need a simplicial unimodular K")
+
+
 class RegularityAssumption:
     """Assumed subsets of reg(S_sigma) per face ring.
 
@@ -79,8 +81,9 @@ class RegularityAssumption:
     be supplied explicitly; asking for a missing baseline raises.
     """
 
-    baselines: dict = field(default_factory=dict)
-    label: str = "default-K"
+    def __init__(self, baselines=None, label="default-K"):
+        self.baselines = {} if baselines is None else baselines  # sigma -> KUpset
+        self.label = label
 
     def baseline(self, X, sigma):
         sigma = frozenset(sigma)
@@ -99,6 +102,13 @@ def reg_bound_from_filtration(X, I, filt, assume=None):
 
     For B-saturated I the intersection may skip pairs whose face
     complement is off the fan.  The filtration is verified first.
+
+    The translates g + K of one-generator baselines (the default K is
+    one) meet at one point: with a nef basis, the join of all their g,
+    one find_point_dominating call (upset_intersect).  A baseline with
+    several generators is folded onto that with upset_intersect.  One
+    supported pair needs no intersection; two or more without a nef
+    basis raise Unsupported.
     """
     assume = assume or RegularityAssumption()
     filt = tuple(filt)
@@ -106,14 +116,22 @@ def reg_bound_from_filtration(X, I, filt, assume=None):
     if not result:
         raise FiltrationInvalid(f"not a Stanley filtration for the ideal: {result.reason}")
     saturated = is_b_saturated(I, X)
+    everything = frozenset(range(X.n))
     # every baseline before any intersection: a missing baseline is
     # reported even where K could not intersect
-    parts = [assume.baseline(X, pair.face).translate(X.degree(pair.shift))
-             for pair in filt
-             if not saturated or frozenset(range(X.n)) - pair.face in X.delta]
+    parts = [(assume.baseline(X, pair.face), X.degree(pair.shift))
+             for pair in filt if not saturated or everything - pair.face in X.delta]
     if not parts:
         raise FiltrationInvalid("no pair of the filtration is supported on the fan")
-    return reduce(upset_intersect, parts)
+    if len(parts) == 1:
+        base, shift = parts[0]
+        return base.translate(shift)
+    _require_nef_basis(X)
+    points = [tuple(map(add, base.generators[0], shift))
+              for base, shift in parts if len(base.generators) == 1]
+    joined = [KUpset(X, [find_point_dominating(X, points)])] if points else []
+    return reduce(upset_intersect, joined + [base.translate(shift) for base, shift in parts
+                                             if len(base.generators) != 1])
 
 
 def reg_bound_from_polynomial(X, P, assume=None):

@@ -11,17 +11,16 @@ the check realize runs too) and a decomposition by an identity of fine
 K-polynomials; both checks are exact.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import index
+from typing import NamedTuple
 
 from .errors import OverlappingPairs, StrategyInvalid, UnitIdeal
 from .hilbert import _k_polynomial, pairs_k_polynomial
 from .ideals import MonomialIdeal, divides, format_monomial, monomial_lcm, total_degree
 
 
-@dataclass(frozen=True)
-class StanleyPair:
+class StanleyPair(NamedTuple):
     """(x^shift, face): the monomials x^(shift+v) with supp(v) inside face."""
 
     shift: tuple
@@ -128,6 +127,8 @@ def stanley_decompose(I, strategy=None):
     if strategy is None:
         strategy = default_strategy
 
+    units = [tuple(int(i == j) for j in range(I.n)) for i in range(I.n)]
+
     def build(J):
         if J.is_prime():
             return StanleyTree(J)
@@ -135,7 +136,7 @@ def stanley_decompose(I, strategy=None):
         if not (0 <= var < J.n) or not any(properly_divides(var, g) for g in J.gens):
             raise StrategyInvalid(
                 f"x{var+1} does not properly divide a minimal generator of {J}")
-        e = tuple(1 if i == var else 0 for i in range(J.n))
+        e = units[var]
         return StanleyTree(J, var, build(J.plus(e)), build(J.colon(e)))
 
     tree = build(I)
@@ -174,8 +175,7 @@ def stanley_filtration(I, strategy=None):
 # -- verification --------------------------------------------------------
 
 
-@dataclass
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     counterexample: tuple = None
     reason: str = ""

@@ -35,16 +35,16 @@ class Fan:
     def __init__(self, rays, max_cones):
         self.rays = tuple(tuple(map(index, ray)) for ray in rays)
         self.max_cones = tuple(sorted(
-            {frozenset(index(i) for i in cone) for cone in max_cones},
-            key=sorted))
+            {frozenset(map(index, cone)) for cone in max_cones}, key=sorted))
         if not self.rays:
             raise ValueError("fan needs at least one ray")
         self.n = len(self.rays)
         self.d = len(self.rays[0])
         if any(len(ray) != self.d for ray in self.rays):
             raise ValueError("rays have unequal lengths")
+        labels = frozenset(range(self.n))
         for cone in self.max_cones:
-            if any(not 0 <= i < self.n for i in cone):
+            if not cone <= labels:
                 raise ValueError(
                     f"cone {_show_face(cone)} names a ray outside 1..{self.n}")
 
@@ -74,22 +74,38 @@ class ToricVariety:
     build_variety() rather than calling this directly.
     """
 
-    def __init__(self, fan, grading, delta, facet_data, nef_rays, nef_basis, positive_w):
+    def __init__(self, fan, grading, facet_data, nef_rays, nef_basis, positive_w=None):
         self.fan = fan
         self.n = fan.n
         self.d = fan.d
         self.r = fan.n - fan.d
         self.grading = grading              # tuple of r rows, each length n
-        self.delta = delta                  # frozenset of frozensets
         self._facet_data = facet_data       # [(sigma_hat, Minv rows)] per facet, ints
         self.nef_rays = nef_rays
         self._nef_basis = nef_basis         # (V, V^-1), nef rays the columns of V, or None
+        self._delta = None                  # the faces, built on first use
         self._orthant_change = None         # positive_orthant_change(X), built on first use
-        self.positive_w = positive_w        # w . a_i > 0 for every i
+        self._positive_w = positive_w       # w . a_i > 0 for every i, or None until read
         self._face_poly_cache = {}          # sigma -> P_{S_sigma}
         self._fiber_cache = {}              # degree t -> sorted fiber of S
         self._k_poly_cache = {}             # minimal generators -> coarse K(S/I)
         self._ring_expansion = None         # P_S and its integer shift expansion
+
+    @property
+    def delta(self):
+        """The faces of the fan complex, a frozenset of frozensets: every
+        subset of a maximal cone."""
+        if self._delta is None:
+            self._delta = _faces(self.fan.max_cones)
+        return self._delta
+
+    @property
+    def positive_w(self):
+        """An integer w with w . a_i > 0 for every variable (see
+        build_variety for why it exists on a complete fan)."""
+        if self._positive_w is None:
+            self._positive_w = _positive_functional(self.grading, self.r)
+        return self._positive_w
 
     # -- grading ------------------------------------------------------
 
@@ -148,6 +164,19 @@ def build_variety(fan, grading=None, assume_complete=False):
     a row lattice is canonical, so it is the one any other basis of L
     (a Smith-form kernel, say) would give.  No Smith form is taken unless
     the fan has no maximal cone to read L from.
+
+    Each distinct facet block A_sigma^ is inverted once: the six cones
+    of PxP(2,1) share one block.  Two values are derived on first read,
+    not here: the faces (X.delta) and the functional X.positive_w, with
+    w . a_i > 0 for every variable.  Such a w exists exactly when no
+    nonzero u >= 0 has A u = 0 (Gordan's theorem).  When the rays span
+    and completeness is checked, there is none: A's rows span L, so
+    A u = 0 makes u = (<m, b_i>)_i for some m in M_R, and u >= 0 makes
+    every <m, b_i> >= 0; the rays of a complete fan positively span N_R,
+    so m is nonnegative on N_R, m = 0 and u = 0.  So the degree cone is
+    pointed and the first read cannot raise NotPointed.  With
+    assume_complete (with_grading, variety --assume-complete) nothing
+    proves that, so w is computed here and the build raises NotPointed.
     """
     n, d = fan.n, fan.d
     if n <= d:
@@ -156,21 +185,22 @@ def build_variety(fan, grading=None, assume_complete=False):
         if il.vec_gcd(ray) != 1:
             raise NonPrimitiveRay(f"ray {ray} is not primitive")
     ordered = [tuple(sorted(cone)) for cone in fan.max_cones]
-    dets = {cone: il.determinant(tuple(fan.rays[i] for i in c))
-            for cone, c in zip(fan.max_cones, ordered) if len(c) == d}
+    # the determinant of each sorted cone of d rays, 0 for another size
+    dets = [il.determinant([fan.rays[i] for i in c]) if len(c) == d else 0
+            for c in ordered]
     # d rays of nonzero determinant span R^d: only without them is the
     # rank taken
-    if not any(dets.values()) and il.rank(fan.rays) != d:
+    if not any(dets) and il.rank(fan.rays) != d:
         raise RaysNotSpanning("rays do not span R^d")
 
-    for cone in fan.max_cones:
+    for cone, det in zip(fan.max_cones, dets):
         if len(cone) != d:
             raise NotSmooth(f"maximal cone {_show_face(cone)} does not have dimension {d}")
-        if dets[cone] not in (1, -1):
-            raise NotSmooth(f"cone {_show_face(cone)} has determinant {dets[cone]}")
+        if det not in (1, -1):
+            raise NotSmooth(f"cone {_show_face(cone)} has determinant {det}")
 
     if not assume_complete:
-        _check_complete(fan, dets)
+        _check_complete(ordered, dets)
 
     if ordered:
         kernel = _kernel_from_cone(fan.rays, ordered[0])
@@ -193,30 +223,24 @@ def build_variety(fan, grading=None, assume_complete=False):
         if il.row_hermite_normal_form(A) != canonical:
             raise ValueError("grading rows do not span the full ray kernel")
 
-    delta = {frozenset()}
-    for c in ordered:
-        faces = [()]
-        for i in c:
-            faces += [f + (i,) for f in faces]
-        delta.update(map(frozenset, faces))
-    delta = frozenset(delta)
-
     facet_data = []
-    ineq_rows = []
+    inverses = {}  # facet block -> its inverse: PxP(a,b) has one block
     for c in ordered:
-        sigma_hat = tuple(i for i in range(n) if i not in c)
-        # never raised: A's rows are a basis of L (checked above), and so
-        # are the k_j read off this cone as in the docstring, whose block
-        # on sigma_hat is the identity; A's block there is the unimodular
-        # change from the k_j to A's rows
-        try:
-            minv = il.inverse_unimodular(il.columns(A, sigma_hat))
-        except ValueError:
-            raise NotSmooth(
-                f"grading columns for {_show_face(set(sigma_hat))} are not unimodular") from None
+        sigma_hat = tuple([i for i in range(n) if i not in c])
+        block = il.columns(A, sigma_hat)
+        minv = inverses.get(block)
+        if minv is None:
+            # never raised: A's rows are a basis of L (checked above), and
+            # so are the k_j read off this cone as in the docstring, whose
+            # block on sigma_hat is the identity; A's block there is the
+            # unimodular change from the k_j to A's rows
+            try:
+                minv = inverses[block] = il.inverse_unimodular(block)
+            except ValueError:
+                raise NotSmooth(f"grading columns for {_show_face(set(sigma_hat))} "
+                                "are not unimodular") from None
         facet_data.append((sigma_hat, minv))
-        ineq_rows.extend(minv)
-    W = tuple(ineq_rows)
+    W = tuple(row for minv in inverses.values() for row in minv)
 
     # the rows of one facet inverse already have rank r, so the nef cone
     # contains a line exactly when the fan has no maximal cone
@@ -233,11 +257,30 @@ def build_variety(fan, grading=None, assume_complete=False):
         except ValueError:  # the rays span a proper sublattice of Z^r
             pass
 
+    # a fan that is not checked complete may have a degree cone that is
+    # not pointed: NotPointed is raised here, not on first read
+    w = _positive_functional(A, r) if assume_complete else None
+    return ToricVariety(fan, A, facet_data, nef_rays, nef_basis, w)
+
+
+def _faces(max_cones):
+    """Every subset of every maximal cone, as a frozenset of frozensets."""
+    faces = {()}
+    for cone in max_cones:
+        subsets = [()]
+        for i in sorted(cone):
+            subsets += [f + (i,) for f in subsets]
+        faces.update(subsets)
+    return frozenset(map(frozenset, faces))
+
+
+def _positive_functional(A, r):
+    """An integer w with w . a_i > 0 for every column a_i of A, or
+    NotPointed when the degree cone pos{a_i} is not pointed."""
     w = cones.strictly_positive_functional(il.transpose(A), r)
     if w is None:
         raise NotPointed("the degree cone pos{a_i} is not pointed")
-
-    return ToricVariety(fan, A, delta, facet_data, nef_rays, nef_basis, w)
+    return w
 
 
 def _kernel_from_cone(rays, cone):
@@ -255,21 +298,22 @@ def _kernel_from_cone(rays, cone):
     return tuple(basis)
 
 
-def _check_complete(fan, dets):
+def _check_complete(ordered, dets):
     """Facet pairing: every ridge lies in exactly two maximal cones whose
     opposite rays sit strictly on opposite sides of the ridge span.  The
     side of the opposite ray b is the sign of det(R, b) for the ridge R
     in sorted order: nu.b for a normal nu of R differs from it by one
     nonzero factor.  Moving b from its place in the sorted cone to the
     end passes the k rays after it, so det(R, b) = (-1)^k det(cone), with
-    dets the determinants of the sorted cones."""
+    ordered the sorted cones and dets their determinants.  The ridges of
+    a cone come in lexicographic order, the last ray dropped first, so k
+    counts up from 0."""
     sides = {}
-    for cone in fan.max_cones:
-        ordered = sorted(cone)
-        for pos in reversed(range(len(ordered))):  # ridges in lexicographic order
-            ridge = tuple(ordered[:pos] + ordered[pos + 1:])
-            k = len(ordered) - 1 - pos
-            sides.setdefault(ridge, []).append((-1) ** k * dets[cone])
+    for cone, det in zip(ordered, dets):
+        side = det
+        for ridge in combinations(cone, len(cone) - 1):
+            sides.setdefault(ridge, []).append(side)
+            side = -side
     for ridge, signs in sides.items():
         if len(signs) != 2:
             raise NotComplete(

@@ -597,3 +597,106 @@ def test_non_integer_vectors_are_rejected(call):
     # truncating 2.7 to 2 would answer for a different degree
     with pytest.raises(TypeError):
         call()
+
+
+# -- plus and colon against the minimalizing constructor ----------------
+
+
+def _plus_by_definition(I, m):
+    return mi.MonomialIdeal(I.n, I.gens + (tuple(m),))
+
+
+def _colon_by_definition(I, m):
+    return mi.MonomialIdeal(
+        I.n, [tuple(max(g[i] - m[i], 0) for i in range(I.n)) for g in I.gens])
+
+
+def _ideal_outcome(call, I, m):
+    """The generators of call(I, m), as exact types, or the type and
+    message of the error it raises."""
+    try:
+        J = call(I, m)
+    except (ValueError, IndexError, TypeError) as exc:
+        return type(exc), str(exc)
+    return J.n, tuple(tuple((type(e), e) for e in g) for g in J.gens)
+
+
+@gen.composite
+def ideal_and_monomial(draw):
+    """A random ideal (zero and unit included) in 1..5 variables, exponents
+    0..3, and a monomial: random, in the ideal, zero or a variable."""
+    n = draw(gen.integers(1, 5))
+    exps = gen.tuples(*[gen.integers(0, 3)] * n)
+    kind = draw(gen.sampled_from(("zero", "unit", "random", "random")))
+    if kind == "zero":
+        I = mi.MonomialIdeal.zero(n)
+    elif kind == "unit":
+        I = mi.MonomialIdeal.unit(n)
+    else:
+        I = mi.MonomialIdeal(n, draw(gen.lists(exps, min_size=1, max_size=6)))
+    which = draw(gen.sampled_from(("random", "member", "zero", "variable")))
+    if which == "member" and I.gens:
+        g = draw(gen.sampled_from(I.gens))
+        m = tuple(a + b for a, b in zip(g, draw(exps)))
+    elif which == "zero":
+        m = (0,) * n
+    elif which == "variable":
+        i = draw(gen.integers(0, n - 1))
+        m = tuple(int(j == i) for j in range(n))
+    else:
+        m = draw(exps)
+    return I, m
+
+
+@given(ideal_and_monomial())
+def test_plus_and_colon_match_the_constructor(case):
+    I, m = case
+    for call, definition in ((mi.MonomialIdeal.plus, _plus_by_definition),
+                             (mi.MonomialIdeal.colon, _colon_by_definition)):
+        got = _ideal_outcome(call, I, m)
+        assert got == _ideal_outcome(definition, I, m), (I, m, call)
+        assert not isinstance(got[0], type), got
+    if I.contains(m):
+        assert I.plus(m) is I
+
+
+@given(ideal_and_monomial(), gen.sampled_from((
+    "float", "half", "fraction", "negative", "short", "long", "bool", "index")))
+def test_plus_and_colon_raise_as_the_constructor_does(case, how):
+    # monomials the constructor converts or rejects: non-integer, negative
+    # and wrongly sized exponents, bools and __index__ objects
+    from fractions import Fraction
+
+    I, m = case
+    m = list(m)
+    if how == "float":
+        m[0] = float(m[0])
+    elif how == "half":
+        m[0] = m[0] + 0.5
+    elif how == "fraction":
+        m[-1] = Fraction(2 * m[-1] + 1, 2)
+    elif how == "negative":
+        m[0] = -1
+    elif how == "short":
+        m = m[:-1]
+    elif how == "long":
+        m = m + [1]
+    elif how == "bool":
+        m = [bool(e) for e in m]
+    else:
+        m[0] = _Index(m[0])
+    m = tuple(m)
+    for call, definition in ((mi.MonomialIdeal.plus, _plus_by_definition),
+                             (mi.MonomialIdeal.colon, _colon_by_definition)):
+        assert _ideal_outcome(call, I, m) == _ideal_outcome(definition, I, m), (I, m, call)
+
+
+def test_plus_and_colon_reject_non_integers_as_before():
+    I = mi.MonomialIdeal(2, [(1, 1)])
+    for call in (lambda: I.plus((0.5, 0)), lambda: I.colon((0.5, 0)),
+                 lambda: I.colon((1.0, 0)), lambda: I.plus((-1, 0)),
+                 lambda: I.plus((1, 0, 0))):
+        with pytest.raises(ValueError):
+            call()
+    # as before, lowering to a non-positive difference leaves an int 0
+    assert I.colon((1.5, 1)) == mi.MonomialIdeal(2, [(0, 0)])

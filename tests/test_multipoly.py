@@ -1,9 +1,12 @@
 """Exact polynomial arithmetic, orders, parsing and printing."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as gen
 
 from toricreg.errors import ParseError, ZeroPolynomial
 from toricreg.multipoly import (
@@ -116,3 +119,143 @@ def test_total_degree_and_arith():
     assert (P * 0).is_zero()
     assert (P + 1).evaluate((1, 1)) == 1
     assert (P * P).total_degree() == 6
+
+
+# -- the parser against MultiPoly arithmetic ----------------------------
+
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>t\d*)|(?P<op>\*\*|[-+*^]))")
+
+
+def _parse_by_arithmetic(text, nvars=None):
+    """parse_poly as it stood when each factor was a MultiPoly: products
+    and sums by MultiPoly arithmetic, the same tokens and errors."""
+    if "(" in text or ")" in text:
+        raise ParseError("parentheses are not supported; write the polynomial expanded")
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ParseError(f"cannot parse polynomial near {text[pos:]!r}")
+            break
+        pos = m.end()
+        if m.lastgroup:
+            tokens.append((m.lastgroup, m.group(m.lastgroup)))
+    if not tokens:
+        raise ParseError("empty polynomial")
+
+    names = {val for kind, val in tokens if kind == "var"}
+    indices = {int(val[1:]) for val in names - {"t"}}
+    if 0 in indices:
+        raise ParseError("variables are numbered from t1")
+    max_index = max(indices, default=1)
+    if nvars is None:
+        nvars = max_index
+    if max_index > nvars:
+        raise ParseError(f"variable t{max_index} exceeds {nvars} variables")
+    if "t" in names and nvars != 1:
+        raise ParseError(f"'t' is ambiguous with {nvars} variables; write t1..t{nvars}")
+
+    chunks = []
+    sign = 1
+    current = []
+    for kind, val in tokens:
+        if kind == "op" and val in "+-" and not current:
+            sign = sign * (-1 if val == "-" else 1)
+        elif kind == "op" and val in "+-":
+            chunks.append((sign, current))
+            sign = -1 if val == "-" else 1
+            current = []
+        else:
+            current.append((kind, val))
+    if current:
+        chunks.append((sign, current))
+
+    poly = MultiPoly.zero(nvars)
+    for sign, chunk in chunks:
+        poly = poly + _product_by_arithmetic(chunk, nvars) * sign
+    return poly
+
+
+def _product_by_arithmetic(tokens, nvars):
+    factors = []
+    i = 0
+    while i < len(tokens):
+        kind, val = tokens[i]
+        if kind == "op" and val == "*":
+            i += 1
+            continue
+        if kind == "num":
+            try:
+                coeff = Fraction(val)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {val!r}") from None
+            factor = MultiPoly.constant(nvars, coeff)
+        elif kind == "var":
+            factor = MultiPoly.variable(nvars, 0 if val == "t" else int(val[1:]) - 1)
+        else:
+            raise ParseError(f"unexpected token {val!r} in term")
+        i += 1
+        if i + 1 < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in ("^", "**"):
+            if tokens[i + 1][0] != "num" or "/" in tokens[i + 1][1]:
+                raise ParseError("exponent must be an integer")
+            factor = factor ** int(tokens[i + 1][1])
+            i += 2
+        factors.append(factor)
+    if not factors:
+        raise ParseError("empty term")
+    out = MultiPoly.constant(nvars, 1)
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _parse_outcome(parse, text, nvars):
+    """The variable count and terms, in order, or the error text."""
+    try:
+        P = parse(text, nvars=nvars)
+    except ParseError as exc:
+        return str(exc)
+    return P.nvars, list(P.terms.items())
+
+
+_NUMBERS = ("0", "1", "2", "3", "12", "1/2", "3/4", "2/6", "1/0", "0/3")
+_VARIABLES = ("t", "t1", "t2", "t3", "t0", "t10")
+_OPS = ("+", "-", "*", "^", "**")
+
+
+@gen.composite
+def poly_texts(draw):
+    """Sums of signed products of numbers and variables with powers, or
+    loose token strings, with stray spaces and the odd bad character."""
+    space = gen.sampled_from(("", "", " ", "  "))
+    if draw(gen.booleans()):
+        parts = []
+        for _ in range(draw(gen.integers(1, 5))):
+            parts.append(draw(gen.sampled_from(("+", "-", "", "- -", "+-"))))
+            for k in range(draw(gen.integers(1, 4))):
+                if k:
+                    parts.append(draw(gen.sampled_from(("*", "*", "", "**"))))
+                parts.append(draw(gen.sampled_from(_NUMBERS + _VARIABLES)))
+                if draw(gen.integers(0, 3)) == 0:
+                    parts.append(draw(gen.sampled_from(("^", "**"))))
+                    parts.append(draw(gen.sampled_from(("0", "1", "2", "3", "1/2", "t"))))
+    else:
+        pool = _NUMBERS + _VARIABLES + _OPS + ("x", "(", ")", "")
+        parts = draw(gen.lists(gen.sampled_from(pool), max_size=10))
+    return "".join(draw(space) + part for part in parts) + draw(space)
+
+
+@given(poly_texts(), gen.sampled_from((None, 1, 2, 3)))
+def test_parse_matches_multipoly_arithmetic(text, nvars):
+    assert _parse_outcome(parse_poly, text, nvars) == \
+        _parse_outcome(_parse_by_arithmetic, text, nvars), text
+
+
+def test_parse_keeps_the_order_of_cancelled_terms():
+    # a term that cancels leaves the sum, so it comes back last
+    for text in ("t - t + 1 + t", "t^2 + 0*t + t - t + 1", "2*t1*t2 - t2*t1 - t1*t2 + t2 + t1*t2"):
+        P = parse_poly(text)
+        assert list(P.terms.items()) == list(_parse_by_arithmetic(text).terms.items())
+    assert list(parse_poly("t - t + 1 + t").terms) == [(0,), (1,)]

@@ -200,3 +200,81 @@ def test_rendering():
     assert rg.format_upset(U) == "{(1,2),(2,1)} + K"
     data = rg.upset_to_dict(U, rg.RegularityAssumption())
     assert data == {"generators": [[1, 2], [2, 1]], "assumed_baselines": "default-K"}
+
+
+# -- the one-join bound against pairwise intersection ---------------------
+
+
+def _bound_by_pairwise_intersection(X, I, filt, assume):
+    """reg_bound_from_filtration as it stood before the translates of
+    one-generator baselines met at one join: one KUpset per supported
+    pair, intersected two at a time."""
+    from functools import reduce
+
+    filt = tuple(filt)
+    result = verify_stanley(I, filt, mode="filtration")
+    if not result:
+        raise FiltrationInvalid(f"not a Stanley filtration for the ideal: {result.reason}")
+    saturated = mi.is_b_saturated(I, X)
+    parts = [assume.baseline(X, pair.face).translate(X.degree(pair.shift))
+             for pair in filt
+             if not saturated or frozenset(range(X.n)) - pair.face in X.delta]
+    if not parts:
+        raise FiltrationInvalid("no pair of the filtration is supported on the fan")
+    return reduce(rg.upset_intersect, parts)
+
+
+def _bound_outcome(bound, X, I, filt, assume):
+    from toricreg.errors import DomainError
+
+    try:
+        U = bound(X, I, filt, assume)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return U.generators
+
+
+def _random_assumption(X, rng):
+    """Baselines of 0-3 generators (an empty baseline is the empty upset)
+    on a random half of the faces' complements, or the default."""
+    if rng.random() < 0.3:
+        return rg.RegularityAssumption()
+    baselines = {}
+    for face in X.delta:
+        if rng.random() < 0.5:
+            sigma = frozenset(range(X.n)) - face
+            gens = [tuple(rng.randint(-2, 2) for _ in range(X.r))
+                    for _ in range(rng.choice((0, 1, 1, 1, 2, 3)))]
+            baselines[sigma] = rg.KUpset(X, gens)
+    return rg.RegularityAssumption(baselines, "random")
+
+
+def test_one_join_bound_matches_pairwise_intersection():
+    from test_variety import BLOWUP, BLOWN_UP_P3, HEXAGON_FAN
+
+    import random
+
+    rng = random.Random(33)
+    varieties = [P2, P3, PP, F2, tv.product_projective(1, 1), tv.hirzebruch(1)]
+    varieties += [tv.build_variety(fan) for fan in (BLOWUP, BLOWN_UP_P3, HEXAGON_FAN)]
+    kinds = set()
+    for X in varieties:
+        for _ in range(25):
+            gens = [tuple(rng.randint(0, 2) for _ in range(X.n))
+                    for _ in range(rng.randint(1, 3))]
+            I = mi.MonomialIdeal(X.n, gens)
+            if not I.is_unit() and rng.random() < 0.6:
+                I = mi.b_saturate(I, X)
+            if I.is_unit():
+                continue
+            filt = stanley_filtration(I)
+            if rng.random() < 0.1:
+                filt = filt[::-1]  # usually no longer a filtration
+            assume = _random_assumption(X, rng)
+            got = _bound_outcome(rg.reg_bound_from_filtration, X, I, filt, assume)
+            assert got == _bound_outcome(_bound_by_pairwise_intersection, X, I, filt, assume), \
+                (X, I, filt)
+            kinds.add(got[0] if got and isinstance(got[0], type) else len(got))
+    from toricreg.errors import Unsupported
+
+    assert {MissingBaseline, Unsupported, FiltrationInvalid, 0, 1, 2} <= kinds, kinds

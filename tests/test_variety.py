@@ -111,14 +111,20 @@ def test_build_smith_form_count(monkeypatch):
 
 def test_build_inverse_and_determinant_counts(monkeypatch):
     # PxP(2,1): n = 5, d = 3, r = 2, six maximal cones.  Inverses: the
-    # ray block of the first cone, the six facet blocks and the nef basis.
-    # Determinants: the six cone blocks only; the rays of the nef cone and
-    # of the dual degree cone in R^2 come from the closed-form normal of
-    # one row, with no minor taken
+    # ray block of the first cone, the one facet block the six cones
+    # share (A = [1 1 1 0 0; 0 0 0 1 1]) and the nef basis.
+    # Determinants: the six cone blocks only; the rays of the nef cone
+    # in R^2 come from the closed-form normal of one row, with no minor
+    # taken, and the degree cone's dual is not built
     inverses = _count_calls(monkeypatch, "inverse_unimodular")
     determinants = _count_calls(monkeypatch, "determinant")
     tv.product_projective(2, 1)
-    assert (len(inverses), len(determinants)) == (1 + 6 + 1, 6)
+    assert (len(inverses), len(determinants)) == (1 + 1 + 1, 6)
+    # Hirzebruch(2): its four cones have three distinct facet blocks,
+    # columns {1,2}, {2,3} and {1,4} = {3,4} of [1 -2 1 0; 0 1 0 1]
+    del inverses[:]
+    tv.hirzebruch(2)
+    assert len(inverses) == 1 + 3 + 1
 
 
 def test_enumerate_smith_form_count(monkeypatch, capsys):
@@ -380,7 +386,9 @@ def _reference_build(fan, grading=None, assume_complete=False):
     if w is None:
         raise NotPointed("the degree cone pos{a_i} is not pointed")
 
-    return tv.ToricVariety(fan, A, delta, facet_data, nef_rays, nef_basis, w)
+    X = tv.ToricVariety(fan, A, facet_data, nef_rays, nef_basis, w)
+    X._delta = delta  # the oracle's own faces, in place of the derived ones
+    return X
 
 
 def _reference_check_complete(fan, dets):
@@ -592,7 +600,63 @@ def test_nef_cone_errors_are_reachable():
     with pytest.raises(NotFullDimensional, match="nef cone is not full-dimensional"):
         tv.build_variety(fan, assume_complete=True)
     # only the cones {1,3} and {2,3}: K = N is fine, but the degrees 1, 1
-    # and -1 span the line
+    # and -1 span the line.  Assumed complete, the build raises NotPointed
+    # itself, not a later read of positive_w; checked, the fan is not
+    # complete
+    fan = tv.Fan([[1, 0], [0, 1], [1, 1]], [(0, 2), (1, 2)])
     with pytest.raises(NotPointed, match="degree cone"):
-        tv.build_variety(tv.Fan([[1, 0], [0, 1], [1, 1]], [(0, 2), (1, 2)]),
-                         assume_complete=True)
+        tv.build_variety(fan, assume_complete=True)
+    with pytest.raises(NotPointed, match="degree cone"):
+        tv.variety_from_dict({"rays": [[1, 0], [0, 1], [1, 1]],
+                              "max_cones": [[1, 3], [2, 3]]}, assume_complete=True)
+    with pytest.raises(NotComplete):
+        tv.build_variety(fan)
+
+
+# -- values derived on first read ----------------------------------------
+
+
+def test_positive_w_is_derived_on_first_read(monkeypatch):
+    calls = []
+    original = cones.strictly_positive_functional
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(cones, "strictly_positive_functional", counting)
+    X = tv.product_projective(2, 1)  # completeness checked: nothing to raise
+    assert calls == []
+    w = X.positive_w
+    assert X.positive_w is w and len(calls) == 1
+    # with assume_complete it is computed by the build
+    tv.with_grading(X, X.grading)
+    assert len(calls) == 2
+
+
+def test_lazy_positive_w_equals_eager():
+    fans = [tv.variety_from_name(name).fan
+            for name in ("P(1)", "P(2)", "P(3)", "P(4)", "PxP(1,1)", "PxP(1,2)",
+                         "PxP(2,1)", "PxP(2,2)", "Hirzebruch(0)", "Hirzebruch(1)",
+                         "Hirzebruch(2)", "Hirzebruch(3)")]
+    for fan in fans + [BLOWUP, BLOWN_UP_P3, HEXAGON_FAN, F1_REORDERED.fan]:
+        lazy = tv.build_variety(fan)
+        assert lazy._positive_w is None
+        eager = tv.build_variety(fan, assume_complete=True)
+        assert eager._positive_w is not None
+        expected = cones.strictly_positive_functional(il.transpose(lazy.grading), lazy.r)
+        assert lazy.positive_w == eager.positive_w == expected, fan.rays
+        assert all(sum(a * b for a, b in zip(expected, lazy.variable_degree(i))) > 0
+                   for i in range(lazy.n))
+    for name in ("P(2)", "PxP(2,1)", "Hirzebruch(2)"):
+        assert tv.variety_from_name(name)._positive_w is None
+
+
+def test_faces_are_derived_on_first_read():
+    X = tv.product_projective(2, 1)
+    assert X._delta is None
+    faces = X.delta
+    assert X.delta is faces
+    expected = {frozenset(s) for cone in X.fan.max_cones
+                for k in range(len(cone) + 1) for s in combinations(sorted(cone), k)}
+    assert faces == expected and len(faces) == 1 + 5 + 9 + 6
