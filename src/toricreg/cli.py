@@ -21,19 +21,16 @@ from .errors import DomainError, ParseError
 from .multipoly import format_poly, parse_poly
 
 
-def _load_assumption(text):
+def _load_assumption(text, X):
+    """The regularity assumption of --assume-baseline on X: the default,
+    or the face baselines of a JSON file."""
     if text in (None, "default-K"):
         return rg.RegularityAssumption()
     try:
         with open(text, "r", encoding="utf-8") as handle:
-            return json.load(handle)  # resolved against the variety later
+            raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read baseline file {text!r}: {exc}") from exc
-
-
-def _resolve_assumption(raw, X):
-    if isinstance(raw, rg.RegularityAssumption):
-        return raw
     baselines = {}
     try:
         for entry in raw.get("baselines", []):
@@ -111,7 +108,7 @@ def cmd_hilbert(args):
 
 def cmd_regularity(args):
     X = tv.load_variety(args.variety)
-    assume = _resolve_assumption(_load_assumption(args.assume_baseline), X)
+    assume = _load_assumption(args.assume_baseline, X)
     if args.ideal is not None:
         ideal = _load_ideal(args.ideal, X.n)
         pairs = st.stanley_filtration(ideal)

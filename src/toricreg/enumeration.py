@@ -11,9 +11,10 @@ checked at runtime.  Realize turns representations
 into ideals and keeps those passing the exact Hilbert-polynomial check,
 since candidates are over-generated (every admissible anchor is tried).
 Realize runs on the search's own states: every state the search pushes
-carries a payload (_prefix) made from its parent's, and the search hands
-over the reps that complete at a popped state in one batch, with that
-state's payload, whose parents are the payloads of the state's prefixes.
+carries a payload (_prefix) made from its parent's, which holds the
+state's pair tuple, the one copy of its path, and the search hands over
+the reps that complete at a popped state in one batch (payload, leaves),
+whose payload's parents are the payloads of the state's prefixes.
 A rep's ideal is the intersection of its pairs' irreducible components,
 and realize decides the exact check from those components alone, by
 inclusion-exclusion (Mayer-Vietoris) over the components of each prefix
@@ -357,9 +358,10 @@ def _face_vector(frame, ti, degree):
 
 def _peel_off(frame, relaxed=False, count=False):
     """Yield the complete representations of frame.P in batches, one per
-    popped state that completes any: (held, payload, leaves), whose reps
-    are held + (leaf,) for each leaf in order, held the state's pairs and
-    each leaf a pair whose face vector equals the state's residual.  A
+    popped state that completes any: (payload, leaves), whose reps are
+    held + (leaf,) for each leaf in order, held the state's pairs (the
+    pair tuple of its payload, () at the root) and each leaf a pair whose
+    face vector equals the state's residual.  A
     new pair chains off an earlier pair j whose face is no later in the
     face order, along a variable x_l of face j: v + e_l on monomials (a
     set of pairs), or q + deg x_l on degrees when relaxed (a multiset).
@@ -375,12 +377,13 @@ def _peel_off(frame, relaxed=False, count=False):
     leading place.  A residual is kept only once the range guard passes
     (_checked), so every vector the search compares is in range.  Each
     distinct pair gets a number when the search first meets it (counting, when it
-    is first met as other than a leaf, see below).  A state holds
-    the numbers of its pairs, in push order, and is deduplicated by a
-    key that stands for the pair multiset, since numbering is one to
-    one: on monomials a state is a set, and its key is the bitmask of its
-    numbers, so "already in the state" is one bit; relaxed, it is the
-    sorted tuple of its numbers.  The pair's successor shifts (its shift
+    is first met as other than a leaf, see below).  A state is
+    deduplicated by a key that stands for its pair multiset, since
+    numbering is one to one: on monomials a state is a set, and its key
+    is the bitmask of its numbers, so "already in the state" is one bit;
+    relaxed, it is the sorted tuple of its numbers.  Besides its key, a
+    stack entry holds its depth and its payload, and no other copy of
+    its path.  The pair's successor shifts (its shift
     plus each step of its face) and its StanleyPair (shift, sigma) depend
     on the pair alone, so they are built then, once, and every rep
     holding the pair shares that StanleyPair; relaxed, its shift is the
@@ -398,18 +401,17 @@ def _peel_off(frame, relaxed=False, count=False):
     Each pushed state carries the payload _prefix(parent's payload, pair),
     None at the root, and a batch carries its state's payload.  A state
     is pushed at most once, so its payload belongs to one pair sequence,
-    and the payloads on a batch's parent chain are those of held's
-    prefixes.
+    the pair tuple it holds, and the payloads on a batch's parent chain
+    are those of held's prefixes.
 
     With count=True the search reads depths only, for the Gotzmann
-    number: it yields len(state) + 1 for each popped state with a valid
+    number: it yields depth + 1 for each popped state with a valid
     leaf candidate, one whose (face, degree) vector equals the residual
     and whose pair is not already in the state (any leaf candidate, when
     relaxed).  A leaf candidate is not numbered (a pair met before as
     other than a leaf keeps its number) and gets no key in seen, but its
     face vector is kept by (face, shift), so meeting it again is one
-    lookup.  No StanleyPair, held tuple or payload is built for any
-    pair.  The
+    lookup.  No StanleyPair or payload is built for any pair.  The
     lengths are the listing search's rep lengths, some repeated.  Proof:
     the residual is a function of the pair multiset; a leaf's multiset
     has zero residual and every pushed state's a nonzero one, so a leaf
@@ -417,7 +419,7 @@ def _peel_off(frame, relaxed=False, count=False):
     seen changes no seen test on a non-leaf candidate, hence no push: the
     same states are popped in the same order.  At each, a valid leaf
     candidate that the listing search accepts is a rep of length
-    len(state) + 1, and one it rejects as seen has the multiset, hence
+    depth + 1, and one it rejects as seen has the multiset, hence
     the length, of a rep it yielded before.  So the maximum is the
     listing search's, and the search yields nothing (NoRepresentation)
     exactly when the listing search does; the argument is the same for
@@ -430,7 +432,7 @@ def _peel_off(frame, relaxed=False, count=False):
     if relaxed:
         steps = [X.variable_degree(ell) for ell in range(X.n)]
     else:
-        steps = [tuple(int(i == ell) for i in range(X.n)) for ell in range(X.n)]
+        steps = il.identity(X.n)
     by_place = {}  # leading place -> the faces with that leading place, in order
     for ti, init in enumerate(frame.inits):
         by_place.setdefault(last - init, []).append(ti)
@@ -460,14 +462,14 @@ def _peel_off(frame, relaxed=False, count=False):
 
     seen = set()
     origin = [(0,) * len(steps[0])]
-    stack = [((), 0, (), target, *_leading(target, width), None, {})]
+    stack = [(0, () if relaxed else 0, target, *_leading(target, width), None, {})]
     while stack:
-        state, key, held, Q, q_place, q_coeff, payload, pool = stack.pop()
+        depth, key, Q, q_place, q_coeff, payload, pool = stack.pop()
         leaves = []
         complete = False  # a valid leaf candidate met, when counting
         ordered = sorted(pool)
         for ti in by_place.get(q_place, ()):
-            shifts = [s for s in ordered if pool[s] <= ti] if state else origin
+            shifts = [s for s in ordered if pool[s] <= ti] if depth else origin
             numbered, unnumbered = numbers[ti], leaf_vectors[ti]
             for shift in shifts:
                 k = numbered.get(shift)
@@ -481,7 +483,7 @@ def _peel_off(frame, relaxed=False, count=False):
                         continue
                     k = node(ti, shift, face)
                 if relaxed:
-                    new_key = tuple(sorted(state + (k,)))
+                    new_key = tuple(sorted(key + (k,)))
                 else:
                     new_key = key | 1 << k
                     if new_key == key:
@@ -507,12 +509,12 @@ def _peel_off(frame, relaxed=False, count=False):
                 for s in successors:
                     if child.get(s, ti) >= ti:
                         child[s] = ti
-                stack.append((state + (k,), new_key, None if count else held + (pair,), residual,
-                              r_place, r_coeff, None if count else _prefix(payload, pair), child))
+                stack.append((depth + 1, new_key, residual, r_place, r_coeff,
+                              None if count else _prefix(payload, pair), child))
         if complete:
-            yield len(state) + 1
+            yield depth + 1
         elif leaves:
-            yield held, payload, leaves
+            yield payload, leaves
 
 
 def _encode(frame, a):
@@ -672,9 +674,10 @@ def _sort_keys(rep):
 
 def _prefix(parent, pair):
     """The payload of a pushed search state, the prefix of the reps below
-    it: [parent's payload (None at the root), pair, _ComponentSet or
-    _EXCESS, filtered].  _realize fills the last two on demand."""
-    return [parent, pair, None, None]
+    it: [parent's payload (None at the root), the prefix's pairs (the
+    parent's with pair appended), _ComponentSet or _EXCESS, filtered].
+    _realize fills the last two on demand."""
+    return [parent, (parent[1] if parent else ()) + (pair,), None, None]
 
 
 class _Realized(NamedTuple):
@@ -688,8 +691,8 @@ class _Realized(NamedTuple):
 
 
 def _realize(frame, found):
-    """List the representations of found, the (held, payload, leaves)
-    batches of _peel_off(frame), and group them by ideal;
+    """List the representations of found, the (payload, leaves) batches
+    of _peel_off(frame), and group them by ideal;
     keep the ideals whose quotient has Hilbert polynomial frame.P, each
     with its representations, and the least of them (by
     StanleyPair.sort_key) that is a Stanley filtration of S/I, when there
@@ -708,8 +711,9 @@ def _realize(frame, found):
     the order of its pairs, and the search pushes each state once, so
     each pushed state's payload (_prefix) keeps it, one _meet from its
     parent's, filled in up the chain once per batch, when the first batch
-    below the state arrives.  Each leaf's own set is read from its
-    state's set's steps, and met only when that step is new.
+    below the state arrives.  Each leaf's own set is one step from its
+    state's set, as a state's is from its parent's: _meet's memo answers
+    a step met before.
 
     The set determines the prefix's ideal J: a pair's component is
     supported on its face sigma^, a face of the fan, so _meet keeps
@@ -753,7 +757,7 @@ def _realize(frame, found):
     X, target = frame.X, frame.target
     reps, grouped, witnesses = [], {}, {}
     components = {}  # id(pair) -> its irreducible component: (mask, exponent tuple)
-    root = [None, None, _component_set(frame, ()), True]  # above the depth-one states
+    root = [None, (), _component_set(frame, ()), True]  # above the depth-one states
     root[2].ideal = MonomialIdeal.unit(X.n)
     counts = [0, 0, 0, 0]  # prefix_tests, skipped_reps, filtration_steps, intersections
 
@@ -790,10 +794,10 @@ def _realize(frame, found):
         counts[2] += above[3]  # no step after a failed one
         return above[3] and _filtration_step(ideal, pair, a)
 
-    for held, payload, leaves in found:
-        batch = [held + (leaf,) for leaf in leaves]
-        reps.extend(batch)
+    for payload, leaves in found:
         parent = payload or root
+        batch = [parent[1] + (leaf,) for leaf in leaves]
+        reps.extend(batch)
         if parent[2] is None:
             above, chain = unfilled(parent, 2)
             for state in chain:  # the batch's prefixes that have no component set yet
@@ -801,7 +805,7 @@ def _realize(frame, found):
                     state[2] = _EXCESS
                 else:
                     counts[0] += 1
-                    node = step(above[2], component(state[1])[0])
+                    node = step(above[2], component(state[1][-1])[0])
                     state[2] = node if node.sign >= 0 else _EXCESS
                 above = state
         base = parent[2]
@@ -809,18 +813,13 @@ def _realize(frame, found):
             counts[1] += len(leaves)
             continue
         for rep, leaf in zip(batch, leaves):
-            c = (components.get(id(leaf)) or component(leaf))[0]
-            node = base.steps.get(c, _UNSEEN)  # the leaf's own step, met before or not
-            if node is None:
-                node = base
-            if node is _UNSEEN or node.sign is None:
-                node = step(base, c)
+            node = step(base, component(leaf)[0])
             if node.sign:
                 continue
             if parent[3] is None:
                 above, chain = unfilled(parent, 3)
                 for state in chain:  # the batch's prefixes that have no filtration flag yet
-                    state[3] = settle(above, state[1], state[2])
+                    state[3] = settle(above, state[1][-1], state[2])
                     above = state
             filtered = settle(parent, leaf, node)
             grouped.setdefault(node.ideal, []).append(rep)
@@ -889,10 +888,7 @@ def gotzmann_number(X, P):
     listed, numbered, keyed or given a StanleyPair.  The maximum is the
     listing search's (see _peel_off), and NoRepresentation is raised
     exactly when that search finds no rep."""
-    m = max(_peel_off(_working_frame(X, P), count=True), default=0)
-    if not m:
-        raise NoRepresentation("the search produced no representation of P")
-    return m
+    return _longest(X, P, relaxed=False)
 
 
 def gotzmann_upper_bound(X, P):
@@ -907,8 +903,14 @@ def gotzmann_upper_bound(X, P):
     and equal to it in the standard graded case.  Like gotzmann_number
     it reads depths only (count=True).
     """
-    frame = _working_frame(X, P)
-    best = max(_peel_off(frame, relaxed=True, count=True), default=0)
-    if not best:
-        raise NoRepresentation("the relaxed search produced no representation of P")
-    return best
+    return _longest(X, P, relaxed=True)
+
+
+def _longest(X, P, relaxed):
+    """The largest rep length of the count-only search, relaxed or not;
+    NoRepresentation when it yields none."""
+    m = max(_peel_off(_working_frame(X, P), relaxed=relaxed, count=True), default=0)
+    if not m:
+        search = "relaxed search" if relaxed else "search"
+        raise NoRepresentation(f"the {search} produced no representation of P")
+    return m

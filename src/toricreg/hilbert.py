@@ -40,7 +40,9 @@ D divides, and multiplying by L > 0 keeps every equality and sign, so
 the integer vectors decide P_{S/I} = P and leading terms exactly
 (enumeration.py).
 
-The K-polynomial comes from the exact sequence
+A face ring's K(S_sigma) is always its Koszul numerator
+(face_k_polynomial, pairs_k_polynomial).  Only an ideal's K-polynomial
+comes from a recursion, on the exact sequence
 0 -> S/(I : m)(-deg m) -> S/I -> S/(I + m) -> 0 for m = x_i^e, that is
 K(S/I) = K(S/(I + m)) + y^{deg m} K(S/(I : m)).  The recursion runs in
 any grading: the coarse one, memoized on the variety, and the fine one
@@ -53,8 +55,9 @@ from itertools import product
 from math import comb, factorial, lcm, prod
 from operator import add, mul, sub
 
+from . import intlinalg as il
 from .errors import NotComplete, SearchExhausted, UnitIdeal
-from .ideals import MonomialIdeal, minimal_generators
+from .ideals import minimal_generators
 from .multipoly import MultiPoly
 
 
@@ -306,15 +309,16 @@ def _k_polynomial(degree, zero, cache, gens, bound):
     return result
 
 
-def pairs_k_polynomial(degree, zero, cache, pairs):
+def pairs_k_polynomial(degree, zero, pairs):
     """{degree: coefficient} of the sum over the pairs (u, sigma) of
     y^{deg u} K(S_sigma; y), graded as by _k_polynomial; K(S_sigma) is the
-    recursion's coprime leaf on the face prime."""
+    Koszul numerator of the variables outside sigma."""
     out = {}
     for pair in pairs:
-        prime = _face_prime(len(pair.shift), pair.face)
         shift = degree(pair.shift)
-        for d, c in _k_polynomial(degree, zero, cache, prime, None):
+        outside = (degree(e) for i, e in enumerate(il.identity(len(pair.shift)))
+                   if i not in pair.face)
+        for d, c in koszul_numerator(outside, zero).items():
             key = tuple(map(add, d, shift))
             out[key] = out.get(key, 0) + c
     return out
@@ -330,11 +334,6 @@ def quotient_hilbert_polynomial(X, I):
     return _shift_sum(X, coarse_k_polynomial(X, I))
 
 
-def _face_prime(n, sigma):
-    """The sorted generators of <x_i : i not in sigma>, the ideal of S_sigma."""
-    return tuple(tuple(int(j == i) for j in range(n)) for i in reversed(range(n)) if i not in sigma)
-
-
 def face_k_polynomial(X, sigma):
     """K(S_sigma; y) = prod_{i not in sigma} (1 - y^{deg x_i}), the Koszul
     numerator of the face prime's variables, as coarse_k_polynomial gives
@@ -345,14 +344,10 @@ def face_k_polynomial(X, sigma):
 
 
 def face_hilbert_polynomial(X, sigma):
-    """P_{S_sigma}(t) for the face ring on the variables in sigma.
+    """P_{S_sigma}(t) for the face ring on the variables in sigma, the
+    shift sum over its Koszul numerator (face_k_polynomial).
 
     This is the zero polynomial when the complement of sigma is not a
     face of the fan (S_sigma is then B-torsion).
     """
-    sigma = frozenset(sigma)
-    poly = X._face_poly_cache.get(sigma)
-    if poly is None:
-        poly = quotient_hilbert_polynomial(X, MonomialIdeal(X.n, _face_prime(X.n, sigma)))
-        X._face_poly_cache[sigma] = poly
-    return poly
+    return _shift_sum(X, face_k_polynomial(X, frozenset(sigma)))

@@ -8,8 +8,7 @@ local cohomology: they are explicit assumptions, by default K itself
 spaces and their products.
 """
 
-from functools import reduce
-from operator import add, index
+from operator import index
 
 from .errors import (
     FiltrationInvalid,
@@ -52,19 +51,30 @@ def _minimal_generators(X, generators):
             for h in gens))
 
 
-def upset_intersect(a, b):
-    """Intersection of two K-upsets.
+def upset_intersect(*upsets):
+    """Intersection of one or more K-upsets.
 
-    With a nef basis (K unimodular simplicial), (g + K) cap (h + K) =
-    join(g, h) + K, where join(g, h) = find_point_dominating(X, (g, h))
-    is the least point dominating g and h; intersections of unions
-    distribute over the joins.  Without a nef basis the minimal
-    generators are not computed: Unsupported.
+    One upset is returned unchanged, and needs no nef basis.  With a nef
+    basis (K unimodular simplicial), (g + K) cap (h + K) = join(g, h) + K,
+    where join(g, h) = find_point_dominating(X, (g, h)) is the least point
+    dominating g and h, and joins are associative: the one-generator
+    upsets meet at one join of all their generators, and each other
+    upset is folded on by distributing the intersection over the joins,
+    minimal generators kept after each fold.  An upset with no
+    generators is empty and empties the result.  Without a nef basis
+    the minimal generators are not computed: Unsupported.
     """
-    X = a.X
+    if len(upsets) == 1:
+        return upsets[0]
+    X = upsets[0].X
     _require_nef_basis(X)
-    return KUpset(X, [find_point_dominating(X, (g, h))
-                      for g in a.generators for h in b.generators])
+    points = [u.generators[0] for u in upsets if len(u.generators) == 1]
+    result = KUpset(X, [find_point_dominating(X, points)]) if points else None
+    for u in upsets:
+        if len(u.generators) != 1:
+            result = u if result is None else KUpset(
+                X, [find_point_dominating(X, (g, h)) for g in result.generators for h in u.generators])
+    return result
 
 
 def _require_nef_basis(X):
@@ -98,17 +108,14 @@ class RegularityAssumption:
 
 
 def reg_bound_from_filtration(X, I, filt, assume=None):
-    """Theorem-level bound: intersect deg(x^u_i) + baseline(sigma_i).
+    """Theorem-level bound: intersect deg(x^u_i) + baseline(sigma_i)
+    (upset_intersect).
 
     For B-saturated I the intersection may skip pairs whose face
-    complement is off the fan.  The filtration is verified first.
-
-    The translates g + K of one-generator baselines (the default K is
-    one) meet at one point: with a nef basis, the join of all their g,
-    one find_point_dominating call (upset_intersect).  A baseline with
-    several generators is folded onto that with upset_intersect.  One
-    supported pair needs no intersection; two or more without a nef
-    basis raise Unsupported.
+    complement is off the fan.  The filtration is verified first, and
+    every baseline is looked up before any intersection.  One supported
+    pair needs no intersection; two or more without a nef basis raise
+    Unsupported.
     """
     assume = assume or RegularityAssumption()
     filt = tuple(filt)
@@ -119,24 +126,17 @@ def reg_bound_from_filtration(X, I, filt, assume=None):
     everything = frozenset(range(X.n))
     # every baseline before any intersection: a missing baseline is
     # reported even where K could not intersect
-    parts = [(assume.baseline(X, pair.face), X.degree(pair.shift))
+    parts = [assume.baseline(X, pair.face).translate(X.degree(pair.shift))
              for pair in filt if not saturated or everything - pair.face in X.delta]
     if not parts:
         raise FiltrationInvalid("no pair of the filtration is supported on the fan")
-    if len(parts) == 1:
-        base, shift = parts[0]
-        return base.translate(shift)
-    _require_nef_basis(X)
-    points = [tuple(map(add, base.generators[0], shift))
-              for base, shift in parts if len(base.generators) == 1]
-    joined = [KUpset(X, [find_point_dominating(X, points)])] if points else []
-    return reduce(upset_intersect, joined + [base.translate(shift) for base, shift in parts
-                                             if len(base.generators) != 1])
+    return upset_intersect(*parts)
 
 
 def reg_bound_from_polynomial(X, P, assume=None):
-    """Uniform bound (m-1)c + intersection of the face baselines,
-    m the Gotzmann number of P."""
+    """Uniform bound (m-1)c + the intersection of the face baselines
+    (upset_intersect), m the Gotzmann number of P; every baseline is
+    looked up before any intersection."""
     from .enumeration import gotzmann_number  # deferred: enumeration imports hilbert
 
     assume = assume or RegularityAssumption()
@@ -148,13 +148,9 @@ def reg_bound_from_polynomial(X, P, assume=None):
     c = find_c(X)
     if X._nef_basis is None:
         raise Unsupported("uniform bound needs a simplicial unimodular K")
-    # every baseline before any intersection, so a missing one is
-    # reported; intersection is idempotent, so each distinct one is met once
-    parts = {}
-    for face in X.faces():
-        part = assume.baseline(X, frozenset(range(X.n)) - face)
-        parts.setdefault(part.generators, part)
-    return reduce(upset_intersect, parts.values()).translate(tuple((m - 1) * x for x in c))
+    everything = frozenset(range(X.n))
+    baselines = [assume.baseline(X, everything - face) for face in X.faces()]
+    return upset_intersect(*baselines).translate(tuple((m - 1) * x for x in c))
 
 
 def format_upset(upset, assumption=None):

@@ -15,6 +15,7 @@ from itertools import combinations
 from operator import index
 from typing import NamedTuple
 
+from . import intlinalg as il
 from .errors import OverlappingPairs, StrategyInvalid, UnitIdeal
 from .hilbert import _k_polynomial, pairs_k_polynomial
 from .ideals import MonomialIdeal, divides, format_monomial, monomial_lcm, total_degree
@@ -127,7 +128,7 @@ def stanley_decompose(I, strategy=None):
     if strategy is None:
         strategy = default_strategy
 
-    units = [tuple(int(i == j) for j in range(I.n)) for i in range(I.n)]
+    units = il.identity(I.n)
 
     def build(J):
         if J.is_prime():
@@ -200,8 +201,10 @@ def verify_stanley(I, pairs, mode="decomposition"):
     chain ends at I (_filtration_counterexample).
 
     Decomposition mode is an identity of fine K-polynomials
-    (Miller-Sturmfels, ch. 8), each from the recursion of hilbert.py in
-    the grading deg u = u: N = sum_pairs x^u K(S/P_s) - K(S/I).  Divided
+    (Miller-Sturmfels, ch. 8) in the grading deg u = u:
+    N = sum_pairs x^u K(S/P_s) - K(S/I), each K(S/P_s) the Koszul
+    numerator of the face prime and K(S/I) from the recursion of
+    hilbert.py.  Divided
     by prod_j (1 - x_j), N has coefficient #{pairs containing m} -
     [m not in I] at each monomial m, so N = 0 exactly when the pairs
     form a decomposition, none meeting I.  Otherwise the lex-least
@@ -222,9 +225,9 @@ def verify_stanley(I, pairs, mode="decomposition"):
         return _filtration_counterexample(I, pairs)
     if mode != "decomposition":
         raise ValueError(f"unknown mode {mode!r}")
-    zero, cache = (0,) * I.n, {}  # the fine grading: deg u = u
-    numerator = pairs_k_polynomial(tuple, zero, cache, pairs)
-    for m, c in _k_polynomial(tuple, zero, cache, I.gens, None):
+    zero = (0,) * I.n  # the fine grading: deg u = u
+    numerator = pairs_k_polynomial(tuple, zero, pairs)
+    for m, c in _k_polynomial(tuple, zero, {}, I.gens, None):
         numerator[m] = numerator.get(m, 0) - c
     m = min((m for m, c in numerator.items() if c), default=None)
     if m is None:

@@ -86,7 +86,6 @@ class ToricVariety:
         self._delta = None                  # the faces, built on first use
         self._orthant_change = None         # positive_orthant_change(X), built on first use
         self._positive_w = positive_w       # w . a_i > 0 for every i, or None until read
-        self._face_poly_cache = {}          # sigma -> P_{S_sigma}
         self._fiber_cache = {}              # degree t -> sorted fiber of S
         self._k_poly_cache = {}             # minimal generators -> coarse K(S/I)
         self._ring_expansion = None         # P_S and its integer shift expansion

@@ -11,6 +11,7 @@ from hypothesis import strategies as gen
 
 from toricreg import enumeration as en
 from toricreg import hilbert as hb
+from toricreg import intlinalg as il
 from toricreg import ideals as mi
 from toricreg import stanley as st
 from toricreg import variety as tv
@@ -95,11 +96,17 @@ def _on_basis(frame, coefficients):
     return tuple(coefficients.get(e, 0) for e in frame.basis)
 
 
+def _held(payload):
+    """The pairs of the state a batch's payload belongs to, () at the root."""
+    return payload[1] if payload else ()
+
+
 def _reps(frame, relaxed=False):
     """The search's representations, its batches flattened in order: each
-    batch (held, payload, leaves) stands for held + (leaf,) per leaf, a
-    tuple of StanleyPairs, one object per distinct pair, shared across reps."""
-    return [held + (leaf,) for held, _, leaves in en._peel_off(frame, relaxed)
+    batch (payload, leaves) stands for held + (leaf,) per leaf, held the
+    payload's pairs, a tuple of StanleyPairs, one object per distinct
+    pair, shared across reps."""
+    return [_held(payload) + (leaf,) for payload, leaves in en._peel_off(frame, relaxed)
             for leaf in leaves]
 
 
@@ -112,11 +119,11 @@ def _indexed(frame, reps):
 
 
 def _folded(reps):
-    """The (held, payload, leaves) batches that realize reads, for any rep
-    list: consecutive reps that share all but their last pair form one
-    batch, and each prefix's payload is folded from the root with
-    en._prefix once and shared by every batch below it, as the search
-    shares a pushed state's payload among the batches below it."""
+    """The (payload, leaves) batches that realize reads, for any rep list:
+    consecutive reps that share all but their last pair form one batch,
+    and each prefix's payload is folded from the root with en._prefix
+    once and shared by every batch below it, as the search shares a
+    pushed state's payload among the batches below it."""
     payloads = {(): None}
     batches = []
     for rep in reps:
@@ -124,10 +131,10 @@ def _folded(reps):
         for i, pair in enumerate(held):
             if held[:i + 1] not in payloads:
                 payloads[held[:i + 1]] = en._prefix(payloads[held[:i]], pair)
-        if batches and batches[-1][0] == held:
-            batches[-1][2].append(rep[-1])
+        if batches and batches[-1][0] is payloads[held]:
+            batches[-1][1].append(rep[-1])
         else:
-            batches.append((held, payloads[held], [rep[-1]]))
+            batches.append((payloads[held], [rep[-1]]))
     return batches
 
 
@@ -205,12 +212,18 @@ def test_integer_face_order_matches_multipoly_leading_monomials(X):
 @pytest.mark.parametrize("X", FACE_ORDER_VARIETIES.values(), ids=FACE_ORDER_VARIETIES)
 def test_face_k_polynomial_is_the_face_prime_k_polynomial(X):
     # the Koszul numerator over the variables outside sigma, for every
-    # subset sigma of the variables, faces of the fan or not
+    # subset sigma of the variables, faces of the fan or not; the face
+    # polynomial built on it is the prime's quotient polynomial through
+    # the recursion, and zero off the fan
+    units = il.identity(X.n)
     for size in range(X.n + 1):
         for sigma in combinations(range(X.n), size):
-            prime = mi.MonomialIdeal(X.n, [tuple(int(j == i) for j in range(X.n))
-                                           for i in range(X.n) if i not in sigma])
+            prime = mi.MonomialIdeal(X.n, [units[i] for i in range(X.n) if i not in sigma])
             assert hb.face_k_polynomial(X, frozenset(sigma)) == coarse_k_polynomial(X, prime)
+            poly = face_hilbert_polynomial(X, sigma)
+            assert poly == quotient_hilbert_polynomial(X, prime)
+            on_fan = frozenset(range(X.n)) - frozenset(sigma) in X.delta
+            assert poly.is_zero() != on_fan
 
 
 def test_no_entry_point_builds_a_face_polynomial(monkeypatch):
@@ -501,10 +514,10 @@ def test_gotzmann_number_runs_only_frame_and_search(monkeypatch):
 
 def test_count_only_search_holds_under_a_third_of_the_listing_memory():
     # the listing search keys each of its 12487 leaves into seen and
-    # builds a StanleyPair, held tuple and payload per pushed pair; the
-    # count-only search keys only the 1837 pushed states and builds
-    # none of those.  The traced peak of each search alone, on its own
-    # frame, read 1.53 MB listing and 0.28 MB counting
+    # builds a StanleyPair and a payload with its pair tuple per pushed
+    # pair; the count-only search keys only the 1837 pushed states and
+    # builds none of those.  The traced peak of each search alone, on its
+    # own frame, read 1.39 MB listing and 0.28 MB counting
     P = parse_poly("4*t+1")
     peaks = {}
     for count in (False, True):
@@ -514,7 +527,7 @@ def test_count_only_search_holds_under_a_third_of_the_listing_memory():
             if count:
                 m = max(en._peel_off(frame, count=True))
             else:
-                m = max(len(held) + 1 for held, _, _ in en._peel_off(frame))
+                m = max(len(_held(payload)) + 1 for payload, _ in en._peel_off(frame))
             peaks[count] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1070,10 +1083,10 @@ def test_search_matches_reference_order(X, text, relaxed):
 
 
 def test_fold_payloads_are_the_rep_prefixes(monkeypatch):
-    # each batch's _prefix payload chain is its held pairs, a pushed state
-    # has one payload, shared by every batch below it, a popped state
-    # hands over one batch, and _prefix runs for the pushed states only:
-    # on P(2) 4*t+1 each of the 1837 lies above a rep
+    # each batch's _prefix payload chain holds its held pairs, one more
+    # per link, a pushed state has one payload, shared by every batch
+    # below it, a popped state hands over one batch, and _prefix runs for
+    # the pushed states only: on P(2) 4*t+1 each of the 1837 lies above a rep
     frame = en._working_frame(P2, parse_poly("4*t+1"))
     reps = _reps(frame)
     folds = []
@@ -1086,15 +1099,16 @@ def test_fold_payloads_are_the_rep_prefixes(monkeypatch):
     monkeypatch.setattr(en, "_prefix", fold)
     pushed = {}
     batches = list(en._peel_off(frame))
-    assert [held + (leaf,) for held, _, leaves in batches for leaf in leaves] == reps
-    assert len({held for held, _, _ in batches}) == len(batches)
-    for held, payload, leaves in batches:
+    assert [_held(payload) + (leaf,) for payload, leaves in batches for leaf in leaves] == reps
+    assert len({_held(payload) for payload, _ in batches}) == len(batches)
+    for payload, leaves in batches:
         assert leaves
+        held = _held(payload)
         chain = []
         while payload is not None:
             chain.append(payload)
             payload = payload[0]
-        assert tuple(link[1] for link in reversed(chain)) == held
+        assert [link[1] for link in reversed(chain)] == [held[:i + 1] for i in range(len(held))]
         assert all(link[2:] == [None, None] for link in chain)  # realize fills these in
         for i, link in enumerate(reversed(chain)):
             assert pushed.setdefault(held[:i + 1], link) is link

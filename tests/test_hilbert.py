@@ -41,7 +41,7 @@ def hilbert_polynomial_of_pairs(X, pairs):
     """The oracle sum of P_{S_sigma}(t - A u) over the pairs supported on
     the fan, as one shift sum over the K-polynomials y^{A u} K(S_sigma; y)."""
     supported = [p for p in pairs if frozenset(range(X.n)) - p.face in X.delta]
-    kpoly = hb.pairs_k_polynomial(X.degree, (0,) * X.r, X._k_poly_cache, supported)
+    kpoly = hb.pairs_k_polynomial(X.degree, (0,) * X.r, supported)
     return hb._shift_sum(X, kpoly.items())
 
 

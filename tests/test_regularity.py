@@ -3,8 +3,11 @@
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as gen
 
 from toricreg import ideals as mi
+from toricreg import intlinalg as il
 from toricreg import regularity as rg
 from toricreg import variety as tv
 from toricreg.errors import FiltrationInvalid, MissingBaseline, NoSaturatedIdeal
@@ -224,11 +227,11 @@ def _bound_by_pairwise_intersection(X, I, filt, assume):
     return reduce(rg.upset_intersect, parts)
 
 
-def _bound_outcome(bound, X, I, filt, assume):
+def _bound_outcome(bound, *args):
     from toricreg.errors import DomainError
 
     try:
-        U = bound(X, I, filt, assume)
+        U = bound(*args)
     except DomainError as exc:
         return type(exc), str(exc)
     return U.generators
@@ -278,3 +281,80 @@ def test_one_join_bound_matches_pairwise_intersection():
     from toricreg.errors import Unsupported
 
     assert {MissingBaseline, Unsupported, FiltrationInvalid, 0, 1, 2} <= kinds, kinds
+
+
+def _polynomial_bound_by_pairwise_intersection(X, P, assume):
+    """reg_bound_from_polynomial as it stood before the baselines met in
+    one upset_intersect call: each distinct baseline once, intersected
+    two at a time."""
+    from functools import reduce
+
+    from toricreg.enumeration import gotzmann_number
+    from toricreg.errors import NoRepresentation, Unsupported
+
+    try:
+        m = gotzmann_number(X, P)
+    except NoRepresentation as exc:
+        raise NoSaturatedIdeal(
+            "no B-saturated ideal realizes this Hilbert polynomial") from exc
+    c = tv.find_c(X)
+    if X._nef_basis is None:
+        raise Unsupported("uniform bound needs a simplicial unimodular K")
+    parts = {}
+    for face in X.faces():
+        part = assume.baseline(X, frozenset(range(X.n)) - face)
+        parts.setdefault(part.generators, part)
+    return reduce(rg.upset_intersect, parts.values()).translate(tuple((m - 1) * x for x in c))
+
+
+def test_polynomial_bound_matches_pairwise_intersection():
+    # random assumptions, some baselines repeated on several faces, over
+    # the Hilbert polynomials of two face rings and of one small ideal,
+    # and a constant no ideal has
+    from test_variety import BLOWUP, BLOWN_UP_P3, HEXAGON_FAN
+
+    import random
+
+    from toricreg.errors import Unsupported
+
+    rng = random.Random(34)
+    varieties = [P2, P3, PP, F2, tv.product_projective(1, 1), tv.hirzebruch(1)]
+    varieties += [tv.build_variety(fan) for fan in (BLOWUP, BLOWN_UP_P3, HEXAGON_FAN)]
+    kinds = set()
+    for X in varieties:
+        ideals = [mi.MonomialIdeal(X.n, [e]) for e in il.identity(X.n)[:2]]
+        ideals.append(mi.b_saturate(mi.MonomialIdeal(X.n, [(1, 1) + (0,) * (X.n - 2)]), X))
+        polys = [quotient_hilbert_polynomial(X, I) for I in ideals]
+        for P in polys + [parse_poly("1/3", nvars=X.r)]:
+            for _ in range(4):
+                assume = _random_assumption(X, rng)
+                if assume.baselines and rng.random() < 0.5:
+                    pool = list(assume.baselines.values())
+                    assume.baselines = {sigma: rng.choice(pool) for sigma in assume.baselines}
+                got = _bound_outcome(rg.reg_bound_from_polynomial, X, P, assume)
+                want = _bound_outcome(_polynomial_bound_by_pairwise_intersection, X, P, assume)
+                assert got == want, (X, P, assume.baselines)
+                kinds.add(got[0] if got and isinstance(got[0], type) else len(got))
+    assert {NoSaturatedIdeal, Unsupported, 0, 1, 2} <= kinds, kinds
+
+
+UPSET_VARIETIES = {"P3": P3, "PxP(2,1)": PP, "Hirzebruch(2)": F2,
+                   "PxP(1,1)": tv.product_projective(1, 1)}
+
+
+@given(gen.data())
+def test_upset_intersect_of_several_is_the_pairwise_fold(data):
+    # one call on 1-4 upsets, each of 0-3 generators (none: the empty
+    # upset), equals intersecting them two at a time, and holds exactly
+    # the points that lie in every upset
+    from functools import reduce
+
+    X = data.draw(gen.sampled_from(list(UPSET_VARIETIES.values())))
+    point = gen.tuples(*[gen.integers(-2, 3)] * X.r)
+    upsets = [rg.KUpset(X, gens)
+              for gens in data.draw(gen.lists(gen.lists(point, max_size=3),
+                                              min_size=1, max_size=4))]
+    got = rg.upset_intersect(*upsets)
+    assert got == reduce(rg.upset_intersect, upsets)
+    for p in product(range(-3, 6), repeat=X.r):
+        assert upset_contains(got, p) == all(upset_contains(u, p) for u in upsets)
