@@ -83,10 +83,9 @@ is done once per distinct input and looked up after.  Every memo is
 exact, not an approximation: it stores the value of a pure function of
 its key.  The search numbers each distinct pair once and builds its
 successor shifts, face vector and, when listing, StanleyPair then; it
-builds each (face, degree) vector once, keeps the vector of each
-unnumbered leaf candidate by (face, shift) when counting, and each state
-carries its pairs' successor shifts as a pool, so a popped state sorts
-its candidate shifts once (see _peel_off).
+builds each (face, degree) vector once, and each state carries its
+pairs' successor shifts as a pool, so a popped state sorts its
+candidate shifts once (see _peel_off).
 Realize takes each pair's irreducible component once and
 encodes it as one integer (_encode), so that containment, sums and
 fan support of components are a few integer operations each, builds
@@ -115,7 +114,7 @@ from .stanley import (
     pair_component,
     stanley_filtration,
 )
-from .variety import positive_orthant_change, with_grading
+from .variety import _show_face, positive_orthant_change, with_grading
 
 
 class FaceOrder(NamedTuple):
@@ -125,7 +124,6 @@ class FaceOrder(NamedTuple):
     index: dict
 
     def __repr__(self):
-        from .variety import _show_face
         return " < ".join(_show_face(f) for f in self.faces)
 
 
@@ -134,7 +132,14 @@ def graded_total_order(X):
     come first; ties break by size then by sorted indices.  Every
     P_{S_sigma} has total degree at most d, so the faces are ranked on
     the basis of that degree, in a frame with no target (see
-    _order_faces)."""
+    _order_faces).
+
+    The faces are ranked in X's own coordinates.  run_enumeration ranks
+    them, and picks its fallback witnesses, in the working frame, after
+    positive_orthant_change, so when that change is not the identity the
+    two orders can differ: on Hirzebruch(2) with the canonical grading
+    this order starts {} < {2} < {4} < {1} < {3}, the enumeration's
+    {} < {1} < {2} < {3} < {4}."""
     return _frame(X, X.d).face_order
 
 
@@ -409,15 +414,15 @@ def _peel_off(frame, relaxed=False, count=False):
     leaf candidate, one whose (face, degree) vector equals the residual
     and whose pair is not already in the state (any leaf candidate, when
     relaxed).  A leaf candidate is not numbered (a pair met before as
-    other than a leaf keeps its number) and gets no key in seen, but its
-    face vector is kept by (face, shift), so meeting it again is one
-    lookup.  No StanleyPair or payload is built for any pair.  The
-    lengths are the listing search's rep lengths, some repeated.  Proof:
-    the residual is a function of the pair multiset; a leaf's multiset
-    has zero residual and every pushed state's a nonzero one, so a leaf
-    key and a state key are never equal, and dropping the leaf keys from
-    seen changes no seen test on a non-leaf candidate, hence no push: the
-    same states are popped in the same order.  At each, a valid leaf
+    other than a leaf keeps its number) and gets no key in seen; its
+    face vector comes from the (face, degree) memo.  No StanleyPair or
+    payload is built for any pair.  The lengths are the listing search's
+    rep lengths, some repeated.  Proof: the residual is a function of
+    the pair multiset; a leaf's multiset has zero residual and every
+    pushed state's a nonzero one, so a leaf key and a state key are never
+    equal, and dropping the leaf keys from seen changes no seen test on a
+    non-leaf candidate, hence no push: the same states are popped in the
+    same order.  At each, a valid leaf
     candidate that the listing search accepts is a rep of length
     depth + 1, and one it rejects as seen has the multiset, hence
     the length, of a rep it yielded before.  So the maximum is the
@@ -439,7 +444,6 @@ def _peel_off(frame, relaxed=False, count=False):
     vectors = {}
     degrees = {}
     numbers = [{} for _ in faces]  # by face index: shift -> the pair's number
-    leaf_vectors = [{} for _ in faces]  # counting, by face index: shift -> an unnumbered leaf's vector
     nodes = []     # by number: (StanleyPair or None when counting, successor shifts, face vector)
 
     def face_vector(ti, shift):
@@ -470,15 +474,12 @@ def _peel_off(frame, relaxed=False, count=False):
         ordered = sorted(pool)
         for ti in by_place.get(q_place, ()):
             shifts = [s for s in ordered if pool[s] <= ti] if depth else origin
-            numbered, unnumbered = numbers[ti], leaf_vectors[ti]
+            numbered = numbers[ti]
             for shift in shifts:
                 k = numbered.get(shift)
                 if k is None:
-                    face = unnumbered.get(shift)
-                    if face is None:
-                        face = face_vector(ti, shift)
+                    face = face_vector(ti, shift)
                     if count and Q == face:  # unnumbered, so not in the state
-                        unnumbered[shift] = face
                         complete = True
                         continue
                     k = node(ti, shift, face)

@@ -9,8 +9,10 @@ coefficients binom(t + q - s, q) expand exactly over the rationals.
 from typing import NamedTuple
 
 from .errors import NotAHilbertPolynomial, NotRealizable
+from .hilbert import quotient_hilbert_polynomial
 from .multipoly import binomial_in_t
 from .stanley import StanleyPair, _step_chain
+from .variety import projective_space
 
 
 def binomial_piece(q, shift):
@@ -131,8 +133,6 @@ def lex_ideal(P, n):
     failed, ideal = _step_chain(pairs, n)  # pairs built above: no validation
     if failed is not None:
         raise NotRealizable("constructed pairs are not a Stanley filtration")
-    from .hilbert import quotient_hilbert_polynomial
-    from .variety import projective_space
     if quotient_hilbert_polynomial(projective_space(n - 1), ideal) != P:
         raise NotRealizable("constructed ideal has the wrong Hilbert polynomial")
     return ideal, pairs

@@ -25,10 +25,6 @@ def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def total_degree(m):
-    return sum(m)
-
-
 def minimalize(gens):
     """Drop generators divisible by another generator; sorted, deduped.
 

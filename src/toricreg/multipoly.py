@@ -115,30 +115,24 @@ class MultiPoly:
 
     def shift(self, v):
         """Return P(t - v) for an integer vector v."""
-        out = MultiPoly.zero(self.nvars)
-        for expo, coeff in self.terms.items():
-            term = MultiPoly.constant(self.nvars, coeff)
-            for i, e in enumerate(expo):
-                if e:
-                    lin = MultiPoly.variable(self.nvars, i) - MultiPoly.constant(self.nvars, v[i])
-                    term = term * lin ** e
-            out = out + term
-        return out
+        n = self.nvars
+        return self._substitute([MultiPoly.variable(n, i) - v[i] for i in range(n)])
 
     def compose_linear(self, matrix):
         """Return P(M t): substitute t_i <- sum_j M[i][j] * t_j."""
-        forms = []
-        for i in range(self.nvars):
-            f = MultiPoly.zero(self.nvars)
-            for j in range(self.nvars):
-                f = f + MultiPoly.variable(self.nvars, j) * int(matrix[i][j])
-            forms.append(f)
+        n = self.nvars
+        return self._substitute([
+            sum((MultiPoly.variable(n, j) * int(matrix[i][j]) for j in range(n)), MultiPoly.zero(n))
+            for i in range(n)])
+
+    def _substitute(self, forms):
+        """P with each t_i replaced by the polynomial forms[i], expanded."""
         out = MultiPoly.zero(self.nvars)
         for expo, coeff in self.terms.items():
             term = MultiPoly.constant(self.nvars, coeff)
-            for i, e in enumerate(expo):
+            for form, e in zip(forms, expo):
                 if e:
-                    term = term * forms[i] ** e
+                    term = term * form ** e
             out = out + term
         return out
 

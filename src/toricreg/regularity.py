@@ -8,8 +8,7 @@ local cohomology: they are explicit assumptions, by default K itself
 spaces and their products.
 """
 
-from operator import index
-
+from .enumeration import gotzmann_number
 from .errors import (
     FiltrationInvalid,
     MissingBaseline,
@@ -43,7 +42,7 @@ class KUpset:
 
 def _minimal_generators(X, generators):
     # K is pointed, so distinct generators never dominate each other mutually
-    gens = sorted(set(tuple(map(index, g)) for g in generators))
+    gens = sorted(set(map(X._vector, generators)))
     return tuple(
         g for g in gens
         if not any(
@@ -137,8 +136,6 @@ def reg_bound_from_polynomial(X, P, assume=None):
     """Uniform bound (m-1)c + the intersection of the face baselines
     (upset_intersect), m the Gotzmann number of P; every baseline is
     looked up before any intersection."""
-    from .enumeration import gotzmann_number  # deferred: enumeration imports hilbert
-
     assume = assume or RegularityAssumption()
     try:
         m = gotzmann_number(X, P)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import intlinalg as il
 from .errors import OverlappingPairs, StrategyInvalid, UnitIdeal
 from .hilbert import _k_polynomial, pairs_k_polynomial
-from .ideals import MonomialIdeal, divides, format_monomial, monomial_lcm, total_degree
+from .ideals import MonomialIdeal, divides, format_monomial, monomial_lcm
 
 
 class StanleyPair(NamedTuple):
@@ -65,13 +65,13 @@ class StanleyTree:
 
 def properly_divides(i, g):
     """Whether x_i properly divides the monomial x^g."""
-    return g[i] >= 1 and total_degree(g) >= 2
+    return g[i] >= 1 and sum(g) >= 2
 
 
 def default_strategy(I):
     """Largest variable index dividing the lex-largest minimal generator
     that admits a proper variable divisor."""
-    candidates = [g for g in I.gens if total_degree(g) >= 2]
+    candidates = [g for g in I.gens if sum(g) >= 2]
     target = max(candidates)
     return max(i for i in range(I.n) if target[i] >= 1)
 

@@ -134,9 +134,16 @@ class ToricVariety:
 
     def nef_member(self, v):
         """Whether v lies in K = intersection of the facet semigroups NA_sigma^."""
-        v = tuple(map(index, v))
+        v = self._vector(v)
         return all(sum(a * b for a, b in zip(row, v)) >= 0
                    for _, minv in self._facet_data for row in minv)
+
+    def _vector(self, v):
+        """v as a tuple of ints; ValueError unless it has r entries."""
+        v = tuple(map(index, v))
+        if len(v) != self.r:
+            raise ValueError(f"vector {v} has {len(v)} entries, the grading has {self.r}")
+        return v
 
     def __repr__(self):
         return f"ToricVariety(n={self.n}, d={self.d}, r={self.r})"
@@ -340,30 +347,41 @@ def positive_orthant_change(X):
 
 
 def _orthant_change(X):
-    r = X.r
-    basis = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-    if all(X.nef_member(e) for e in basis):
-        return UnimodularMap(il.identity(r))
-    if not X.nef_rays:
-        raise NotFullDimensional("the nef cone has no rays")
-    v1 = il.primitive(tuple(sum(col) for col in zip(*X.nef_rays)))
-    first, *rest = il.transpose(il.unimodular_with_first_column(v1))
+    basis = il.identity(X.r)
+    if all(map(X.nef_member, basis)):
+        return UnimodularMap(basis)
+    u = _interior_direction(X)
+    first, *rest = il.transpose(il.unimodular_with_first_column(u))
     pushed = [first]
     for col in rest:
-        for steps in range(MAX_MULTIPLE + 1):
-            cand = tuple(c + steps * w for c, w in zip(col, v1))
-            if X.nef_member(cand):
-                pushed.append(cand)
-                break
-        else:
+        s = _least_multiple(X, u, [tuple(-c for c in col)])
+        if s is None:
             raise SearchExhausted("could not push a basis vector into K")
-    if not all(X.nef_member(col) for col in pushed):
+        pushed.append(tuple(c + s * w for c, w in zip(col, u)))
+    if not all(map(X.nef_member, pushed)):
         raise SearchExhausted("a pushed basis vector is not in K")
     return UnimodularMap(il.transpose(pushed))
 
 
+def _interior_direction(X):
+    """The primitive sum of the nef rays, a direction inside K."""
+    if not X.nef_rays:
+        raise NotFullDimensional("the nef cone has no rays")
+    return il.primitive(tuple(sum(col) for col in zip(*X.nef_rays)))
+
+
+def _least_multiple(X, u, vectors):
+    """The least s <= MAX_MULTIPLE with s u - v in K for every v in
+    vectors, or None."""
+    for s in range(MAX_MULTIPLE + 1):
+        if all(X.nef_member(tuple(s * a - b for a, b in zip(u, v))) for v in vectors):
+            return s
+    return None
+
+
 def find_point_dominating(X, vectors):
-    """A point p with p - s in K for every s in vectors.
+    """A point p with p - s in K for every s in vectors, each of r entries
+    (ValueError otherwise).
 
     With a nef basis V (K = V.N^r) the dominating points are exactly
     join + K, where the join is V times the coordinatewise max of the
@@ -373,21 +391,18 @@ def find_point_dominating(X, vectors):
     dominates, which need not be least; SearchExhausted after
     MAX_MULTIPLE steps.
     """
-    vectors = [tuple(map(index, v)) for v in vectors]
+    vectors = [X._vector(v) for v in vectors]
     if not vectors:
         return (0,) * X.r
     if X._nef_basis is not None:
         V, Vinv = X._nef_basis
         coords = [il.matvec(Vinv, v) for v in vectors]
         return il.matvec(V, tuple(max(col) for col in zip(*coords)))
-    if not X.nef_rays:
-        raise NotFullDimensional("the nef cone has no rays")
-    u = il.primitive(tuple(sum(col) for col in zip(*X.nef_rays)))
-    for steps in range(MAX_MULTIPLE + 1):
-        cand = tuple(steps * x for x in u)
-        if all(X.nef_member(tuple(a - b for a, b in zip(cand, s))) for s in vectors):
-            return cand
-    raise SearchExhausted("no multiple of the interior direction dominates")
+    u = _interior_direction(X)
+    s = _least_multiple(X, u, vectors)
+    if s is None:
+        raise SearchExhausted("no multiple of the interior direction dominates")
+    return tuple(s * x for x in u)
 
 
 def find_c(X):
@@ -409,8 +424,7 @@ def projective_space(d):
     """P^d with the standard grading: A = [1 ... 1]."""
     if d < 1:
         raise ValueError("projective space needs d >= 1")
-    rays = [[1 if j == i else 0 for j in range(d)] for i in range(d)]
-    rays.append([-1] * d)
+    rays = [*il.identity(d), [-1] * d]
     max_cones = [c for c in combinations(range(d + 1), d)]
     return build_variety(Fan(rays, max_cones))
 
@@ -419,14 +433,8 @@ def product_projective(a, b):
     """P^a x P^b; variables 1..a+1 grade (1,0), the rest (0,1)."""
     if a < 1 or b < 1:
         raise ValueError("factors need dimension >= 1")
-    d = a + b
-    rays = []
-    for i in range(a):
-        rays.append([1 if j == i else 0 for j in range(d)])
-    rays.append([-1] * a + [0] * b)
-    for i in range(b):
-        rays.append([1 if j == a + i else 0 for j in range(d)])
-    rays.append([0] * a + [-1] * b)
+    unit = il.identity(a + b)
+    rays = [*unit[:a], [-1] * a + [0] * b, *unit[a:], [0] * a + [-1] * b]
     first = list(combinations(range(a + 1), a))
     second = list(combinations(range(a + 1, a + b + 2), b))
     max_cones = [tuple(sorted(c1 + c2)) for c1 in first for c2 in second]

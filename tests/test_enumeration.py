@@ -479,6 +479,9 @@ def test_upper_bound_dominates_and_matches_standard():
         relaxed = en.gotzmann_upper_bound(X, P)
         assert relaxed == expected
         assert relaxed >= en.gotzmann_number(X, P)
+    # a strict case: the relaxed bound above the exact number
+    P = parse_poly("2*t1 - 2*t2 + 2", nvars=2)
+    assert (en.gotzmann_number(Xc, P), en.gotzmann_upper_bound(Xc, P)) == (5, 6)
 
 
 def test_enumeration_through_coordinate_change():
@@ -490,6 +493,20 @@ def test_enumeration_through_coordinate_change():
     assert any(ideal == b_saturate(I, Xc) for ideal, _ in out)
     for ideal, _ in out:
         assert quotient_hilbert_polynomial(Xc, ideal) == P
+    # the textbook grading of F2 needs no orthant change and the canonical
+    # one does; the enumeration does not depend on the grading basis, but
+    # the Gotzmann number does (4 against 5, 5 against 6)
+    assert tv.positive_orthant_change(F2).is_identity()
+    for gen, realized, numbers in [((0, 1, 0, 1), 4, (4, 5)), ((1, 1, 0, 1), 5, (5, 6))]:
+        I = mi.MonomialIdeal(4, [gen])
+        ideal_sets = []
+        for X, number in zip((F2, Xc), numbers):
+            P = quotient_hilbert_polynomial(X, I)
+            result = en.run_enumeration(X, P)
+            ideal_sets.append({ideal for ideal, _ in result.ideals})
+            assert result.gotzmann_realized == realized
+            assert en.gotzmann_number(X, P) == number
+        assert ideal_sets[0] == ideal_sets[1]
 
 
 def test_gotzmann_number_runs_only_frame_and_search(monkeypatch):

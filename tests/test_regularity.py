@@ -39,6 +39,9 @@ def test_upset_nesting_and_joins():
     assert rg.upset_intersect(rg.KUpset(PP, [(1, 0)]), rg.KUpset(PP, [(0, 3)])).generators == ((1, 3),)
     got = rg.upset_intersect(rg.KUpset(PP, [(2, 0), (0, 2)]), rg.KUpset(PP, [(1, 1)]))
     assert got.generators == ((1, 2), (2, 1))
+    # a generator of the wrong length is rejected, not truncated
+    with pytest.raises(ValueError, match="has 3 entries, the grading has 2"):
+        rg.upset_intersect(rg.KUpset(PP, [(1, 2, 3)]), rg.KUpset(PP, [(0, 5)]))
 
 
 def test_upset_membership_matches_brute_force():

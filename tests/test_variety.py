@@ -153,6 +153,10 @@ def test_nef_member_fixtures():
     assert not F2.nef_member((-2, 1))
     for X in (P1, P2, P3, F2, PP):
         assert X.nef_member((0,) * X.r)
+    # a vector of the wrong length is rejected, not truncated
+    for v in [(1,), (1, 2, 3)]:
+        with pytest.raises(ValueError, match=f"has {len(v)} entries, the grading has 2"):
+            PP.nef_member(v)
 
 
 def test_nef_member_brute_force_box():
@@ -235,6 +239,10 @@ def test_find_point_dominating_far_apart_vectors():
     assert tv.find_point_dominating(PP, [(0, 0), (600, -600)]) == (600, 0)
     assert tv.find_point_dominating(F2, [(0, 0), (3000, 0)]) == (3000, 0)
     assert tv.find_point_dominating(P2, []) == (0,)
+    with pytest.raises(ValueError, match="has 1 entries, the grading has 2"):
+        tv.find_point_dominating(PP, [(1,), (0, 2)])
+    with pytest.raises(ValueError, match="has 3 entries, the grading has 4"):
+        tv.find_point_dominating(HEXAGON, [(1, 2, 3)])
 
 
 def test_find_point_dominating_without_nef_basis():
