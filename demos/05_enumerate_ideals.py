@@ -9,7 +9,6 @@ representation the search builds has four pairs - the Gotzmann number.
 
 from toricreg import (
     format_ideal,
-    gotzmann_upper_bound,
     parse_poly,
     product_projective,
     projective_space,
@@ -24,7 +23,6 @@ print("P =", "3t+1", "on P^2")
 print("ideals found:", len(result.ideals))
 print("representations explored:", len(result.reps))
 print("Gotzmann number:", result.gotzmann_number)
-print("relaxed upper bound:", gotzmann_upper_bound(P2, target))
 
 print("\nfirst five ideals with their witness filtrations:")
 for ideal, witness in result.ideals[:5]:

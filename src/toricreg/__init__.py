@@ -6,7 +6,6 @@ from .enumeration import (
     FaceOrder,
     enumerate_saturated_ideals,
     gotzmann_number,
-    gotzmann_upper_bound,
     graded_total_order,
     run_enumeration,
 )

@@ -49,10 +49,10 @@ D * sum_e c_e P_S(t - e - delta), a sum over the Koszul numerator c of
 S_sigma, is integral: the moment kernel (hilbert.shift_numerators)
 yields it in integers.  A complete representation sums such terms to
 D * P, so when D * P is not integral (frame.target is None) there is no
-representation, in the monomial search or the relaxed one, and neither
-runs; otherwise every residual is integral.  Multiplying by D > 0 is
-linear and keeps signs, so the residual is zero exactly when its vector
-is, the leading term is the first nonzero entry, and the measure
+representation and the search does not run; otherwise every residual
+is integral.  Multiplying by D > 0 is linear and keeps signs, so the
+residual is zero exactly when its vector is, the leading term is the
+first nonzero entry, and the measure
 (leading monomial, leading coefficient) compares as before: no float or
 modular step enters, and the search makes the same choices as one over
 rational polynomials.  The frame ranks the faces on the same vectors:
@@ -361,18 +361,18 @@ def _face_vector(frame, ti, degree):
     return _kernel_vector(frame, [(tuple(map(add, d, degree)), c) for d, c in frame.kpolys[ti]])
 
 
-def _peel_off(frame, relaxed=False, count=False):
+def _peel_off(frame, count=False):
     """Yield the complete representations of frame.P in batches, one per
     popped state that completes any: (payload, leaves), whose reps are
     held + (leaf,) for each leaf in order, held the state's pairs (the
     pair tuple of its payload, () at the root) and each leaf a pair whose
-    face vector equals the state's residual.  A
-    new pair chains off an earlier pair j whose face is no later in the
-    face order, along a variable x_l of face j: v + e_l on monomials (a
-    set of pairs), or q + deg x_l on degrees when relaxed (a multiset).
-    A state is deduplicated by its pair multiset, which determines the
-    residual.  Nothing is yielded when frame.target is None: D * P is not
-    integral, so no representation exists (see the module docstring).
+    face vector equals the state's residual.  A new pair chains off an
+    earlier pair j whose face is no later in the face order, along a
+    variable x_l of face j: its shift is v + e_l for j's shift v.  A
+    state is a set of pairs, which determines the residual, and is
+    deduplicated by it.  Nothing is yielded when frame.target is None:
+    D * P is not integral, so no representation exists (see the module
+    docstring).
 
     Residuals are packed integer vectors D * Q on frame.basis (see
     _frame), so the leading term is the first nonzero entry, at the
@@ -381,18 +381,16 @@ def _peel_off(frame, relaxed=False, count=False):
     place is the residual's can take a step, so faces are looked up by
     leading place.  A residual is kept only once the range guard passes
     (_checked), so every vector the search compares is in range.  Each
-    distinct pair gets a number when the search first meets it (counting, when it
-    is first met as other than a leaf, see below).  A state is
-    deduplicated by a key that stands for its pair multiset, since
-    numbering is one to one: on monomials a state is a set, and its key
-    is the bitmask of its numbers, so "already in the state" is one bit;
-    relaxed, it is the sorted tuple of its numbers.  Besides its key, a
-    stack entry holds its depth and its payload, and no other copy of
-    its path.  The pair's successor shifts (its shift
-    plus each step of its face) and its StanleyPair (shift, sigma) depend
-    on the pair alone, so they are built then, once, and every rep
-    holding the pair shares that StanleyPair; relaxed, its shift is the
-    pair's degree.  Each (face, degree) vector is built once per search,
+    distinct pair gets a number when the search first meets it
+    (counting, when it is first met as other than a leaf, see below).
+    Numbering is one to one, so a state's key, the bitmask of its pairs'
+    numbers, stands for its pair set, and "already in the state" is one
+    bit.  Besides its key, a stack entry holds its depth and its
+    payload, and no other copy of its path.  The pair's successor shifts
+    (its shift plus e_l for each variable x_l of its face) and its
+    StanleyPair (shift, sigma) depend on the pair alone, so they are
+    built then, once, and every rep holding the pair shares that
+    StanleyPair.  Each (face, degree) vector is built once per search,
     and each shift's degree once.
 
     Each state also carries its successor pool: every successor shift of
@@ -412,32 +410,26 @@ def _peel_off(frame, relaxed=False, count=False):
     With count=True the search reads depths only, for the Gotzmann
     number: it yields depth + 1 for each popped state with a valid
     leaf candidate, one whose (face, degree) vector equals the residual
-    and whose pair is not already in the state (any leaf candidate, when
-    relaxed).  A leaf candidate is not numbered (a pair met before as
-    other than a leaf keeps its number) and gets no key in seen; its
-    face vector comes from the (face, degree) memo.  No StanleyPair or
-    payload is built for any pair.  The lengths are the listing search's
-    rep lengths, some repeated.  Proof: the residual is a function of
-    the pair multiset; a leaf's multiset has zero residual and every
-    pushed state's a nonzero one, so a leaf key and a state key are never
-    equal, and dropping the leaf keys from seen changes no seen test on a
-    non-leaf candidate, hence no push: the same states are popped in the
-    same order.  At each, a valid leaf
-    candidate that the listing search accepts is a rep of length
-    depth + 1, and one it rejects as seen has the multiset, hence
-    the length, of a rep it yielded before.  So the maximum is the
-    listing search's, and the search yields nothing (NoRepresentation)
-    exactly when the listing search does; the argument is the same for
-    the relaxed search, on multisets."""
+    and whose pair is not already in the state.  A leaf candidate is not
+    numbered (a pair met before as other than a leaf keeps its number)
+    and gets no key in seen; its face vector comes from the
+    (face, degree) memo.  No StanleyPair or payload is built for any
+    pair.  The lengths are the listing search's rep lengths, some
+    repeated.  Proof: the residual is a function of the pair set; a
+    leaf's set has zero residual and every pushed state's a nonzero one,
+    so a leaf key and a state key are never equal, and dropping the leaf
+    keys from seen changes no seen test on a non-leaf candidate, hence
+    no push: the same states are popped in the same order.  At each, a
+    valid leaf candidate that the listing search accepts is a rep of
+    length depth + 1, and one it rejects as seen has the set, hence the
+    length, of a rep it yielded before.  So the maximum is the listing
+    search's, and the search yields nothing (NoRepresentation) exactly
+    when the listing search does."""
     target = frame.target
     if not target:
         return
     X, faces, sigmas = frame.X, frame.face_order.faces, frame.sigmas
     width, masks, last = frame.width, frame.masks, len(frame.basis) - 1
-    if relaxed:
-        steps = [X.variable_degree(ell) for ell in range(X.n)]
-    else:
-        steps = il.identity(X.n)
     by_place = {}  # leading place -> the faces with that leading place, in order
     for ti, init in enumerate(frame.inits):
         by_place.setdefault(last - init, []).append(ti)
@@ -447,26 +439,23 @@ def _peel_off(frame, relaxed=False, count=False):
     nodes = []     # by number: (StanleyPair or None when counting, successor shifts, face vector)
 
     def face_vector(ti, shift):
-        if relaxed:
-            degree = shift
-        else:
-            degree = degrees.get(shift)
-            if degree is None:
-                degree = degrees[shift] = X.degree(shift)
+        degree = degrees.get(shift)
+        if degree is None:
+            degree = degrees[shift] = X.degree(shift)
         face = vectors.get((ti, degree))
         if face is None:
             face = vectors[ti, degree] = _face_vector(frame, ti, degree)
         return face
 
     def node(ti, shift, face):
-        successors = tuple(tuple(map(add, shift, steps[ell])) for ell in faces[ti])
+        successors = tuple(shift[:ell] + (shift[ell] + 1,) + shift[ell + 1:] for ell in faces[ti])
         numbers[ti][shift] = len(nodes)
         nodes.append((None if count else StanleyPair(shift, sigmas[ti]), successors, face))
         return len(nodes) - 1
 
     seen = set()
-    origin = [(0,) * len(steps[0])]
-    stack = [(0, () if relaxed else 0, target, *_leading(target, width), None, {})]
+    origin = [(0,) * X.n]
+    stack = [(0, 0, target, *_leading(target, width), None, {})]
     while stack:
         depth, key, Q, q_place, q_coeff, payload, pool = stack.pop()
         leaves = []
@@ -483,12 +472,9 @@ def _peel_off(frame, relaxed=False, count=False):
                         complete = True
                         continue
                     k = node(ti, shift, face)
-                if relaxed:
-                    new_key = tuple(sorted(key + (k,)))
-                else:
-                    new_key = key | 1 << k
-                    if new_key == key:
-                        continue
+                new_key = key | 1 << k
+                if new_key == key:
+                    continue
                 if count and Q == nodes[k][2]:
                     complete = True
                     continue
@@ -889,29 +875,7 @@ def gotzmann_number(X, P):
     listed, numbered, keyed or given a StanleyPair.  The maximum is the
     listing search's (see _peel_off), and NoRepresentation is raised
     exactly when that search finds no rep."""
-    return _longest(X, P, relaxed=False)
-
-
-def gotzmann_upper_bound(X, P):
-    """Largest pair count over the relaxed peel-off search.
-
-    Same frame and loop as the monomial search, but a pair keeps only
-    its face and degree: shifts live in Z^r and chain by
-    q_i = q_j + deg x_l for an earlier compatible pair.  Distinct
-    monomials can share a degree, so the pairs of a state form a
-    multiset rather than a set.  Forgetting the monomials only adds
-    representations, so this is always at least the Gotzmann number,
-    and equal to it in the standard graded case.  Like gotzmann_number
-    it reads depths only (count=True).
-    """
-    return _longest(X, P, relaxed=True)
-
-
-def _longest(X, P, relaxed):
-    """The largest rep length of the count-only search, relaxed or not;
-    NoRepresentation when it yields none."""
-    m = max(_peel_off(_working_frame(X, P), relaxed=relaxed, count=True), default=0)
+    m = max(_peel_off(_working_frame(X, P), count=True), default=0)
     if not m:
-        search = "relaxed search" if relaxed else "search"
-        raise NoRepresentation(f"the {search} produced no representation of P")
+        raise NoRepresentation("the search produced no representation of P")
     return m

@@ -19,7 +19,7 @@ STDOUT_SHA256 = {
     "02_stanley_filtrations": "8533c24798b4530758651500021e1e47f8223f438d6882e45239511c8619ee64",
     "03_hilbert_polynomials": "4db7293a48d5ed21ce9bf3153fc1652938f2c59ce2b98b4f8a1f009c7bb3d93c",
     "04_regularity_bounds": "b453ff80cb7839be19f50831ae6f42f619f586761b13901448bd768b673b016b",
-    "05_enumerate_ideals": "ebe4c5916956637a9566950c9dc7dba6965229333b6959602f70fb6df3144dfb",
+    "05_enumerate_ideals": "6bb61932e3fecec7a48651860bbfd6cc36a4975d4cf826996ede012be7e8559a",
     "06_gotzmann_standard": "c109503f103e81db681237d49ab44034c9704b72a1aecef9caff4a2205423009",
     "07_degree_sets": "50d11e41893f8e246df08001804ef83bc61c1447d152aceb4e62f6feab688ef5",
 }

@@ -101,12 +101,12 @@ def _held(payload):
     return payload[1] if payload else ()
 
 
-def _reps(frame, relaxed=False):
+def _reps(frame):
     """The search's representations, its batches flattened in order: each
     batch (payload, leaves) stands for held + (leaf,) per leaf, held the
     payload's pairs, a tuple of StanleyPairs, one object per distinct
     pair, shared across reps."""
-    return [_held(payload) + (leaf,) for payload, leaves in en._peel_off(frame, relaxed)
+    return [_held(payload) + (leaf,) for payload, leaves in en._peel_off(frame)
             for leaf in leaves]
 
 
@@ -240,7 +240,7 @@ def test_no_entry_point_builds_a_face_polynomial(monkeypatch):
     assert len(en.run_enumeration(tv.projective_space(2), parse_poly("3*t+1")).ideals) == 30
     assert len(en.run_enumeration(tv.build_variety(F2.fan), P).ideals) == 3
     assert en.gotzmann_number(tv.product_projective(2, 1), parse_poly("3*t1+1", nvars=2)) == 4
-    assert en.gotzmann_upper_bound(tv.hirzebruch(1), parse_poly("t1+t2+1", nvars=2)) == 2
+    assert en.gotzmann_number(tv.hirzebruch(1), parse_poly("t1+t2+1", nvars=2)) == 2
     assert degree_set(tv.projective_space(2), parse_poly("2"), seed=5).converged
 
 
@@ -306,10 +306,8 @@ def test_product_fixtures():
 
 
 @pytest.mark.parametrize("entry", [
-    en.run_enumeration, en.gotzmann_number, en.gotzmann_upper_bound,
-    reg_bound_from_polynomial, degree_set,
-], ids=["run_enumeration", "gotzmann_number", "gotzmann_upper_bound",
-        "reg_bound_from_polynomial", "degree_set"])
+    en.run_enumeration, en.gotzmann_number, reg_bound_from_polynomial, degree_set,
+], ids=["run_enumeration", "gotzmann_number", "reg_bound_from_polynomial", "degree_set"])
 @pytest.mark.parametrize("X, P, message", [
     (PP, parse_poly("3*t1+1"), "1 variables, the grading has 2"),
     (P2, parse_poly("t1+t2+1", nvars=2), "2 variables, the grading has 1"),
@@ -380,26 +378,26 @@ def test_order_independence_on_p1xp1():
 
 # name -> (variety, P, (ideals, reps, m, realized m, prefix_tests,
 # skipped_reps, intersections, component_vectors, witness_fallbacks,
-# filtration_steps), relaxed m) under glex t2 > t1: the values a
+# filtration_steps)) under glex t2 > t1: the values a
 # permuted-order option on run_enumeration gave before it was replaced by
 # the swapped grading, which gave the same ideals, witnesses, rep order,
 # counters and bounds on each of these
 SWAPPED_CASES = {
-    "PxP(2,1)-3t1+1": (PP, "3*t1+1", (174, 2107, 4, 4, 74, 1308, 212, 632, 6, 334), 4),
-    "PxP(2,1)-2t1+t2+1": (PP, "2*t1+t2+1", (54, 4860, 4, 4, 165, 3672, 75, 860, 12, 105), 4),
-    "PxP(2,1)-t1+2t2+1": (PP, "t1+2*t2+1", (18, 144, 3, 3, 15, 36, 30, 148, 0, 30), 3),
-    "PxP(1,1)-2t1+2t2": (P1xP1, "2*t1+2*t2", (9, 12, 4, 4, 11, 0, 20, 51, 0, 23), 4),
-    "Hirzebruch(1)-t1+t2+1": (F1, "t1+t2+1", (3, 3, 2, 2, 2, 0, 5, 9, 0, 5), 2),
-    "Hirzebruch(1)-3": (F1, "3", (40, 130, 3, 3, 24, 0, 58, 95, 11, 69), 3),
-    "Hirzebruch(2)-t2+1": (F2, "t2+1", (2, 2, 1, 1, 0, 0, 2, 3, 0, 2), 1),
-    "Hirzebruch(2)-t1+2t2+1": (F2, "t1+2*t2+1", (4, 4, 3, 3, 5, 0, 9, 16, 0, 9), 3),
-    "PxP(2,2)-2": (P2xP2, "2", (72, 180, 2, 2, 9, 0, 81, 172, 18, 99), 2),
-    "PxP(2,2)-t1+1": (P2xP2, "t1+1", (9, 9, 1, 1, 0, 0, 9, 10, 0, 9), 1),
+    "PxP(2,1)-3t1+1": (PP, "3*t1+1", (174, 2107, 4, 4, 74, 1308, 212, 632, 6, 334)),
+    "PxP(2,1)-2t1+t2+1": (PP, "2*t1+t2+1", (54, 4860, 4, 4, 165, 3672, 75, 860, 12, 105)),
+    "PxP(2,1)-t1+2t2+1": (PP, "t1+2*t2+1", (18, 144, 3, 3, 15, 36, 30, 148, 0, 30)),
+    "PxP(1,1)-2t1+2t2": (P1xP1, "2*t1+2*t2", (9, 12, 4, 4, 11, 0, 20, 51, 0, 23)),
+    "Hirzebruch(1)-t1+t2+1": (F1, "t1+t2+1", (3, 3, 2, 2, 2, 0, 5, 9, 0, 5)),
+    "Hirzebruch(1)-3": (F1, "3", (40, 130, 3, 3, 24, 0, 58, 95, 11, 69)),
+    "Hirzebruch(2)-t2+1": (F2, "t2+1", (2, 2, 1, 1, 0, 0, 2, 3, 0, 2)),
+    "Hirzebruch(2)-t1+2t2+1": (F2, "t1+2*t2+1", (4, 4, 3, 3, 5, 0, 9, 16, 0, 9)),
+    "PxP(2,2)-2": (P2xP2, "2", (72, 180, 2, 2, 9, 0, 81, 172, 18, 99)),
+    "PxP(2,2)-t1+1": (P2xP2, "t1+1", (9, 9, 1, 1, 0, 0, 9, 10, 0, 9)),
 }
 
 
-@pytest.mark.parametrize("X, text, counts, relaxed", SWAPPED_CASES.values(), ids=SWAPPED_CASES)
-def test_swapped_grading_is_the_other_variable_order(X, text, counts, relaxed):
+@pytest.mark.parametrize("X, text, counts", SWAPPED_CASES.values(), ids=SWAPPED_CASES)
+def test_swapped_grading_is_the_other_variable_order(X, text, counts):
     # the monomial order is glex t1 > t2; t2 > t1 is glex on the swapped
     # grading with P's variables swapped.  The order can move the bound:
     # on PxP(2,1) 2*t1+t2+1, m is 3 under t1 > t2 and 4 under t2 > t1.
@@ -412,7 +410,6 @@ def test_swapped_grading_is_the_other_variable_order(X, text, counts, relaxed):
             result.intersections, result.component_vectors, result.witness_fallbacks,
             result.filtration_steps) == counts
     assert en.gotzmann_number(Y, Q) == counts[2]
-    assert en.gotzmann_upper_bound(Y, Q) == relaxed
     assert [ideal for ideal, _ in result.ideals] == [
         ideal for ideal, _ in en.enumerate_saturated_ideals(X, P)]
     for ideal, witness in result.ideals:
@@ -447,41 +444,11 @@ def test_non_integral_target_stops_the_search(monkeypatch, X, text, integral):
     monkeypatch.setattr(en, "_face_vector", counting)
     result = en.run_enumeration(X, P)
     assert (result.ideals, result.reps, result.gotzmann_number) == ([], [], 0)
-    for entry in (en.gotzmann_number, en.gotzmann_upper_bound):
-        with pytest.raises(NoRepresentation):
-            entry(X, P)
+    with pytest.raises(NoRepresentation):
+        en.gotzmann_number(X, P)
     assert bool(built) == integral
     if not integral:
         assert result.component_vectors == 1  # realize's root set, the unit ideal
-
-
-def test_upper_bound_dominates_and_matches_standard():
-    for text in ["3*t+1", "2*t+2", "t+1", "3", "t^2+2*t+1"]:
-        P = parse_poly(text, nvars=1)
-        X = tv.projective_space(3 if "^2" in text else 2)
-        try:
-            exact = en.gotzmann_number(X, P)
-        except NoRepresentation:
-            continue
-        relaxed = en.gotzmann_upper_bound(X, P)
-        assert relaxed >= exact
-        assert relaxed == exact
-    # off projective space; Xc needs a non-identity orthant change
-    Xc = tv.build_variety(F2.fan)
-    cases = [
-        (PP, parse_poly("3*t1+1", nvars=2), 4),
-        (PP, parse_poly("2*t1+t2+1", nvars=2), 3),
-        (PP, parse_poly("t1+2*t2+1", nvars=2), 3),
-        (tv.hirzebruch(1), parse_poly("t1+t2+1", nvars=2), 2),
-        (Xc, quotient_hilbert_polynomial(Xc, mi.MonomialIdeal(4, [(1, 0, 1, 0)])), 2),
-    ]
-    for X, P, expected in cases:
-        relaxed = en.gotzmann_upper_bound(X, P)
-        assert relaxed == expected
-        assert relaxed >= en.gotzmann_number(X, P)
-    # a strict case: the relaxed bound above the exact number
-    P = parse_poly("2*t1 - 2*t2 + 2", nvars=2)
-    assert (en.gotzmann_number(Xc, P), en.gotzmann_upper_bound(Xc, P)) == (5, 6)
 
 
 def test_enumeration_through_coordinate_change():
@@ -493,6 +460,9 @@ def test_enumeration_through_coordinate_change():
     assert any(ideal == b_saturate(I, Xc) for ideal, _ in out)
     for ideal, _ in out:
         assert quotient_hilbert_polynomial(Xc, ideal) == P
+    assert P == parse_poly("2*t2+2", nvars=2)
+    assert en.gotzmann_number(Xc, P) == 2
+    assert en.gotzmann_number(Xc, parse_poly("2*t1 - 2*t2 + 2", nvars=2)) == 5
     # the textbook grading of F2 needs no orthant change and the canonical
     # one does; the enumeration does not depend on the grading basis, but
     # the Gotzmann number does (4 against 5, 5 against 6)
@@ -512,8 +482,7 @@ def test_enumeration_through_coordinate_change():
 def test_gotzmann_number_runs_only_frame_and_search(monkeypatch):
     # the bound needs only the representations' lengths: realizing ideals
     # and choosing witnesses must not run, and the count-only search
-    # builds no pair object or payload, in the monomial search or in the
-    # relaxed one
+    # builds no pair object or payload
     from toricreg.regularity import reg_bound_from_polynomial
 
     P = parse_poly("3*t1+1", nvars=2)
@@ -525,7 +494,6 @@ def test_gotzmann_number_runs_only_frame_and_search(monkeypatch):
                  "_prefix"):
         monkeypatch.setattr(en, name, forbidden)
     assert en.gotzmann_number(PP, P) == 4
-    assert en.gotzmann_upper_bound(PP, P) == 4
     assert reg_bound_from_polynomial(PP, P).generators == ((3, 3),)
 
 
@@ -914,7 +882,7 @@ def test_mask_algebra_matches_the_tuple_helpers(data):
                 X.n, component_ideal(a).gens + component_ideal(b).gens), (a, b)
 
 
-def _multipoly_peel_off(frame, relaxed=False):
+def _multipoly_peel_off(frame):
     """The peel-off search on MultiPoly residuals, kept as the oracle of
     the integer-vector search: the same loop, with each leading term
     found by the monomial order and each shifted face polynomial from
@@ -930,10 +898,7 @@ def _multipoly_peel_off(frame, relaxed=False):
             shifted[ti, degree] = face_hilbert_polynomial(X, frame.sigmas[ti]).shift(degree)
         return shifted[ti, degree]
 
-    if relaxed:
-        steps = [X.variable_degree(ell) for ell in range(X.n)]
-    else:
-        steps = [tuple(int(i == ell) for i in range(X.n)) for ell in range(X.n)]
+    steps = [tuple(int(i == ell) for i in range(X.n)) for ell in range(X.n)]
     seen = set()
     stack = [((), frame.P)]
     while stack:
@@ -950,14 +915,14 @@ def _multipoly_peel_off(frame, relaxed=False):
                 shifts = [(0,) * len(steps[0])]
             for shift in shifts:
                 new_pair = (ti, shift)
-                if not relaxed and new_pair in pairs:
+                if new_pair in pairs:
                     continue
                 state = pairs + (new_pair,)
                 key = tuple(sorted(state))
                 if key in seen:
                     continue
                 seen.add(key)
-                residual = Q - face_poly(ti, shift if relaxed else X.degree(shift))
+                residual = Q - face_poly(ti, X.degree(shift))
                 if residual.is_zero():
                     yield state
                     continue
@@ -979,14 +944,16 @@ def _multipoly_peel_off(frame, relaxed=False):
     (tv.hirzebruch(1), parse_poly("t1+t2+1", nvars=2)),
     (Xc, quotient_hilbert_polynomial(Xc, mi.MonomialIdeal(4, [(1, 0, 1, 0)]))),
     (Xc, parse_poly("4", nvars=2)),
-], ids=["P2-4t+1", "P2-2t+2", "P3", "PxP(2,1)-3t1+1", "PxP(2,1)-2t1+t2+1", "PxP(1,1)",
-        "Hirzebruch(1)", "Xc-curve", "Xc-4-points"])
-@pytest.mark.parametrize("relaxed", [False, True], ids=["monomial", "relaxed"])
-def test_integer_search_matches_multipoly_oracle(X, P, relaxed):
+], ids=[f"monomial-{name}" for name in (
+    "P2-4t+1", "P2-2t+2", "P3", "PxP(2,1)-3t1+1", "PxP(2,1)-2t1+t2+1", "PxP(1,1)",
+    "Hirzebruch(1)", "Xc-curve", "Xc-4-points")])
+def test_integer_search_matches_multipoly_oracle(X, P):
+    # the ids keep the name of the search they check: the peel-off of
+    # monomial pairs
     frame = en._working_frame(X, P)
-    got = _indexed(frame, _reps(frame, relaxed))
+    got = _indexed(frame, _reps(frame))
     assert got
-    assert got == list(_multipoly_peel_off(frame, relaxed=relaxed))
+    assert got == list(_multipoly_peel_off(frame))
 
 
 def _leading(vector):
@@ -997,7 +964,7 @@ def _leading(vector):
     raise ZeroPolynomial("the zero polynomial has no leading term")
 
 
-def _reference_peel_off(frame, relaxed=False):
+def _reference_peel_off(frame):
     """The integer-vector search before faces were looked up by leading
     index and monomial states were keyed by bitmask, kept as the oracle
     of the search's order: a state is the tuple of its pair numbers, its
@@ -1009,16 +976,13 @@ def _reference_peel_off(frame, relaxed=False):
     if not any(target):
         return
     X, faces = frame.X, frame.face_order.faces
-    if relaxed:
-        steps = [X.variable_degree(ell) for ell in range(X.n)]
-    else:
-        steps = [tuple(int(i == ell) for i in range(X.n)) for ell in range(X.n)]
+    steps = [tuple(int(i == ell) for i in range(X.n)) for ell in range(X.n)]
     vectors = {}
     numbers = {}   # (face index, shift) -> the pair's number
     nodes = []     # by number: (face index, successor shifts, face vector)
 
     def node(ti, shift):
-        degree = shift if relaxed else X.degree(shift)
+        degree = X.degree(shift)
         face = vectors.get((ti, degree))
         if face is None:
             face = vectors[ti, degree] = _unpacked(frame, en._face_vector(frame, ti, degree))
@@ -1043,7 +1007,7 @@ def _reference_peel_off(frame, relaxed=False):
                 k = numbers.get((ti, shift))
                 if k is None:
                     k = node(ti, shift)
-                elif not relaxed and k in state:
+                elif k in state:
                     continue
                 key = tuple(sorted(state + (k,)))
                 if key in seen:
@@ -1071,12 +1035,15 @@ SEARCH_CASES = {
     "PxP(1,1)-t1+t2+1": (tv.product_projective(1, 1), "t1+t2+1"),
     "Hirzebruch(1)-t1+t2+1": (tv.hirzebruch(1), "t1+t2+1"),
     "P2-1/3t+1": (P2, "1/3*t+1"),
+    "Xc-4": (Xc, "4"), "Xc-2t1-2t2+2": (Xc, "2*t1 - 2*t2 + 2"),
+    "PxP(2,2)-2": (P2xP2, "2"), "Hirzebruch(3)-3": (tv.hirzebruch(3), "3"),
+    "P4-2t+1": (P4, "2*t+1"),
 }
 
 
-@pytest.mark.parametrize("X, text", SEARCH_CASES.values(), ids=SEARCH_CASES)
-@pytest.mark.parametrize("relaxed", [False, True], ids=["monomial", "relaxed"])
-def test_search_matches_reference_order(X, text, relaxed):
+@pytest.mark.parametrize("X, text", SEARCH_CASES.values(),
+                         ids=[f"monomial-{name}" for name in SEARCH_CASES])
+def test_search_matches_reference_order(X, text):
     # the order of the reps fixes each rep's pair order, hence the
     # witnesses: it must be the reference search's, rep for rep.  The
     # count-only search yields exactly the listing search's rep lengths,
@@ -1085,18 +1052,17 @@ def test_search_matches_reference_order(X, text, relaxed):
     # 3*t2+1 and on 1/3*t+1, whose D * P is not integral
     P = parse_poly(text, nvars=X.r)
     frame = en._working_frame(X, P)
-    got = _indexed(frame, _reps(frame, relaxed))
-    assert got == list(_reference_peel_off(frame, relaxed=relaxed))
+    got = _indexed(frame, _reps(frame))
+    assert got == list(_reference_peel_off(frame))
     if text in ("3*t2+1", "1/3*t+1"):
         assert got == []
-    lengths = list(en._peel_off(en._working_frame(X, P), relaxed, count=True))
+    lengths = list(en._peel_off(en._working_frame(X, P), count=True))
     assert set(lengths) == set(map(len, got))
-    entry = en.gotzmann_upper_bound if relaxed else en.gotzmann_number
     if got:
-        assert max(lengths) == max(map(len, got)) == entry(X, P)
+        assert max(lengths) == max(map(len, got)) == en.gotzmann_number(X, P)
     else:
         with pytest.raises(NoRepresentation):
-            entry(X, P)
+            en.gotzmann_number(X, P)
 
 
 def test_fold_payloads_are_the_rep_prefixes(monkeypatch):

@@ -131,9 +131,9 @@ def test_shift_degrees_bounded_by_m_minus_one():
 def test_specialization_consistency_with_enumeration():
     # on projective space the enumeration's Gotzmann number equals the
     # representation length
-    cases = [("3*t+1", 2), ("t+1", 2), ("2*t+2", 2), ("1", 2), ("3", 2),
-             ("2", 1), ("t+1", 3)]
-    for text, d in cases:
+    cases = [("3*t+1", 2, 4), ("t+1", 2, 1), ("2*t+2", 2, 3), ("1", 2, 1), ("3", 2, 3),
+             ("2", 1, 2), ("t+1", 3, 1), ("t^2+2*t+1", 3, 2)]
+    for text, d, m in cases:
         P = parse_poly(text, nvars=1)
         X = tv.projective_space(d)
-        assert gotzmann_number(X, P) == gz.gotzmann_representation(P).length, text
+        assert gotzmann_number(X, P) == gz.gotzmann_representation(P).length == m, text
