@@ -50,9 +50,12 @@ def _load_assumption(text, X):
     return rg.RegularityAssumption(baselines, label)
 
 
+def _pair_json(pair):
+    return {"shift": list(pair.shift), "face": sorted(i + 1 for i in pair.face)}
+
+
 def _pairs_json(pairs):
-    return [{"shift": list(p.shift), "face": sorted(i + 1 for i in p.face)}
-            for p in pairs]
+    return [_pair_json(p) for p in pairs]
 
 
 def _print_pairs(pairs):
@@ -127,17 +130,27 @@ def cmd_enumerate(args):
     X = tv.load_variety(args.variety)
     poly = parse_poly(args.poly, nvars=X.r)
     result = enumeration.run_enumeration(X, poly)
-    entries = [{"generators": [list(g) for g in ideal.gens],
-                "filtration": _pairs_json(witness)}
-               for ideal, witness in result.ideals]
-    summary = f"count={len(result.ideals)} gotzmann={result.gotzmann_number}"
+    ideals, m = result.ideals, result.gotzmann_number
+    del result  # the reps and counters are not printed
+    # the text json.dumps would give the list of {"generators", "filtration"}
+    # entries, joined from one fragment per distinct witness pair
+    fragments = {}
+    entries = []
+    for ideal, witness in ideals:
+        pairs = []
+        for pair in witness:
+            text = fragments.get(pair)
+            if text is None:
+                text = fragments[pair] = json.dumps(_pair_json(pair))
+            pairs.append(text)
+        entries.append(f'{{"generators": {json.dumps([list(g) for g in ideal.gens])}, '
+                       f'"filtration": [{", ".join(pairs)}]}}')
+    listed = "[" + ", ".join(entries) + "]"
     if args.json:
-        print(json.dumps({"ideals": entries,
-                          "count": len(result.ideals),
-                          "gotzmann": result.gotzmann_number}))
+        print(f'{{"ideals": {listed}, "count": {len(ideals)}, "gotzmann": {m}}}')
         return 0
-    print(json.dumps(entries))
-    print(summary)
+    print(listed)
+    print(f"count={len(ideals)} gotzmann={m}")
     return 0
 
 

@@ -9,7 +9,9 @@ peel-off loop in which each accepted branch strictly decreases the
 (leading monomial, leading coefficient) pair: the termination proof,
 checked at runtime.  Realize turns representations
 into ideals and keeps those passing the exact Hilbert-polynomial check,
-since candidates are over-generated (every admissible anchor is tried).
+since candidates are over-generated (every admissible anchor is tried);
+it keeps the reps as the search hands them over, one (held, leaves)
+per batch (Reps), and builds a rep's tuple only when it passes.
 Realize runs on the search's own states: every state the search pushes
 carries a payload (_prefix) made from its parent's, which holds the
 state's pair tuple, the one copy of its path, and the search hands over
@@ -99,7 +101,7 @@ call: nothing is cached across requests.
 """
 
 from itertools import chain, product
-from operator import add
+from operator import add, eq
 from typing import NamedTuple
 
 from . import intlinalg as il
@@ -667,8 +669,41 @@ def _prefix(parent, pair):
     return [parent, (parent[1] if parent else ()) + (pair,), None, None]
 
 
+class Reps:
+    """The complete representations a search handed over, a read-only
+    sequence in search order, held as the search's batches: (held,
+    leaves) stands for the reps held + (leaf,), one per leaf, held the
+    pair tuple of the batch's state.  A rep's tuple is built when it is
+    read.  It has len, iteration and == with a list or tuple of reps,
+    from either side."""
+
+    __slots__ = ("batches", "_size")
+
+    def __init__(self, batches):
+        self.batches = batches
+        self._size = sum(len(leaves) for _, leaves in batches)
+
+    def __len__(self):
+        return self._size
+
+    def __iter__(self):
+        for held, leaves in self.batches:
+            for leaf in leaves:
+                yield held + (leaf,)
+
+    def __eq__(self, other):
+        if not isinstance(other, (Reps, list, tuple)):
+            return NotImplemented
+        return len(other) == self._size and all(map(eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"<{self._size} reps in {len(self.batches)} batches>"
+
+
 class _Realized(NamedTuple):
-    reps: list             # every rep the search handed over, in search order
+    batches: list          # every batch the search handed over, (held, leaves), in search order
     grouped: dict          # passing ideal -> its reps, in search order
     witnesses: dict        # passing ideal -> its least rep that is a Stanley filtration
     prefix_tests: int      # states given a component set and tested for excess over P
@@ -678,12 +713,12 @@ class _Realized(NamedTuple):
 
 
 def _realize(frame, found):
-    """List the representations of found, the (payload, leaves) batches
-    of _peel_off(frame), and group them by ideal;
-    keep the ideals whose quotient has Hilbert polynomial frame.P, each
-    with its representations, and the least of them (by
+    """Keep the batches of found, the (payload, leaves) batches of
+    _peel_off(frame), as (held, leaves), and group their representations
+    by ideal; keep the ideals whose quotient has Hilbert polynomial
+    frame.P, each with its representations, and the least of them (by
     StanleyPair.sort_key) that is a Stanley filtration of S/I, when there
-    is one.
+    is one.  A rep's tuple is built only when it passes.
 
     The exact check compares D * P_{S/I} on frame.basis with
     frame.target = D * frame.P in integers (hilbert._scaled_target), as
@@ -721,7 +756,9 @@ def _realize(frame, found):
     on its state's ideal, so a passing rep is a Stanley filtration of
     its ideal exactly when its flag holds.  The least such rep per ideal
     is kept, by the tuple of its pairs' sort keys, taken only when a
-    second one arrives.
+    second one arrives.  Since a set is one per ideal, the passing reps
+    and the witnesses are grouped by the leaf's set, and each set's ideal
+    becomes the key once, at the end.
 
     A rep whose parent state overshoots P is listed but not realized.
     Let I be a rep's ideal and J the ideal of one of its prefixes.  Then
@@ -742,7 +779,7 @@ def _realize(frame, found):
     that state is, and a batch under it is listed whole.  Every rep that
     is not skipped gets the exact check."""
     X, target = frame.X, frame.target
-    reps, grouped, witnesses = [], {}, {}
+    batches, grouped, witnesses = [], {}, {}  # the last two keyed by the leaf's set
     components = {}  # id(pair) -> its irreducible component: (mask, exponent tuple)
     root = [None, (), _component_set(frame, ()), True]  # above the depth-one states
     root[2].ideal = MonomialIdeal.unit(X.n)
@@ -783,8 +820,8 @@ def _realize(frame, found):
 
     for payload, leaves in found:
         parent = payload or root
-        batch = [parent[1] + (leaf,) for leaf in leaves]
-        reps.extend(batch)
+        held = parent[1]
+        batches.append((held, leaves))
         if parent[2] is None:
             above, chain = unfilled(parent, 2)
             for state in chain:  # the batch's prefixes that have no component set yet
@@ -799,8 +836,12 @@ def _realize(frame, found):
         if base is _EXCESS:
             counts[1] += len(leaves)
             continue
-        for rep, leaf in zip(batch, leaves):
-            node = step(base, component(leaf)[0])
+        steps = base.steps
+        for leaf in leaves:
+            c = (components.get(id(leaf)) or component(leaf))[0]
+            node = steps.get(c)
+            if node is None or node.sign is None:  # not met, J meet C = J, or no verdict yet
+                node = step(base, c)
             if node.sign:
                 continue
             if parent[3] is None:
@@ -809,23 +850,31 @@ def _realize(frame, found):
                     state[3] = settle(above, state[1][-1], state[2])
                     above = state
             filtered = settle(parent, leaf, node)
-            grouped.setdefault(node.ideal, []).append(rep)
+            rep = held + (leaf,)
+            group = grouped.get(node)
+            if group is None:
+                grouped[node] = [rep]
+            else:
+                group.append(rep)
             if filtered:
-                current = witnesses.get(node.ideal)
+                current = witnesses.get(node)
                 if current is None or _sort_keys(rep) < _sort_keys(current):
-                    witnesses[node.ideal] = rep
-    return _Realized(reps, grouped, witnesses, *counts)
+                    witnesses[node] = rep
+    return _Realized(batches, {node.ideal: reps for node, reps in grouped.items()},
+                     {node.ideal: rep for node, rep in witnesses.items()}, *counts)
 
 
 class EnumerationResult(NamedTuple):
     ideals: list            # [(MonomialIdeal, witness Stanley filtration)]
-    reps: list              # complete representations, one per pair set
-    gotzmann_number: int    # max pairs over reps (0 when none)
+    reps: Reps              # complete representations, one per pair set: a read-only
+                            # sequence in search order, held per batch of the search
+    gotzmann_number: int    # max pairs over reps (0 when none): the longest batch prefix plus one
     gotzmann_realized: int  # max pairs over reps whose ideal survived
     prefix_tests: int       # realize: states given a component set and tested for excess over P
     skipped_reps: int       # realize: reps whose parent state overshoots P, never met or intersected
     intersections: int      # realize: component sets given an ideal, for passing reps
-    component_vectors: int  # realize: component sets built, prefixes of one build order included
+    component_vectors: int  # realize: component sets built, the intermediate sets of one
+                            # build order included, so not an invariant of the input
     witness_fallbacks: int  # ideals whose witness came from the graded-order recursion
     filtration_steps: int   # realize: states of passing reps' prefixes given a filtration step
 
@@ -834,7 +883,6 @@ def run_enumeration(X, P):
     """Steps 1-5 of the peel-off search; see enumerate_saturated_ideals."""
     frame = _working_frame(X, P)
     realized = _realize(frame, _peel_off(frame))
-    reps = realized.reps
 
     # an ideal none of whose reps is a Stanley filtration of it, in the
     # order the search built them, takes its witness from the recursion
@@ -848,8 +896,8 @@ def run_enumeration(X, P):
 
     return EnumerationResult(
         ideals=ideals,
-        reps=reps,
-        gotzmann_number=max(map(len, reps), default=0),
+        reps=Reps(realized.batches),
+        gotzmann_number=max((len(held) + 1 for held, _ in realized.batches), default=0),
         gotzmann_realized=max(map(len, chain.from_iterable(realized.grouped.values())),
                               default=0),
         prefix_tests=realized.prefix_tests,

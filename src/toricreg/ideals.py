@@ -300,10 +300,21 @@ def _fiber(X, t, cap):
 
 def _enumerate_fiber(X, t, cap):
     """The fiber of fiber_monomials as a sorted tuple, enumerated afresh."""
+    out = []
+    _walk_fiber(X, t, cap, out)
+    out.sort()
+    return tuple(out)
+
+
+def _walk_fiber(X, t, cap, out=None):
+    """The number of monomials in the fiber of fiber_monomials, by the walk
+    its docstring describes, summing the sizes hi - lo + 1 of the final
+    intervals; when out is a list, each point is appended to it, unsorted.
+    FiberTooLarge once the count passes cap."""
     w = X.positive_w
     wt = sum(a * b for a, b in zip(w, t))
     if wt < 0:
-        return ()
+        return 0
     hat, minv = X._facet_data[0]
     free = [i for i in range(X.n) if i not in hat]
     degs = [X.variable_degree(i) for i in free]
@@ -312,10 +323,11 @@ def _enumerate_fiber(X, t, cap):
     # s is the solved sigma^ block M_sigma^^-1 (t - A.u)
     steps = [il.matvec(minv, d) for d in degs]
     last = len(free) - 1  # d >= 1 free variables
-    out = []
     acc = [0] * X.n
+    total = 0
 
     def rec(pos, s, wres):
+        nonlocal total
         i, step, wi = free[pos], steps[pos], wdeg[pos]
         if pos == last:
             # the k with s - k*step >= 0, an interval (fiber_monomials)
@@ -331,8 +343,11 @@ def _enumerate_fiber(X, t, cap):
                     return
             if lo > hi:
                 return
-            if len(out) + hi - lo + 1 > cap:  # the run would pass cap
+            total += hi - lo + 1
+            if total > cap:  # the run would pass cap
                 raise FiberTooLarge(f"degree fiber exceeds {cap} monomials")
+            if out is None:
+                return
             for k in range(lo, hi + 1):
                 acc[i] = k
                 for h, x, y in zip(hat, s, step):
@@ -348,8 +363,7 @@ def _enumerate_fiber(X, t, cap):
 
     rec(0, il.matvec(minv, t), wt)
     del rec  # rec refers to itself: a reference cycle holding out
-    out.sort()
-    return tuple(out)
+    return total
 
 
 def hilbert_function(X, I, t, cap=FIBER_CAP):
@@ -374,13 +388,20 @@ def hilbert_value(kpoly, t, size):
 def fiber_sizes(X, cap=FIBER_CAP):
     """The lookup u -> |fiber(u)| for tuples u of r ints, raising
     FiberTooLarge past cap, memoized in a dict owned by the lookup alone:
-    a caller that reads many values builds one and drops it when done."""
+    a caller that reads many values builds one and drops it when done.
+    A fiber already in X._fiber_cache gives its length; any other is
+    counted by the walk (_walk_fiber), which lists no point and caches
+    nothing."""
     sizes = {}
 
     def size(u):
         count = sizes.get(u)
         if count is None:
-            count = sizes[u] = len(_fiber(X, u, cap))
+            fiber = X._fiber_cache.get(u)
+            count = _walk_fiber(X, u, cap) if fiber is None else len(fiber)
+            if count > cap:
+                raise FiberTooLarge(f"degree fiber exceeds {cap} monomials")
+            sizes[u] = count
         return count
 
     return size

@@ -1065,6 +1065,124 @@ def test_search_matches_reference_order(X, text):
             en.gotzmann_number(X, P)
 
 
+def _tuple_realize(frame, found):
+    """Realize as it ran when every rep was built as a tuple, kept as the
+    oracle of the batch-held stage: it lists every rep the search hands
+    over and groups the passing ones by ideal.  Returns (reps, grouped,
+    witnesses, prefix_tests, skipped_reps, filtration_steps,
+    intersections)."""
+    target = frame.target
+    reps, grouped, witnesses = [], {}, {}
+    components = {}
+    root = [None, (), en._component_set(frame, ()), True]
+    root[2].ideal = mi.MonomialIdeal.unit(frame.X.n)
+    counts = [0, 0, 0, 0]
+
+    def component(pair):
+        if id(pair) not in components:
+            a = pair_component(pair)
+            components[id(pair)] = (en._encode(frame, a), a)
+        return components[id(pair)]
+
+    def step(node, c):
+        node = en._meet(frame, node, c)
+        if node.sign is None:
+            node.sign = (target > node.vector) - (target < node.vector)
+        return node
+
+    def unfilled(state, slot):
+        chain = []
+        while state[slot] is None:
+            chain.append(state)
+            state = state[0] or root
+        return state, reversed(chain)
+
+    def settle(above, pair, node):
+        ideal, a = above[2].ideal, component(pair)[1]
+        if node.ideal is None:
+            counts[3] += 1
+            node.ideal = ideal.intersect_irreducible(a)
+        counts[2] += above[3]
+        return above[3] and st._filtration_step(ideal, pair, a)
+
+    for payload, leaves in found:
+        parent = payload or root
+        batch = [parent[1] + (leaf,) for leaf in leaves]
+        reps.extend(batch)
+        if parent[2] is None:
+            above, chain = unfilled(parent, 2)
+            for state in chain:
+                if above[2] is en._EXCESS:
+                    state[2] = en._EXCESS
+                else:
+                    counts[0] += 1
+                    node = step(above[2], component(state[1][-1])[0])
+                    state[2] = node if node.sign >= 0 else en._EXCESS
+                above = state
+        base = parent[2]
+        if base is en._EXCESS:
+            counts[1] += len(leaves)
+            continue
+        for rep, leaf in zip(batch, leaves):
+            node = step(base, component(leaf)[0])
+            if node.sign:
+                continue
+            if parent[3] is None:
+                above, chain = unfilled(parent, 3)
+                for state in chain:
+                    state[3] = settle(above, state[1][-1], state[2])
+                    above = state
+            filtered = settle(parent, leaf, node)
+            grouped.setdefault(node.ideal, []).append(rep)
+            if filtered:
+                current = witnesses.get(node.ideal)
+                if current is None or en._sort_keys(rep) < en._sort_keys(current):
+                    witnesses[node.ideal] = rep
+    return (reps, grouped, witnesses, *counts)
+
+
+@pytest.mark.parametrize("X, text", SEARCH_CASES.values(), ids=SEARCH_CASES)
+def test_reps_are_a_sequence_over_the_batches(X, text):
+    # run_enumeration holds the reps per batch of the search and builds a
+    # tuple only for a passing rep; the sequence reads as the listing
+    # search's reps, and everything else equals the tuple-per-rep path
+    P = parse_poly(text, nvars=X.r)
+    result = en.run_enumeration(X, P)
+    listed = _reps(en._working_frame(X, P))
+    reps = result.reps
+    assert list(reps) == listed
+    assert len(reps) == len(listed)
+    assert reps == listed and listed == reps
+    assert reps == tuple(listed) and not reps != listed
+    if listed:
+        assert reps != listed[:-1] and listed[:-1] != reps
+        assert reps != listed[::-1]
+    assert result.gotzmann_number == max(map(len, listed), default=0)
+
+    frame = en._working_frame(X, P)
+    old_reps, grouped, witnesses, prefix_tests, skipped, steps, intersections = (
+        _tuple_realize(frame, en._peel_off(frame)))
+    assert old_reps == listed
+    new_frame = en._working_frame(X, P)
+    realized = en._realize(new_frame, en._peel_off(new_frame))
+    assert list(realized.grouped) == list(grouped)
+    assert realized.grouped == grouped
+    assert realized.witnesses == witnesses
+    ideals, fallbacks = [], 0
+    for ideal in sorted(grouped):
+        witness = witnesses.get(ideal)
+        if witness is None:
+            fallbacks += 1
+            witness = st.stanley_filtration(ideal, st.nice_strategy(frame.face_order))
+        ideals.append((ideal, witness))
+    assert result.ideals == ideals
+    assert result.gotzmann_realized == max(
+        (len(rep) for cands in grouped.values() for rep in cands), default=0)
+    assert (result.prefix_tests, result.skipped_reps, result.filtration_steps,
+            result.intersections, result.component_vectors, result.witness_fallbacks) == (
+        prefix_tests, skipped, steps, intersections, len(frame.component_sets), fallbacks)
+
+
 def test_fold_payloads_are_the_rep_prefixes(monkeypatch):
     # each batch's _prefix payload chain holds its held pairs, one more
     # per link, a pushed state has one payload, shared by every batch

@@ -415,6 +415,33 @@ def test_fiber_cap_boundary():
             assert len(mi.fiber_monomials(fresh, t, cap=size)) == size
 
 
+@pytest.mark.parametrize("X", [P2, P3, P2xP1, F1, tv.build_variety(F2.fan)],
+                         ids=["P2", "P3", "PxP(2,1)", "Hirzebruch(1)", "Xc"])
+def test_fiber_sizes_count_without_listing(X):
+    """fiber_sizes counts a fiber that is not cached by the walk's final
+    intervals, and caches nothing; the count is the listed fiber's size,
+    for degrees in K and outside it, and FiberTooLarge fires past cap
+    both when counting and when reading a cached fiber."""
+    rng = random.Random(7)
+    inside = outside = 0
+    for _ in range(40):
+        t = tuple(rng.randint(-3, 6) for _ in range(X.r))
+        fresh = tv.with_grading(X, X.grading)  # an empty fiber cache
+        count = mi.fiber_sizes(fresh)(t)
+        assert not fresh._fiber_cache
+        assert count == len(mi.fiber_monomials(X, t)), t
+        inside += X.nef_member(t)
+        outside += not X.nef_member(t)
+        if count:
+            with pytest.raises(FiberTooLarge):
+                mi.fiber_sizes(fresh, count - 1)(t)
+            mi.fiber_monomials(fresh, t)
+            with pytest.raises(FiberTooLarge):
+                mi.fiber_sizes(fresh, count - 1)(t)  # from the cached fiber
+            assert mi.fiber_sizes(fresh, count)(t) == count
+    assert inside and outside
+
+
 def test_fiber_rejects_bad_degree():
     zero = mi.MonomialIdeal.zero(3)
     with pytest.raises(ValueError):
